@@ -4,7 +4,8 @@ A Blaschke product of order m is ``e^{i theta} * prod (z_j - z)/(1 - conj(z_j) z
 with all zeros strictly inside the unit disk; it maps the disk onto itself
 m-to-1 and has modulus one on the circle.  Fibers (all disk preimages of a
 value, with multiplicity) are computed through companion-matrix roots of the
-rational form plus Newton polishing.
+rational form plus Newton polishing; :func:`fiber_roots` and
+:func:`with_multiplicity` are the one fiber path every module uses.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ __all__ = [
     "eval_blaschke",
     "compose_blaschke",
     "moebius_inverse",
+    "fiber_roots",
+    "with_multiplicity",
     "solve_fiber",
     "critical_points",
     "moebius",
@@ -173,76 +176,94 @@ def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
     return np.array(out, dtype=complex)
 
 
+def fiber_roots(R, radius):
+    """Newton-polished roots of the constant-first polynomial R with |z| < radius.
+
+    The single fiber solve: companion-matrix roots, then Newton polishing.
+    Roots come back in solver order.
+    """
+    roots = _newton_polish(R, _poly_roots(R))
+    return roots[np.abs(roots) < radius]
+
+
 def _lex_key(z, quantum=1e-9):
     """(re, im) lexicographic key, quantized so roundoff cannot flip order."""
     z = complex(z)
     return (round(z.real / quantum), round(z.imag / quantum))
 
 
+class _UnionFind:
+    """Disjoint sets over 0..n-1: union links root to root, find halves paths."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
+
+    def find(self, x):
+        while self.parent[x] != x:
+            self.parent[x] = self.parent[self.parent[x]]
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b):
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+
+    def groups(self):
+        """Members of each set, sets in order of their first member."""
+        out = {}
+        for i in range(len(self.parent)):
+            out.setdefault(self.find(i), []).append(i)
+        return list(out.values())
+
+
 def _cluster(points, tol=_CLUSTER_TOL):
-    """Group points within tol (union-find); returns (centroid, size) pairs."""
+    """Group points within tol; returns (centroid, size) pairs."""
     pts = list(points)
-    n = len(pts)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for j in range(i + 1, n):
+    uf = _UnionFind(len(pts))
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
             if abs(pts[i] - pts[j]) <= tol * max(1.0, abs(pts[i])):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(pts[i])
-    return [(complex(np.mean(g)), len(g)) for g in groups.values()]
+                uf.union(i, j)
+    return [(complex(np.mean([pts[k] for k in g])), len(g)) for g in uf.groups()]
+
+
+def with_multiplicity(points, tol=_CLUSTER_TOL):
+    """Cluster centroids, each repeated by its cluster size, in _lex_key order."""
+    out = []
+    for centroid, size in _cluster(points, tol):
+        out.extend([centroid] * size)
+    return sorted(out, key=_lex_key)
 
 
 def solve_fiber(spec, omega, cluster_tol=_CLUSTER_TOL):
     """All zeros of spec(z) - omega strictly inside the disk, with multiplicity.
 
-    Roots are companion-matrix eigenvalues of P - omega*Q, Newton polished,
-    then clustered for multiplicity detection.  A root within 1e-6 of the unit
-    circle triggers BoundaryRootWarning and is excluded from the interior list.
+    Roots come from :func:`fiber_roots` on P - omega*Q and are clustered for
+    multiplicity detection.  A root within 1e-6 of the unit circle triggers
+    BoundaryRootWarning and is excluded from the interior list.
     """
-    from .funcspec import to_rational
+    from .funcspec import RationalFunction
 
-    P, Q = to_rational(spec)
-    n = max(P.size, Q.size)
-    R = np.zeros(n, dtype=complex)
-    R[: P.size] += P
-    R[: Q.size] -= omega * Q
-    roots = _newton_polish(R, _poly_roots(R))
+    R = RationalFunction.from_spec(spec).fiber_poly(omega)
+    roots = fiber_roots(R, np.inf)
     scale = max(np.max(np.abs(R)), 1e-300)
-    residuals = np.abs(np.polyval(R[::-1], roots)) if roots.size else np.zeros(0)
     # Multiple roots satisfy |R| ~ |z - z*|^mu; accept when the residual is
     # small in that weaker sense as well.
-    for z, res in zip(roots, residuals):
+    for res in np.abs(np.polyval(R[::-1], roots)):
         if res > 1e-6 * scale:
             raise RootFindingError(
                 f"root polish stalled at residual {res / scale:.2e} for value {omega}"
             )
-    interior = []
-    for z in roots:
-        r = abs(z)
-        if abs(r - 1.0) < _BOUNDARY_BAND:
-            warnings.warn(
-                f"fiber root {z:.12g} lies within 1e-6 of the unit circle",
-                BoundaryRootWarning,
-                stacklevel=2,
-            )
-            continue
-        if r < _INTERIOR:
-            interior.append(z)
-    out = []
-    for centroid, size in _cluster(interior, cluster_tol):
-        out.extend([centroid] * size)
-    return sorted(out, key=_lex_key)
+    r = np.abs(roots)
+    near = np.abs(r - 1.0) < _BOUNDARY_BAND
+    for z in roots[near]:
+        warnings.warn(
+            f"fiber root {z:.12g} lies within 1e-6 of the unit circle",
+            BoundaryRootWarning,
+            stacklevel=2,
+        )
+    return with_multiplicity(roots[~near & (r < _INTERIOR)], cluster_tol)
 
 
 def critical_points(spec):
@@ -251,20 +272,10 @@ def critical_points(spec):
     Returns a list of ``(point, value)`` with multiplicity, sorted like
     :func:`solve_fiber`.
     """
-    from .funcspec import spec_eval, to_rational
+    from .funcspec import RationalFunction
 
-    P, Q = to_rational(spec)
-    dP = P[1:] * np.arange(1, P.size) if P.size > 1 else np.zeros(1, dtype=complex)
-    dQ = Q[1:] * np.arange(1, Q.size) if Q.size > 1 else np.zeros(1, dtype=complex)
-    N = np.polynomial.polynomial.polysub(
-        np.polynomial.polynomial.polymul(dP, Q),
-        np.polynomial.polynomial.polymul(P, dQ),
-    )
-    if np.max(np.abs(N)) == 0.0:
+    f = RationalFunction.from_spec(spec)
+    if np.max(np.abs(f.N1)) == 0.0:
         return []
-    roots = _newton_polish(N, _poly_roots(N))
-    interior = [z for z in roots if abs(z) < _INTERIOR]
-    out = []
-    for centroid, size in _cluster(interior):
-        out.extend([(centroid, complex(spec_eval(spec, centroid)))] * size)
-    return sorted(out, key=lambda pv: _lex_key(pv[0]))
+    points = with_multiplicity(fiber_roots(f.N1, _INTERIOR))
+    return [(z, complex(f.value(z))) for z in points]

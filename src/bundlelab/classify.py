@@ -16,7 +16,7 @@ import numpy as np
 from scipy.linalg import svdvals
 
 from . import frames, monodromy, operators, series
-from .blaschke import BlaschkeProduct, MoebiusTransform
+from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots, with_multiplicity
 from .errors import BundleLabError, DomainError
 from .funcspec import (
     BlaschkeSpec,
@@ -208,64 +208,47 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
 class _Target:
     """Uniform eval/derivative/fiber access for specs and recovered outers.
 
-    Recovered outers with an attached defining pair are evaluated through the
-    exact fiber oracle (valid on the whole disk); bare ones fall back to the
-    trusted Taylor polynomial and its smaller radius.
+    Recovered outers are evaluated through their exact fiber oracle, valid on
+    the whole disk.
     """
+
+    seed_radius = 0.95
 
     def __init__(self, obj):
         if isinstance(obj, RecoveredOuter):
-            self.kind = "oracle" if obj.has_oracle else "outer"
+            self.oracle = True
             self.obj = obj
-            if obj.has_oracle:
-                self.seed_radius = 0.95
-                self.eval_radius = 0.97
-            else:
-                self.seed_radius = obj.eval_radius * 0.95
-                self.eval_radius = obj.eval_radius
+            self.eval_radius = 0.97
         elif isinstance(obj, (FunctionSpec, BlaschkeProduct)):
-            if isinstance(obj, BlaschkeProduct):
-                obj = BlaschkeSpec(obj)
-            self.kind = "spec"
+            self.oracle = False
             self.obj = RationalFunction.from_spec(obj)
-            self.seed_radius = 0.95
             self.eval_radius = 1.0
         else:
             raise TypeError(f"cannot match against {type(obj).__name__}")
 
     def value(self, z):
-        if self.kind == "oracle":
+        if self.oracle:
             return self.obj.oracle_value(z)
         return self.obj.value(z)
 
     def derivative(self, z):
-        if self.kind == "oracle":
+        if self.oracle:
             return self.obj.oracle_derivative(z)
         return self.obj.derivative(z)
 
     def second_derivative(self, z):
-        if self.kind == "oracle":
+        if self.oracle:
             return self.obj.oracle_second_derivative(z)
         return self.obj.second_derivative(z)
 
     def preimages(self, v):
-        if self.kind == "oracle":
+        if self.oracle:
             return self.obj.oracle_preimages(v, radius=self.seed_radius)
-        if self.kind == "outer":
-            return self.obj.preimages(v)
-        from .blaschke import _cluster, _lex_key
-
         R = self.obj.fiber_poly(v)
         if np.max(np.abs(R)) == 0.0:
             return []
-        from .blaschke import _newton_polish, _poly_roots
-
-        roots = _newton_polish(R, _poly_roots(R))
-        good = [z for z in roots if abs(z) <= self.seed_radius]
-        out = []
-        for centroid, size in _cluster(good):
-            out.extend([centroid] * size)
-        return sorted(out, key=_lex_key)
+        roots = fiber_roots(R, np.inf)  # seeds may lie on |z| = seed_radius
+        return with_multiplicity(roots[np.abs(roots) <= self.seed_radius])
 
 
 @dataclass

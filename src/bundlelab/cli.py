@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, frames, geometry, monodromy, operators, verify
-from .errors import BundleLabError, ConfigError
+from .errors import ConfigError, DomainError
 from .funcspec import BlaschkeSpec, parse_function_spec
 from .svgout import emit_svg
 from .weights import equivalent, growth_classify, parse_weight_id
@@ -33,8 +33,9 @@ __all__ = ["main", "run", "RunConfig", "parse_config_file"]
 _KNOWN_KEYS = {
     "command", "weights", "weights2", "fn", "f1", "f2", "blaschke",
     "n-max", "trunc", "res", "bounds", "t", "probe", "out", "normalization",
-    "csv", "samples",
+    "csv",
 }
+_NORMALIZATIONS = ("raw", "beta", "beta-inv")
 
 
 class RunConfig:
@@ -54,7 +55,11 @@ def parse_config_file(path):
     Unknown keys are rejected with their line and column.
     """
     options = {}
-    with open(path, encoding="utf-8") as fh:
+    try:
+        fh = open(path, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file: {exc}") from None
+    with fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n")
             stripped = line.strip()
@@ -78,17 +83,31 @@ def _progress(msg):
 
 
 def _parse_bounds(text):
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != 4:
-        raise ConfigError(f"bounds need 4 comma-separated numbers, got {text!r}")
+    b = tuple(float(p) for p in text.split(","))
+    if len(b) != 4 or not (-np.inf < b[0] < b[1] < np.inf and -np.inf < b[2] < b[3] < np.inf):
+        raise ValueError("need re_min,re_max,im_min,im_max spanning a finite rectangle")
+    return b
+
+
+def _option(config, key, default, parse, valid=lambda value: True):
+    """Option ``key`` converted by ``parse``; a ConfigError names the key.
+
+    A value that ``parse`` rejects (a bad number, a Blaschke zero outside the
+    disk, a weight parameter out of range) or that fails ``valid`` is a
+    configuration error, not a computation error.
+    """
+    text = config.get(key, default)
     try:
-        return tuple(float(p) for p in parts)
-    except ValueError as exc:
-        raise ConfigError(f"bad bounds {text!r}") from exc
+        value = parse(text)
+    except (DomainError, ValueError, OSError) as exc:
+        raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
+    if not valid(value):
+        raise ConfigError(f"value {text!r} for {key} is out of range")
+    return value
 
 
-def _blaschke_from(text):
-    spec = parse_function_spec(text)
+def _blaschke_from(config):
+    spec = _option(config, "blaschke", "blaschke(0; 0, 0.5)", parse_function_spec)
     if not isinstance(spec, BlaschkeSpec):
         raise ConfigError("expected a blaschke(...) literal")
     return spec.product
@@ -137,8 +156,8 @@ def _emit(config, params, result, artifacts=()):
 
 
 def _cmd_weights_classify(config):
-    w = parse_weight_id(config.get("weights", "hardy"))
-    K = int(config.get("probe", 10000))
+    w = _option(config, "weights", "hardy", parse_weight_id)
+    K = _option(config, "probe", 10000, int, lambda k: k >= 10)
     rep = growth_classify(w, K)
     result = {
         "probe_limit": rep.probe_limit,
@@ -158,9 +177,9 @@ def _cmd_weights_classify(config):
 
 
 def _cmd_equivalent(config):
-    w = parse_weight_id(config.get("weights", "hardy"))
-    w2 = parse_weight_id(config.get("weights2", "hardy"))
-    K = int(config.get("probe", 10000))
+    w = _option(config, "weights", "hardy", parse_weight_id)
+    w2 = _option(config, "weights2", "hardy", parse_weight_id)
+    K = _option(config, "probe", 10000, int, lambda k: k >= 1)
     ok, K1, K2 = equivalent(w, w2, K)
     result = {"equivalent": bool(ok), "K1": K1, "K2": K2, "probe": K}
     _emit(config, {"weights": w.id, "weights2": w2.id, "probe": K}, result)
@@ -172,11 +191,11 @@ def _cmd_equivalent(config):
 
 
 def _cmd_gram(config):
-    w = parse_weight_id(config.get("weights", "hardy"))
-    B = _blaschke_from(config.get("blaschke", "blaschke(0; 0, 0.5)"))
-    n_max = int(config.get("n-max", 40))
-    K = int(config.get("trunc", 256))
-    norm = config.get("normalization", "raw")
+    w = _option(config, "weights", "hardy", parse_weight_id)
+    B = _blaschke_from(config)
+    n_max = _option(config, "n-max", 40, int, lambda n: n >= 0)
+    K = _option(config, "trunc", 256, int, lambda k: k >= 8)
+    norm = _option(config, "normalization", "raw", str, lambda n: n in _NORMALIZATIONS)
     F = frames.build_frame(B, w, n_max, K)
     G = frames.gram(F, norm)
     herm = float(np.max(np.abs(G.matrix - G.matrix.conj().T)))
@@ -206,10 +225,10 @@ def _cmd_gram(config):
 
 
 def _cmd_riesz(config):
-    w = parse_weight_id(config.get("weights", "hardy"))
-    B = _blaschke_from(config.get("blaschke", "blaschke(0; 0, 0.5)"))
-    n_max = int(config.get("n-max", 100))
-    K = int(config.get("trunc", 512))
+    w = _option(config, "weights", "hardy", parse_weight_id)
+    B = _blaschke_from(config)
+    n_max = _option(config, "n-max", 100, int, lambda n: n >= 0)
+    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     _progress(f"building frame for {w.id}, order {B.order}, n_max {n_max}, K {K}")
     F = frames.build_frame(B, w, n_max, K)
     rep = frames.riesz_bounds(F)
@@ -223,9 +242,9 @@ def _cmd_riesz(config):
 
 
 def _cmd_index_map(config):
-    spec = parse_function_spec(config.get("fn", "poly(2,1,1)"))
-    bounds = _parse_bounds(config.get("bounds", "-1,5,-3,3"))
-    res = int(config.get("res", 400))
+    spec = _option(config, "fn", "poly(2,1,1)", parse_function_spec)
+    bounds = _option(config, "bounds", "-1,5,-3,3", _parse_bounds)
+    res = _option(config, "res", 400, int, lambda r: 1 <= r <= 2048)
     _progress(f"index map on {bounds} at {res}x{res}")
     imap = geometry.index_map(spec, bounds, res)
     out = config.get("out", ".")
@@ -261,7 +280,7 @@ def _cmd_index_map(config):
 
 
 def _cmd_decompose(config):
-    spec = parse_function_spec(config.get("fn", "poly(0,1,0,2)"))
+    spec = _option(config, "fn", "poly(0,1,0,2)", parse_function_spec)
     dec = monodromy.decompose(spec)
     _emit(config, {"fn": config.get("fn")}, dec.to_dict())
     print(
@@ -272,9 +291,9 @@ def _cmd_decompose(config):
 
 
 def _cmd_jordan(config):
-    w = parse_weight_id(config.get("weights", "bergman:alpha=1"))
-    spec = parse_function_spec(config.get("fn", "poly(0,1,0,2)"))
-    K = int(config.get("trunc", 512))
+    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
+    spec = _option(config, "fn", "poly(0,1,0,2)", parse_function_spec)
+    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     j = classify.jordan(spec, w, K=K)
     result = {
         "m": j.m,
@@ -293,10 +312,10 @@ def _cmd_jordan(config):
 
 
 def _cmd_similar(config):
-    w = parse_weight_id(config.get("weights", "bergman:alpha=1"))
-    f1 = parse_function_spec(config.get("f1", "poly(0,0,1)"))
-    f2 = parse_function_spec(config.get("f2", "poly(0,0,1)"))
-    K = int(config.get("trunc", 512))
+    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
+    f1 = _option(config, "f1", "poly(0,0,1)", parse_function_spec)
+    f2 = _option(config, "f2", "poly(0,0,1)", parse_function_spec)
+    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     v = classify.similar(f1, f2, w, K=K)
     _emit(config, {"weights": w.id, "f1": config.get("f1"),
                    "f2": config.get("f2"), "trunc": K}, v.to_dict())
@@ -305,10 +324,10 @@ def _cmd_similar(config):
 
 
 def _cmd_kaplansky(config):
-    w = parse_weight_id(config.get("weights", "bergman:alpha=1"))
-    f1 = parse_function_spec(config.get("f1", "poly(0,0,1)"))
-    f2 = parse_function_spec(config.get("f2", "poly(0,0,1)"))
-    K = int(config.get("trunc", 512))
+    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
+    f1 = _option(config, "f1", "poly(0,0,1)", parse_function_spec)
+    f2 = _option(config, "f2", "poly(0,0,1)", parse_function_spec)
+    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     double, single, consistent = classify.kaplansky(f1, f2, w, K=K)
     result = {
         "double": double.to_dict(),
@@ -325,10 +344,10 @@ def _cmd_kaplansky(config):
 
 
 def _cmd_douglas(config):
-    w = parse_weight_id(config.get("weights", "bergman:alpha=1"))
-    B = _blaschke_from(config.get("blaschke", "blaschke(0; 0, 0.5)"))
-    K = int(config.get("trunc", 512))
-    n_max = int(config.get("n-max", 100))
+    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
+    B = _blaschke_from(config)
+    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
+    n_max = _option(config, "n-max", 100, int, lambda n: n >= 0)
     cert = classify.douglas_intertwiner(B, w, K=K, n_max=n_max)
     _emit(config, {"weights": w.id, "blaschke": config.get("blaschke"),
                    "trunc": K, "n-max": n_max}, cert.to_dict())
@@ -340,9 +359,9 @@ def _cmd_douglas(config):
 
 
 def _cmd_counterexample(config):
-    w = parse_weight_id(config.get("weights", "reciprocal:nln"))
-    t = float(config.get("t", 0.5))
-    n_max = int(config.get("n-max", 400))
+    w = _option(config, "weights", "reciprocal:nln", parse_weight_id)
+    t = _option(config, "t", 0.5, float, lambda t: 0.0 < t < 1.0)
+    n_max = _option(config, "n-max", 400, int, lambda n: n >= 2)
     rep = classify.counterexample_probe(t, w, n_max)
     result = rep.to_dict()
     out = config.get("out", ".")
@@ -385,8 +404,16 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument errors exit 64 like every configuration error, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="bundle-lab",
         description="finite-truncation laboratory for weighted Hardy space geometry",
     )
@@ -404,7 +431,7 @@ def _build_parser():
     parser.add_argument("--bounds", help="re_min,re_max,im_min,im_max")
     parser.add_argument("--t", help="automorphism parameter in (0,1)")
     parser.add_argument("--probe", help="weight probe horizon")
-    parser.add_argument("--normalization", choices=["raw", "beta", "beta-inv"])
+    parser.add_argument("--normalization", choices=_NORMALIZATIONS)
     parser.add_argument("--csv", choices=["yes", "no"], help="write CSV artifacts")
     parser.add_argument("--out", help="output directory (default .)")
     return parser
@@ -417,11 +444,7 @@ def run(config):
     return _COMMANDS[config.command](config)
 
 
-_VALUE_FLAGS = {
-    "--config", "--weights", "--weights2", "--fn", "--f1", "--f2",
-    "--blaschke", "--n-max", "--trunc", "--res", "--bounds", "--t",
-    "--probe", "--normalization", "--csv", "--out",
-}
+_VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _KNOWN_KEYS - {"command"}}
 
 
 def _preprocess(argv):
@@ -441,35 +464,26 @@ def _preprocess(argv):
 
 def main(argv=None):
     parser = _build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    args = parser.parse_args(_preprocess(list(argv)))
+    options = {}
     try:
-        options = {}
+        args = parser.parse_args(_preprocess(list(sys.argv[1:] if argv is None else argv)))
         if args.config:
             options.update(parse_config_file(args.config))
-        flag_map = {
-            "weights": args.weights, "weights2": args.weights2, "fn": args.fn,
-            "f1": args.f1, "f2": args.f2, "blaschke": args.blaschke,
-            "n-max": args.n_max, "trunc": args.trunc, "res": args.res,
-            "bounds": args.bounds, "t": args.t, "probe": args.probe,
-            "normalization": args.normalization, "csv": args.csv, "out": args.out,
-        }
-        for key, val in flag_map.items():
+        for key in _KNOWN_KEYS - {"command"}:
+            val = getattr(args, key.replace("-", "_"))
             if val is not None:
                 options[key] = val
         command = args.command or options.get("command")
         if not command:
             parser.print_usage(sys.stderr)
             raise ConfigError("no command given (argument or config 'command =')")
-        config = RunConfig(command, options)
-        return run(config)
+        return run(RunConfig(command, options))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64
-    except BundleLabError as exc:
+    except Exception as exc:  # every other failure is a computation error
         diag = {"error": type(exc).__name__, "message": str(exc)}
-        out = (args.out if args is not None else None) or "."
+        out = options.get("out") or "."
         try:
             os.makedirs(out, exist_ok=True)
             _write_json(out, "error.json", diag)

@@ -23,7 +23,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.spatial import cKDTree
 
-from .blaschke import _newton_polish, _poly_roots
+from .blaschke import fiber_roots
 from .errors import WindingError
 from .funcspec import RationalFunction
 
@@ -108,8 +108,7 @@ def _root_count(f, omega, radius):
     R = f.fiber_poly(omega)
     if np.max(np.abs(R)) == 0.0:
         raise WindingError("fiber polynomial vanished identically")
-    roots = _newton_polish(R, _poly_roots(R))
-    return int(np.sum(np.abs(roots) < radius))
+    return len(fiber_roots(R, radius))
 
 
 def winding_index(spec, omega, radius=COUNT_RADIUS):

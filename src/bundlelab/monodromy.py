@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import geometry
-from .blaschke import BlaschkeProduct, _cluster, _lex_key, _newton_polish, _poly_roots
+from .blaschke import BlaschkeProduct, _cluster, _lex_key, _UnionFind
+from .blaschke import fiber_roots, with_multiplicity
 from .errors import (
     DomainError,
     FiberError,
@@ -91,7 +92,7 @@ def base_fiber(spec, omega0):
     close to a branch value and must be re-chosen).
     """
     f = _as_rational(spec)
-    pts = _fiber_points(f, omega0)
+    pts = with_multiplicity(fiber_roots(f.fiber_poly(omega0), geometry.COUNT_RADIUS))
     n = geometry.winding_index(f, omega0)
     if len(pts) != n:
         raise FiberError(
@@ -104,16 +105,6 @@ def base_fiber(spec, omega0):
             "choose a base point farther from the branch values"
         )
     return fib
-
-
-def _fiber_points(f, omega, radius=geometry.COUNT_RADIUS):
-    R = f.fiber_poly(omega)
-    roots = _newton_polish(R, _poly_roots(R))
-    interior = [z for z in roots if abs(z) < radius]
-    out = []
-    for centroid, size in _cluster(interior):
-        out.extend([centroid] * size)
-    return sorted(out, key=_lex_key)
 
 
 def _pairwise_min(pts):
@@ -347,11 +338,8 @@ def monodromy_generators(spec, omega0=None, ring_points=24):
 
 
 def _clustered_branch_values(spec):
-    vals = geometry.branch_values(spec)
-    out = []
-    for centroid, _ in _cluster(vals, tol=1e-6):
-        out.append(centroid)
-    return sorted(out, key=_lex_key)
+    clusters = _cluster(geometry.branch_values(spec), tol=1e-6)
+    return sorted((centroid for centroid, _ in clusters), key=_lex_key)
 
 
 def _bbox(curve):
@@ -408,24 +396,6 @@ class BlockSystem:
         return self.d in (1, n)
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[ra] = rb
-        return True
-
-
 def _pair_closure_partition(n, gens, a, b):
     """Finest generator-stable partition merging sheets a and b."""
     uf = _UnionFind(n)
@@ -438,10 +408,7 @@ def _pair_closure_partition(n, gens, a, b):
         uf.union(rx, ry)
         for g in gens:
             stack.append((g[rx], g[ry]))
-    groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return _canonical_partition(groups.values())
+    return _canonical_partition(uf.groups())
 
 
 def _canonical_partition(blocks):
@@ -454,10 +421,7 @@ def _join(n, p1, p2):
         for block in part:
             for x in block[1:]:
                 uf.union(block[0], x)
-    groups = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
-    return _canonical_partition(groups.values())
+    return _canonical_partition(uf.groups())
 
 
 def _stable_partitions(n, gens):
@@ -533,7 +497,7 @@ class RecoveredOuter:
     """Outer factor recovered from circle samples plus its Taylor polynomial.
 
     The Taylor polynomial is the serialized artifact and is trusted for
-    |w| <= eval_radius; when the defining pair (f, inner factor) is attached,
+    |w| <= eval_radius; through the defining pair (source f, inner factor),
     ``oracle_value`` and the chain-rule derivatives evaluate h anywhere in the
     disk by solving the inner fiber exactly.
     """
@@ -541,33 +505,23 @@ class RecoveredOuter:
     radius: float
     samples: np.ndarray = field(repr=False)
     coeffs: np.ndarray = field(repr=False)
+    source: object = field(repr=False)  # RationalFunction of f
+    inner: object = field(repr=False)  # inner factor, rational
     noise_floor: float = 0.0
     consistency: float = 0.0
     eval_radius: float = 0.8
-    _source: object = field(default=None, repr=False)  # RationalFunction of f
-    _inner: object = field(default=None, repr=False)  # inner factor, rational
-
-    def attach_oracle(self, source, inner):
-        self._source = source
-        self._inner = inner
-
-    @property
-    def has_oracle(self):
-        return self._source is not None and self._inner is not None
 
     def _preimage(self, w):
         """One inner-factor preimage of w, preferring large |inner'|."""
-        R = self._inner.fiber_poly(w)
-        roots = _newton_polish(R, _poly_roots(R))
-        roots = roots[np.abs(roots) < 1.0]
+        roots = fiber_roots(self.inner.fiber_poly(w), 1.0)
         if roots.size == 0:
             raise DomainError(f"no inner-factor preimage of {w} inside the disk")
-        d = np.abs(self._inner.derivative(roots))
+        d = np.abs(self.inner.derivative(roots))
         return complex(roots[int(np.argmax(d))])
 
     def oracle_value(self, w):
         w = np.atleast_1d(np.asarray(w, dtype=complex))
-        out = np.array([self._source.value(self._preimage(x)) for x in w])
+        out = np.array([self.source.value(self._preimage(x)) for x in w])
         return out if out.size > 1 else complex(out[0])
 
     def oracle_derivative(self, w):
@@ -575,7 +529,7 @@ class RecoveredOuter:
         vals = []
         for x in w:
             z = self._preimage(x)
-            vals.append(self._source.derivative(z) / self._inner.derivative(z))
+            vals.append(self.source.derivative(z) / self.inner.derivative(z))
         out = np.array(vals)
         return out if out.size > 1 else complex(out[0])
 
@@ -584,25 +538,20 @@ class RecoveredOuter:
         vals = []
         for x in w:
             z = self._preimage(x)
-            fp = self._source.derivative(z)
-            fpp = self._source.second_derivative(z)
-            bp = self._inner.derivative(z)
-            bpp = self._inner.second_derivative(z)
+            fp = self.source.derivative(z)
+            fpp = self.source.second_derivative(z)
+            bp = self.inner.derivative(z)
+            bpp = self.inner.second_derivative(z)
             vals.append((fpp * bp - fp * bpp) / bp**3)
         out = np.array(vals)
         return out if out.size > 1 else complex(out[0])
 
     def oracle_preimages(self, v, radius=0.97):
         """h-preimages of v: inner-factor images of the f-fiber over v."""
-        roots = _newton_polish(
-            self._source.fiber_poly(v), _poly_roots(self._source.fiber_poly(v))
-        )
-        roots = roots[np.abs(roots) < 1.0]
-        ws = [complex(self._inner.value(z)) for z in roots]
-        out = []
-        for centroid, _ in _cluster([w for w in ws if abs(w) <= radius], tol=1e-7):
-            out.append(centroid)
-        return sorted(out, key=_lex_key)
+        roots = fiber_roots(self.source.fiber_poly(v), 1.0)
+        ws = [complex(self.inner.value(z)) for z in roots]
+        inside = [w for w in ws if abs(w) <= radius]
+        return sorted((c for c, _ in _cluster(inside, tol=1e-7)), key=_lex_key)
 
     @property
     def degree_hint(self):
@@ -633,24 +582,6 @@ class RecoveredOuter:
         out = np.polyval(d2[::-1], w)
         return out if out.shape else complex(out)
 
-    def preimages(self, v, radius=None):
-        radius = self.eval_radius * 0.95 if radius is None else radius
-        R = self.coeffs.copy()
-        R[0] -= v
-        if np.max(np.abs(R)) == 0.0:
-            return []
-        roots = _newton_polish(R, _poly_roots(R))
-        good = []
-        for z in roots:
-            if abs(z) <= radius and abs(np.polyval(R[::-1], z)) < 1e-6 * max(
-                1.0, float(np.max(np.abs(R)))
-            ):
-                good.append(z)
-        out = []
-        for centroid, size in _cluster(good):
-            out.extend([centroid] * size)
-        return sorted(out, key=_lex_key)
-
     def tail_report(self):
         if self.coeffs.size == 0:
             return 0.0
@@ -677,9 +608,7 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     samples = np.empty(S, dtype=complex)
     worst = 0.0
     for s, w in enumerate(ws):
-        R = bres.fiber_poly(w)
-        roots = _newton_polish(R, _poly_roots(R))
-        roots = roots[np.abs(roots) < 1.0]
+        roots = fiber_roots(bres.fiber_poly(w), 1.0)
         if roots.size != bhat.order:
             raise FiberError(
                 f"inner-factor fiber at sample {s} has {roots.size} points, "
@@ -703,15 +632,15 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     L = int(keep[-1]) + 1 if keep.size else 1
     ks = np.arange(L)
     coeffs = fft[:L] / r**ks
-    outer = RecoveredOuter(
+    return RecoveredOuter(
         radius=r,
         samples=samples,
         coeffs=coeffs,
+        source=f,
+        inner=bres,
         noise_floor=floor,
         consistency=worst,
     )
-    outer.attach_oracle(f, bres)
-    return outer
 
 
 @dataclass

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from bundlelab.blaschke import (
     BlaschkeProduct,
@@ -9,12 +11,14 @@ from bundlelab.blaschke import (
     compose_blaschke,
     critical_points,
     eval_blaschke,
+    fiber_roots,
     moebius,
     moebius_inverse,
     solve_fiber,
+    with_multiplicity,
 )
 from bundlelab.errors import BoundaryRootWarning, DomainError
-from bundlelab.funcspec import BlaschkeSpec, PolySpec
+from bundlelab.funcspec import BlaschkeSpec, PolySpec, RationalFunction
 
 
 def test_eval_at_zero_points():
@@ -166,3 +170,57 @@ def test_rational_form_of_product():
     P, Q = B.rational()
     assert np.allclose(P, [0.5, -1.0])
     assert np.allclose(Q, [1.0, -0.5])
+
+
+def _points(min_modulus, max_modulus, count):
+    point = st.builds(
+        lambda r, a: complex(r * np.exp(1j * a)),
+        st.floats(min_modulus, max_modulus),
+        st.floats(0.0, 2.0 * np.pi),
+    )
+    return st.lists(point, min_size=count, max_size=count)
+
+
+@st.composite
+def _fiber_polys(draw):
+    """Degree 1-12 from chosen roots: simple and double in the disk, some outside."""
+    doubles = draw(_points(0.0, 0.98, draw(st.integers(0, 2))))
+    room = 12 - 2 * len(doubles)
+    simple = draw(_points(0.0, 0.98, draw(st.integers(0 if doubles else 1, room))))
+    outside = draw(_points(1.05, 3.0, draw(st.integers(0, room - len(simple)))))
+    inside = np.array(doubles + simple, dtype=complex)
+    gaps = np.abs(inside[:, None] - inside[None, :]) + 9.0 * np.eye(inside.size)
+    assume(inside.size < 2 or gaps.min() > 0.05)
+    R = np.poly(np.array(doubles + doubles + simple + outside, dtype=complex))[::-1]
+    return R, doubles, simple
+
+
+_PROPERTY = settings(max_examples=150, deadline=None, derandomize=True, database=None,
+                     suppress_health_check=[HealthCheck.filter_too_much])
+
+
+@_PROPERTY
+@given(_fiber_polys())
+def test_fiber_roots_find_chosen_roots(case):
+    R, doubles, simple = case
+    found = fiber_roots(R, 1.0)
+    assert found.size == np.sum(np.abs(np.roots(R[::-1])) < 1.0)
+    for z in simple:
+        assert np.min(np.abs(found - z)) < 1e-8
+    # a double root is only accurate to about 1e-6 after polishing, so its
+    # two copies are clustered at that scale
+    grouped = with_multiplicity(found, tol=1e-5)
+    assert len(grouped) == found.size
+    for z in doubles:
+        near = [w for w in grouped if abs(w - z) < 1e-5]
+        assert len(near) == 2 and near[0] == near[1]
+
+
+@_PROPERTY
+@given(_fiber_polys())
+def test_critical_values_match_rational_value(case):
+    spec = PolySpec(tuple(case[0]))
+    f = RationalFunction.from_spec(spec)
+    for z, v in critical_points(spec):
+        assert abs(z) < 1.0
+        assert v == f.value(z)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -232,3 +236,32 @@ def test_result_json_keys_sorted(tmp_path):
           "--out", str(tmp_path)])
     text = (tmp_path / "result.json").read_text()
     assert text.index('"command"') < text.index('"parameters"') < text.index('"result"')
+
+
+_BAD_CONFIG = (
+    "command = riesz\nweights = hardy\nblaschke = blaschke(0; 0.3, 0.3)\nout = cfgout\n"
+)
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["index-map", "--res", "0"], 64),
+    (["counterexample", "--n-max", "1"], 64),
+    (["riesz", "--n-max", "abc"], 64),
+    (["gram", "--trunc", "4"], 64),
+    (["riesz", "--blaschke", "blaschke(0; 1.5)"], 64),
+    (["--config", "run.cfg"], 70),  # repeated zeros: a computation error
+    (["weights-classify", "--weights", "bergman:alpha=-1"], 64),
+    (["index-map", "--bounds", "1,0,0,1"], 64),
+    (["riesz", "--frobnicate", "1"], 64),
+    (["--config", "missing.cfg"], 64),
+])
+def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
+    (tmp_path / "run.cfg").write_text(_BAD_CONFIG)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "bundlelab.cli", *argv], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "error.json").exists()
+    assert (tmp_path / "cfgout" / "error.json").exists() == (code == 70)
