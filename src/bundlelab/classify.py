@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import svdvals
 
 from . import frames, monodromy, operators, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots, with_multiplicity
@@ -51,7 +50,8 @@ class SimilarityCertificate:
     ``residual`` is the max deviation of M_B X - X (block shift) over the
     interior columns (every power below n_max); ``cond`` comes from the
     extremal singular values of the truncated deformation X and must be
-    stable under doubling the row truncation.
+    stable under doubling the row truncation.  ``frame`` is the
+    beta-normalized frame X was taken from; it is not serialized.
     """
 
     residual: float
@@ -63,7 +63,7 @@ class SimilarityCertificate:
     order: int
     accepted: bool
     riesz: frames.RieszReport | None = None
-    conjugator: MoebiusTransform | None = None
+    frame: frames.FrameMatrix | None = field(default=None, repr=False)
 
     def to_dict(self):
         return {
@@ -109,12 +109,11 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         )
     F = frames.build_frame(B, w, n_max, K)
     m = F.m
-    cond = None
     while True:
-        s = svdvals(F.matrix("beta"))
+        s = F.singular_values()
         cond = float(s[0] / s[-1])
         Fd = F.rebuild(n_max, 2 * F.K)
-        sd = svdvals(Fd.matrix("beta"))
+        sd = Fd.singular_values()
         cond_d = float(sd[0] / sd[-1])
         rel = abs(cond_d - cond) / cond_d
         if (rel < 0.05 and F.tail("beta") < 1e-8) or F.K >= K_cap:
@@ -145,7 +144,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         order=m,
         accepted=accepted,
         riesz=riesz,
-        conjugator=F.conjugator,
+        frame=F,
     )
 
 
@@ -182,8 +181,8 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
         n_max = min(max(60, L + 30), 160)
     cert = douglas_intertwiner(dec.inner, w, K=K, n_max=n_max,
                                attach_riesz=attach_riesz)
-    K_eff = cert.K
-    F = frames.build_frame(dec.inner, w, n_max, K_eff)
+    F = cert.frame
+    K_eff = F.K
     X = F.matrix("beta")
     m = F.m
     inner_spec = spec
@@ -548,7 +547,7 @@ def counterexample_probe(t, w, n_max=400):
     for N in (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max):
         K = max(512, 4 * N)
         F = frames.moebius_frame(t, w, N, K, pad=0)
-        s = svdvals(F.matrix("beta"))
+        s = F.singular_values()
         cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
         conds.append(cond)
         ladder.append({"n_max": N, "K": K, "cond": cond})

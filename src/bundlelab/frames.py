@@ -1,4 +1,4 @@
-"""Kernel-direction frames, Gram matrices, Riesz bounds, and dual systems.
+"""Kernel-direction frames, Gram matrices and Riesz bounds.
 
 For a finite Blaschke product B with distinct zeros ``z_1..z_m`` (``z_1 = 0``
 for order >= 2; order-1 families keep their kernel point), the frame columns
@@ -18,10 +18,10 @@ stability-under-doubling evidence and never an infinite-dimensional claim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, qr, solve_triangular, svdvals
+from scipy.linalg import lu_factor, lu_solve, svd, svdvals
 
 from . import series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -35,7 +35,6 @@ __all__ = [
     "moebius_frame",
     "gram",
     "riesz_bounds",
-    "dual_frame",
     "kernel_matrix",
     "cpb_check",
     "moebius_duality_check",
@@ -66,6 +65,7 @@ class FrameMatrix:
     pad: int
     conjugator: MoebiusTransform | None = None
     source: BlaschkeProduct | None = None
+    _sv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self):
@@ -74,10 +74,6 @@ class FrameMatrix:
     @property
     def ncols(self):
         return self.m * (self.n_max + 1)
-
-    def column_beta(self, c):
-        """beta_n for the power index of column c."""
-        return self.w.beta(c // self.m)
 
     def _scales(self, normalization, rows):
         lb = self.w.log_betas(rows - 1)
@@ -101,6 +97,12 @@ class FrameMatrix:
         rscale, cscale = self._scales(normalization, rows)
         block = self.taylor[self.K :] * rscale[self.K :, None] * cscale[None, :]
         return float(np.max(np.linalg.norm(block, axis=0))) if block.size else 0.0
+
+    def singular_values(self):
+        """Descending singular values of ``matrix("beta")``, computed on first use."""
+        if self._sv is None:
+            self._sv = svdvals(self.matrix("beta"))
+        return self._sv
 
     def rebuild(self, n_max, K):
         base = self.source if self.source is not None else self.product
@@ -180,10 +182,6 @@ class GramResult:
     normalization: str
     column_tails: np.ndarray
 
-    def entry_tail_bound(self, i, j):
-        """Declared truncation bound for entry (i, j) from the cut rows."""
-        return float(self.column_tails[i] * self.column_tails[j])
-
 
 def gram(F, normalization="raw"):
     """Conjugate-transpose(A) @ A with per-column tail diagnostics."""
@@ -222,7 +220,7 @@ class RieszReport:
 
 
 def _extremal(F):
-    s = svdvals(F.matrix("beta"))
+    s = F.singular_values()
     return float(s[-1] ** 2), float(s[0] ** 2)
 
 
@@ -272,29 +270,6 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
 
 
 @dataclass
-class DualFrameResult:
-    """Numerical dual system: Y with Y* A = I at truncation."""
-
-    matrix: np.ndarray
-    residual: float
-    numerical: bool = True
-
-
-def dual_frame(F, cond_limit=1e8):
-    A = F.matrix("beta")
-    s = svdvals(A)
-    if s[-1] == 0 or s[0] / s[-1] > cond_limit:
-        raise NumericalSingularityError(
-            "Gram inversion is ill-conditioned; the frame is degenerating",
-            min_singular_value=float(s[-1]),
-        )
-    Q, R = qr(A, mode="economic")
-    Y = solve_triangular(R, Q.conj().T, lower=False).conj().T
-    residual = float(np.max(np.abs(Y.conj().T @ A - np.eye(A.shape[1]))))
-    return DualFrameResult(matrix=Y, residual=residual)
-
-
-@dataclass
 class KernelMatrixResult:
     matrix: np.ndarray
     inverse: np.ndarray
@@ -313,7 +288,7 @@ def kernel_matrix(points):
             if pts[i] == pts[j]:
                 raise DomainError("kernel points must be pairwise distinct")
     A = 1.0 / (1.0 - np.conj(pts)[:, None] * pts[None, :])
-    s = svdvals(A)
+    s = svd(A, compute_uv=False)
     if s[-1] < 1e-13 * s[0] * m:
         raise NumericalSingularityError(
             "kernel matrix numerically singular", min_singular_value=float(s[-1])

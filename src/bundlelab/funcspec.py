@@ -36,8 +36,6 @@ __all__ = [
     "ProdSpec",
     "StarSpec",
     "to_rational",
-    "spec_eval",
-    "spec_derivative_eval",
     "parse_function_spec",
     "spec_to_text",
 ]
@@ -47,12 +45,6 @@ DEGREE_CAP = 64
 
 class FunctionSpec:
     """Base class; concrete nodes implement ``_rational``."""
-
-    def __call__(self, z):
-        return spec_eval(self, z)
-
-    def rational(self, cap=DEGREE_CAP):
-        return to_rational(self, cap)
 
 
 @dataclass(frozen=True)
@@ -242,26 +234,6 @@ def _poly_deriv(c):
     if c.size <= 1:
         return np.zeros(1, dtype=complex)
     return c[1:] * np.arange(1, c.size)
-
-
-def spec_eval(spec, z):
-    """Evaluate the rational form at a point or array of points."""
-    P, Q = to_rational(spec)
-    z = np.asarray(z, dtype=complex)
-    out = np.polyval(P[::-1], z) / np.polyval(Q[::-1], z)
-    return out if out.shape else complex(out)
-
-
-def spec_derivative_eval(spec, z):
-    """Evaluate the derivative (P'Q - PQ')/Q^2 at a point or array."""
-    P, Q = to_rational(spec)
-    dP = P[1:] * np.arange(1, P.size) if P.size > 1 else np.zeros(1, dtype=complex)
-    dQ = Q[1:] * np.arange(1, Q.size) if Q.size > 1 else np.zeros(1, dtype=complex)
-    z = np.asarray(z, dtype=complex)
-    q = np.polyval(Q[::-1], z)
-    num = np.polyval(dP[::-1], z) * q - np.polyval(P[::-1], z) * np.polyval(dQ[::-1], z)
-    out = num / (q * q)
-    return out if out.shape else complex(out)
 
 
 # -- parser ----------------------------------------------------------------

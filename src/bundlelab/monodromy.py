@@ -32,14 +32,12 @@ from .funcspec import RationalFunction, spec_to_text
 __all__ = [
     "Fiber",
     "MonodromyAction",
-    "BlockSystem",
     "RecoveredOuter",
     "Decomposition",
     "base_fiber",
     "track_fiber",
     "loop_permutation",
     "monodromy_generators",
-    "block_systems",
     "inner_factor_from_block",
     "outer_factor",
     "decompose",
@@ -383,19 +381,6 @@ def default_base_point(spec, curve=None):
     return complex(best[0])
 
 
-@dataclass(frozen=True)
-class BlockSystem:
-    """Generator-stable partition of the fiber into equal blocks."""
-
-    blocks: tuple  # tuple of tuples of sheet indices
-    d: int
-
-    @property
-    def trivial(self):
-        n = sum(len(b) for b in self.blocks)
-        return self.d in (1, n)
-
-
 def _pair_closure_partition(n, gens, a, b):
     """Finest generator-stable partition merging sheets a and b."""
     uf = _UnionFind(n)
@@ -439,47 +424,6 @@ def _stable_partitions(n, gens):
                 frontier.append(j)
     found.add((tuple(range(n)),))
     return found
-
-
-def block_systems(action):
-    """All minimal nontrivial block systems of a transitive action.
-
-    Pair-closure partitions, deduplicated, with equal block sizes strictly
-    between 1 and the degree, sorted by block size.
-    """
-    if not action.transitive:
-        raise FiberError("block systems need a transitive action")
-    n = action.degree
-    out = []
-    seen = set()
-    for i in range(1, n):
-        p = _pair_closure_partition(n, action.generators, 0, i)
-        sizes = {len(b) for b in p}
-        if len(sizes) != 1:
-            continue
-        d = sizes.pop()
-        if d in (1, n) or p in seen:
-            continue
-        seen.add(p)
-        out.append(BlockSystem(p, d))
-    out.sort(key=lambda bs: (bs.d, bs.blocks))
-    # keep only minimal systems: drop any partition strictly coarsened by another
-    minimal = []
-    for bs in out:
-        if not any(_refines(other.blocks, bs.blocks) for other in out if other is not bs):
-            minimal.append(bs)
-    return minimal
-
-
-def _refines(fine, coarse):
-    """True when every block of `fine` sits inside a block of `coarse`."""
-    if fine == coarse:
-        return False
-    lookup = {}
-    for bi, block in enumerate(coarse):
-        for x in block:
-            lookup[x] = bi
-    return all(len({lookup[x] for x in block}) == 1 for block in fine)
 
 
 def inner_factor_from_block(fiber, block):
@@ -553,10 +497,6 @@ class RecoveredOuter:
         inside = [w for w in ws if abs(w) <= radius]
         return sorted((c for c, _ in _cluster(inside, tol=1e-7)), key=_lex_key)
 
-    @property
-    def degree_hint(self):
-        return self.coeffs.size - 1
-
     def value(self, w):
         w = np.asarray(w, dtype=complex)
         if np.any(np.abs(w) > self.eval_radius + 1e-12):
@@ -564,22 +504,6 @@ class RecoveredOuter:
                 f"recovered outer factor is trusted only for |w| <= {self.eval_radius}"
             )
         out = np.polyval(self.coeffs[::-1], w)
-        return out if out.shape else complex(out)
-
-    def derivative(self, w):
-        c = self.coeffs
-        dc = c[1:] * np.arange(1, c.size) if c.size > 1 else np.zeros(1, dtype=complex)
-        w = np.asarray(w, dtype=complex)
-        out = np.polyval(dc[::-1], w)
-        return out if out.shape else complex(out)
-
-    def second_derivative(self, w):
-        c = self.coeffs
-        if c.size <= 2:
-            return 0j
-        d2 = c[2:] * np.arange(2, c.size) * np.arange(1, c.size - 1)
-        w = np.asarray(w, dtype=complex)
-        out = np.polyval(d2[::-1], w)
         return out if out.shape else complex(out)
 
     def tail_report(self):

@@ -2,8 +2,7 @@
 
 All matrices act on coordinates relative to the orthonormal base
 ``{z^k / beta_k}``, so singular values measure the weighted-space geometry
-directly.  Conversions to raw Taylor coordinates are explicit diagonal
-scalings (:func:`coefficient_transport_diagonal`).
+directly.
 
 Matrix conventions (K x K, row = output index):
 
@@ -27,8 +26,6 @@ __all__ = [
     "shift_matrix",
     "mult_matrix",
     "calculus_matrix",
-    "transport_matrix",
-    "coefficient_transport_diagonal",
     "left_inverse_check",
     "commutant_transport_check",
     "dump_matrix_csv",
@@ -89,18 +86,6 @@ def calculus_matrix(h, w, K):
     T = toeplitz(e0, row)
     entries = T * _ratio_matrix(w, K)
     return OperatorMatrix(entries, "calculus", w.id, K)
-
-
-def transport_matrix(wa, wb, K):
-    """Coordinate transport between two spaces: identity in orthonormal bases."""
-    return OperatorMatrix(
-        np.eye(K, dtype=complex), "transport", f"{wa.id}->{wb.id}", K
-    )
-
-
-def coefficient_transport_diagonal(wa, wb, K):
-    """diag(alpha_k / beta_k): the transport acting on raw Taylor coefficients."""
-    return np.exp(wa.log_betas(K - 1) - wb.log_betas(K - 1))
 
 
 @dataclass

@@ -21,38 +21,28 @@ __all__ = [
     "PowerSeries",
     "taylor",
     "multiply",
-    "compose",
     "derivative",
     "evaluate",
     "inner",
     "norm",
-    "star",
     "geometric",
-    "circle_sup",
 ]
 
 _FFT_THRESHOLD = 768
 
 
 class PowerSeries:
-    """Coefficient vector c[k] of z^k for k = 0..K.
+    """Coefficient vector c[k] of z^k for k = 0..K."""
 
-    ``exact`` marks series whose coefficients describe the function completely
-    (polynomials below their truncation); ``tail_bound`` is attached by
-    :func:`compose` when the outer factor was itself a truncation.
-    """
+    __slots__ = ("coeffs",)
 
-    __slots__ = ("coeffs", "exact", "tail_bound")
-
-    def __init__(self, coeffs, exact=False):
+    def __init__(self, coeffs):
         c = np.asarray(coeffs, dtype=complex)
         if c.ndim != 1 or c.size == 0:
             raise ValueError("a power series needs a nonempty 1-d coefficient vector")
         if not np.all(np.isfinite(c)):
             raise ValueError("power series coefficients must be finite")
         self.coeffs = c
-        self.exact = bool(exact)
-        self.tail_bound = None
 
     @property
     def K(self):
@@ -94,7 +84,7 @@ def taylor(spec, K):
         out = np.zeros(K + 1, dtype=complex)
         n = min(K + 1, P.size)
         out[:n] = P[:n] / Q[0]
-        return PowerSeries(out, exact=(P.size <= K + 1))
+        return PowerSeries(out)
     impulse = np.zeros(K + 1)
     impulse[0] = 1.0
     coeffs = lfilter(P.astype(complex), Q.astype(complex), impulse)
@@ -109,22 +99,14 @@ def geometric(ratio, K):
 def multiply(f, g):
     """Cauchy product truncated at min(K_f, K_g)."""
     n = min(f.K, g.K) + 1
-    out = PowerSeries(_conv(f.coeffs, g.coeffs, n))
-    out.exact = f.exact and g.exact and (f.K + g.K) <= n - 1
-    return out
+    return PowerSeries(_conv(f.coeffs, g.coeffs, n))
 
 
 def derivative(f):
     """Termwise derivative; truncation drops by one."""
     if f.K == 0:
-        return PowerSeries(np.zeros(1, dtype=complex), exact=f.exact)
-    out = PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size), exact=f.exact)
-    return out
-
-
-def star(f):
-    """Coefficient conjugation: (star f)(z) = conj(f(conj(z)))."""
-    return PowerSeries(np.conj(f.coeffs), exact=f.exact)
+        return PowerSeries(np.zeros(1, dtype=complex))
+    return PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size))
 
 
 def evaluate(f, z):
@@ -134,48 +116,6 @@ def evaluate(f, z):
         raise DomainError("series evaluation is only meaningful for |z| <= 1")
     out = np.polyval(f.coeffs[::-1], z)
     return out if out.shape else complex(out)
-
-
-def circle_sup(f, samples=4096):
-    """Upper estimate of sup |f| on the unit circle.
-
-    4096-point sampling padded by a Lipschitz term from the derivative
-    samples, so the estimate errs on the safe (large) side.
-    """
-    t = np.exp(2j * np.pi * np.arange(samples) / samples)
-    vals = np.abs(np.polyval(f.coeffs[::-1], t))
-    df = derivative(f)
-    dvals = np.abs(np.polyval(df.coeffs[::-1], t)) if df.coeffs.size else np.zeros(1)
-    pad = float(np.max(dvals)) * (np.pi / samples)
-    return float(np.max(vals) + pad)
-
-
-def compose(f, g, K, margin=1e-3):
-    """Horner composition f(g(z)) in truncated-series arithmetic.
-
-    When f is exact (a polynomial) no domain constraint applies.  Otherwise
-    the truncation of f only represents the function on the disk, so the
-    estimated sup of |g| on the circle must stay below 1 - margin; the result
-    then carries ``tail_bound = |f_K| * sup^K / (1 - sup)``.
-    """
-    tail = None
-    if not f.exact:
-        sup_g = circle_sup(g)
-        if sup_g >= 1.0 - margin:
-            raise DomainError(
-                f"composition domain guard: sup|g| ~ {sup_g:.6g} is not "
-                f"below 1 - {margin:g} and the outer series is a truncation"
-            )
-        tail = abs(f.coeffs[-1]) * sup_g**f.K / (1.0 - sup_g)
-    gc = g.padded(K)
-    acc = np.zeros(K + 1, dtype=complex)
-    acc[0] = f.coeffs[f.K]
-    for k in range(f.K - 1, -1, -1):
-        acc = _conv(acc, gc, K + 1)
-        acc[0] += f.coeffs[k]
-    out = PowerSeries(acc)
-    out.tail_bound = tail
-    return out
 
 
 def inner(f, g, w):
@@ -199,12 +139,3 @@ def poly_series(coeffs, K):
     """PowerSeries of an exact polynomial (constant first) at truncation K."""
     return taylor(PolySpec(tuple(coeffs)), K)
 
-
-def to_pairs(f):
-    """JSON-ready [re, im] pairs of the coefficients."""
-    return [[c.real, c.imag] for c in f.coeffs]
-
-
-def from_pairs(pairs):
-    """PowerSeries from [re, im] coefficient pairs."""
-    return PowerSeries([complex(re, im) for re, im in pairs])

@@ -23,9 +23,7 @@ from .errors import ConfigError, TruncationRangeError
 __all__ = [
     "WeightSequence",
     "GrowthReport",
-    "beta",
     "growth_classify",
-    "dual_weights",
     "equivalent",
     "parse_weight_id",
 ]
@@ -227,11 +225,6 @@ class GrowthReport:
     certified: bool
 
 
-def beta(w, k):
-    """beta_k for the sequence ``w``; deterministic across calls."""
-    return w.beta(k)
-
-
 def growth_classify(w, K):
     """Probe (k+1)|w_k - 1| up to k = K and classify the growth.
 
@@ -255,11 +248,6 @@ def growth_classify(w, K):
     if cert is not None:
         return GrowthReport(K, sup_val, slope, cert, True)
     return GrowthReport(K, sup_val, slope, UNDETERMINED, False)
-
-
-def dual_weights(w):
-    """The reciprocal sequence: w'_k = 1/w_k, beta'_k = 1/beta_k."""
-    return w.dual()
 
 
 def equivalent(w, w2, K):

@@ -1,7 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 
-from bundlelab import classify
+from bundlelab import classify, frames
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec
 from bundlelab.weights import WeightSequence
@@ -199,3 +201,23 @@ def test_certificate_residual_nonincreasing_under_doubling():
     floor = 1e-12
     assert c2.residual <= max(c1.residual, floor)
     assert abs(c2.cond - c1.cond) / c1.cond < 0.05
+
+
+def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
+    built, svds = [], []
+    build_frame, svdvals = frames.build_frame, frames.svdvals
+
+    def counting_build(B, w, n_max, K, **kw):
+        built.append((n_max, K))
+        return build_frame(B, w, n_max, K, **kw)
+
+    def counting_svdvals(A):
+        svds.append(hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest())
+        return svdvals(A)
+
+    monkeypatch.setattr(frames, "build_frame", counting_build)
+    monkeypatch.setattr(frames, "svdvals", counting_svdvals)
+    res = classify.jordan(ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4)))), BERGMAN)
+    assert res.m == 2 and res.certificate.accepted
+    assert len(built) == len(set(built)), f"a frame was built twice: {built}"
+    assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"

@@ -95,14 +95,25 @@ def test_monodromy_moebius_trivial():
     assert act.closure_size == 1
 
 
+def _nontrivial_equal_partitions(act):
+    """Generator-stable partitions with equal blocks of size strictly in (1, n)."""
+    n = act.degree
+    out = []
+    for p in monodromy._stable_partitions(n, act.generators):
+        sizes = {len(b) for b in p}
+        if len(sizes) == 1 and sizes.pop() not in (1, n):
+            out.append(p)
+    return out
+
+
 def test_block_systems_four_cycle():
     act = monodromy.monodromy_generators(PolySpec((0, 0, 0, 0, 1)), 0.3)
-    systems = monodromy.block_systems(act)
+    systems = _nontrivial_equal_partitions(act)
     assert len(systems) == 1
-    bs = systems[0]
-    assert bs.d == 2 and not bs.trivial
+    blocks = systems[0]
+    assert len(blocks) == 2
     # blocks must pair opposite fiber points {z, -z}
-    for block in bs.blocks:
+    for block in blocks:
         a, b = (act.fiber.points[i] for i in block)
         assert abs(a + b) < 1e-9
 
@@ -119,7 +130,7 @@ def test_block_system_trivial_group_single_point():
     from bundlelab.blaschke import MoebiusTransform
 
     act = monodromy.monodromy_generators(BlaschkeSpec(MoebiusTransform(0.4)), 0.1)
-    assert monodromy.block_systems(act) == []
+    assert _nontrivial_equal_partitions(act) == []
 
 
 def test_singleton_block_gives_moebius():
@@ -132,7 +143,7 @@ def test_singleton_block_gives_moebius():
 def test_block_systems_primitive_cubic():
     act = monodromy.monodromy_generators(G_CUBIC)
     assert act.degree == 3 and act.transitive
-    assert monodromy.block_systems(act) == []
+    assert _nontrivial_equal_partitions(act) == []
 
 
 def test_inner_factor_from_block_square():

@@ -76,15 +76,6 @@ def test_calculus_multiplicativity_on_block():
     assert np.max(np.abs((A @ B)[:56, :56] - C[:56, :56])) < 1e-13
 
 
-def test_transport_matrix_identity_and_roundtrip():
-    T = operators.transport_matrix(HARDY, BERGMAN, 16)
-    assert np.allclose(T.entries, np.eye(16))
-    T2 = operators.transport_matrix(BERGMAN, HARDY, 16)
-    assert np.allclose(T.entries @ T2.entries, np.eye(16))
-    diag = operators.coefficient_transport_diagonal(BERGMAN, HARDY, 4)
-    assert diag[1] == pytest.approx(1.0 / math.sqrt(2.0), rel=1e-14)
-
-
 def test_commutant_transport_all_presets():
     for w in (HARDY, BERGMAN, WeightSequence.polygrowth(2), WeightSequence.nln()):
         assert operators.commutant_transport_check(w, 64) < 1e-12

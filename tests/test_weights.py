@@ -6,8 +6,6 @@ import pytest
 from bundlelab.errors import ConfigError, TruncationRangeError
 from bundlelab.weights import (
     WeightSequence,
-    beta,
-    dual_weights,
     equivalent,
     growth_classify,
     parse_weight_id,
@@ -15,19 +13,19 @@ from bundlelab.weights import (
 
 
 def test_beta_hardy_trivial():
-    assert beta(WeightSequence.hardy(), 7) == 1.0
+    assert WeightSequence.hardy().beta(7) == 1.0
 
 
 def test_beta_bergman_first_weight():
     # direct product of w_j = sqrt((j+1)/(j+2a+1)) at a=1, k=1
-    assert beta(WeightSequence.bergman(1), 1) == pytest.approx(
+    assert WeightSequence.bergman(1).beta(1) == pytest.approx(
         math.sqrt(2.0 / 4.0), rel=1e-14
     )
 
 
 def test_beta_nln_first_weight():
     expected = 1.5 * math.exp(math.log(4.0) ** 2 - math.log(3.0) ** 2)
-    assert beta(WeightSequence.nln(), 1) == pytest.approx(expected, rel=1e-13)
+    assert WeightSequence.nln().beta(1) == pytest.approx(expected, rel=1e-13)
 
 
 def test_beta_multiplicative_per_step():
@@ -96,14 +94,14 @@ def test_growth_probe_requires_min_horizon():
 
 
 def test_dual_weights_examples():
-    assert dual_weights(WeightSequence.hardy()).w(5) == 1.0
-    d = dual_weights(WeightSequence.bergman(1))
+    assert WeightSequence.hardy().dual().w(5) == 1.0
+    d = WeightSequence.bergman(1).dual()
     assert d.w(1) == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_dual_weights_involution():
     w = WeightSequence.bergman(1.5)
-    back = dual_weights(dual_weights(w))
+    back = w.dual().dual()
     assert back is w  # reciprocal of reciprocal returns the base object
 
 
