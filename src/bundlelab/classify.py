@@ -280,16 +280,23 @@ def _refine_match(g1, g2, theta, z0, samples):
     """Damped Gauss-Newton on (theta, Re z0, Im z0); returns (params, maxres)."""
     g2v = g2.value(samples)
 
+    def resid_many(param_sets):
+        """Residual vectors of several parameter sets from one g1 evaluation."""
+        pts = []
+        for th, x, y in param_sets:
+            zz = complex(x, y)
+            if abs(zz) >= 0.999:
+                return None
+            p = _phi_eval(th, zz, samples)
+            if np.max(np.abs(p)) > g1.eval_radius:
+                return None
+            pts.append(p)
+        vals = np.reshape(g1.value(np.concatenate(pts)), (len(pts), -1))
+        return [np.concatenate([r.real, r.imag]) for r in g2v - vals]
+
     def resid(params):
-        th, x, y = params
-        zz = complex(x, y)
-        if abs(zz) >= 0.999:
-            return None
-        pts = _phi_eval(th, zz, samples)
-        if np.max(np.abs(pts)) > g1.eval_radius:
-            return None
-        r = g2v - g1.value(pts)
-        return np.concatenate([r.real, r.imag])
+        out = resid_many([params])
+        return None if out is None else out[0]
 
     params = np.array([theta, z0.real, z0.imag])
     r = resid(params)
@@ -300,13 +307,16 @@ def _refine_match(g1, g2, theta, z0, samples):
         fr = float(np.max(np.abs(r)))
         if fr < 1e-11:
             break
-        J = np.empty((r.size, 3))
+        perturbed = []
         for k in range(3):
             dp = params.copy()
             dp[k] += 1e-7
-            rk = resid(dp)
-            if rk is None:
-                return None
+            perturbed.append(dp)
+        rks = resid_many(perturbed)
+        if rks is None:
+            return None
+        J = np.empty((r.size, 3))
+        for k, rk in enumerate(rks):
             J[:, k] = (rk - r) / 1e-7
         A = J.T @ J + lam * np.eye(3)
         g = J.T @ r

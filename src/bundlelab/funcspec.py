@@ -222,11 +222,11 @@ class RationalFunction:
         return out if out.shape else complex(out)
 
     def fiber_poly(self, omega):
-        """Constant-first coefficients of P - omega*Q."""
+        """Constant-first coefficients of P - omega*Q; one row per omega of an array."""
         n = max(self.P.size, self.Q.size)
-        R = np.zeros(n, dtype=complex)
-        R[: self.P.size] += self.P
-        R[: self.Q.size] -= omega * self.Q
+        R = np.zeros(np.shape(omega) + (n,), dtype=complex)
+        R[..., : self.P.size] += self.P
+        R[..., : self.Q.size] -= np.multiply.outer(omega, self.Q)
         return R
 
 

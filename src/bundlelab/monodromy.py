@@ -61,14 +61,7 @@ class Fiber:
         return len(self.points)
 
     def min_separation(self):
-        pts = self.points
-        if len(pts) < 2:
-            return np.inf
-        return min(
-            abs(pts[i] - pts[j])
-            for i in range(len(pts))
-            for j in range(i + 1, len(pts))
-        )
+        return _pairwise_min(np.array(self.points, dtype=complex))
 
 
 def identity_blaschke():
@@ -443,7 +436,8 @@ class RecoveredOuter:
     The Taylor polynomial is the serialized artifact and is trusted for
     |w| <= eval_radius; through the defining pair (source f, inner factor),
     ``oracle_value`` and the chain-rule derivatives evaluate h anywhere in the
-    disk by solving the inner fiber exactly.
+    disk by solving the inner fiber exactly: ``_preimages`` solves the fibers
+    over a whole set of w in one stacked call.
     """
 
     radius: float
@@ -455,33 +449,38 @@ class RecoveredOuter:
     consistency: float = 0.0
     eval_radius: float = 0.8
 
-    def _preimage(self, w):
-        """One inner-factor preimage of w, preferring large |inner'|."""
-        roots = fiber_roots(self.inner.fiber_poly(w), 1.0)
-        if roots.size == 0:
-            raise DomainError(f"no inner-factor preimage of {w} inside the disk")
-        d = np.abs(self.inner.derivative(roots))
-        return complex(roots[int(np.argmax(d))])
+    def _preimages(self, w):
+        """One inner-factor preimage per w, preferring large |inner'|.
+
+        Every fiber is solved in one stacked call; each row takes its first
+        in-disk root of largest |inner'|.
+        """
+        w = np.atleast_1d(np.asarray(w, dtype=complex))
+        roots, inside = fiber_roots(self.inner.fiber_poly(w), 1.0)
+        empty = ~np.any(inside, axis=1)
+        if np.any(empty):
+            raise DomainError(
+                f"no inner-factor preimage of {w[np.argmax(empty)]} inside the disk"
+            )
+        d = np.where(inside, np.abs(self.inner.derivative(roots)), -np.inf)
+        return roots[np.arange(w.size), np.argmax(d, axis=1)]
 
     def oracle_value(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        out = np.array([self.source.value(self._preimage(x)) for x in w])
+        out = self.source.value(self._preimages(w))
         return out if out.size > 1 else complex(out[0])
 
+    # The chain rules combine per point in Python complex arithmetic: numpy's
+    # array division can differ from it in the last bit.
     def oracle_derivative(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        vals = []
-        for x in w:
-            z = self._preimage(x)
-            vals.append(self.source.derivative(z) / self.inner.derivative(z))
-        out = np.array(vals)
+        out = np.array([
+            self.source.derivative(z) / self.inner.derivative(z)
+            for z in self._preimages(w)
+        ])
         return out if out.size > 1 else complex(out[0])
 
     def oracle_second_derivative(self, w):
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
         vals = []
-        for x in w:
-            z = self._preimage(x)
+        for z in self._preimages(w):
             fp = self.source.derivative(z)
             fpp = self.source.second_derivative(z)
             bp = self.inner.derivative(z)
@@ -516,11 +515,11 @@ class RecoveredOuter:
 def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     """Recover h with f = h o bhat by sampling h on the circle |w| = r.
 
-    For every sample w the full bhat-fiber is computed; h(w) is set from the
-    first preimage and all others must agree within the tolerance, otherwise
-    the block is invalid for f and FiberError is raised.  Taylor coefficients
-    come from the discrete Fourier transform of the circle samples, trimmed
-    at the noise floor.
+    The full bhat-fibers over all S samples are solved in one stacked call;
+    h(w) is set from the first preimage and all others must agree within the
+    tolerance, otherwise the block is invalid for f and FiberError is raised
+    for the first failing sample.  Taylor coefficients come from the discrete
+    Fourier transform of the circle samples, trimmed at the noise floor.
     """
     if not (0.0 < r < 1.0):
         raise ValueError("sampling radius must lie in (0, 1)")
@@ -529,25 +528,28 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     f = _as_rational(spec)
     bres = RationalFunction(*bhat.rational())
     ws = r * np.exp(2j * np.pi * np.arange(S) / S)
-    samples = np.empty(S, dtype=complex)
-    worst = 0.0
-    for s, w in enumerate(ws):
-        roots = fiber_roots(bres.fiber_poly(w), 1.0)
-        if roots.size != bhat.order:
+    roots, inside = fiber_roots(bres.fiber_poly(ws), 1.0)
+    counts = np.sum(inside, axis=1)
+    ok = counts == bhat.order
+    vals = f.value(np.sort_complex(roots[ok][inside[ok]].reshape(-1, bhat.order)))
+    spread = np.full(S, np.nan)
+    spread[ok] = np.max(np.abs(vals - vals[:, :1]), axis=1)
+    scale = np.fmax(1.0, np.max(np.abs(vals), axis=1))
+    bad = ~ok
+    bad[ok] = spread[ok] > tol * scale
+    if np.any(bad):
+        s = int(np.argmax(bad))
+        if not ok[s]:
             raise FiberError(
-                f"inner-factor fiber at sample {s} has {roots.size} points, "
+                f"inner-factor fiber at sample {s} has {counts[s]} points, "
                 f"expected {bhat.order}"
             )
-        vals = f.value(np.sort_complex(roots))
-        spread = float(np.max(np.abs(vals - vals[0])))
-        worst = max(worst, spread)
-        scale = max(1.0, float(np.max(np.abs(vals))))
-        if spread > tol * scale:
-            raise FiberError(
-                f"outer recovery inconsistency {spread:.3e} at sample {s}: "
-                "the block system does not factor f"
-            )
-        samples[s] = vals[0]
+        raise FiberError(
+            f"outer recovery inconsistency {spread[s]:.3e} at sample {s}: "
+            "the block system does not factor f"
+        )
+    worst = float(np.fmax.reduce(spread, initial=0.0))
+    samples = vals[:, 0].copy()
     fft = np.fft.fft(samples) / S
     scale = max(float(np.max(np.abs(samples))), 1e-300)
     floor = 1e-13 * scale

@@ -17,7 +17,7 @@ from bundlelab.blaschke import (
     solve_fiber,
     with_multiplicity,
 )
-from bundlelab.errors import BoundaryRootWarning, DomainError
+from bundlelab.errors import BoundaryRootWarning, DomainError, RootFindingError
 from bundlelab.funcspec import BlaschkeSpec, PolySpec, RationalFunction
 
 
@@ -224,3 +224,89 @@ def test_critical_values_match_rational_value(case):
     for z, v in critical_points(spec):
         assert abs(z) < 1.0
         assert v == f.value(z)
+
+
+# The scalar fiber solve the stacked kernel replaced, kept verbatim as the
+# reference: numpy.roots per polynomial, then a Python Newton loop per root.
+def _reference_poly_roots(coeffs):
+    c = np.asarray(coeffs, dtype=complex)
+    scale = np.max(np.abs(c))
+    if scale == 0.0:
+        raise RootFindingError("zero polynomial has no isolated roots")
+    nz = np.nonzero(np.abs(c) > 1e-300)[0]
+    c = c[: nz[-1] + 1]
+    if c.size <= 1:
+        return np.zeros(0, dtype=complex)
+    return np.roots(c[::-1])
+
+
+def _reference_newton_polish(coeffs, roots, tol=1e-12, iters=50):
+    c = np.asarray(coeffs, dtype=complex)
+    dc = c[1:] * np.arange(1, c.size)
+    scale = max(np.max(np.abs(c)), 1e-300)
+    out = []
+    for z in np.atleast_1d(roots):
+        for _ in range(iters):
+            v = np.polyval(c[::-1], z)
+            if abs(v) <= tol * scale:
+                break
+            dv = np.polyval(dc[::-1], z) if dc.size else 0.0
+            if abs(dv) < 1e-300:
+                break
+            step = v / dv
+            z = z - step
+            if abs(step) < 1e-16 * (1.0 + abs(z)):
+                break
+        out.append(z)
+    return np.array(out, dtype=complex)
+
+
+_complex = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+
+
+@st.composite
+def _stack_rows(draw, degree):
+    """One row of a stack: random, zero constant, tiny top, or an exact double root."""
+    kind = draw(st.sampled_from(["random", "zero constant", "tiny top", "double root"]))
+    if kind == "double root" and degree >= 2:
+        twice = draw(_complex) / 3.0
+        rest = draw(st.lists(_complex, min_size=degree - 2, max_size=degree - 2))
+        return np.poly(np.array([twice, twice] + rest, dtype=complex))[::-1]
+    row = np.array(draw(st.lists(_complex, min_size=degree + 1, max_size=degree + 1)))
+    row[0] = draw(_complex) + 4.0  # nonzero unless chosen below
+    row[-1] = draw(_complex) + 4.0
+    if kind == "zero constant":
+        row[0] = 0.0
+    elif kind == "tiny top":
+        row[-1] = 1e-301
+    return row
+
+
+@st.composite
+def _stacks(draw):
+    degree = draw(st.integers(1, 12))
+    rows = draw(st.lists(_stack_rows(degree), min_size=1, max_size=8))
+    return np.array(rows, dtype=complex), draw(st.sampled_from([0.5, 1.0, 2.0, np.inf]))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme rows
+@_PROPERTY
+@given(_stacks())
+def test_stacked_fiber_roots_equal_the_scalar_loop(case):
+    R, radius = case
+    roots, inside = fiber_roots(R, radius)
+    assert roots.shape == (R.shape[0], R.shape[1] - 1) and inside.shape == roots.shape
+    for row, got, mask in zip(R, roots, inside):
+        ref = _reference_newton_polish(row, _reference_poly_roots(row))
+        k = ref.size
+        assert np.array_equal(got[:k], ref, equal_nan=True)
+        assert np.array_equal(mask[:k], np.abs(ref) < radius)
+        assert np.all(np.isnan(got[k:])) and not np.any(mask[k:])
+        assert np.array_equal(fiber_roots(row, radius), ref[np.abs(ref) < radius])
+
+
+def test_zero_polynomial_raises_alone_and_in_a_stack():
+    with pytest.raises(RootFindingError):
+        fiber_roots(np.zeros(4, dtype=complex), 1.0)
+    with pytest.raises(RootFindingError):
+        fiber_roots(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex), 1.0)

@@ -1,13 +1,18 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bundlelab import cli, schemas
 from bundlelab.errors import ConfigError
@@ -265,3 +270,63 @@ def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "error.json").exists()
     assert (tmp_path / "cfgout" / "error.json").exists() == (code == 70)
+
+
+def _count(low, high):
+    """Option text: an integer in [low, high], or text that is no usable integer."""
+    junk = st.sampled_from(["", "abc", "1e3", "2.5", "nan", "inf", "0x10", "--", "3 4"])
+    number = st.integers(low, high).map(str)
+    return st.one_of(number, number, number, junk)  # mostly numbers, so runs reach the backends
+
+
+_BLASCHKE_TEXT = st.builds(
+    "blaschke({}; {})".format,
+    st.integers(-3, 3),
+    st.lists(st.sampled_from(["0", "0.5", "-0.3i", "0.2+0.1i", "1", "0.9999"]),
+             min_size=1, max_size=3).map(",".join),
+)
+_FN_TEXT = st.one_of(
+    st.text(alphabet="polyblaschkecomposemoebiusstar(),;0123456789.+-iz ", max_size=40),
+    _BLASCHKE_TEXT,
+    st.sampled_from([
+        "poly(2,1,1)", "poly()", "poly(0)", "poly(1,2", "blaschke(0; 1.5)",
+        "blaschke(0; 0.3, 0.3)", "compose(poly(0,1,0,2), blaschke(0; 0, 0.4))",
+        "moebius(2)", "star(poly(1,1j))", "sum(poly(1), )", "scale(2; poly(0,1))",
+    ]),
+)
+_WEIGHTS = st.sampled_from([  # valid ids outnumber bad ones
+    "hardy", "bergman:alpha=1", "polygrowth:M=2", "nln", "reciprocal:nln",
+    "hardy", "bergman:alpha=1", "bergman:alpha=-1", "explicit:path=missing.csv", "bogus", "",
+])
+
+
+@st.composite
+def _cheap_invocations(draw):
+    """gram/riesz/index-map/counterexample with fuzzed option text, kept small."""
+    command = draw(st.sampled_from(["gram", "riesz", "index-map", "counterexample"]))
+    argv = [command]
+    if command in ("gram", "riesz"):
+        argv += ["--n-max", draw(_count(-3, 20)), "--trunc", draw(_count(-2, 96))]
+        argv += ["--weights", draw(_WEIGHTS)]
+        if draw(st.booleans()):
+            argv += ["--blaschke", draw(st.one_of(_BLASCHKE_TEXT, _FN_TEXT))]
+    elif command == "index-map":
+        argv += ["--res", draw(_count(-2, 16)), "--fn", draw(_FN_TEXT)]
+        if draw(st.booleans()):
+            argv += ["--bounds", draw(st.sampled_from(
+                ["-1,5,-3,3", "1,0,0,1", "a,b", "0,1,0,1", "-2,2,-2,2,", "nan,1,0,1"]))]
+    else:
+        argv += ["--n-max", draw(_count(-1, 20)), "--weights", draw(_WEIGHTS)]
+        argv += ["--t", draw(st.sampled_from(["0.5", "0", "1", "-0.2", "0.99", "nan", "x"]))]
+    return argv
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(_cheap_invocations())
+def test_fuzzed_options_keep_exit_code_contract(argv):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = _run(argv + ["--out", out])
+    assert code in (0, 1, 2, 64, 70), (argv, code)
+    assert "Traceback" not in err.getvalue(), argv

@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from bundlelab import monodromy
-from bundlelab.blaschke import BlaschkeProduct, compose_blaschke, eval_blaschke
-from bundlelab.errors import FiberError
+from bundlelab.blaschke import BlaschkeProduct, compose_blaschke, eval_blaschke, fiber_roots
+from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
     BlaschkeSpec,
     ComposeSpec,
@@ -257,3 +259,69 @@ def test_identity_blaschke_is_z():
     ident = monodromy.identity_blaschke()
     zs = 0.7 * np.exp(2j * np.pi * np.arange(9) / 9)
     assert np.max(np.abs(eval_blaschke(ident, zs) - zs)) < 1e-15
+
+
+def _oracle_points():
+    """w = 0 (a zero constant term in the inner fiber) plus three rings."""
+    rings = [r * np.exp(2j * np.pi * (np.arange(16) + 0.3 * r) / 16) for r in (0.2, 0.55, 0.9)]
+    return np.concatenate([[0.0], *rings])
+
+
+def test_vector_oracle_equals_per_point_calls_bit_for_bit():
+    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    h = monodromy.outer_factor(f, INNER)
+    w = _oracle_points()
+    for name in ("oracle_value", "oracle_derivative", "oracle_second_derivative"):
+        method = getattr(h, name)
+        assert np.array_equal(method(w), np.array([method(x) for x in w])), name
+
+
+def test_vector_oracle_names_the_first_point_outside_the_disk():
+    h = monodromy.outer_factor(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)), INNER)
+    w = np.array([0.1, 0.2j, 1.5, -1.0 - 0.2j, 0.3])
+    for name in ("oracle_value", "oracle_derivative", "oracle_second_derivative"):
+        with pytest.raises(DomainError, match=re.escape(f"preimage of {w[2]} inside")):
+            getattr(h, name)(w)
+
+
+def _sequential_first_failure(spec, bhat, tol, r=0.7, S=1024):
+    """The first failing sample by the one-fiber-at-a-time rule, and each sample's spread ratio."""
+    f = RationalFunction.from_spec(spec)
+    bres = RationalFunction(*bhat.rational())
+    ws = r * np.exp(2j * np.pi * np.arange(S) / S)
+    first, ratios = None, []
+    for s, w in enumerate(ws):
+        roots = fiber_roots(bres.fiber_poly(w), 1.0)
+        if roots.size != bhat.order:
+            first = s if first is None else first
+            continue
+        vals = f.value(np.sort_complex(roots))
+        spread = float(np.max(np.abs(vals - vals[0])))
+        scale = max(1.0, float(np.max(np.abs(vals))))
+        ratios.append(spread / scale)
+        if first is None and spread > tol * scale:
+            first = s
+    return first, np.array(ratios)
+
+
+def test_outer_factor_names_the_first_inconsistent_sample():
+    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    wrong = BlaschkeProduct((0.1, -0.3))
+    _, ratios = _sequential_first_failure(f, wrong, np.inf)
+    tol = 0.5 * (ratios[0] + ratios.max())  # sample 0 passes, a later one fails
+    first, _ = _sequential_first_failure(f, wrong, tol)
+    assert first is not None and first > 0
+    with pytest.raises(FiberError, match=f"at sample {first}: the block system"):
+        monodromy.outer_factor(f, wrong, tol=tol)
+
+
+def test_outer_factor_names_the_first_short_fiber(monkeypatch):
+    def drop_one_root_at_700(R, radius):
+        roots, inside = fiber_roots(R, radius)
+        inside[700, np.argmax(inside[700])] = False
+        return roots, inside
+
+    monkeypatch.setattr(monodromy, "fiber_roots", drop_one_root_at_700)
+    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    with pytest.raises(FiberError, match="fiber at sample 700 has 1 points, expected 2"):
+        monodromy.outer_factor(f, INNER)
