@@ -110,11 +110,11 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
     F = frames.build_frame(B, w, n_max, K)
     m = F.m
     while True:
-        s = F.singular_values()
-        cond = float(s[0] / s[-1])
+        s_min, s_max = F.extremes()
+        cond = float(s_max / s_min)
         Fd = F.rebuild(n_max, 2 * F.K)
-        sd = Fd.singular_values()
-        cond_d = float(sd[0] / sd[-1])
+        sd_min, sd_max = Fd.extremes()
+        cond_d = float(sd_max / sd_min)
         rel = abs(cond_d - cond) / cond_d
         if (rel < 0.05 and F.tail("beta") < 1e-8) or F.K >= K_cap:
             break
@@ -557,8 +557,8 @@ def counterexample_probe(t, w, n_max=400):
     for N in (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max):
         K = max(512, 4 * N)
         F = frames.moebius_frame(t, w, N, K, pad=0)
-        s = F.singular_values()
-        cond = float(s[0] / s[-1]) if s[-1] > 0 else float("inf")
+        s_min, s_max = F.extremes()
+        cond = float(s_max / s_min) if s_min > 0 else float("inf")
         conds.append(cond)
         ladder.append({"n_max": N, "K": K, "cond": cond})
     cond_ratio = conds[-1] / conds[-2] if conds[-2] > 0 else float("inf")

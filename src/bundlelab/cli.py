@@ -99,7 +99,7 @@ def _option(config, key, default, parse, valid=lambda value: True):
     text = config.get(key, default)
     try:
         value = parse(text)
-    except (DomainError, ValueError, OSError) as exc:
+    except (DomainError, ValueError, TypeError, OSError) as exc:
         raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
     if not valid(value):
         raise ConfigError(f"value {text!r} for {key} is out of range")

@@ -3,16 +3,21 @@
 For a finite Blaschke product B with distinct zeros ``z_1..z_m`` (``z_1 = 0``
 for order >= 2; order-1 families keep their kernel point), the frame columns
 are the vectors ``B^n(z) / (1 - conj(z_j) z)`` laid out with column index
-``n*m + j``.  Three normalizations of the same Taylor coefficient block are
-exposed:
+``n*m + j``.  The coefficients come from the exact rational recursion
+``B^{n+1} = (P/Q) B^n`` and one banded solve per kernel factor
+(:func:`series.rational`).  Three normalizations of the same Taylor
+coefficient block are exposed:
 
 * ``raw``      -- the vectors themselves in orthonormal coordinates,
 * ``beta``     -- column (j, n) divided by beta_n (Riesz-base candidate),
 * ``beta-inv`` -- column (j, n) multiplied by beta_n, in the reciprocal space's
   orthonormal coordinates (the pairing partner of ``beta``).
 
-Riesz verdicts are finite-truncation statements: every report carries
-stability-under-doubling evidence and never an infinite-dimensional claim.
+The extremal singular values come from the eigenvalues of the Gram matrix,
+which squares the condition number; a frame whose Gram matrix is too close
+to singular for that (cond > 1e4) falls back to a full SVD.  Riesz verdicts
+are finite-truncation statements: every report carries stability-under-
+doubling evidence and never an infinite-dimensional claim.
 """
 
 from __future__ import annotations
@@ -21,9 +26,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import lu_factor, lu_solve, svd, svdvals
+from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
+from scipy.linalg.blas import zherk
 
-from . import series
+from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from .errors import DomainError, NumericalSingularityError
 from .funcspec import BlaschkeSpec
@@ -45,6 +51,12 @@ __all__ = [
 
 _DISTINCT_TOL = 1e-8
 _TAIL_PAD = 64
+# entries below sqrt(tiny) are flushed to 0, so that every product of two
+# surviving entries is a normal number (subnormal arithmetic is slow)
+_FLUSH = math.sqrt(np.finfo(float).tiny)
+# the Gram matrix gives s_min to about eps * cond^2 relative; below this
+# eigenvalue ratio (cond > 1e4) the extremes come from a full SVD instead
+_GRAM_RATIO = 1e-8
 
 
 @dataclass
@@ -65,7 +77,7 @@ class FrameMatrix:
     pad: int
     conjugator: MoebiusTransform | None = None
     source: BlaschkeProduct | None = None
-    _sv: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    _extremes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def m(self):
@@ -98,11 +110,23 @@ class FrameMatrix:
         block = self.taylor[self.K :] * rscale[self.K :, None] * cscale[None, :]
         return float(np.max(np.linalg.norm(block, axis=0))) if block.size else 0.0
 
-    def singular_values(self):
-        """Descending singular values of ``matrix("beta")``, computed on first use."""
-        if self._sv is None:
-            self._sv = svdvals(self.matrix("beta"))
-        return self._sv
+    def extremes(self):
+        """``(s_min, s_max)`` of ``matrix("beta")`` as numpy floats, computed once.
+
+        Both come from the eigenvalues of the Gram matrix (``zherk`` fills one
+        triangle of the conjugate Gram, which has the same eigenvalues).  A
+        Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
+        instead; so does a wide matrix, whose Gram matrix is singular.
+        """
+        if self._extremes is None:
+            A = self.matrix("beta")
+            lam = eigvalsh(zherk(1.0, A.T), lower=False, overwrite_a=True)
+            if lam[0] > _GRAM_RATIO * lam[-1]:
+                self._extremes = (np.sqrt(lam[0]), np.sqrt(lam[-1]))
+            else:
+                s = svdvals(A)
+                self._extremes = (s[-1], s[0])
+        return self._extremes
 
     def rebuild(self, n_max, K):
         base = self.source if self.source is not None else self.product
@@ -142,12 +166,22 @@ def _normalize_product(B):
     return BlaschkeProduct(tuple(moved), float(np.angle(ratio))), psi
 
 
-def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
-    """Frame columns B^n(z)/(1 - conj(z_j) z) by iterated series products.
+def _flush(a):
+    """Set the entries of ``a`` below ``_FLUSH`` in modulus to 0, in place."""
+    a[np.abs(a) < _FLUSH] = 0
+    return a
 
-    Zeros must be distinct.  For order >= 2 without a zero at the origin the
-    product is precomposed with the automorphism swapping 0 and its first
-    zero (recorded in ``conjugator``); order-1 families are kept as supplied.
+
+def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
+    """Frame columns B^n(z)/(1 - conj(z_j) z) by exact rational recursion.
+
+    With B = P/Q, each power is ``B^{n+1} = rational(P, Q, B^n)`` on ``K +
+    pad`` coefficients, and each kernel factor 1/(1 - conj(z_j) z) is one
+    banded solve over all powers at once.  Entries below ``_FLUSH`` in the
+    powers and the columns are set to 0.  Zeros must be distinct.  For
+    order >= 2 without a zero at the origin the product is precomposed with
+    the automorphism swapping 0 and its first zero (recorded in
+    ``conjugator``); order-1 families are kept as supplied.
     """
     if n_max < 0 or K < 8:
         raise ValueError("need n_max >= 0 and K >= 8")
@@ -156,15 +190,14 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     Bn, conj_psi = _normalize_product(B)
     rows = K + pad
     m = Bn.order
-    bser = series.taylor(BlaschkeSpec(Bn), rows - 1)
-    kernels = [series.geometric(np.conj(zj), rows - 1) for zj in Bn.zeros]
+    P, Q = funcspec.to_rational(BlaschkeSpec(Bn))
+    powers = np.zeros((n_max + 1, rows), dtype=complex)
+    powers[0, 0] = 1.0
+    for n in range(n_max):
+        powers[n + 1] = _flush(series.rational(P, Q, powers[n]))
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
-    power = series.PowerSeries(np.concatenate([[1.0 + 0j], np.zeros(rows - 1)]))
-    for n in range(n_max + 1):
-        for j in range(m):
-            X[:, n * m + j] = series.multiply(power, kernels[j]).padded(rows - 1)
-        if n < n_max:
-            power = series.multiply(power, bser)
+    for j, zj in enumerate(Bn.zeros):
+        X[:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
     return FrameMatrix(
         product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad,
         conjugator=conj_psi, source=B,
@@ -220,8 +253,8 @@ class RieszReport:
 
 
 def _extremal(F):
-    s = F.singular_values()
-    return float(s[-1] ** 2), float(s[0] ** 2)
+    s_min, s_max = F.extremes()
+    return float(s_min**2), float(s_max**2)
 
 
 def riesz_bounds(F, stability_target=0.01, max_doublings=4):
@@ -365,21 +398,19 @@ def column_norm_profile(z0, w, n_max, rel_tail=1e-6, K0=512, K_cap=1 << 17):
     The truncation K is doubled until the tail (last eighth of the rows)
     contributes less than ``rel_tail`` of every power's squared norm.
     """
-    phi = MoebiusTransform(z0)
+    P, Q = funcspec.to_rational(BlaschkeSpec(MoebiusTransform(z0)))
     K = max(K0, 4 * n_max)
     while True:
         betas2 = w.betas(K) ** 2
         lb = w.log_betas(n_max)
         cut = K - K // 8
-        coeffs = np.zeros(K + 1, dtype=complex)
-        coeffs[0] = 1.0
-        pser = series.taylor(BlaschkeSpec(phi), K)
+        cur = np.zeros(K + 1, dtype=complex)
+        cur[0] = 1.0
         r = np.empty(n_max + 1)
         r[0] = 1.0
         ok = True
-        cur = coeffs
         for n in range(1, n_max + 1):
-            cur = series._conv(cur, pser.coeffs, K + 1)
+            cur = series.rational(P, Q, cur)
             terms = betas2 * np.abs(cur) ** 2
             total = float(np.sum(terms))
             if total <= 0:

@@ -2,9 +2,11 @@
 
 A :class:`PowerSeries` holds Taylor coefficients through a truncation order K.
 Arithmetic never reads beyond K and results carry the minimum of the operand
-truncations.  Inner products against a weight sequence use exact (fsum)
-summation in a fixed ascending-index order so results are independent of any
-scheduling.
+truncations.  Multiplication by a rational function P/Q is one primitive,
+:func:`rational`: shifted sums for P, then one banded forward substitution
+for Q, exact on the truncated coefficients.  Inner products against a weight
+sequence use exact (fsum) summation in a fixed ascending-index order so
+results are independent of any scheduling.
 """
 
 from __future__ import annotations
@@ -12,20 +14,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.signal import fftconvolve, lfilter
+from scipy.linalg.lapack import ztbtrs
 
 from .errors import DomainError
 from .funcspec import PolySpec, to_rational
 
 __all__ = [
     "PowerSeries",
+    "rational",
     "taylor",
     "multiply",
     "derivative",
     "evaluate",
     "inner",
     "norm",
-    "geometric",
 ]
 
 _FFT_THRESHOLD = 768
@@ -67,33 +69,47 @@ class PowerSeries:
 def _conv(a, b, nout):
     if a.size + b.size <= _FFT_THRESHOLD:
         return np.convolve(a, b)[:nout]
-    return fftconvolve(a, b)[:nout]
+    n = a.size + b.size - 1
+    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:nout]
+
+
+def rational(P, Q, X):
+    """Taylor coefficients of (P/Q)*x for each column x of X, to len(x) rows.
+
+    P and Q are constant-first coefficient vectors with Q[0] != 0; X is one
+    coefficient vector or a 2-d array of columns, and the result has its
+    shape.  The numerator P*x is a sum of shifted copies of X; the division by
+    Q is one lower-triangular banded solve with the Toeplitz band of Q (the
+    recursion Q*y = P*x, no pivoting, no truncation error).
+    """
+    P = np.asarray(P, dtype=complex)
+    Q = np.asarray(Q, dtype=complex)
+    X = np.asarray(X, dtype=complex)
+    cols = X[:, None] if X.ndim == 1 else X
+    n = cols.shape[0]
+    Y = np.asfortranarray(P[0] * cols)
+    for k in range(1, min(P.size, n)):
+        Y[k:] += P[k] * cols[: n - k]
+    Q = Q[:n]
+    ab = np.asfortranarray(np.broadcast_to(Q[:, None], (Q.size, n)))
+    Y, info = ztbtrs(ab, Y, uplo="L", overwrite_b=1)
+    if info != 0:  # info > 0 is a zero diagonal: Q[0] = 0, a pole at the origin
+        raise DomainError(f"P/Q has no Taylor series: Q[0] = {Q[0]} (info {info})")
+    return Y[:, 0] if X.ndim == 1 else Y
 
 
 def taylor(spec, K):
     """Taylor coefficients of a FunctionSpec through order K.
 
-    The tree is reduced to P/Q and expanded by synthetic division (an IIR
-    impulse response), which is exact for polynomials and carries no
-    composition tail.
+    The tree is reduced to P/Q and expanded as :func:`rational` applied to the
+    impulse, which is exact for polynomials and carries no composition tail.
     """
     if K < 0:
         raise ValueError("truncation order must be nonnegative")
     P, Q = to_rational(spec)
-    if Q.size == 1:
-        out = np.zeros(K + 1, dtype=complex)
-        n = min(K + 1, P.size)
-        out[:n] = P[:n] / Q[0]
-        return PowerSeries(out)
-    impulse = np.zeros(K + 1)
+    impulse = np.zeros(K + 1, dtype=complex)
     impulse[0] = 1.0
-    coeffs = lfilter(P.astype(complex), Q.astype(complex), impulse)
-    return PowerSeries(coeffs)
-
-
-def geometric(ratio, K):
-    """The series of 1/(1 - ratio*z) through order K."""
-    return PowerSeries(np.asarray(ratio, dtype=complex) ** np.arange(K + 1))
+    return PowerSeries(rational(P, Q, impulse))
 
 
 def multiply(f, g):

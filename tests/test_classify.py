@@ -204,20 +204,31 @@ def test_certificate_residual_nonincreasing_under_doubling():
 
 
 def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
-    built, svds = [], []
-    build_frame, svdvals = frames.build_frame, frames.svdvals
+    built, grams, svds = [], [], []
+    build_frame, zherk, svdvals = frames.build_frame, frames.zherk, frames.svdvals
+
+    def digest(A):
+        return hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest()
 
     def counting_build(B, w, n_max, K, **kw):
         built.append((n_max, K))
         return build_frame(B, w, n_max, K, **kw)
 
+    def counting_zherk(alpha, a, **kw):
+        grams.append(digest(a))
+        return zherk(alpha, a, **kw)
+
     def counting_svdvals(A):
-        svds.append(hashlib.sha256(np.ascontiguousarray(A).tobytes()).hexdigest())
+        svds.append(digest(A))
         return svdvals(A)
 
     monkeypatch.setattr(frames, "build_frame", counting_build)
+    monkeypatch.setattr(frames, "zherk", counting_zherk)
     monkeypatch.setattr(frames, "svdvals", counting_svdvals)
     res = classify.jordan(ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4)))), BERGMAN)
     assert res.m == 2 and res.certificate.accepted
     assert len(built) == len(set(built)), f"a frame was built twice: {built}"
+    # every frame built gets its extremes, from its Gram matrix, exactly once
+    assert len(grams) == len(built), (len(grams), built)
+    assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
     assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"

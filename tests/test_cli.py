@@ -259,6 +259,7 @@ _BAD_CONFIG = (
     (["index-map", "--bounds", "1,0,0,1"], 64),
     (["riesz", "--frobnicate", "1"], 64),
     (["--config", "missing.cfg"], 64),
+    (["gram", "--n-max", "--", "--out", "o"], 64),  # argparse hands int() a list
 ])
 def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
     (tmp_path / "run.cfg").write_text(_BAD_CONFIG)
@@ -270,6 +271,17 @@ def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
     assert "Traceback" not in proc.stderr
     assert not (tmp_path / "error.json").exists()
     assert (tmp_path / "cfgout" / "error.json").exists() == (code == 70)
+
+
+def test_cli_import_leaves_out_scipy_signal_and_stats():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    code = ("import sys, bundlelab.cli; print('\\n'.join(m for m in sys.modules "
+            "if m.startswith(('scipy.signal', 'scipy.stats'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == []
 
 
 def _count(low, high):

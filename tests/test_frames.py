@@ -1,8 +1,10 @@
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import svdvals
 
-from bundlelab import frames, series
+from bundlelab import frames, funcspec, series
 from bundlelab.blaschke import BlaschkeProduct
 from bundlelab.errors import DomainError
 from bundlelab.weights import WeightSequence
@@ -31,11 +33,73 @@ def test_frame_column_against_series_oracle():
     from bundlelab.funcspec import BlaschkeSpec
 
     b = series.taylor(BlaschkeSpec(B), 63)
-    kernel = series.geometric(0.0, 63)  # kernel direction at the zero 0
+    kernel = series.poly_series([1], 63)  # kernel direction at the zero 0
     col_ser = series.multiply(b, kernel)
     expect = col_ser.coeffs * BERGMAN.betas(63) / BERGMAN.beta(1)
     got = F.matrix("beta")[:, 1 * 2 + 0]
     assert np.allclose(got, expect, atol=1e-13)
+
+
+def _mp_rational(P, Q, x):
+    """(P/Q)*x to len(x) coefficients by forward substitution in mpmath."""
+    y = []
+    for i in range(len(x)):
+        acc = sum(P[k] * x[i - k] for k in range(min(len(P), i + 1)))
+        acc -= sum(Q[k] * y[i - k] for k in range(1, min(len(Q), i + 1)))
+        y.append(acc / Q[0])
+    return y
+
+
+def _mp_frame_columns(F):
+    """The frame's Taylor columns from the same P/Q recursion at 40 digits."""
+    P, Q = funcspec.to_rational(funcspec.BlaschkeSpec(F.product))
+    P, Q = [mpmath.mpc(c) for c in P], [mpmath.mpc(c) for c in Q]
+    one = mpmath.mpc(1)
+    power = [one] + [mpmath.mpc(0)] * (F.K + F.pad - 1)
+    cols = []
+    for _ in range(F.n_max + 1):
+        for zj in F.product.zeros:
+            cols.append(_mp_rational([one], [one, -mpmath.mpc(np.conj(zj))], power))
+        power = _mp_rational(P, Q, power)
+    return cols
+
+
+@pytest.mark.parametrize("F", [
+    frames.moebius_frame(0.5, HARDY, 100, 512),
+    frames.build_frame(BlaschkeProduct((0, 0.5, -0.3 + 0.4j)), HARDY, 40, 256),
+], ids=["order-1", "order-3"])
+def test_frame_matches_40_digit_recursion(F):
+    worst = 0.0
+    with mpmath.workdps(40):
+        for c, col in enumerate(_mp_frame_columns(F)):
+            err = mpmath.fsum(abs(mpmath.mpc(F.taylor[i, c]) - v) ** 2 for i, v in enumerate(col))
+            ref = mpmath.fsum(abs(v) ** 2 for v in col)
+            worst = max(worst, float(mpmath.sqrt(err / ref)))
+    assert worst <= 2e-15
+
+
+@pytest.mark.parametrize("w", [HARDY, BERGMAN], ids=["hardy", "bergman"])
+def test_extremes_match_svdvals(monkeypatch, w):
+    calls = []
+    monkeypatch.setattr(frames, "svdvals", lambda A: calls.append(1) or svdvals(A))
+    F = frames.build_frame(BlaschkeProduct((0, 0.5)), w, 60, 256)
+    s = svdvals(F.matrix("beta"))
+    s_min, s_max = F.extremes()
+    assert not calls, "a well-conditioned frame should take the Gram path"
+    assert s_min == pytest.approx(s[-1], rel=1e-12)
+    assert s_max == pytest.approx(s[0], rel=1e-12)
+    assert F.extremes() == (s_min, s_max)
+
+
+def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
+    calls = []
+    monkeypatch.setattr(frames, "svdvals", lambda A: calls.append(1) or svdvals(A))
+    F = frames.moebius_frame(0.5, WeightSequence.nln().dual(), 60, 384, pad=0)
+    s = svdvals(F.matrix("beta"))
+    assert s[0] / s[-1] > 1e4
+    assert F.extremes() == (s[-1], s[0])
+    assert F.extremes() == (s[-1], s[0])
+    assert calls == [1]
 
 
 def test_build_frame_rejects_repeated_zeros():

@@ -11,6 +11,11 @@ from bundlelab.weights import WeightSequence
 HARDY = WeightSequence.hardy()
 
 
+def _geometric(ratio, K):
+    """The series of 1/(1 - ratio*z) through order K."""
+    return series.PowerSeries(np.asarray(ratio, dtype=complex) ** np.arange(K + 1))
+
+
 def test_taylor_polynomial_exact():
     f = series.taylor(PolySpec((2, 1, 1)), 4)
     assert f.coeffs.tolist() == [2, 1, 1, 0, 0]
@@ -26,7 +31,7 @@ def test_multiply_examples():
     a = series.PowerSeries([1, 1, 0])
     b = series.PowerSeries([1, -1, 0])
     assert series.multiply(a, b).coeffs.tolist() == [1, 0, -1]
-    g = series.geometric(0.5, 40)
+    g = _geometric(0.5, 40)
     inv = series.poly_series([1, -0.5], 40)
     prod = series.multiply(g, inv).coeffs
     assert prod[0] == 1.0 and np.max(np.abs(prod[1:])) < 1e-15
@@ -46,7 +51,7 @@ def test_derivative_examples():
     assert c.coeffs.tolist() == [0]
     # derivative of geom(a) equals a * geom(a)^2 termwise
     a = 0.4 + 0.1j
-    g = series.geometric(a, 30)
+    g = _geometric(a, 30)
     lhs = series.derivative(g).coeffs
     rhs = a * series.multiply(g, g).coeffs[:30]
     assert np.allclose(lhs, rhs, rtol=1e-13)
@@ -56,7 +61,7 @@ def test_evaluate_examples():
     f = series.PowerSeries([2, 1, 1])
     assert series.evaluate(f, 0.0) == 2.0
     assert series.evaluate(f, 1.0) == 4.0
-    g = series.geometric(0.5, 60)
+    g = _geometric(0.5, 60)
     assert series.evaluate(g, 0.5) == pytest.approx(4.0 / 3.0, abs=1e-12)
     with pytest.raises(DomainError):
         series.evaluate(f, 1.5)
@@ -71,7 +76,7 @@ def test_inner_monomial_orthogonality():
 
 
 def test_inner_geometric_kernel_value():
-    g = series.geometric(0.5, 100)
+    g = _geometric(0.5, 100)
     assert series.inner(g, g, HARDY).real == pytest.approx(4.0 / 3.0, abs=1e-12)
 
 
@@ -114,3 +119,18 @@ def test_finite_coefficients_enforced():
         series.PowerSeries([1.0, np.inf])
     with pytest.raises(ValueError):
         series.PowerSeries([np.nan])
+
+
+def test_rational_solves_q_times_y_equals_p_times_x():
+    rng = np.random.default_rng(7)
+    P = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    Q = np.array([1.0, -0.5 + 0.2j, 0.1j])
+    X = rng.standard_normal((40, 3)) + 1j * rng.standard_normal((40, 3))
+    Y = series.rational(P, Q, X)
+    assert Y.shape == X.shape
+    for c in range(3):
+        lhs = np.convolve(Q, Y[:, c])[:40]
+        assert np.allclose(lhs, np.convolve(P, X[:, c])[:40], rtol=0, atol=1e-13)
+        assert np.array_equal(series.rational(P, Q, X[:, c]), Y[:, c])
+    with pytest.raises(DomainError):
+        series.rational(P, [0.0, 1.0], X)
