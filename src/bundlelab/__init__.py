@@ -2,8 +2,8 @@
 
 Weight sequences, truncated series, Blaschke products, operator matrices,
 kernel-direction frames with Riesz diagnostics, argument-principle index
-maps, monodromy-based inner/outer decomposition, and similarity verdicts
-with machine-checkable certificates.
+maps, inner/outer decomposition by a complete block search, and similarity
+verdicts with machine-checkable certificates.
 """
 
 from .blaschke import BlaschkeProduct, MoebiusTransform, moebius

@@ -21,10 +21,6 @@ class FiberError(BundleLabError):
     """A fiber is inconsistent (wrong cardinality or points too close)."""
 
 
-class StepSizeUnderflowError(BundleLabError):
-    """Path tracking could not keep fiber points separated at any step size."""
-
-
 class NumericalSingularityError(BundleLabError):
     """A matrix that must be inverted is numerically singular.
 

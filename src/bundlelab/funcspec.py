@@ -3,8 +3,8 @@
 The grammar is deliberately small: polynomials, finite Blaschke products,
 composition, weighted sums, products, and the coefficient-conjugation star.
 Every tree reduces to a rational function P/Q whose denominator has no zeros
-on the closed disk, which is what the fiber, winding, and monodromy machinery
-consume.
+on the closed disk, which is what the fiber, winding, and decomposition
+machinery consume.
 
 Config-file syntax (prefix expressions)::
 
@@ -166,7 +166,10 @@ def _check_disk_denominator(D):
         if D[0] == 0:
             raise DomainError("composition produced a vanishing denominator")
         return
-    roots = np.roots(D[::-1])
+    # top coefficients below roundoff of the largest only carry roots far
+    # outside the disk, and left in they swamp the companion matrix
+    big = np.flatnonzero(np.abs(D) > np.finfo(float).eps * np.max(np.abs(D)))
+    roots = np.roots(D[: big[-1] + 1][::-1])
     if roots.size and np.min(np.abs(roots)) <= 1.0 + 1e-9:
         raise DomainError(
             "composition is not analytic on the closed disk "
@@ -178,7 +181,7 @@ def _check_disk_denominator(D):
 class RationalFunction:
     """Cached rational form of a spec with value/derivative evaluation.
 
-    Reduces the tree once; repeated evaluation (path tracking, grid scans)
+    Reduces the tree once; repeated evaluation (fiber solves, grid scans)
     then runs on plain Horner evaluations.
     """
 

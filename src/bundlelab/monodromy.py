@@ -1,43 +1,38 @@
-"""Numerical monodromy and maximal inner-factor decomposition.
+"""Maximal inner-factor decomposition by a complete block search.
 
-Given f analytic on the closed disk, the fiber over a base value is tracked
-around loops encircling the branch values; the induced permutations generate
-the monodromy action.  Generator-stable partitions of the fiber (block
-systems) are factorization candidates: a block of fiber points is the zero
-set of a candidate inner Blaschke factor, and the outer factor is recovered
-by sampling on a circle of preimages.  A candidate only counts when every
-preimage of a sample point carries the same f-value and the reassembled
-composition reproduces f on held-out points; the residual certificate is
-the acceptance authority, not the group theory.
+A factorization f = h o B with B a Blaschke product of order d splits the
+fiber of f over a base value into level sets of B, d points each; a block
+of fiber points is the zero set of a candidate inner factor, unique up to a
+disk automorphism of the target.  For each divisor d of the fiber size,
+largest first, every block of d points containing sheet 0 is proposed; a
+cheap probe of the outer recovery discards the blocks on which f is not
+constant over the inner-factor fibers, and the partitions the survivors
+induce are recovered in full, the outer factor by sampling on a circle of
+preimages.  A candidate only counts when the reassembled composition
+reproduces f on held-out points: the residual certificate is the acceptance
+authority, not the search.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from itertools import combinations
+from math import comb
 
 import numpy as np
 
 from . import geometry
 from .blaschke import BlaschkeProduct, _cluster, _lex_key, _UnionFind
 from .blaschke import fiber_roots, with_multiplicity
-from .errors import (
-    DomainError,
-    FiberError,
-    RootFindingError,
-    StepSizeUnderflowError,
-)
+from .errors import DomainError, FiberError, RootFindingError
 from .funcspec import RationalFunction, spec_to_text
 
 __all__ = [
     "Fiber",
-    "MonodromyAction",
     "RecoveredOuter",
     "Decomposition",
     "base_fiber",
-    "track_fiber",
-    "loop_permutation",
-    "monodromy_generators",
     "inner_factor_from_block",
     "outer_factor",
     "decompose",
@@ -107,227 +102,6 @@ def _pairwise_min(pts):
     return float(d.min())
 
 
-def track_fiber(spec, fiber, path, newton_tol=1e-11):
-    """Predictor-corrector continuation of every fiber point along a polyline.
-
-    The step size adapts so that no accepted state lets the pairwise
-    separation drop below half its running minimum, no point moves by more
-    than a fraction of that separation in one step (which would risk a sheet
-    swap), and every corrected point satisfies |f(z) - omega| below the
-    tolerance.  Failure to make progress raises StepSizeUnderflowError.
-    """
-    f = _as_rational(spec)
-    pts = np.array(fiber.points, dtype=complex)
-    path = np.asarray(path, dtype=complex)
-    if abs(path[0] - fiber.base) > 1e-9:
-        raise FiberError("path must start at the fiber's base value")
-    run_min = _pairwise_min(pts)
-    tol = newton_tol * (1.0 + float(np.max(np.abs(path))))
-    for a, b in zip(path[:-1], path[1:]):
-        seg = b - a
-        if seg == 0:
-            continue
-        s = 0.0
-        h = 1.0
-        while s < 1.0:
-            h = min(h, 1.0 - s)
-            target = a + (s + h) * seg
-            cur = a + s * seg
-            new = _step(f, pts, cur, target, tol)
-            ok = new is not None
-            if ok:
-                move = float(np.max(np.abs(new - pts)))
-                sep = _pairwise_min(new)
-                ok = (
-                    sep > max(0.5 * run_min, _MIN_SEPARATION)
-                    and move <= 0.45 * run_min
-                    and np.all(np.abs(new) < 1.0 - 1e-9)
-                )
-            if ok:
-                pts = new
-                s += h
-                run_min = min(run_min, _pairwise_min(pts))
-                h = min(h * 1.7, 1.0)
-            else:
-                h *= 0.5
-                if h < 1e-9:
-                    raise StepSizeUnderflowError(
-                        f"tracking stalled near {cur} (separation "
-                        f"{_pairwise_min(pts):.3e})"
-                    )
-    return Fiber(complex(path[-1]), tuple(pts))
-
-
-def _step(f, pts, cur, target, tol):
-    d = f.derivative(pts)
-    if np.any(np.abs(d) < 1e-14):
-        return None
-    new = pts + (target - cur) / d
-    for _ in range(16):
-        r = f.value(new) - target
-        if np.max(np.abs(r)) <= tol:
-            return new
-        d = f.derivative(new)
-        if np.any(np.abs(d) < 1e-14) or not np.all(np.isfinite(d)):
-            return None
-        step = r / d
-        if np.max(np.abs(step)) > 0.5:
-            return None
-        new = new - step
-    return None
-
-
-def loop_permutation(spec, fiber, path):
-    """Track a closed loop and match the final fiber to the starting one.
-
-    Returns the permutation p with p[i] = j when sheet i arrives at the
-    starting position of sheet j.
-    """
-    final = track_fiber(spec, fiber, path)
-    start = np.array(fiber.points)
-    out = np.array(final.points)
-    n = start.size
-    perm = [-1] * n
-    used = set()
-    thresh = 0.45 * max(_pairwise_min(start), _MIN_SEPARATION)
-    for i in range(n):
-        dists = np.abs(out[i] - start)
-        j = int(np.argmin(dists))
-        if dists[j] > thresh or j in used:
-            raise FiberError("loop endpoints do not match the starting fiber")
-        used.add(j)
-        perm[i] = j
-    return tuple(perm)
-
-
-@dataclass
-class MonodromyAction:
-    """Loop permutations around the reachable branch values."""
-
-    fiber: Fiber
-    generators: list
-    branch_values: list
-    skipped: list
-    transitive: bool
-    closure_size: int | None
-
-    @property
-    def degree(self):
-        return self.fiber.size
-
-
-def _orbit(n, gens, start=0):
-    seen = {start}
-    frontier = [start]
-    while frontier:
-        x = frontier.pop()
-        for g in gens:
-            if g[x] not in seen:
-                seen.add(g[x])
-                frontier.append(g[x])
-    return seen
-
-
-def _closure_size(n, gens, cap=20000):
-    if not gens:
-        return 1
-    identity = tuple(range(n))
-    seen = {identity}
-    frontier = [identity]
-    while frontier:
-        p = frontier.pop()
-        for g in gens:
-            q = tuple(g[p[i]] for i in range(n))
-            if q not in seen:
-                if len(seen) >= cap:
-                    return None
-                seen.add(q)
-                frontier.append(q)
-    return len(seen)
-
-
-def _segment_with_detours(a, b, obstacles, clearance, depth=0):
-    """Waypoints from a to b dodging obstacle points by the given clearance."""
-    if depth > 8:
-        return [a, b]
-    seg = b - a
-    L = abs(seg)
-    if L == 0:
-        return [a, b]
-    for obs, rad in obstacles:
-        t = np.clip(((obs - a) / seg).real, 0.0, 1.0)
-        foot = a + t * seg
-        c = max(clearance, rad)
-        if abs(obs - foot) < c and 0.0 < t < 1.0:
-            normal = 1j * seg / L
-            side = normal if abs(foot + normal * c - obs) > abs(foot - normal * c - obs) else -normal
-            mid = obs + side * 1.5 * c
-            left = _segment_with_detours(a, mid, obstacles, clearance, depth + 1)
-            right = _segment_with_detours(mid, b, obstacles, clearance, depth + 1)
-            return left[:-1] + right
-    return [a, b]
-
-
-def monodromy_generators(spec, omega0=None, ring_points=24):
-    """Loop permutations around each reachable branch value.
-
-    For each branch value in the base point's component, the loop is a
-    straight approach (with detours around the other branch values), a full
-    circle around the value, and the reversed approach.  Branch values whose
-    loop cannot keep clear of the boundary curve are skipped and reported.
-    """
-    f = _as_rational(spec)
-    curve = geometry.boundary_curve(f, 1024)
-    if omega0 is None:
-        omega0 = default_base_point(spec, curve=curve)
-    fiber = base_fiber(f, omega0)
-    bvs = _clustered_branch_values(spec)
-    gens = []
-    looped = []
-    skipped = []
-    scale = _bbox(curve)
-    for b in bvs:
-        others = [x for x in bvs if x != b]
-        d_base = abs(omega0 - b)
-        d_other = min((abs(b - x) for x in others), default=np.inf)
-        d_curve = float(np.min(np.abs(curve - b)))
-        r = max(1e-2, d_base / 4.0)
-        r = min(r, 0.4 * d_other, 0.5 * d_curve, 0.6 * d_base)
-        if not np.isfinite(r) or r < 1e-6:
-            skipped.append((b, "crowded"))
-            continue
-        entry = b + r * (omega0 - b) / d_base
-        obstacles = [(x, max(1e-2, 0.25 * abs(x - b))) for x in others]
-        seg = _segment_with_detours(omega0, entry, obstacles, max(5e-3, 0.02 * scale))
-        ang0 = np.angle(entry - b)
-        ring = [
-            b + r * np.exp(1j * (ang0 + 2.0 * np.pi * k / ring_points))
-            for k in range(1, ring_points)
-        ]
-        loop = seg + ring + [entry] + seg[::-1]
-        loop_min_curve = float(
-            np.min(np.abs(np.asarray(loop)[:, None] - curve[None, :]))
-        )
-        if loop_min_curve < max(2e-3, 5e-3 * scale):
-            skipped.append((b, "loop leaves the component"))
-            continue
-        try:
-            gens.append(loop_permutation(f, fiber, np.array(loop)))
-            looped.append(b)
-        except (FiberError, StepSizeUnderflowError, RootFindingError) as exc:
-            skipped.append((b, f"tracking failed: {exc}"))
-    n = fiber.size
-    transitive = len(_orbit(n, gens)) == n if n else True
-    return MonodromyAction(
-        fiber=fiber,
-        generators=gens,
-        branch_values=looped,
-        skipped=skipped,
-        transitive=transitive,
-        closure_size=_closure_size(n, gens),
-    )
-
-
 def _clustered_branch_values(spec):
     clusters = _cluster(geometry.branch_values(spec), tol=1e-6)
     return sorted((centroid for centroid, _ in clusters), key=_lex_key)
@@ -339,17 +113,13 @@ def _bbox(curve):
     )
 
 
-def default_base_point(spec, curve=None):
+def default_base_point(f, curve, bvs):
     """f(0) nudged off the branch set and the boundary curve, deterministically.
 
     Candidates spiral outward from f(0); among admissible ones (clear of the
     branch values and the curve) the one with the largest index is taken, so
     the decomposition runs over the maximal-index component when possible.
     """
-    f = _as_rational(spec)
-    if curve is None:
-        curve = geometry.boundary_curve(f, 1024)
-    bvs = _clustered_branch_values(spec)
     scale = _bbox(curve)
     center = f.value(0.0)
     clearance = max(1e-3, 0.02 * scale)
@@ -372,51 +142,6 @@ def default_base_point(spec, curve=None):
     if best is None:
         raise FiberError("no admissible base point found near f(0)")
     return complex(best[0])
-
-
-def _pair_closure_partition(n, gens, a, b):
-    """Finest generator-stable partition merging sheets a and b."""
-    uf = _UnionFind(n)
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = uf.find(x), uf.find(y)
-        if rx == ry:
-            continue
-        uf.union(rx, ry)
-        for g in gens:
-            stack.append((g[rx], g[ry]))
-    return _canonical_partition(uf.groups())
-
-
-def _canonical_partition(blocks):
-    return tuple(sorted(tuple(sorted(b)) for b in blocks))
-
-
-def _join(n, p1, p2):
-    uf = _UnionFind(n)
-    for part in (p1, p2):
-        for block in part:
-            for x in block[1:]:
-                uf.union(block[0], x)
-    return _canonical_partition(uf.groups())
-
-
-def _stable_partitions(n, gens):
-    """Join-closure of all pair-closure partitions (plus the full partition)."""
-    found = set()
-    for i in range(1, n):
-        found.add(_pair_closure_partition(n, gens, 0, i))
-    frontier = list(found)
-    while frontier:
-        p = frontier.pop()
-        for q in list(found):
-            j = _join(n, p, q)
-            if j not in found:
-                found.add(j)
-                frontier.append(j)
-    found.add((tuple(range(n)),))
-    return found
 
 
 def inner_factor_from_block(fiber, block):
@@ -512,6 +237,26 @@ class RecoveredOuter:
         return float(abs(self.coeffs[-1]) * self.radius ** (self.coeffs.size - 1) / scale)
 
 
+def _inner_fibers(f, R, order, tol=_CONSISTENCY_TOL):
+    """f on the inner-factor fibers of a stack R of fiber polynomials.
+
+    One stacked solve; a row is bad when its fiber has other than ``order``
+    points in the disk or the f-values on it spread by more than tol times
+    max(1, |f|).  Returns (counts, values of the good-count rows with their
+    preimages in sort_complex order, spread, bad).
+    """
+    roots, inside = fiber_roots(R, 1.0)
+    counts = np.sum(inside, axis=1)
+    ok = counts == order
+    vals = f.value(np.sort_complex(roots[ok][inside[ok]].reshape(-1, order)))
+    spread = np.full(len(R), np.nan)
+    spread[ok] = np.max(np.abs(vals - vals[:, :1]), axis=1)
+    scale = np.fmax(1.0, np.max(np.abs(vals), axis=1))
+    bad = ~ok
+    bad[ok] = spread[ok] > tol * scale
+    return counts, vals, spread, bad
+
+
 def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     """Recover h with f = h o bhat by sampling h on the circle |w| = r.
 
@@ -528,18 +273,10 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     f = _as_rational(spec)
     bres = RationalFunction(*bhat.rational())
     ws = r * np.exp(2j * np.pi * np.arange(S) / S)
-    roots, inside = fiber_roots(bres.fiber_poly(ws), 1.0)
-    counts = np.sum(inside, axis=1)
-    ok = counts == bhat.order
-    vals = f.value(np.sort_complex(roots[ok][inside[ok]].reshape(-1, bhat.order)))
-    spread = np.full(S, np.nan)
-    spread[ok] = np.max(np.abs(vals - vals[:, :1]), axis=1)
-    scale = np.fmax(1.0, np.max(np.abs(vals), axis=1))
-    bad = ~ok
-    bad[ok] = spread[ok] > tol * scale
+    counts, vals, spread, bad = _inner_fibers(f, bres.fiber_poly(ws), bhat.order, tol)
     if np.any(bad):
         s = int(np.argmax(bad))
-        if not ok[s]:
+        if counts[s] != bhat.order:
             raise FiberError(
                 f"inner-factor fiber at sample {s} has {counts[s]} points, "
                 f"expected {bhat.order}"
@@ -569,6 +306,50 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
     )
 
 
+# The block search: every 128th of outer_factor's samples on |w| = 0.7 (the
+# same values), the most blocks one decomposition may propose, the most
+# solved in one stack, and the distance below which two values of an inner
+# factor on the fiber count as one level.
+_PROBES = 0.7 * np.exp(2j * np.pi * np.arange(1024) / 1024)[::128]
+_CANDIDATE_CAP = 20000
+_CHUNK = 2048
+_LEVEL_TOL = 1e-6
+
+
+def _level_sets(fiber, block):
+    """The fiber partitioned by the values of the block's inner factor."""
+    vals = inner_factor_from_block(fiber, block)(np.array(fiber.points))
+    uf = _UnionFind(fiber.size)
+    for i, j in combinations(range(fiber.size), 2):
+        if abs(vals[i] - vals[j]) <= _LEVEL_TOL:
+            uf.union(i, j)
+    return tuple(sorted(tuple(g) for g in uf.groups()))
+
+
+def _block_partitions(f, fiber, d):
+    """Sorted partitions into d-point level sets induced by the probed blocks.
+
+    Every block of d fiber points containing sheet 0 gives a candidate inner
+    factor; it survives when the outer recovery's count test and spread rule
+    hold at the probe samples, so no block that outer_factor accepts is
+    dropped.  The candidates are solved in stacks of at most _CHUNK.
+    """
+    blocks = [(0,) + rest for rest in combinations(range(1, fiber.size), d - 1)]
+    partitions = set()
+    for start in range(0, len(blocks), _CHUNK):
+        chunk = blocks[start:start + _CHUNK]
+        pairs = (inner_factor_from_block(fiber, b).rational() for b in chunk)
+        R = np.concatenate([RationalFunction(P, Q).fiber_poly(_PROBES) for P, Q in pairs])
+        with np.errstate(all="ignore"):
+            bad = _inner_fibers(f, R, d)[3].reshape(len(chunk), -1)
+        for block, rejected in zip(chunk, np.any(bad, axis=1)):
+            if not rejected:
+                partition = _level_sets(fiber, block)
+                if all(len(b) == d for b in partition):
+                    partitions.add(partition)
+    return sorted(partitions)
+
+
 @dataclass
 class Decomposition:
     """Certified factorization f = h o B with B of maximal order."""
@@ -579,7 +360,8 @@ class Decomposition:
     residual: float
     base_point: complex
     fiber: Fiber
-    action: MonodromyAction | None
+    branch_values: list
+    candidates_tried: int
     outer_index: int
     test_points: int
     certificate: str
@@ -604,32 +386,9 @@ class Decomposition:
             "residual": self.residual,
             "base_point": [self.base_point.real, self.base_point.imag],
             "test_points": self.test_points,
-            "branch_values": [
-                [b.real, b.imag] for b in (self.action.branch_values if self.action else [])
-            ],
-            "generators": [
-                _cycle_notation(g) for g in (self.action.generators if self.action else [])
-            ],
+            "branch_values": [[b.real, b.imag] for b in self.branch_values],
+            "candidates_tried": self.candidates_tried,
         }
-
-
-def _cycle_notation(perm):
-    n = len(perm)
-    seen = set()
-    parts = []
-    for i in range(n):
-        if i in seen or perm[i] == i:
-            seen.add(i)
-            continue
-        cyc = [i]
-        j = perm[i]
-        while j != i:
-            seen.add(j)
-            cyc.append(j)
-            j = perm[j]
-        seen.add(i)
-        parts.append("(" + " ".join(str(x + 1) for x in cyc) + ")")
-    return "".join(parts) if parts else "()"
 
 
 def _held_out_points(bhat, count, limit, rng_seed=20240613, cap=40000):
@@ -662,73 +421,75 @@ def _certificate_id(spec, omega0):
 def decompose(spec, omega0=None, test_points=200):
     """Maximal Blaschke inner factor of f with a residual certificate.
 
-    Candidate partitions are the join-closure of the pair-closure block
-    systems plus the full fiber, tested in decreasing block size; the first
-    candidate whose outer recovery is consistent and whose reassembled
+    Block sizes d dividing the fiber size n are searched largest first; the
+    partitions of a size (see _block_partitions) are tried in sorted order,
+    and the first whose outer recovery is consistent and whose reassembled
     composition matches f on held-out points wins.  No passing candidate
-    means f is indecomposable: m = 1 with f itself as the outer factor.
+    means f is indecomposable: m = 1 with f itself as the outer factor.  A
+    search that would propose more than _CANDIDATE_CAP blocks raises
+    FiberError instead.
     """
     f = _as_rational(spec)
     curve = geometry.boundary_curve(f, 1024)
+    bvs = _clustered_branch_values(spec)
     if omega0 is None:
-        omega0 = default_base_point(spec, curve=curve)
+        omega0 = default_base_point(f, curve, bvs)
     else:
         omega0 = complex(omega0)
         d_curve = float(np.min(np.abs(curve - omega0)))
-        bvs = _clustered_branch_values(spec)
         d_b = min((abs(omega0 - b) for b in bvs), default=np.inf)
         if d_curve <= 1e-3 or d_b <= 1e-3:
             raise FiberError(
                 f"base point {omega0} is within 1e-3 of the branch set or boundary"
             )
     cert = _certificate_id(spec, omega0)
-    action = monodromy_generators(spec, omega0)
-    fiber = action.fiber
+    fiber = base_fiber(f, omega0)
     n = fiber.size
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")
-    candidates = []
-    if n > 1 and action.transitive:
-        for p in _stable_partitions(n, action.generators):
-            sizes = {len(b) for b in p}
-            if len(sizes) != 1:
+    tried = 0
+    for d in range(n, 1, -1):
+        if n % d:
+            continue
+        tried += comb(n - 1, d - 1)
+        if tried > _CANDIDATE_CAP:
+            raise FiberError(
+                f"block search over {n} fiber points needs more than "
+                f"{_CANDIDATE_CAP} candidates"
+            )
+        for partition in _block_partitions(f, fiber, d):
+            # any block works (they differ by a target automorphism); the one
+            # with the smallest zero moduli gives the best-conditioned factor
+            block = min(
+                partition, key=lambda b: max(abs(fiber.points[i]) for i in b)
+            )
+            bhat = inner_factor_from_block(fiber, block)
+            try:
+                outer = outer_factor(spec, bhat)
+            except (FiberError, RootFindingError):
                 continue
-            d = sizes.pop()
-            if d > 1 and n % d == 0:
-                candidates.append((d, p))
-        candidates.sort(key=lambda dp: (-dp[0], dp[1]))
-    for d, partition in candidates:
-        # any block works (they differ by a target automorphism); the one
-        # with the smallest zero moduli gives the best-conditioned factor
-        block = min(
-            partition, key=lambda b: max(abs(fiber.points[i]) for i in b)
-        )
-        bhat = inner_factor_from_block(fiber, block)
-        try:
-            outer = outer_factor(spec, bhat)
-        except (FiberError, RootFindingError):
-            continue
-        try:
-            zs = _held_out_points(bhat, test_points, outer.eval_radius * 0.97)
-            bres = RationalFunction(*bhat.rational())
-            residual = float(
-                np.max(np.abs(f.value(zs) - outer.value(bres.value(zs))))
-            )
-        except (FiberError, DomainError):
-            continue
-        if residual < _RESIDUAL_TOL:
-            return Decomposition(
-                inner=bhat,
-                outer=outer,
-                m=d,
-                residual=residual,
-                base_point=omega0,
-                fiber=fiber,
-                action=action,
-                outer_index=n // d,
-                test_points=test_points,
-                certificate=cert,
-            )
+            try:
+                zs = _held_out_points(bhat, test_points, outer.eval_radius * 0.97)
+                bres = RationalFunction(*bhat.rational())
+                residual = float(
+                    np.max(np.abs(f.value(zs) - outer.value(bres.value(zs))))
+                )
+            except (FiberError, DomainError):
+                continue
+            if residual < _RESIDUAL_TOL:
+                return Decomposition(
+                    inner=bhat,
+                    outer=outer,
+                    m=d,
+                    residual=residual,
+                    base_point=omega0,
+                    fiber=fiber,
+                    branch_values=bvs,
+                    candidates_tried=tried,
+                    outer_index=n // d,
+                    test_points=test_points,
+                    certificate=cert,
+                )
     return Decomposition(
         inner=identity_blaschke(),
         outer=spec,
@@ -736,7 +497,8 @@ def decompose(spec, omega0=None, test_points=200):
         residual=0.0,
         base_point=omega0,
         fiber=fiber,
-        action=action,
+        branch_values=bvs,
+        candidates_tried=tried,
         outer_index=n,
         test_points=0,
         certificate=cert,

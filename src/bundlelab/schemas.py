@@ -61,7 +61,8 @@ DECOMPOSITION = {
     "type": "object",
     "required": [
         "certificate", "inner_zeros", "inner_theta", "m", "outer",
-        "residual", "base_point", "test_points", "branch_values", "generators",
+        "residual", "base_point", "test_points", "branch_values",
+        "candidates_tried",
     ],
     "properties": {
         "certificate": {"type": "string"},
@@ -73,7 +74,7 @@ DECOMPOSITION = {
         "base_point": _COMPLEX_PAIR,
         "test_points": {"type": "integer", "minimum": 0},
         "branch_values": {"type": "array", "items": _COMPLEX_PAIR},
-        "generators": {"type": "array", "items": {"type": "string"}},
+        "candidates_tried": {"type": "integer", "minimum": 0},
     },
     "additionalProperties": False,
 }

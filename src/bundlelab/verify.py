@@ -305,18 +305,6 @@ def check_index_moebius_invariance():
     return ok, "index map invariant under Moebius precomposition off the bands"
 
 
-def check_loop_consistency():
-    f = PolySpec((0, 0, 0, 1))
-    fib = monodromy.base_fiber(f, 0.2)
-    t = np.linspace(0, 1, 97)
-    loop = 0.2 * np.exp(2j * np.pi * t)
-    p1 = monodromy.loop_permutation(f, fib, loop)
-    p2 = monodromy.loop_permutation(f, fib, loop)
-    pinv = monodromy.loop_permutation(f, fib, loop[::-1])
-    inv_ok = all(pinv[p1[i]] == i for i in range(3))
-    return p1 == p2 and inv_ok, f"perm {p1}, reverse inverts: {inv_ok}"
-
-
 def check_decompose_round_trip():
     g = PolySpec((0, 1, 0, 2))
     B = BlaschkeProduct((0, 0.4))
@@ -325,8 +313,18 @@ def check_decompose_round_trip():
     if dec.m != B.order or dec.residual > 1e-8:
         return False, f"m={dec.m}, residual={dec.residual:.2e}"
     match = classify.moebius_match(dec.outer, g)
-    ok = match is not None and match.residual < 1e-8
-    return ok, f"m={dec.m}, residual={dec.residual:.2e}, matched={ok}"
+    matched = match is not None and match.residual < 1e-8
+    # nested inner factors: the maximal one has order 2 * 2
+    nested = ComposeSpec(PolySpec((0, 1, 1)), ComposeSpec(
+        BlaschkeSpec(BlaschkeProduct((0, 0.5))),
+        BlaschkeSpec(BlaschkeProduct((0.2, -0.1j))),
+    ))
+    dec4 = monodromy.decompose(nested)
+    ok = matched and dec4.m == 4 and dec4.residual < 1e-8
+    return ok, (
+        f"m={dec.m}, residual={dec.residual:.2e}, matched={matched}; "
+        f"nested m={dec4.m}, residual={dec4.residual:.2e}"
+    )
 
 
 def check_verdict_symmetry():
@@ -406,7 +404,6 @@ ALL_CHECKS = [
     ("geometry.winding-vs-roots", check_winding_vs_roots),
     ("geometry.blaschke-sum-rule", check_blaschke_sum_rule),
     ("geometry.moebius-invariance", check_index_moebius_invariance),
-    ("monodromy.loop-consistency", check_loop_consistency),
     ("monodromy.decompose-round-trip", check_decompose_round_trip),
     ("classify.verdict-symmetry", check_verdict_symmetry),
     ("classify.moebius-invariance", check_moebius_precompose_invariance),

@@ -136,3 +136,11 @@ def test_fiber_poly():
     f = RationalFunction.from_spec(PolySpec((2, 1, 1)))
     R = f.fiber_poly(2.0)
     assert np.allclose(R, [0, 1, 1])
+
+
+def test_composition_with_a_tiny_blaschke_zero_is_analytic():
+    # the squared denominator's top coefficient, about 1e-169, once made
+    # numpy.roots report a spurious zero of the denominator at 0
+    inner = BlaschkeSpec(BlaschkeProduct((0.5, 9.4e-169)))
+    P, Q = to_rational(ComposeSpec(PolySpec((0, 0, 1j)), inner))
+    assert np.abs(Q[-1]) < 1e-160

@@ -1,9 +1,12 @@
 import re
 
+import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
-from bundlelab import monodromy
+from bundlelab import classify, monodromy, schemas
 from bundlelab.blaschke import BlaschkeProduct, compose_blaschke, eval_blaschke, fiber_roots
 from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
@@ -12,6 +15,7 @@ from bundlelab.funcspec import (
     PolySpec,
     RationalFunction,
 )
+from bundlelab.weights import WeightSequence
 
 G_CUBIC = PolySpec((0, 1, 0, 2))  # z + 2z^3
 INNER = BlaschkeProduct((0, 0.4), np.pi)  # literally z * (0.4-z)/(1-0.4z)
@@ -38,101 +42,42 @@ def test_base_fiber_rejects_branch_value():
         monodromy.base_fiber(PolySpec((2, 1, 1)), 1.75)
 
 
-def test_track_fiber_constant_path():
-    f = PolySpec((0, 0, 1))
-    fib = monodromy.base_fiber(f, 0.25)
-    out = monodromy.track_fiber(f, fib, np.array([0.25, 0.25 + 0j]))
-    assert np.allclose(out.points, fib.points, atol=1e-12)
-
-
-def test_track_fiber_swaps_square_roots():
-    f = PolySpec((0, 0, 1))
-    fib = monodromy.base_fiber(f, 0.25)
-    loop = 0.25 * np.exp(2j * np.pi * np.linspace(0, 1, 65))
-    perm = monodromy.loop_permutation(f, fib, loop)
-    assert perm == (1, 0)
-
-
-def test_track_fiber_cube_roots_cycle():
-    f = PolySpec((0, 0, 0, 1))
-    fib = monodromy.base_fiber(f, 0.2)
-    loop = 0.2 * np.exp(2j * np.pi * np.linspace(0, 1, 97))
-    perm = monodromy.loop_permutation(f, fib, loop)
-    # a 3-cycle; tracking twice gives the same permutation, reversing inverts
-    assert sorted(perm) == [0, 1, 2] and perm != (0, 1, 2)
-    assert monodromy.loop_permutation(f, fib, loop) == perm
-    rev = monodromy.loop_permutation(f, fib, loop[::-1])
-    assert all(rev[perm[i]] == i for i in range(3))
-
-
-def test_track_fiber_preserves_cardinality_and_separation():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
-    fib = monodromy.base_fiber(f, 0.05)
-    path = np.array([0.05, 0.05 + 0.04j, 0.01 + 0.04j, 0.05])
-    out = monodromy.track_fiber(f, fib, path)
-    assert out.size == fib.size
-    assert out.min_separation() > 1e-6
-
-
-def test_monodromy_generators_power():
-    act = monodromy.monodromy_generators(PolySpec((0, 0, 0, 0, 1)), 0.3)
-    assert act.transitive
-    assert act.closure_size == 4
-    assert len(act.generators) == 1
-    p = act.generators[0]
-    # a 4-cycle
-    seen, x = set(), 0
-    for _ in range(4):
-        x = p[x]
-        seen.add(x)
-    assert len(seen) == 4
-
-
-def test_monodromy_moebius_trivial():
-    from bundlelab.blaschke import MoebiusTransform
-
-    act = monodromy.monodromy_generators(BlaschkeSpec(MoebiusTransform(0.4)), 0.1)
-    assert act.degree == 1
-    assert act.generators == []
-    assert act.closure_size == 1
-
-
-def _nontrivial_equal_partitions(act):
-    """Generator-stable partitions with equal blocks of size strictly in (1, n)."""
-    n = act.degree
-    out = []
-    for p in monodromy._stable_partitions(n, act.generators):
-        sizes = {len(b) for b in p}
-        if len(sizes) == 1 and sizes.pop() not in (1, n):
-            out.append(p)
-    return out
+def _surviving(spec, omega0, d):
+    f = RationalFunction.from_spec(spec)
+    return monodromy._block_partitions(f, monodromy.base_fiber(f, omega0), d)
 
 
 def test_block_systems_four_cycle():
-    act = monodromy.monodromy_generators(PolySpec((0, 0, 0, 0, 1)), 0.3)
-    systems = _nontrivial_equal_partitions(act)
+    fib = monodromy.base_fiber(PolySpec((0, 0, 0, 0, 1)), 0.3)
+    systems = _surviving(PolySpec((0, 0, 0, 0, 1)), 0.3, 2)
     assert len(systems) == 1
     blocks = systems[0]
     assert len(blocks) == 2
     # blocks must pair opposite fiber points {z, -z}
     for block in blocks:
-        a, b = (act.fiber.points[i] for i in block)
+        a, b = (fib.points[i] for i in block)
         assert abs(a + b) < 1e-9
 
 
-def test_monodromy_transitive_on_six_points():
+def test_block_search_on_six_points():
     f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
-    act = monodromy.monodromy_generators(f)
-    assert act.degree == 6
-    assert act.transitive
-    assert act.generators
+    fib = monodromy.base_fiber(f, 0.05)
+    assert fib.size == 6
+    assert _surviving(f, 0.05, 3) == []
+    (partition,) = _surviving(f, 0.05, 2)
+    # the surviving blocks are the level sets of the inner factor
+    for block in partition:
+        a, b = (INNER(fib.points[i]) for i in block)
+        assert abs(a - b) < 1e-9
 
 
 def test_block_system_trivial_group_single_point():
     from bundlelab.blaschke import MoebiusTransform
 
-    act = monodromy.monodromy_generators(BlaschkeSpec(MoebiusTransform(0.4)), 0.1)
-    assert _nontrivial_equal_partitions(act) == []
+    spec = BlaschkeSpec(MoebiusTransform(0.4))
+    assert monodromy.base_fiber(spec, 0.1).size == 1
+    dec = monodromy.decompose(spec, 0.1)
+    assert dec.m == 1 and dec.candidates_tried == 0
 
 
 def test_singleton_block_gives_moebius():
@@ -143,9 +88,9 @@ def test_singleton_block_gives_moebius():
 
 
 def test_block_systems_primitive_cubic():
-    act = monodromy.monodromy_generators(G_CUBIC)
-    assert act.degree == 3 and act.transitive
-    assert _nontrivial_equal_partitions(act) == []
+    fib = monodromy.base_fiber(G_CUBIC, 0.05)
+    assert fib.size == 3
+    assert _surviving(G_CUBIC, 0.05, 2) == []
 
 
 def test_inner_factor_from_block_square():
@@ -230,7 +175,12 @@ def test_decomposition_serialization():
     d = dec.to_dict()
     assert d["m"] == 2
     assert len(d["inner_zeros"]) == 2
-    assert isinstance(d["generators"], list) and d["generators"]
+    assert "generators" not in d
+    assert d["candidates_tried"] == dec.candidates_tried > 0
+    assert d["branch_values"] == [
+        [b.real, b.imag] for b in monodromy._clustered_branch_values(f)
+    ]
+    jsonschema.validate(d, schemas.DECOMPOSITION)
     assert d["certificate"].startswith("dec-")
     assert d["outer"]["consistency"] < 1e-10
 
@@ -325,3 +275,36 @@ def test_outer_factor_names_the_first_short_fiber(monkeypatch):
     f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
     with pytest.raises(FiberError, match="fiber at sample 700 has 1 points, expected 2"):
         monodromy.outer_factor(f, INNER)
+
+
+@st.composite
+def _compositions(draw):
+    """g o B with deg g 2-4, order B 2-3, zeros in |z| < 0.6 more than 0.05 apart."""
+    parts = st.floats(-2.0, 2.0)
+    g = [complex(draw(parts), draw(parts)) for _ in range(draw(st.integers(3, 5)))]
+    assume(abs(g[-1]) > 0.1)
+    zeros = np.array([
+        draw(st.floats(0.0, 0.59)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(draw(st.integers(2, 3)))
+    ])
+    gaps = np.abs(zeros[:, None] - zeros[None, :]) + np.eye(zeros.size)
+    assume(gaps.min() > 0.05)
+    return ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(BlaschkeProduct(tuple(zeros)))), zeros.size
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(_compositions())
+def test_decompose_finds_a_multiple_of_the_inner_order(case):
+    f, order = case
+    dec = monodromy.decompose(f)
+    assert dec.m % order == 0
+    assert dec.residual < 1e-8
+
+
+def test_candidate_cap_is_inconclusive_not_indecomposable(monkeypatch):
+    monkeypatch.setattr(monodromy, "_CANDIDATE_CAP", 5)
+    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))  # six points: 1 + 10 blocks for d = 6, 3
+    with pytest.raises(FiberError, match="more than 5 candidates"):
+        monodromy.decompose(f)
+    assert classify.similar(f, f, WeightSequence.bergman(1)).status == "inconclusive"
