@@ -15,15 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, monodromy, operators, series
-from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots, with_multiplicity
+from .blaschke import BlaschkeProduct, MoebiusTransform
 from .errors import BundleLabError, DomainError
-from .funcspec import (
-    BlaschkeSpec,
-    ComposeSpec,
-    FunctionSpec,
-    RationalFunction,
-    spec_to_text,
-)
+from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction, spec_to_text
 from .monodromy import RecoveredOuter
 from .weights import POLYNOMIAL
 
@@ -41,6 +35,7 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-8
+_SEED_RADIUS = 0.95
 
 
 @dataclass
@@ -204,52 +199,6 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
 # -- Moebius matching -------------------------------------------------------
 
 
-class _Target:
-    """Uniform eval/derivative/fiber access for specs and recovered outers.
-
-    Recovered outers are evaluated through their exact fiber oracle, valid on
-    the whole disk.
-    """
-
-    seed_radius = 0.95
-
-    def __init__(self, obj):
-        if isinstance(obj, RecoveredOuter):
-            self.oracle = True
-            self.obj = obj
-            self.eval_radius = 0.97
-        elif isinstance(obj, (FunctionSpec, BlaschkeProduct)):
-            self.oracle = False
-            self.obj = RationalFunction.from_spec(obj)
-            self.eval_radius = 1.0
-        else:
-            raise TypeError(f"cannot match against {type(obj).__name__}")
-
-    def value(self, z):
-        if self.oracle:
-            return self.obj.oracle_value(z)
-        return self.obj.value(z)
-
-    def derivative(self, z):
-        if self.oracle:
-            return self.obj.oracle_derivative(z)
-        return self.obj.derivative(z)
-
-    def second_derivative(self, z):
-        if self.oracle:
-            return self.obj.oracle_second_derivative(z)
-        return self.obj.second_derivative(z)
-
-    def preimages(self, v):
-        if self.oracle:
-            return self.obj.oracle_preimages(v, radius=self.seed_radius)
-        R = self.obj.fiber_poly(v)
-        if np.max(np.abs(R)) == 0.0:
-            return []
-        roots = fiber_roots(R, np.inf)  # seeds may lie on |z| = seed_radius
-        return with_multiplicity(roots[np.abs(roots) <= self.seed_radius])
-
-
 @dataclass
 class MoebiusMatch:
     """A disk automorphism phi with g2 = g1 o phi on the sample set."""
@@ -343,25 +292,25 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
     from the first derivatives, or from the second derivatives (two sign
     candidates) when the seed is a critical point of g1.  Each seed is
     refined by damped Gauss-Newton over 64 fixed disk samples; absence of a
-    passing candidate returns None.
+    passing candidate returns None.  Each of g1, g2 is a spec, a
+    RationalFunction or a RecoveredOuter (evaluated through its exact fiber
+    oracle).
     """
-    t1 = _Target(g1)
-    t2 = _Target(g2)
-    v0 = complex(t2.value(0.0))
-    d2 = complex(t2.derivative(0.0))
+    g1, g2 = (g if isinstance(g, RecoveredOuter) else RationalFunction.from_spec(g)
+              for g in (g1, g2))
+    v0 = complex(g2.value(0.0))
+    d2 = complex(g2.derivative(0.0))
     seeds = []
-    for p in t1.preimages(v0):
-        if abs(p) > t1.seed_radius:
-            continue
-        d1 = complex(t1.derivative(p))
+    for p in g1.preimages(v0, _SEED_RADIUS):
+        d1 = complex(g1.derivative(p))
         if abs(d1) > 1e-8:
             s = d2 / d1
             denom = abs(p) ** 2 - 1.0
             theta = float(np.angle(s / denom))
             seeds.append((theta, p * np.exp(-1j * theta)))
         else:
-            dd1 = complex(t1.second_derivative(p))
-            dd2 = complex(t2.second_derivative(0.0))
+            dd1 = complex(g1.second_derivative(p))
+            dd2 = complex(g2.second_derivative(0.0))
             if abs(dd1) < 1e-12:
                 continue
             root = np.sqrt(dd2 / dd1)
@@ -373,9 +322,9 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
     for theta, z0 in seeds:
         if abs(z0) >= 0.999:
             continue
-        samples = _match_samples(abs(z0), t1.eval_radius)
+        samples = _match_samples(abs(z0), g1.eval_radius)
         try:
-            refined = _refine_match(t1, t2, theta, complex(z0), samples)
+            refined = _refine_match(g1, g2, theta, complex(z0), samples)
         except DomainError:
             continue
         if refined is None:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
-from .blaschke import BlaschkeProduct, MoebiusTransform
+from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots, with_multiplicity
 from .errors import ConfigError, DomainError
 
 __all__ = [
@@ -179,11 +179,16 @@ def _check_disk_denominator(D):
 
 
 class RationalFunction:
-    """Cached rational form of a spec with value/derivative evaluation.
+    """Cached rational form of a spec: a function on the closed disk.
 
     Reduces the tree once; repeated evaluation (fiber solves, grid scans)
-    then runs on plain Horner evaluations.
+    then runs on plain Horner evaluations.  ``value``, ``derivative``,
+    ``second_derivative``, ``preimages`` and ``eval_radius`` are the calls
+    that Moebius matching makes, and a recovered outer factor answers them
+    too.
     """
+
+    eval_radius = 1.0
 
     def __init__(self, P, Q):
         self.P = np.asarray(P, dtype=complex)
@@ -198,7 +203,8 @@ class RationalFunction:
 
     @classmethod
     def from_spec(cls, spec, cap=DEGREE_CAP):
-        return cls(*to_rational(spec, cap))
+        """The reduced spec; a RationalFunction is passed through unchanged."""
+        return spec if isinstance(spec, cls) else cls(*to_rational(spec, cap))
 
     @property
     def degree(self):
@@ -231,6 +237,14 @@ class RationalFunction:
         R[..., : self.P.size] += self.P
         R[..., : self.Q.size] -= np.multiply.outer(omega, self.Q)
         return R
+
+    def preimages(self, v, radius):
+        """Preimages of v in |z| <= radius with multiplicity, in lexicographic order."""
+        R = self.fiber_poly(v)
+        if np.max(np.abs(R)) == 0.0:
+            return []
+        roots = fiber_roots(R, np.inf)  # preimages may lie on |z| = radius
+        return with_multiplicity(roots[np.abs(roots) <= radius])
 
 
 def _poly_deriv(c):

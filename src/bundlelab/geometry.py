@@ -50,7 +50,7 @@ def boundary_curve(spec, samples=1024, max_gap_frac=0.01, max_points=1 << 20):
     """
     if samples < 256:
         raise ValueError("boundary curves need at least 256 samples")
-    f = spec if isinstance(spec, RationalFunction) else RationalFunction.from_spec(spec)
+    f = RationalFunction.from_spec(spec)
     t = np.linspace(0.0, 1.0, samples, endpoint=False)
     vals = f.value(np.exp(2j * np.pi * t))
     while t.size < max_points:
@@ -118,7 +118,7 @@ def winding_index(spec, omega, radius=COUNT_RADIUS):
     agree; disagreement (sampling too coarse, or omega pathologically close
     to the image of the counting circle) raises WindingError.
     """
-    f = spec if isinstance(spec, RationalFunction) else RationalFunction.from_spec(spec)
+    f = RationalFunction.from_spec(spec)
     omega = complex(omega)
     n_arg = _argument_winding(f, omega, radius)
     n_root = _root_count(f, omega, radius)
@@ -213,7 +213,7 @@ def index_map(spec, bounds, resolution, probes_per_region=5):
         resolution=resolution,
         grid=grid,
         curve=curve,
-        branch_points=branch_values(spec),
+        branch_points=branch_values(f),
         probes=probes,
     )
 

@@ -64,12 +64,6 @@ def identity_blaschke():
     return BlaschkeProduct((0.0,), np.pi)
 
 
-def _as_rational(spec):
-    if isinstance(spec, RationalFunction):
-        return spec
-    return RationalFunction.from_spec(spec)
-
-
 def base_fiber(spec, omega0):
     """Distinct fiber points over omega0, validated against the winding index.
 
@@ -77,7 +71,7 @@ def base_fiber(spec, omega0):
     points must be separated by more than 1e-6 (otherwise omega0 sits too
     close to a branch value and must be re-chosen).
     """
-    f = _as_rational(spec)
+    f = RationalFunction.from_spec(spec)
     pts = with_multiplicity(fiber_roots(f.fiber_poly(omega0), geometry.COUNT_RADIUS))
     n = geometry.winding_index(f, omega0)
     if len(pts) != n:
@@ -158,11 +152,13 @@ def inner_factor_from_block(fiber, block):
 class RecoveredOuter:
     """Outer factor recovered from circle samples plus its Taylor polynomial.
 
-    The Taylor polynomial is the serialized artifact and is trusted for
-    |w| <= eval_radius; through the defining pair (source f, inner factor),
-    ``oracle_value`` and the chain-rule derivatives evaluate h anywhere in the
-    disk by solving the inner fiber exactly: ``_preimages`` solves the fibers
-    over a whole set of w in one stacked call.
+    The Taylor polynomial (``taylor``) is the serialized artifact and is
+    trusted for |w| <= taylor_radius.  Through the defining pair (source f,
+    inner factor), ``value``, the chain-rule derivatives and ``preimages``
+    evaluate and invert h anywhere in the disk by solving the inner fiber
+    exactly, trusted for |w| <= eval_radius, so h answers the same calls as a
+    RationalFunction; ``_preimages`` solves the fibers over a whole set of w
+    in one stacked call.
     """
 
     radius: float
@@ -172,7 +168,8 @@ class RecoveredOuter:
     inner: object = field(repr=False)  # inner factor, rational
     noise_floor: float = 0.0
     consistency: float = 0.0
-    eval_radius: float = 0.8
+    eval_radius = 0.97
+    taylor_radius = 0.8
 
     def _preimages(self, w):
         """One inner-factor preimage per w, preferring large |inner'|.
@@ -190,20 +187,20 @@ class RecoveredOuter:
         d = np.where(inside, np.abs(self.inner.derivative(roots)), -np.inf)
         return roots[np.arange(w.size), np.argmax(d, axis=1)]
 
-    def oracle_value(self, w):
+    def value(self, w):
         out = self.source.value(self._preimages(w))
         return out if out.size > 1 else complex(out[0])
 
     # The chain rules combine per point in Python complex arithmetic: numpy's
     # array division can differ from it in the last bit.
-    def oracle_derivative(self, w):
+    def derivative(self, w):
         out = np.array([
             self.source.derivative(z) / self.inner.derivative(z)
             for z in self._preimages(w)
         ])
         return out if out.size > 1 else complex(out[0])
 
-    def oracle_second_derivative(self, w):
+    def second_derivative(self, w):
         vals = []
         for z in self._preimages(w):
             fp = self.source.derivative(z)
@@ -214,18 +211,18 @@ class RecoveredOuter:
         out = np.array(vals)
         return out if out.size > 1 else complex(out[0])
 
-    def oracle_preimages(self, v, radius=0.97):
+    def preimages(self, v, radius):
         """h-preimages of v: inner-factor images of the f-fiber over v."""
         roots = fiber_roots(self.source.fiber_poly(v), 1.0)
         ws = [complex(self.inner.value(z)) for z in roots]
         inside = [w for w in ws if abs(w) <= radius]
         return sorted((c for c, _ in _cluster(inside, tol=1e-7)), key=_lex_key)
 
-    def value(self, w):
+    def taylor(self, w):
         w = np.asarray(w, dtype=complex)
-        if np.any(np.abs(w) > self.eval_radius + 1e-12):
+        if np.any(np.abs(w) > self.taylor_radius + 1e-12):
             raise DomainError(
-                f"recovered outer factor is trusted only for |w| <= {self.eval_radius}"
+                f"recovered outer factor is trusted only for |w| <= {self.taylor_radius}"
             )
         out = np.polyval(self.coeffs[::-1], w)
         return out if out.shape else complex(out)
@@ -270,7 +267,7 @@ def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
         raise ValueError("sampling radius must lie in (0, 1)")
     if S & (S - 1):
         raise ValueError("sample count must be a power of two")
-    f = _as_rational(spec)
+    f = RationalFunction.from_spec(spec)
     bres = RationalFunction(*bhat.rational())
     ws = r * np.exp(2j * np.pi * np.arange(S) / S)
     counts, vals, spread, bad = _inner_fibers(f, bres.fiber_poly(ws), bhat.order, tol)
@@ -391,17 +388,16 @@ class Decomposition:
         }
 
 
-def _held_out_points(bhat, count, limit, rng_seed=20240613, cap=40000):
+def _held_out_points(inner, count, limit, rng_seed=20240613, cap=40000):
     rng = np.random.default_rng(rng_seed)
     pts = []
-    bres = RationalFunction(*bhat.rational())
     draws = 0
     while len(pts) < count and draws < cap:
         block = rng.uniform(-0.95, 0.95, size=(256, 2))
         draws += 256
         zs = block[:, 0] + 1j * block[:, 1]
         zs = zs[np.abs(zs) <= 0.95]
-        vals = bres.value(zs)
+        vals = inner.value(zs)
         good = zs[np.abs(vals) <= limit]
         pts.extend(good.tolist())
     if len(pts) < count:
@@ -429,9 +425,9 @@ def decompose(spec, omega0=None, test_points=200):
     search that would propose more than _CANDIDATE_CAP blocks raises
     FiberError instead.
     """
-    f = _as_rational(spec)
+    f = RationalFunction.from_spec(spec)
     curve = geometry.boundary_curve(f, 1024)
-    bvs = _clustered_branch_values(spec)
+    bvs = _clustered_branch_values(f)
     if omega0 is None:
         omega0 = default_base_point(f, curve, bvs)
     else:
@@ -465,14 +461,13 @@ def decompose(spec, omega0=None, test_points=200):
             )
             bhat = inner_factor_from_block(fiber, block)
             try:
-                outer = outer_factor(spec, bhat)
+                outer = outer_factor(f, bhat)
             except (FiberError, RootFindingError):
                 continue
             try:
-                zs = _held_out_points(bhat, test_points, outer.eval_radius * 0.97)
-                bres = RationalFunction(*bhat.rational())
+                zs = _held_out_points(outer.inner, test_points, outer.taylor_radius * 0.97)
                 residual = float(
-                    np.max(np.abs(f.value(zs) - outer.value(bres.value(zs))))
+                    np.max(np.abs(f.value(zs) - outer.taylor(outer.inner.value(zs))))
                 )
             except (FiberError, DomainError):
                 continue

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from bundlelab import classify, monodromy, schemas
+from bundlelab import classify, funcspec, monodromy, schemas
 from bundlelab.blaschke import BlaschkeProduct, compose_blaschke, eval_blaschke, fiber_roots
 from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
@@ -110,7 +110,7 @@ def test_outer_factor_square_trivial():
     assert outer.consistency < 1e-10
     # recovered outer is a Moebius image of the identity: degree-1 behaviour
     ws = 0.3 * np.exp(2j * np.pi * np.arange(8) / 8)
-    vals = outer.value(ws)
+    vals = outer.taylor(ws)
     assert np.max(np.abs(vals)) < 1.0
 
 
@@ -150,6 +150,22 @@ def test_decompose_full_blaschke():
     dec = monodromy.decompose(BlaschkeSpec(B6))
     assert dec.m == 6
     assert dec.residual < 1e-8
+
+
+def test_decompose_reduces_its_spec_once(monkeypatch):
+    calls = []
+    to_rational = funcspec.to_rational
+
+    def counting_to_rational(spec, *args, **kw):
+        calls.append(spec)
+        return to_rational(spec, *args, **kw)
+
+    monkeypatch.setattr(funcspec, "to_rational", counting_to_rational)
+    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    for spec, m in ((f, 2), (G_CUBIC, 1)):
+        calls.clear()
+        assert monodromy.decompose(spec).m == m
+        assert calls == [spec], f"the spec was reduced {len(calls)} times"
 
 
 def test_decompose_reproducible_between_base_points():
@@ -200,7 +216,7 @@ def test_reconstruction_matches_on_fresh_points():
         w = bres.value(z)
         if abs(w) > 0.75:
             continue
-        worst = max(worst, abs(fr.value(z) - dec.outer.value(w)))
+        worst = max(worst, abs(fr.value(z) - dec.outer.taylor(w)))
         count += 1
     assert worst < 1e-8
 
@@ -221,7 +237,7 @@ def test_vector_oracle_equals_per_point_calls_bit_for_bit():
     f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
     h = monodromy.outer_factor(f, INNER)
     w = _oracle_points()
-    for name in ("oracle_value", "oracle_derivative", "oracle_second_derivative"):
+    for name in ("value", "derivative", "second_derivative"):
         method = getattr(h, name)
         assert np.array_equal(method(w), np.array([method(x) for x in w])), name
 
@@ -229,7 +245,7 @@ def test_vector_oracle_equals_per_point_calls_bit_for_bit():
 def test_vector_oracle_names_the_first_point_outside_the_disk():
     h = monodromy.outer_factor(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)), INNER)
     w = np.array([0.1, 0.2j, 1.5, -1.0 - 0.2j, 0.3])
-    for name in ("oracle_value", "oracle_derivative", "oracle_second_derivative"):
+    for name in ("value", "derivative", "second_derivative"):
         with pytest.raises(DomainError, match=re.escape(f"preimage of {w[2]} inside")):
             getattr(h, name)(w)
 
