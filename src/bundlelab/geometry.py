@@ -16,7 +16,6 @@ cells.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -186,10 +185,11 @@ def index_map(spec, bounds, resolution, probes_per_region=5):
     xs = re_min + (np.arange(resolution) + 0.5) * cell_w
     ys = im_min + (np.arange(resolution) + 0.5) * cell_h
     X, Y = np.meshgrid(xs, ys)
+    width = _BOUNDARY_BAND_DIAGONALS * diag
     tree = cKDTree(np.column_stack([curve.real, curve.imag]))
-    dist, _ = tree.query(np.column_stack([X.ravel(), Y.ravel()]), workers=_workers())
-    band = (dist.reshape(resolution, resolution)
-            < _BOUNDARY_BAND_DIAGONALS * diag)
+    # cells farther than the band width get an infinite distance
+    dist, _ = tree.query(np.column_stack([X.ravel(), Y.ravel()]), distance_upper_bound=width)
+    band = dist.reshape(resolution, resolution) < width
 
     grid = np.full((resolution, resolution), -1, dtype=np.int16)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
@@ -234,17 +234,6 @@ def _refine_to_spacing(f, curve, spacing):
         t = np.sort(np.concatenate([t, mids]))
         vals = f.value(np.exp(2j * np.pi * t))
     return vals
-
-
-def _workers():
-    """Worker cap for grid queries; BUNDLE_LAB_THREADS overrides 'all cores'."""
-    val = os.environ.get("BUNDLE_LAB_THREADS", "")
-    if val.strip():
-        try:
-            return max(1, int(val))
-        except ValueError:
-            pass
-    return -1
 
 
 def _spread_picks(cells, count):
