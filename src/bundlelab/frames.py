@@ -351,23 +351,21 @@ def cpb_check(B, w, n_max, K):
     zeros = np.array(B.zeros, dtype=complex)
     if zeros.size == 0 or np.min(np.abs(zeros)) > 1e-9:
         raise DomainError("this check needs 0 among the zeros")
-    rows = K + 1
-    ks = np.arange(rows, dtype=float)
+    ks = np.arange(K + 1, dtype=float)
+    ns = np.arange(n_max + 1)
     betas = w.betas(K)
-    bser = series.taylor(BlaschkeSpec(B), K)
-    bprime = series.derivative(series.taylor(BlaschkeSpec(B), K + 1))
-    lhs_cols = np.empty((rows, n_max + 1), dtype=complex)
-    rhs_cols = np.empty((rows, n_max + 1), dtype=complex)
     tilde_row = (ks + 1.0) * betas  # beta~_k
     d_row = (ks + 2.0) / (ks + 1.0)
     w_row = w.weights(K + 1)  # w_{k+1} at index k, length K+1
-    power = series.PowerSeries(np.concatenate([[1.0 + 0j], np.zeros(K)]))
-    for n in range(n_max + 1):
-        nxt = series.multiply(power, bser)  # B^{n+1}
-        lhs_cols[:, n] = nxt.padded(K) * tilde_row / ((n + 1.0) * betas[n])
-        v = series.multiply(bprime, power)  # B' * B^n
-        rhs_cols[:, n] = v.padded(K) * d_row * w_row * betas / betas[n]
-        power = nxt
+    # B = P/Q and B' = N1/Q^2; column n holds B^n
+    f = funcspec.RationalFunction.from_spec(BlaschkeSpec(B))
+    powers = np.zeros((K + 1, n_max + 2), dtype=complex)
+    powers[0, 0] = 1.0
+    for n in ns:
+        powers[:, n + 1] = series.rational(f.P, f.Q, powers[:, n])
+    lhs_cols = powers[:, 1:] * tilde_row[:, None] / ((ns + 1.0) * betas[ns])
+    bprime_powers = series.rational(f.N1, np.convolve(f.Q, f.Q), powers[:, :-1])
+    rhs_cols = bprime_powers * (d_row * w_row * betas)[:, None] / betas[ns]
     G_l = lhs_cols.conj().T @ lhs_cols
     G_r = rhs_cols.conj().T @ rhs_cols
     return IdentityCheckReport(float(np.max(np.abs(G_l - G_r))), n_max, K)
@@ -429,19 +427,19 @@ def column_norm_profile(z0, w, n_max, rel_tail=1e-6, K0=512, K_cap=1 << 17):
 def moebius_derivative_power_norm(t, N, K=2048):
     """Classical-space norm of (phi_t')^N for the real automorphism phi_t.
 
-    phi_t' = (t^2 - 1)/(1 - t z)^2 expands exactly as
-    (t^2 - 1) * sum (k+1) t^k z^k.
+    phi_t' = (t^2 - 1)/(1 - t z)^2, so each power is the last one times this
+    rational function, one :func:`series.rational` recursion on K + 1
+    coefficients.
     """
     from .weights import WeightSequence
 
     if not 0 < t < 1:
         raise DomainError("t must lie in (0, 1)")
-    ks = np.arange(K + 1, dtype=float)
-    base = series.PowerSeries((t * t - 1.0) * (ks + 1.0) * t**ks)
-    power = base
-    for _ in range(N - 1):
-        power = series.multiply(power, base)
-    return series.norm(power, WeightSequence.hardy())
+    power = np.zeros(K + 1, dtype=complex)
+    power[0] = 1.0
+    for _ in range(N):
+        power = series.rational([t * t - 1.0], [1.0, -2.0 * t, t * t], power)
+    return series.norm(series.PowerSeries(power), WeightSequence.hardy())
 
 
 def derivative_power_lower_bound(t, N):

@@ -30,8 +30,6 @@ __all__ = [
     "norm",
 ]
 
-_FFT_THRESHOLD = 768
-
 
 class PowerSeries:
     """Coefficient vector c[k] of z^k for k = 0..K."""
@@ -64,13 +62,6 @@ class PowerSeries:
         n = min(K + 1, self.coeffs.size)
         out[:n] = self.coeffs[:n]
         return out
-
-
-def _conv(a, b, nout):
-    if a.size + b.size <= _FFT_THRESHOLD:
-        return np.convolve(a, b)[:nout]
-    n = a.size + b.size - 1
-    return np.fft.ifft(np.fft.fft(a, n) * np.fft.fft(b, n))[:nout]
 
 
 def rational(P, Q, X):
@@ -115,7 +106,7 @@ def taylor(spec, K):
 def multiply(f, g):
     """Cauchy product truncated at min(K_f, K_g)."""
     n = min(f.K, g.K) + 1
-    return PowerSeries(_conv(f.coeffs, g.coeffs, n))
+    return PowerSeries(np.convolve(f.coeffs, g.coeffs)[:n])
 
 
 def derivative(f):
