@@ -16,7 +16,7 @@ import numpy as np
 
 from . import frames, monodromy, operators, series
 from .blaschke import BlaschkeProduct, MoebiusTransform
-from .errors import BundleLabError, DomainError
+from .errors import BundleLabError, DomainError, FiberError
 from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction, spec_to_text
 from .monodromy import RecoveredOuter
 from .weights import POLYNOMIAL
@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-8
-_SEED_RADIUS = 0.95
 
 
 @dataclass
@@ -288,20 +287,28 @@ def _refine_match(g1, g2, theta, z0, samples):
 def moebius_match(g1, g2, tol=_MATCH_TOL):
     """Search for phi in Aut(D) with g2 = g1 o phi.
 
-    Seeds come from the g1-preimages of g2(0): the chain rule fixes phi'(0)
-    from the first derivatives, or from the second derivatives (two sign
-    candidates) when the seed is a critical point of g1.  Each seed is
-    refined by damped Gauss-Newton over 64 fixed disk samples; absence of a
-    passing candidate returns None.  Each of g1, g2 is a spec, a
-    RationalFunction or a RecoveredOuter (evaluated through its exact fiber
-    oracle).
+    Seeds come from every g1-preimage of g2(0) in the disk: the chain rule
+    fixes phi'(0) from the first derivatives, or from the second derivatives
+    (two sign candidates) when the seed is a critical point of g1.  Each seed
+    is refined by damped Gauss-Newton over 64 fixed disk samples.  Each of
+    g1, g2 is a spec, a RationalFunction or a RecoveredOuter (evaluated
+    through its exact fiber oracle).
+
+    Returns the best passing candidate, or None when there is none and the
+    search was complete.  The search is incomplete when a preimage lies
+    beyond g1.eval_radius, sits on a critical point of order above 2, or
+    its refinement returns None or raises DomainError; then, with no
+    passing candidate, FiberError names every such seed instead.
     """
     g1, g2 = (g if isinstance(g, RecoveredOuter) else RationalFunction.from_spec(g)
               for g in (g1, g2))
     v0 = complex(g2.value(0.0))
     d2 = complex(g2.derivative(0.0))
-    seeds = []
-    for p in g1.preimages(v0, _SEED_RADIUS):
+    seeds, skipped = [], []
+    for p in g1.preimages(v0, 1.0):
+        if abs(p) > g1.eval_radius:
+            skipped.append(f"preimage {p:.6g} lies beyond radius {g1.eval_radius}")
+            continue
         d1 = complex(g1.derivative(p))
         if abs(d1) > 1e-8:
             s = d2 / d1
@@ -312,6 +319,7 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
             dd1 = complex(g1.second_derivative(p))
             dd2 = complex(g2.second_derivative(0.0))
             if abs(dd1) < 1e-12:
+                skipped.append(f"preimage {p:.6g} is a critical point of order above 2")
                 continue
             root = np.sqrt(dd2 / dd1)
             for sgn in (root, -root):
@@ -320,14 +328,14 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
                 seeds.append((theta, p * np.exp(-1j * theta)))
     passing = []
     for theta, z0 in seeds:
-        if abs(z0) >= 0.999:
-            continue
         samples = _match_samples(abs(z0), g1.eval_radius)
         try:
             refined = _refine_match(g1, g2, theta, complex(z0), samples)
-        except DomainError:
+        except DomainError as exc:
+            skipped.append(f"refinement from {z0:.6g} failed: {exc}")
             continue
         if refined is None:
+            skipped.append(f"refinement from {z0:.6g} left the evaluable disk")
             continue
         params, res = refined
         if res < tol:
@@ -335,6 +343,8 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
             zz = complex(params[1], params[2])
             passing.append((res, th, zz))
     if not passing:
+        if skipped:
+            raise FiberError("; ".join(skipped))
         return None
     passing.sort(key=lambda c: c[0])
     deduped = []
@@ -412,9 +422,10 @@ def similar(h1, h2, w, K=512, attach_riesz=False):
             )
     if j1.m != j2.m:
         return Verdict("not_similar", "order mismatch", evidence)
-    match = moebius_match(j1.outer, j2.outer)
-    if match is None:
-        match = _reverse_match(j2.outer, j1.outer)
+    try:
+        match = moebius_match(j1.outer, j2.outer) or _reverse_match(j2.outer, j1.outer)
+    except BundleLabError as exc:
+        return Verdict("inconclusive", f"Moebius match incomplete: {exc}", evidence)
     if match is None:
         return Verdict("not_similar", "Moebius match failed", evidence)
     evidence["match"] = {

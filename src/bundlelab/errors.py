@@ -18,7 +18,8 @@ class RootFindingError(BundleLabError):
 
 
 class FiberError(BundleLabError):
-    """A fiber is inconsistent (wrong cardinality or points too close)."""
+    """A fiber is inconsistent (wrong cardinality or points too close), or a
+    search over its points could not be completed."""
 
 
 class NumericalSingularityError(BundleLabError):

@@ -2,15 +2,19 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from bundlelab import classify, frames
+from bundlelab import classify, frames, monodromy
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
+from bundlelab.errors import FiberError
 from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec
 from bundlelab.weights import WeightSequence
 
 BERGMAN = WeightSequence.bergman(1)
 HARDY = WeightSequence.hardy()
 G = PolySpec((0, 1, 0, 2))
+INNER = BlaschkeProduct((0, 0.4), np.pi)
 
 
 def _pair(z1, z2):
@@ -232,3 +236,32 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     assert len(grams) == len(built), (len(grams), built)
     assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
     assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"
+
+
+@st.composite
+def _moebius_pairs(draw):
+    """g and g o phi_a: g a polynomial of degree 2-3, |a| <= 0.99, any phase."""
+    parts = st.floats(-2.0, 2.0)
+    g = [complex(draw(parts), draw(parts)) for _ in range(draw(st.integers(3, 4)))]
+    assume(abs(g[-1]) > 0.1)
+    # drawn from the edge inward, so that |a| near 0.99 is tried often
+    a = (0.99 - draw(st.floats(0.0, 0.99))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    phi = MoebiusTransform(a, draw(st.floats(0.0, 2.0 * np.pi)))
+    return PolySpec(tuple(g)), ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(phi))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_moebius_pairs())
+def test_similar_never_denies_a_moebius_precomposition(pair):
+    g, g_phi = pair
+    v = classify.similar(g, g_phi, BERGMAN)
+    assert v.status != "not_similar", v.reason
+
+
+def test_incomplete_moebius_match_is_inconclusive():
+    # the seed phi(0) = 0.98 lies beyond the oracle radius of a recovered outer
+    g = PolySpec((0, 1, 0, 2))
+    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.98)))
+    h = monodromy.outer_factor(ComposeSpec(g, BlaschkeSpec(INNER)), INNER)
+    with pytest.raises(FiberError, match="beyond radius 0.97"):
+        classify.moebius_match(h, g_phi)
