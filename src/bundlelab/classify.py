@@ -35,6 +35,7 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-8
+_Z0_LIMIT = 0.999  # phi(0) is refined only for |phi(0)| below this
 
 
 @dataclass
@@ -233,7 +234,7 @@ def _refine_match(g1, g2, theta, z0, samples):
         pts = []
         for th, x, y in param_sets:
             zz = complex(x, y)
-            if abs(zz) >= 0.999:
+            if abs(zz) >= _Z0_LIMIT:
                 return None
             p = _phi_eval(th, zz, samples)
             if np.max(np.abs(p)) > g1.eval_radius:
@@ -287,27 +288,29 @@ def _refine_match(g1, g2, theta, z0, samples):
 def moebius_match(g1, g2, tol=_MATCH_TOL):
     """Search for phi in Aut(D) with g2 = g1 o phi.
 
-    Seeds come from every g1-preimage of g2(0) in the disk: the chain rule
-    fixes phi'(0) from the first derivatives, or from the second derivatives
-    (two sign candidates) when the seed is a critical point of g1.  Each seed
-    is refined by damped Gauss-Newton over 64 fixed disk samples.  Each of
-    g1, g2 is a spec, a RationalFunction or a RecoveredOuter (evaluated
-    through its exact fiber oracle).
+    Seeds come from every g1-preimage of g2(0) in the open disk (one on the
+    circle cannot be phi(0)): the chain rule fixes phi'(0) from the first
+    derivatives, or from the second derivatives (two sign candidates) when
+    the seed is a critical point of g1.  Each seed is refined by damped
+    Gauss-Newton over 64 fixed disk samples.  Each of g1, g2 is a spec, a
+    RationalFunction or a RecoveredOuter (evaluated through its exact fiber
+    oracle).
 
     Returns the best passing candidate, or None when there is none and the
-    search was complete.  The search is incomplete when a preimage lies
-    beyond g1.eval_radius, sits on a critical point of order above 2, or
-    its refinement returns None or raises DomainError; then, with no
-    passing candidate, FiberError names every such seed instead.
+    search was complete.  The search is incomplete when a preimage lies at
+    or beyond min(g1.eval_radius, 0.999), sits on a critical point of order
+    above 2, or its refinement returns None or raises DomainError; then,
+    with no passing candidate, FiberError names every such seed instead.
     """
     g1, g2 = (g if isinstance(g, RecoveredOuter) else RationalFunction.from_spec(g)
               for g in (g1, g2))
     v0 = complex(g2.value(0.0))
     d2 = complex(g2.derivative(0.0))
     seeds, skipped = [], []
-    for p in g1.preimages(v0, 1.0):
-        if abs(p) > g1.eval_radius:
-            skipped.append(f"preimage {p:.6g} lies beyond radius {g1.eval_radius}")
+    limit = min(g1.eval_radius, _Z0_LIMIT)
+    for p in g1.preimages(v0):
+        if abs(p) >= limit:
+            skipped.append(f"preimage {p:.6g} lies at or beyond radius {limit}")
             continue
         d1 = complex(g1.derivative(p))
         if abs(d1) > 1e-8:
@@ -422,10 +425,19 @@ def similar(h1, h2, w, K=512, attach_riesz=False):
             )
     if j1.m != j2.m:
         return Verdict("not_similar", "order mismatch", evidence)
-    try:
-        match = moebius_match(j1.outer, j2.outer) or _reverse_match(j2.outer, j1.outer)
-    except BundleLabError as exc:
-        return Verdict("inconclusive", f"Moebius match incomplete: {exc}", evidence)
+    # an incomplete search in one direction still leaves the other to try
+    match, incomplete = None, []
+    for search, g1, g2 in ((moebius_match, j1.outer, j2.outer),
+                           (_reverse_match, j2.outer, j1.outer)):
+        try:
+            match = search(g1, g2)
+        except BundleLabError as exc:
+            incomplete.append(str(exc))
+        if match is not None:
+            break
+    if match is None and incomplete:
+        return Verdict("inconclusive", "Moebius match incomplete: "
+                       + "; ".join(incomplete), evidence)
     if match is None:
         return Verdict("not_similar", "Moebius match failed", evidence)
     evidence["match"] = {

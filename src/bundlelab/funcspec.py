@@ -238,13 +238,12 @@ class RationalFunction:
         R[..., : self.Q.size] -= np.multiply.outer(omega, self.Q)
         return R
 
-    def preimages(self, v, radius):
-        """Preimages of v in |z| <= radius with multiplicity, in lexicographic order."""
+    def preimages(self, v):
+        """Preimages of v in the open disk with multiplicity, in lexicographic order."""
         R = self.fiber_poly(v)
         if np.max(np.abs(R)) == 0.0:
             return []
-        roots = fiber_roots(R, np.inf)  # preimages may lie on |z| = radius
-        return with_multiplicity(roots[np.abs(roots) <= radius])
+        return with_multiplicity(fiber_roots(R, 1.0))
 
 
 def _poly_deriv(c):

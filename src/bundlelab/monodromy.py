@@ -211,11 +211,11 @@ class RecoveredOuter:
         out = np.array(vals)
         return out if out.size > 1 else complex(out[0])
 
-    def preimages(self, v, radius):
-        """h-preimages of v: inner-factor images of the f-fiber over v."""
+    def preimages(self, v):
+        """h-preimages of v in the open disk: inner-factor images of the f-fiber over v."""
         roots = fiber_roots(self.source.fiber_poly(v), 1.0)
         ws = [complex(self.inner.value(z)) for z in roots]
-        inside = [w for w in ws if abs(w) <= radius]
+        inside = [w for w in ws if abs(w) < 1.0]
         return sorted((c for c, _ in _cluster(inside, tol=1e-7)), key=_lex_key)
 
     def taylor(self, w):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bundlelab import classify, frames, monodromy
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from bundlelab.errors import FiberError
-from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec
+from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec, RationalFunction
 from bundlelab.weights import WeightSequence
 
 BERGMAN = WeightSequence.bergman(1)
@@ -79,8 +79,6 @@ def test_moebius_match_functional_identity():
     g2 = ComposeSpec(G, BlaschkeSpec(phi_true))
     m = classify.moebius_match(G, g2)
     assert m is not None and m.residual < 1e-8
-    from bundlelab.funcspec import RationalFunction
-
     g1 = RationalFunction.from_spec(G)
     g2r = RationalFunction.from_spec(g2)
     zs = 0.3 * np.exp(2j * np.pi * np.arange(12) / 12)
@@ -247,15 +245,64 @@ def _moebius_pairs(draw):
     # drawn from the edge inward, so that |a| near 0.99 is tried often
     a = (0.99 - draw(st.floats(0.0, 0.99))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
     phi = MoebiusTransform(a, draw(st.floats(0.0, 2.0 * np.pi)))
-    return PolySpec(tuple(g)), ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(phi))
+    return PolySpec(tuple(g)), ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(phi)), a
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
 @given(_moebius_pairs())
 def test_similar_never_denies_a_moebius_precomposition(pair):
-    g, g_phi = pair
+    g, g_phi, a = pair
     v = classify.similar(g, g_phi, BERGMAN)
-    assert v.status != "not_similar", v.reason
+    # near the circle a certificate may fail too, so only a denial is wrong there
+    if abs(a) <= 0.9:
+        assert v.status == "similar", v.reason
+    else:
+        assert v.status != "not_similar", v.reason
+
+
+def test_preimage_on_the_circle_is_not_a_seed():
+    # z + z^2 vanishes at 0 and at -1: the root on the circle cannot be phi(0)
+    g = PolySpec((0, 1, 1))
+    assert RationalFunction.from_spec(g).preimages(0.0) == [0.0]
+    assert classify.moebius_match(g, G) is None
+    assert classify.similar(g, G, BERGMAN).status == "not_similar"
+    assert classify.similar(G, g, BERGMAN).status == "not_similar"
+
+
+def _scripted_match(monkeypatch, results):
+    """Make moebius_match return (or raise) each of results in turn."""
+    calls = iter(results)
+
+    def fake(g1, g2):
+        out = next(calls)
+        if isinstance(out, Exception):
+            raise out
+        return out
+
+    monkeypatch.setattr(classify, "moebius_match", fake)
+
+
+def test_similar_tries_the_reverse_match_after_an_incomplete_one(monkeypatch):
+    found = classify.MoebiusMatch(MoebiusTransform(0.5, 0.3), 1e-12)
+    _scripted_match(monkeypatch, [FiberError("seed skipped"), found])
+    v = classify.similar(G, G, BERGMAN)
+    assert v.status == "similar"
+    assert v.evidence["match"]["residual"] == 1e-12
+
+
+@pytest.mark.parametrize("forward, reverse, status", [
+    (FiberError("forward skipped"), None, "inconclusive"),
+    (None, FiberError("reverse skipped"), "inconclusive"),
+    (None, None, "not_similar"),
+])
+def test_similar_denies_only_after_two_complete_searches(monkeypatch, forward, reverse,
+                                                          status):
+    _scripted_match(monkeypatch, [forward, reverse])
+    v = classify.similar(G, G, BERGMAN)
+    assert v.status == status, v.reason
+    if status == "inconclusive":
+        assert v.reason.startswith("Moebius match incomplete: ")
+        assert "skipped" in v.reason
 
 
 def test_incomplete_moebius_match_is_inconclusive():

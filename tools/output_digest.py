@@ -13,7 +13,7 @@ so that two checkouts are compared for byte identity with ``diff``.  The list
 is the README examples and the paper's named inputs (18 commands) plus every
 ``decompose-fuzz`` and ``verdict-pairs`` input of benchmark seeds 1 and 2 (50
 commands), which are taken from ``perfbench/workloads.py`` without changing
-it.  A whole run takes a few minutes on two cores.
+it.  A whole run took about 22 s on a 2-core machine.
 """
 
 from __future__ import annotations
