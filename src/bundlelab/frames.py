@@ -15,9 +15,12 @@ coefficient block are exposed:
 
 The extremal singular values come from the eigenvalues of the Gram matrix,
 which squares the condition number; a frame whose Gram matrix is too close
-to singular for that (cond > 1e4) falls back to a full SVD.  Riesz verdicts
-are finite-truncation statements: every report carries stability-under-
-doubling evidence and never an infinite-dimensional claim.
+to singular for that (cond > 1e4) falls back to a full SVD.  The eigenvalues
+are those of the Gram band: offsets past b are dropped for the smallest b whose
+dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
+roundoff level (b = m - 1 for Hardy); a band b >= n/16 is solved dense.  Riesz
+verdicts are finite-truncation statements: every report carries stability-
+under-doubling evidence and never an infinite-dimensional claim.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
+from scipy.linalg import eigvals_banded, eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import zherk
 
 from . import funcspec, series
@@ -57,6 +60,9 @@ _FLUSH = math.sqrt(np.finfo(float).tiny)
 # the Gram matrix gives s_min to about eps * cond^2 relative; below this
 # eigenvalue ratio (cond > 1e4) the extremes come from a full SVD instead
 _GRAM_RATIO = 1e-8
+# a Gram band b >= n/16 goes dense: with BLAS at one thread the two solvers
+# break even there for n = 150..1602 (n = 1602: b = 100 took 1.6 s, dense 1.7 s)
+_BAND_CROSSOVER = 16
 
 
 @dataclass
@@ -101,7 +107,9 @@ class FrameMatrix:
     def matrix(self, normalization="beta"):
         """Frame matrix in orthonormal coordinates, coefficient rows 0..K-1."""
         rscale, cscale = self._scales(normalization, self.K)
-        return self.taylor[: self.K] * rscale[:, None] * cscale[None, :]
+        A = self.taylor[: self.K] * rscale[:, None]
+        A *= cscale  # in place: no second block-sized temporary
+        return A
 
     def tail(self, normalization="beta"):
         """Max column norm carried by the pad rows at and beyond K."""
@@ -114,13 +122,23 @@ class FrameMatrix:
         """``(s_min, s_max)`` of ``matrix("beta")`` as numpy floats, computed once.
 
         Both come from the eigenvalues of the Gram matrix (``zherk`` fills one
-        triangle of the conjugate Gram, which has the same eigenvalues).  A
-        Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
-        instead; so does a wide matrix, whose Gram matrix is singular.
+        triangle of the conjugate Gram, which has the same eigenvalues), taken
+        by ``eigvals_banded`` on the band of :func:`_gram_band`, or by the dense
+        ``eigvalsh`` for a band b >= n/16.  A Gram eigenvalue ratio at or below
+        ``_GRAM_RATIO`` takes ``svdvals`` instead; so does a wide matrix, whose
+        Gram matrix is singular.
         """
         if self._extremes is None:
             A = self.matrix("beta")
-            lam = eigvalsh(zherk(1.0, A.T), lower=False, overwrite_a=True)
+            G = zherk(1.0, A.T)
+            b = _gram_band(G)
+            if _BAND_CROSSOVER * b < G.shape[0]:
+                band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
+                for k in range(b + 1):
+                    band[b - k, k:] = np.diagonal(G, k)
+                lam = eigvals_banded(band, overwrite_a_band=True)
+            else:
+                lam = eigvalsh(G, lower=False, overwrite_a=True)
             if lam[0] > _GRAM_RATIO * lam[-1]:
                 self._extremes = (np.sqrt(lam[0]), np.sqrt(lam[-1]))
             else:
@@ -131,6 +149,26 @@ class FrameMatrix:
     def rebuild(self, n_max, K):
         base = self.source if self.source is not None else self.product
         return build_frame(base, self.w, n_max, K)
+
+
+def _gram_band(G):
+    """Smallest b whose offsets past b have Frobenius mass <= sqrt(n)*eps*||G||_F.
+
+    ``G`` is upper triangular, as ``zherk`` leaves it.  The dropped mass is
+    summed from the outermost offset inwards, so that roundoff meets roundoff.
+    The product's roundoff in the outer half of frame Grams measured 0.1-1.7
+    eps*||G||_F; a bound of n*eps*||G||_F moved Bergman c1 by up to 3.2e-12."""
+    n = G.shape[0]
+    flat, diag = G.ravel(order="K"), np.diagonal(G)  # views, no n x n temporary
+    fro2 = 2.0 * np.vdot(flat, flat).real - np.vdot(diag, diag).real
+    tol2 = n * np.finfo(float).eps ** 2 * fro2
+    dropped = 0.0
+    for b in range(n - 1, 0, -1):
+        d = np.diagonal(G, b)
+        dropped += 2.0 * np.vdot(d, d).real
+        if dropped > tol2:
+            return b
+    return 0
 
 
 def _normalize_product(B):
@@ -269,15 +307,15 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling;
     * ``"inconclusive"``     -- the ladder budget ran out before stability.
     """
-    K, n_max = F.K, F.n_max
+    K, n_max, last = F.K, F.n_max, F
     c1, c2 = _extremal(F)
     ladder = [{"K": K, "n_max": n_max, "c1": c1, "c2": c2}]
     verdict = "inconclusive"
     rel1 = rel2 = math.inf
     for _ in range(max_doublings):
         K, n_max = 2 * K, 2 * n_max
-        Fd = F.rebuild(n_max, K)
-        c1d, c2d = _extremal(Fd)
+        last = F.rebuild(n_max, K)
+        c1d, c2d = _extremal(last)
         ladder.append({"K": K, "n_max": n_max, "c1": c1d, "c2": c2d})
         rel1 = abs(c1d - c1) / max(c1d, 1e-300)
         rel2 = abs(c2d - c2) / max(c2d, 1e-300)
@@ -297,7 +335,7 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     }
     return RieszReport(
         c1=c1, c2=c2, cond=math.sqrt(c2 / c1) if c1 > 0 else math.inf,
-        K=K, n_max=n_max, tail=F.tail("beta"), stability=stability,
+        K=K, n_max=n_max, tail=last.tail("beta"), stability=stability,
         verdict=verdict,
     )
 

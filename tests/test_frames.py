@@ -2,15 +2,17 @@
 import mpmath
 import numpy as np
 import pytest
-from scipy.linalg import svdvals
+from scipy.linalg import eigvalsh, svdvals
+from scipy.linalg.blas import zherk
 
 from bundlelab import frames, funcspec, series
 from bundlelab.blaschke import BlaschkeProduct
 from bundlelab.errors import DomainError
-from bundlelab.weights import WeightSequence
+from bundlelab.weights import WeightSequence, parse_weight_id
 
 HARDY = WeightSequence.hardy()
 BERGMAN = WeightSequence.bergman(1)
+ZEROS = {1: (0.5,), 2: (0, 0.5), 3: (0, 0.5, -0.3 + 0.4j)}
 
 
 def test_monomial_frame_is_identity_block():
@@ -102,6 +104,47 @@ def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
     assert calls == [1]
 
 
+def _spy(monkeypatch, name):
+    """Record each call of the module-level ``frames.<name>``."""
+    calls, f = [], getattr(frames, name)
+    monkeypatch.setattr(frames, name, lambda *a, **k: calls.append(1) or f(*a, **k))
+    return calls
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+@pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "polygrowth:M=2"])
+def test_banded_extremes_match_dense_eigvalsh(monkeypatch, wid, order):
+    # at crossover 1 every band narrower than the matrix is solved banded
+    monkeypatch.setattr(frames, "_BAND_CROSSOVER", 1)
+    banded = _spy(monkeypatch, "eigvals_banded")
+    F = frames.build_frame(BlaschkeProduct(ZEROS[order]), parse_weight_id(wid), 100, 512)
+    A = F.matrix("beta")
+    lam = eigvalsh(A.conj().T @ A)
+    s_min, s_max = F.extremes()
+    assert banded == [1]
+    assert s_min == pytest.approx(np.sqrt(lam[0]), rel=1e-12)
+    assert s_max == pytest.approx(np.sqrt(lam[-1]), rel=1e-12)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_hardy_gram_band_is_the_pick_block(order):
+    F = frames.build_frame(BlaschkeProduct(ZEROS[order]), HARDY, 100, 512)
+    assert frames._gram_band(zherk(1.0, F.matrix("beta").T)) == order - 1
+
+
+def test_dense_gram_takes_the_dense_route(monkeypatch):
+    banded, dense = _spy(monkeypatch, "eigvals_banded"), _spy(monkeypatch, "eigvalsh")
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((200, 60)) + 1j * rng.standard_normal((200, 60))
+    F = frames.FrameMatrix(BlaschkeProduct((0, 0.5)), HARDY, 29, 200, X, pad=0)
+    assert frames._gram_band(zherk(1.0, X.T)) == 59
+    s = svdvals(X)
+    s_min, s_max = F.extremes()
+    assert (banded, dense) == ([], [1])
+    assert s_min == pytest.approx(s[-1], rel=1e-12)
+    assert s_max == pytest.approx(s[0], rel=1e-12)
+
+
 def test_build_frame_rejects_repeated_zeros():
     with pytest.raises(DomainError, match="distinct"):
         frames.build_frame(BlaschkeProduct((0.3, 0.3)), HARDY, 4, 64)
@@ -159,6 +202,15 @@ def test_riesz_key_regime_stability():
     assert rep.c1 > 0.01
     assert rep.stability["c1_rel_change"] <= 0.01
     assert rep.stability["c2_rel_change"] <= 0.01
+
+
+def test_riesz_reports_the_tail_of_its_last_rung():
+    B = BlaschkeProduct(ZEROS[3])
+    F = frames.build_frame(B, HARDY, 50, 256)
+    rep = frames.riesz_bounds(F)
+    assert (rep.K, rep.n_max) == (512, 100)
+    assert rep.tail == frames.build_frame(B, HARDY, 100, 512).tail("beta")
+    assert rep.tail < 1e-3 * F.tail("beta")
 
 
 def test_riesz_degenerating_on_intermediate_growth():

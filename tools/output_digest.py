@@ -2,6 +2,7 @@
 
     python3 tools/output_digest.py > digest.txt
     diff digest-parent.txt digest-change.txt
+    python3 tools/output_digest.py --values > values.txt   # a drift check
 
 Runs every command of ``commands()`` in-process through ``bundlelab.cli.main``
 from this checkout's ``src/``, each with its own output directory, with BLAS
@@ -9,11 +10,15 @@ pinned to one thread.  For every file a command writes it prints one line
 
     <sha256> <exit code> <command> -> <file name>
 
-so that two checkouts are compared for byte identity with ``diff``.  The list
-is the README examples and the paper's named inputs (18 commands) plus every
-``decompose-fuzz`` and ``verdict-pairs`` input of benchmark seeds 1 and 2 (50
-commands), which are taken from ``perfbench/workloads.py`` without changing
-it.  A whole run took about 22 s on a 2-core machine.
+so that two checkouts are compared for byte identity with ``diff``.  With
+``--values`` each ``result.json`` line is followed by one line per number in
+it, ``  c<k> <path> <value>`` (``c<k>`` is the command's output directory),
+so that a change meant to move the numbers only by roundoff is checked with
+``diff`` too.  The list is the README examples and the paper's named inputs
+(18 commands) plus every ``decompose-fuzz``, ``verdict-pairs`` and
+``riesz-ladder`` input of benchmark seeds 1 and 2 (66 commands), which are
+taken from ``perfbench/workloads.py`` without changing it.  A whole run of
+the 84 commands took about 26 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import os
 import shlex
 import sys
@@ -63,14 +69,27 @@ def commands():
 
     cmds = list(NAMED)
     for seed in (1, 2):
-        for make in (workloads.decompose_fuzz, workloads.verdict_pairs):
+        for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
     return cmds
+
+
+def numbers(value, path=""):
+    """``(path, number)`` for every int or float leaf of a JSON value."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from numbers(item, f"{path}.{key}" if path else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from numbers(item, f"{path}[{i}]")
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, value
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--work", help="directory for the outputs (default: a fresh temporary one)")
+    p.add_argument("--values", action="store_true", help="also print every number of each result.json")
     args = p.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     import bundlelab.cli
@@ -85,6 +104,9 @@ def main(argv=None):
         for path in files:
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {code} {text} -> {path.name}", flush=True)
+            if args.values and path.name == "result.json":
+                for key, value in numbers(json.loads(path.read_text())):
+                    print(f"  {out.name} {key} {value!r}")
         if not files:
             print(f"- {code} {text} -> (no file)", flush=True)
     return 0
