@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frames, monodromy, operators, series
+from . import frames, funcspec, monodromy, operators, series
 from .blaschke import BlaschkeProduct, MoebiusTransform
 from .errors import BundleLabError, DomainError, FiberError
 from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction, spec_to_text
@@ -74,28 +74,22 @@ class SimilarityCertificate:
         }
 
 
-def _block_shift(w, n_max, m):
-    """The direct sum of m copies of M_z in the (power-major, kernel-minor) layout."""
-    ncols = m * (n_max + 1)
-    S = np.zeros((ncols, ncols), dtype=complex)
-    ws = w.weights(n_max + 1)
-    for n in range(n_max):
-        for j in range(m):
-            S[(n + 1) * m + j, n * m + j] = ws[n]
-    return S
-
-
 def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
     """Deformation X with columns the beta-normalized frame of B.
 
     X carries the direct sum of ``order`` copies of M_z onto M_B column by
-    column, so the residual on the interior block is pure roundoff; the
-    certificate is accepted when the residual is tiny, cond(X) is stable
-    under doubling K, and the attached Riesz report does not degenerate.
+    column, so the residual on the interior block (every power below n_max,
+    hence n_max >= 1) is pure roundoff; the certificate is accepted when the
+    residual is tiny, cond(X) is stable under doubling K, and the attached
+    Riesz report does not degenerate.  M_B X comes from the rational
+    recursion (:meth:`frames.FrameMatrix.times`) and X times the block shift
+    is a column shift scaled by the weights, so no K x K matrix is formed.
     Zeros close to the circle slow the column decay, so the row truncation
     climbs a doubling ladder (up to ``K_cap``) until cond stabilizes.
     Fails (accepted=False) on intermediate-growth presets, as it must.
     """
+    if n_max < 1:
+        raise ValueError("the block-shift identity needs n_max >= 1")
     if w.growth_certificate != POLYNOMIAL:
         warnings.warn(
             f"weights {w.id} are not certified polynomial growth; "
@@ -114,15 +108,10 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         if (rel < 0.05 and F.tail("beta") < 1e-8) or F.K >= K_cap:
             break
         F = Fd
-    K_eff = F.K
-    Bn = F.product
-    X = F.matrix("beta")
-    MB = operators.mult_matrix(
-        series.taylor(BlaschkeSpec(Bn), K_eff - 1), w, K_eff
-    ).entries
-    R = MB @ X - X @ _block_shift(w, n_max, m)
-    interior = R[:, : m * n_max] if n_max else R
-    residual = float(np.max(np.abs(interior))) if interior.size else 0.0
+    # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
+    R = F.times(*funcspec.to_rational(BlaschkeSpec(F.product)))[:, : m * n_max]
+    R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
+    residual = float(np.max(np.abs(R)))
     riesz = frames.riesz_bounds(F) if attach_riesz else None
     accepted = (
         residual < 1e-8
@@ -134,7 +123,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         cond=cond,
         cond_doubled=cond_d,
         cond_rel_change=rel,
-        K=K_eff,
+        K=F.K,
         n_max=n_max,
         order=m,
         accepted=accepted,
@@ -160,9 +149,11 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
     """Jordan data of f: multiplicity m, indecomposable outer part, inner B.
 
     The deformation is reused from the inner product's intertwiner through
-    the direct identity  M_{f o psi} X = X (direct sum of M_h):  both sides
-    are formed with plain multiplication matrices and compared on the
-    columns whose outer expansion fits under n_max.
+    the direct identity  M_{f o psi} X = X (direct sum of M_h), compared on
+    the columns whose outer expansion fits under n_max.  The left side is the
+    rational recursion of f o psi on the frame (:meth:`frames.FrameMatrix.times`);
+    the right side is one product of X, its powers laid next to its rows,
+    with the (n_max+1)-square M_h.
     """
     dec = monodromy.decompose(spec)
     if dec.m == 1:
@@ -177,18 +168,19 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
     cert = douglas_intertwiner(dec.inner, w, K=K, n_max=n_max,
                                attach_riesz=attach_riesz)
     F = cert.frame
-    K_eff = F.K
-    X = F.matrix("beta")
-    m = F.m
+    K, m = F.K, F.m
     inner_spec = spec
     if F.conjugator is not None:
         inner_spec = ComposeSpec(spec, BlaschkeSpec(F.conjugator))
-    Mf = operators.mult_matrix(series.taylor(inner_spec, K_eff - 1), w, K_eff).entries
+    nb = max(n_max + 1 - L, 0)
+    ncheck = nb * m
     Mh = operators.mult_matrix(series.PowerSeries(h.coeffs), w, n_max + 1).entries
-    H_blk = np.kron(Mh, np.eye(m, dtype=complex))
-    R = Mf @ X - X @ H_blk
-    ncheck = max(n_max + 1 - L, 0) * m
-    direct = float(np.max(np.abs(R[:, :ncheck]))) if ncheck else float("nan")
+    # X (M_h kron I_m): with X reshaped to rows (i, j) and columns n, one product
+    X = F.matrix("beta").reshape(K, n_max + 1, m).transpose(0, 2, 1)
+    XH = (X.reshape(K * m, n_max + 1) @ Mh[:, :nb]).reshape(K, m, nb)
+    R = F.times(*funcspec.to_rational(inner_spec))[:, :ncheck]
+    R -= XH.transpose(0, 2, 1).reshape(K, ncheck)
+    direct = float(np.max(np.abs(R))) if ncheck else float("nan")
     return JordanResult(
         m=dec.m, outer=h, inner=dec.inner, decomposition=dec,
         certificate=cert, direct_residual=direct,

@@ -347,7 +347,7 @@ def _cmd_douglas(config):
     w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
     B = _blaschke_from(config)
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    n_max = _option(config, "n-max", 100, int, lambda n: n >= 0)
+    n_max = _option(config, "n-max", 100, int, lambda n: n >= 1)
     cert = classify.douglas_intertwiner(B, w, K=K, n_max=n_max)
     _emit(config, {"weights": w.id, "blaschke": config.get("blaschke"),
                    "trunc": K, "n-max": n_max}, cert.to_dict())

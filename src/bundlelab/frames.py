@@ -111,6 +111,19 @@ class FrameMatrix:
         A *= cscale  # in place: no second block-sized temporary
         return A
 
+    def times(self, P, Q):
+        """M_{P/Q} applied to ``matrix("beta")``, without forming M_{P/Q}.
+
+        With M_f[i, j] = fhat(i-j) beta_i/beta_j the beta_j cancel the row
+        scale of the frame, so the product is :func:`series.rational` on the
+        Taylor rows 0..K-1, then scaled in place like ``matrix``.
+        """
+        rscale, cscale = self._scales("beta", self.K)
+        A = series.rational(P, Q, self.taylor[: self.K])
+        A *= rscale[:, None]
+        A *= cscale
+        return A
+
     def tail(self, normalization="beta"):
         """Max column norm carried by the pad rows at and beyond K."""
         rows = self.K + self.pad
@@ -258,7 +271,8 @@ def gram(F, normalization="raw"):
     """Conjugate-transpose(A) @ A with per-column tail diagnostics."""
     rows = F.K + F.pad
     rscale, cscale = F._scales(normalization, rows)
-    full = F.taylor * rscale[:, None] * cscale[None, :]
+    full = F.taylor * rscale[:, None]
+    full *= cscale  # in place, as in FrameMatrix.matrix
     A = full[: F.K]
     tails = np.linalg.norm(full[F.K :], axis=0)
     return GramResult(A.conj().T @ A, normalization, tails)

@@ -45,14 +45,6 @@ class OperatorMatrix:
         if not np.all(np.isfinite(self.entries)):
             raise ValueError("operator entries must be finite")
 
-    @property
-    def shape(self):
-        return self.entries.shape
-
-    def __matmul__(self, other):
-        rhs = other.entries if isinstance(other, OperatorMatrix) else other
-        return self.entries @ rhs
-
 
 def _ratio_matrix(w, K):
     """R[i, j] = beta_i / beta_j, computed from log-betas."""

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bundlelab import classify, frames, monodromy
+from bundlelab import classify, frames, monodromy, operators, series
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from bundlelab.errors import FiberError
 from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec, RationalFunction
@@ -234,6 +234,53 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     assert len(grams) == len(built), (len(grams), built)
     assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
     assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"
+
+
+def test_intertwiner_residuals_match_dense_formulas():
+    # the README pair, against the K x K products the residuals stand for
+    for spec in _pair((0, 0.4), (0.2, -0.5)):
+        res = classify.jordan(spec, BERGMAN, attach_riesz=False)
+        F, m, n_max = res.certificate.frame, res.m, res.certificate.n_max
+        X = F.matrix("beta")
+        MB = operators.mult_matrix(
+            series.taylor(BlaschkeSpec(F.product), F.K - 1), BERGMAN, F.K).entries
+        shift = np.zeros((X.shape[1], X.shape[1]), dtype=complex)
+        ws = BERGMAN.weights(n_max + 1)
+        for n in range(n_max):
+            for j in range(m):
+                shift[(n + 1) * m + j, n * m + j] = ws[n]
+        douglas = np.max(np.abs((MB @ X - X @ shift)[:, : m * n_max]))
+        inner = spec if F.conjugator is None else ComposeSpec(spec, BlaschkeSpec(F.conjugator))
+        Mf = operators.mult_matrix(series.taylor(inner, F.K - 1), BERGMAN, F.K).entries
+        Mh = operators.mult_matrix(
+            series.PowerSeries(res.outer.coeffs), BERGMAN, n_max + 1).entries
+        R = Mf @ X - X @ np.kron(Mh, np.eye(m))
+        direct = np.max(np.abs(R[:, : res.checked_columns]))
+        assert res.certificate.residual == pytest.approx(douglas, abs=1e-12)
+        assert res.direct_residual == pytest.approx(direct, abs=1e-12)
+
+
+def test_intertwiners_form_no_matrix_beyond_the_outer_block(monkeypatch):
+    sizes = []
+    mult_matrix = operators.mult_matrix
+
+    def counting_mult_matrix(f, w, K):
+        sizes.append(K)
+        return mult_matrix(f, w, K)
+
+    monkeypatch.setattr(operators, "mult_matrix", counting_mult_matrix)
+    cert = classify.douglas_intertwiner(
+        BlaschkeProduct((0, 0.5)), BERGMAN, K=256, n_max=40, attach_riesz=False
+    )
+    assert cert.accepted and sizes == []
+    res = classify.jordan(ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4)))), BERGMAN)
+    assert res.m == 2 and res.certificate.accepted
+    assert sizes and max(sizes) <= res.certificate.n_max + 1, sizes
+
+
+def test_douglas_needs_an_interior_column():
+    with pytest.raises(ValueError, match="n_max >= 1"):
+        classify.douglas_intertwiner(BlaschkeProduct((0, 0.5)), BERGMAN, K=64, n_max=0)
 
 
 @st.composite

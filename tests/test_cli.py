@@ -251,6 +251,7 @@ _BAD_CONFIG = (
 @pytest.mark.parametrize("argv, code", [
     (["index-map", "--res", "0"], 64),
     (["counterexample", "--n-max", "1"], 64),
+    (["douglas", "--n-max", "0"], 64),  # no interior column to check
     (["riesz", "--n-max", "abc"], 64),
     (["gram", "--trunc", "4"], 64),
     (["riesz", "--blaschke", "blaschke(0; 1.5)"], 64),

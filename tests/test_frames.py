@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import eigvalsh, svdvals
 from scipy.linalg.blas import zherk
 
-from bundlelab import frames, funcspec, series
+from bundlelab import frames, funcspec, operators, series
 from bundlelab.blaschke import BlaschkeProduct
 from bundlelab.errors import DomainError
 from bundlelab.weights import WeightSequence, parse_weight_id
@@ -162,6 +162,23 @@ def test_build_frame_normalizes_missing_origin():
     lhs = eval_blaschke(F.product, zs)
     rhs = eval_blaschke(B, eval_blaschke(F.conjugator, zs))
     assert np.max(np.abs(lhs - rhs)) < 1e-12
+
+
+@pytest.mark.parametrize("zeros", [*ZEROS.values(), (0.4, -0.2)],
+                         ids=["order1", "order2", "order3", "no-zero-at-0"])
+@pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "polygrowth:M=2"])
+def test_times_matches_dense_multiplication(wid, zeros):
+    w = parse_weight_id(wid)
+    F = frames.build_frame(BlaschkeProduct(zeros), w, 20, 128)
+    # g o B, precomposed with the conjugator as jordan does when there is one
+    g = funcspec.PolySpec((0, 1, 0, 2))
+    spec = funcspec.ComposeSpec(g, funcspec.BlaschkeSpec(F.source))
+    if F.conjugator is not None:
+        spec = funcspec.ComposeSpec(spec, funcspec.BlaschkeSpec(F.conjugator))
+    M = operators.mult_matrix(series.taylor(spec, F.K - 1), w, F.K).entries
+    dense = M @ F.matrix("beta")
+    got = F.times(*funcspec.to_rational(spec))
+    assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
 
 
 def test_gram_identity_for_monomial_frame():

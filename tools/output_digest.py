@@ -14,11 +14,21 @@ so that two checkouts are compared for byte identity with ``diff``.  With
 ``--values`` each ``result.json`` line is followed by one line per number in
 it, ``  c<k> <path> <value>`` (``c<k>`` is the command's output directory),
 so that a change meant to move the numbers only by roundoff is checked with
-``diff`` too.  The list is the README examples and the paper's named inputs
-(18 commands) plus every ``decompose-fuzz``, ``verdict-pairs`` and
-``riesz-ladder`` input of benchmark seeds 1 and 2 (66 commands), which are
-taken from ``perfbench/workloads.py`` without changing it.  A whole run of
-the 84 commands took about 26 s on a 2-core machine.
+``diff`` too.
+
+    python3 tools/output_digest.py --compare values-parent.txt values-change.txt
+
+reads two ``--values`` outputs and fails (exit 1) when a command, an exit
+code, a file, a value path or the hash of a file other than ``result.json``
+differs.  Otherwise it prints, for each value path name (list indices
+collapsed to ``[]``) whose value moved, the largest absolute move and the
+largest move relative to the parent value.
+
+The list is the README examples and the paper's named inputs (18 commands)
+plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
+of benchmark seeds 1 and 2 (66 commands), which are taken from
+``perfbench/workloads.py`` without changing it.  A whole run of the 84
+commands took about 21 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -28,7 +38,9 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import shlex
 import sys
 import tempfile
@@ -86,11 +98,49 @@ def numbers(value, path=""):
         yield path, value
 
 
+def _read_values(path):
+    """The file lines (hash dropped for result.json) and the values of a --values output."""
+    files, values = [], {}
+    for line in Path(path).read_text().splitlines():
+        if line.startswith("  "):
+            out, key, value = line.split()
+            values[out, key] = float(value)
+        else:
+            rest = line.split(" ", 1)[1]
+            files.append(rest if rest.endswith("-> result.json") else line)
+    return files, values
+
+
+def compare(parent, change):
+    """Print the largest moves of each value path name; 1 when anything else differs."""
+    (files_p, values_p), (files_c, values_c) = _read_values(parent), _read_values(change)
+    if files_p != files_c or values_p.keys() != values_c.keys():
+        bad = sorted(set(files_p) ^ set(files_c)) or sorted(values_p.keys() ^ values_c.keys())
+        print("outputs differ:", *bad[:20], sep="\n  ")
+        return 1
+    moves = {}
+    for (out, key), a in values_p.items():
+        b = values_c[out, key]
+        if a != b and not (math.isnan(a) and math.isnan(b)):
+            worst = moves.setdefault(re.sub(r"\[\d+\]", "[]", key), [0.0, 0.0])
+            move = math.inf if math.isnan(b - a) else abs(b - a)  # to or from nan
+            worst[0] = max(worst[0], move)
+            worst[1] = max(worst[1], move / abs(a) if a else math.inf)
+    print(f"{len(values_p)} values; {len(moves)} value path names moved")
+    for key, (absolute, relative) in sorted(moves.items()):
+        print(f"  {key}  max abs {absolute:.3g}  max rel {relative:.3g}")
+    return 0
+
+
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--work", help="directory for the outputs (default: a fresh temporary one)")
     p.add_argument("--values", action="store_true", help="also print every number of each result.json")
+    p.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
+                   help="compare two --values outputs instead of running the commands")
     args = p.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare)
     sys.path.insert(0, str(ROOT / "src"))
     import bundlelab.cli
 
