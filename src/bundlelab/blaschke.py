@@ -7,8 +7,7 @@ value, with multiplicity) are computed through companion-matrix roots of the
 rational form plus Newton polishing; :func:`fiber_roots` and
 :func:`with_multiplicity` are the one fiber path every module uses.
 :func:`fiber_roots` solves a whole stack of fiber polynomials with one
-companion-matrix ``eigvals`` call and one vectorized Newton loop, so the
-Moebius-matching oracle and the outer recovery solve their sample sets at once.
+companion-matrix ``eigvals`` call and one vectorized Newton loop.
 """
 
 from __future__ import annotations
@@ -197,7 +196,9 @@ def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
     """Polish the roots of a stack of constant-first polynomials, row by row.
 
     ``coeffs`` is (S, n) and ``roots`` (S, d); a 1-D pair is the one-row
-    case.  Each root stops on its own: relative residual below tol, a flat
+    case.  Each root stops on its own: relative residual below tol with a
+    Newton step below tol (1 + |z|) (so an ill-conditioned root, one with a
+    small derivative, keeps polishing to the noise floor), a flat
     derivative, a step below 1e-16 (1 + |z|), or after iters steps.  NaN
     entries are padding and stay NaN.  Moduli are taken with ``hypot``, as
     Python's ``abs`` of one complex value does.
@@ -220,8 +221,9 @@ def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
         v = _horner(stack[r], x)
         dv = _horner(dc[r], x)
         # negated tests: a NaN modulus stops nothing, as in a scalar loop
-        go = ~(np.hypot(v.real, v.imag) <= tol * scale[r])
-        go &= ~(np.hypot(dv.real, dv.imag) < 1e-300)
+        av, adv = np.hypot(v.real, v.imag), np.hypot(dv.real, dv.imag)
+        go = ~(av <= tol * scale[r]) | ~(av <= tol * adv * (1.0 + np.hypot(x.real, x.imag)))
+        go &= ~(adv < 1e-300)
         live = live[go]
         step = v[go] / dv[go]
         x = x[go] - step
@@ -235,11 +237,17 @@ def fiber_roots(R, radius):
     """Newton-polished roots of constant-first polynomials, kept when |z| < radius.
 
     The single fiber solve: companion-matrix roots, then Newton polishing,
-    one call for a whole stack.  A 1-D R returns its kept roots in solver
-    order.  An (S, n) stack returns the (S, n-1) roots in solver order (NaN
-    where a trimmed row has fewer) and the mask of those with |z| < radius.
+    one call for a whole stack.  Only the roots below twice the radius are
+    polished: polishing moves a root by far less than its modulus, so one
+    beyond that cannot end inside, and far out its polynomial overflows.  A
+    1-D R returns its kept roots in solver order.  An (S, n) stack returns
+    the (S, n-1) roots in solver order (NaN where a trimmed row has fewer;
+    the unpolished ones as the eigensolver gave them) and the mask of those
+    with |z| < radius.
     """
-    roots = _newton_polish(R, _poly_roots(R))
+    roots = _poly_roots(R)
+    near = np.abs(roots) < 2.0 * radius
+    roots = np.where(near, _newton_polish(R, np.where(near, roots, np.nan)), roots)
     inside = np.abs(roots) < radius
     if roots.ndim == 1:
         return roots[inside]

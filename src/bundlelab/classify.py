@@ -17,8 +17,7 @@ import numpy as np
 from . import frames, funcspec, monodromy, operators, series
 from .blaschke import BlaschkeProduct, MoebiusTransform
 from .errors import BundleLabError, DomainError, FiberError
-from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction, spec_to_text
-from .monodromy import RecoveredOuter
+from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction
 from .weights import POLYNOMIAL
 
 __all__ = [
@@ -137,7 +136,7 @@ class JordanResult:
     """Maximal factorization plus the intertwiner evidence for the inner part."""
 
     m: int
-    outer: object  # RecoveredOuter or the original spec
+    outer: object  # RationalFunction, or the original spec when m == 1
     inner: BlaschkeProduct
     decomposition: monodromy.Decomposition
     certificate: SimilarityCertificate | None
@@ -153,7 +152,7 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
     the columns whose outer expansion fits under n_max.  The left side is the
     rational recursion of f o psi on the frame (:meth:`frames.FrameMatrix.times`);
     the right side is one product of X, its powers laid next to its rows,
-    with the (n_max+1)-square M_h.
+    with the (n_max+1)-square M_h of the exact Taylor coefficients of h.
     """
     dec = monodromy.decompose(spec)
     if dec.m == 1:
@@ -162,7 +161,7 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
             certificate=None, direct_residual=0.0, checked_columns=0,
         )
     h = dec.outer
-    L = h.coeffs.size
+    L = monodromy.outer_taylor(h).size
     if n_max is None:
         n_max = min(max(60, L + 30), 160)
     cert = douglas_intertwiner(dec.inner, w, K=K, n_max=n_max,
@@ -174,7 +173,8 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
         inner_spec = ComposeSpec(spec, BlaschkeSpec(F.conjugator))
     nb = max(n_max + 1 - L, 0)
     ncheck = nb * m
-    Mh = operators.mult_matrix(series.PowerSeries(h.coeffs), w, n_max + 1).entries
+    h_hat = series.rational(h.P, h.Q, np.eye(1, n_max + 1, dtype=complex)[0])
+    Mh = operators.mult_matrix(series.PowerSeries(h_hat), w, n_max + 1).entries
     # X (M_h kron I_m): with X reshaped to rows (i, j) and columns n, one product
     X = F.matrix("beta").reshape(K, n_max + 1, m).transpose(0, 2, 1)
     XH = (X.reshape(K * m, n_max + 1) @ Mh[:, :nb]).reshape(K, m, nb)
@@ -204,11 +204,11 @@ def _phi_eval(theta, z0, z):
     return np.exp(1j * theta) * (z0 - z) / (1.0 - np.conj(z0) * z)
 
 
-def _match_samples(z0_abs, eval_radius):
-    """Two sample rings kept inside the evaluable region of g1 o phi."""
+def _match_samples(z0_abs):
+    """Two sample rings whose images under phi stay inside |w| <= 0.97."""
     r1 = 0.2
     r2 = 0.4
-    cap = 0.97 * eval_radius
+    cap = 0.97
     if (z0_abs + r2) / (1.0 + r2 * z0_abs) > cap:
         r2 = max(0.05, 0.95 * (cap - z0_abs) / (1.0 - cap * z0_abs))
         r1 = 0.5 * r2
@@ -228,10 +228,7 @@ def _refine_match(g1, g2, theta, z0, samples):
             zz = complex(x, y)
             if abs(zz) >= _Z0_LIMIT:
                 return None
-            p = _phi_eval(th, zz, samples)
-            if np.max(np.abs(p)) > g1.eval_radius:
-                return None
-            pts.append(p)
+            pts.append(_phi_eval(th, zz, samples))
         vals = np.reshape(g1.value(np.concatenate(pts)), (len(pts), -1))
         return [np.concatenate([r.real, r.imag]) for r in g2v - vals]
 
@@ -284,25 +281,22 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
     circle cannot be phi(0)): the chain rule fixes phi'(0) from the first
     derivatives, or from the second derivatives (two sign candidates) when
     the seed is a critical point of g1.  Each seed is refined by damped
-    Gauss-Newton over 64 fixed disk samples.  Each of g1, g2 is a spec, a
-    RationalFunction or a RecoveredOuter (evaluated through its exact fiber
-    oracle).
+    Gauss-Newton over 64 fixed disk samples.  Each of g1, g2 is a spec or a
+    RationalFunction (an outer factor of decompose is one).
 
     Returns the best passing candidate, or None when there is none and the
     search was complete.  The search is incomplete when a preimage lies at
-    or beyond min(g1.eval_radius, 0.999), sits on a critical point of order
-    above 2, or its refinement returns None or raises DomainError; then,
-    with no passing candidate, FiberError names every such seed instead.
+    or beyond radius 0.999, sits on a critical point of order above 2, or
+    its refinement returns None or raises DomainError; then, with no
+    passing candidate, FiberError names every such seed instead.
     """
-    g1, g2 = (g if isinstance(g, RecoveredOuter) else RationalFunction.from_spec(g)
-              for g in (g1, g2))
+    g1, g2 = (RationalFunction.from_spec(g) for g in (g1, g2))
     v0 = complex(g2.value(0.0))
     d2 = complex(g2.derivative(0.0))
     seeds, skipped = [], []
-    limit = min(g1.eval_radius, _Z0_LIMIT)
     for p in g1.preimages(v0):
-        if abs(p) >= limit:
-            skipped.append(f"preimage {p:.6g} lies at or beyond radius {limit}")
+        if abs(p) >= _Z0_LIMIT:
+            skipped.append(f"preimage {p:.6g} lies at or beyond radius {_Z0_LIMIT}")
             continue
         d1 = complex(g1.derivative(p))
         if abs(d1) > 1e-8:
@@ -323,7 +317,7 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
                 seeds.append((theta, p * np.exp(-1j * theta)))
     passing = []
     for theta, z0 in seeds:
-        samples = _match_samples(abs(z0), g1.eval_radius)
+        samples = _match_samples(abs(z0))
         try:
             refined = _refine_match(g1, g2, theta, complex(z0), samples)
         except DomainError as exc:
@@ -379,13 +373,6 @@ class Verdict:
         return {"status": self.status, "reason": self.reason, "evidence": self.evidence}
 
 
-def _outer_summary(outer):
-    if isinstance(outer, RecoveredOuter):
-        return {"type": "recovered", "ncoeffs": int(outer.coeffs.size),
-                "tail": outer.tail_report()}
-    return {"type": "spec", "text": spec_to_text(outer)}
-
-
 def similar(h1, h2, w, K=512, attach_riesz=False):
     """Similarity verdict for the bundles induced by two analytic functions.
 
@@ -402,8 +389,8 @@ def similar(h1, h2, w, K=512, attach_riesz=False):
     evidence = {
         "m1": j1.m,
         "m2": j2.m,
-        "outer1": _outer_summary(j1.outer),
-        "outer2": _outer_summary(j2.outer),
+        "outer1": j1.decomposition.outer_dict(),
+        "outer2": j2.decomposition.outer_dict(),
         "residual1": j1.decomposition.residual,
         "residual2": j2.decomposition.residual,
         "certificate1": j1.certificate.to_dict() if j1.certificate else None,

@@ -36,6 +36,7 @@ __all__ = [
     "ProdSpec",
     "StarSpec",
     "to_rational",
+    "evaluate",
     "parse_function_spec",
     "spec_to_text",
 ]
@@ -115,7 +116,8 @@ def to_rational(spec, cap=DEGREE_CAP):
 
 def _rational(spec, cap):
     if isinstance(spec, PolySpec):
-        return np.array(spec.coeffs, dtype=complex), np.ones(1, dtype=complex)
+        # trailing zeros would leave a common factor in a composition
+        return _trim(spec.coeffs), np.ones(1, dtype=complex)
     if isinstance(spec, BlaschkeSpec):
         return spec.product.rational()
     if isinstance(spec, StarSpec):
@@ -160,6 +162,30 @@ def _rational(spec, cap):
     raise TypeError(f"not a FunctionSpec: {spec!r}")
 
 
+def evaluate(spec, z):
+    """The spec at the points z by walking its tree, with no rational reduction.
+
+    A check on the reduced form: expanding a composition can lose digits
+    where its denominator is small, which the tree does not.
+    """
+    z = np.asarray(z, dtype=complex)
+    if isinstance(spec, BlaschkeProduct):
+        return spec(z)
+    if isinstance(spec, PolySpec):
+        return npoly.polyval(z, spec.coeffs)
+    if isinstance(spec, BlaschkeSpec):
+        return spec.product(z)
+    if isinstance(spec, StarSpec):
+        return np.conj(evaluate(spec.inner, np.conj(z)))
+    if isinstance(spec, SumSpec):
+        return sum(scalar * evaluate(term, z) for scalar, term in spec.terms)
+    if isinstance(spec, ProdSpec):
+        return spec.scalar * np.prod([evaluate(f, z) for f in spec.factors], axis=0)
+    if isinstance(spec, ComposeSpec):
+        return evaluate(spec.outer, evaluate(spec.inner, z))
+    raise TypeError(f"not a FunctionSpec: {spec!r}")
+
+
 def _check_disk_denominator(D):
     D = _trim(D)
     if D.size == 1:
@@ -183,12 +209,9 @@ class RationalFunction:
 
     Reduces the tree once; repeated evaluation (fiber solves, grid scans)
     then runs on plain Horner evaluations.  ``value``, ``derivative``,
-    ``second_derivative``, ``preimages`` and ``eval_radius`` are the calls
-    that Moebius matching makes, and a recovered outer factor answers them
-    too.
+    ``second_derivative`` and ``preimages`` are the calls that Moebius
+    matching makes; the outer factor of a decomposition is one too.
     """
-
-    eval_radius = 1.0
 
     def __init__(self, P, Q):
         self.P = np.asarray(P, dtype=complex)

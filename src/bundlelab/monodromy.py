@@ -2,45 +2,51 @@
 
 A factorization f = h o B with B a Blaschke product of order d splits the
 fiber of f over a base value into level sets of B, d points each; a block
-of fiber points is the zero set of a candidate inner factor, unique up to a
-disk automorphism of the target.  For each divisor d of the fiber size,
-largest first, every block of d points containing sheet 0 is proposed; a
-cheap probe of the outer recovery discards the blocks on which f is not
-constant over the inner-factor fibers, and the partitions the survivors
-induce are recovered in full, the outer factor by sampling on a circle of
-preimages.  A candidate only counts when the reassembled composition
-reproduces f on held-out points: the residual certificate is the acceptance
-authority, not the search.
+of fiber points is the zero set of a candidate inner factor B_hat = N/D,
+unique up to a disk automorphism of the target.  For f = P/Q of degree n the
+outer factor is then rational of degree k = n/d (Ritt 1922), and h = A/C
+solves  sum_j (c_j P - a_j Q) N^j D^(k-j) = 0,  a linear system in the 2(k+1)
+coefficients of A and C whose null vector is h (see outer_factor).  For each
+d dividing both the fiber size and n, largest first, every block of d points
+containing sheet 0 is solved, one stacked SVD per chunk; the blocks whose h
+reproduces f on held-out points of the disk induce partitions of the fiber
+into level sets, and the first partition, re-solved on its best-conditioned
+block, is the result.  The held-out residual is the acceptance authority;
+the solve's singular-value ratio is recorded as evidence only.  Where the
+evidence cannot decide, decompose raises FiberError rather than claim
+m = 1: when the reduced P/Q misses the spec's own tree on the held-out
+points, or when a block's residual could fall below the tolerance within
+the errors of its fiber points.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from . import geometry
+from . import geometry, series
 from .blaschke import BlaschkeProduct, _cluster, _lex_key, _UnionFind
 from .blaschke import fiber_roots, with_multiplicity
-from .errors import DomainError, FiberError, RootFindingError
-from .funcspec import RationalFunction, spec_to_text
+from .errors import FiberError
+from .funcspec import RationalFunction, evaluate, spec_to_text
 
 __all__ = [
     "Fiber",
-    "RecoveredOuter",
     "Decomposition",
     "base_fiber",
     "inner_factor_from_block",
     "outer_factor",
+    "outer_taylor",
     "decompose",
     "identity_blaschke",
 ]
 
 _MIN_SEPARATION = 1e-6
-_CONSISTENCY_TOL = 1e-8
 _RESIDUAL_TOL = 1e-8
 
 
@@ -54,9 +60,6 @@ class Fiber:
     @property
     def size(self):
         return len(self.points)
-
-    def min_separation(self):
-        return _pairwise_min(np.array(self.points, dtype=complex))
 
 
 def identity_blaschke():
@@ -78,22 +81,29 @@ def base_fiber(spec, omega0):
         raise FiberError(
             f"fiber count {len(pts)} does not match index {n} at {omega0}"
         )
-    fib = Fiber(complex(omega0), tuple(pts))
-    if fib.size >= 2 and fib.min_separation() <= _MIN_SEPARATION:
+    z = np.array(pts, dtype=complex)
+    gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
+    if z.size >= 2 and gaps.min() <= _MIN_SEPARATION:
         raise FiberError(
             f"fiber points at {omega0} are closer than {_MIN_SEPARATION}; "
             "choose a base point farther from the branch values"
         )
-    return fib
+    return Fiber(complex(omega0), tuple(pts))
 
 
-def _pairwise_min(pts):
-    n = pts.size
-    if n < 2:
-        return np.inf
-    d = np.abs(pts[:, None] - pts[None, :])
-    d[np.diag_indices(n)] = np.inf
-    return float(d.min())
+def _fiber_errors(spec, f, fiber):
+    """How far each fiber point may lie from the true fiber of f, to first order.
+
+    The rounding bound eps sum |r_k| |z|^k of R = P - omega Q at the point,
+    plus, for a spec, |Q| times the miss of the spec's own tree there (the
+    reduction's error), over |R'|.
+    """
+    z = np.array(fiber.points, dtype=complex)
+    R = f.fiber_poly(fiber.base)
+    miss = np.finfo(float).eps * np.polyval(np.abs(R[::-1]), np.abs(z))
+    if not isinstance(spec, RationalFunction):
+        miss += np.abs(np.polyval(f.Q[::-1], z) * (evaluate(spec, z) - fiber.base))
+    return miss / np.abs(np.polyval((R[1:] * np.arange(1, R.size))[::-1], z))
 
 
 def _clustered_branch_values(spec):
@@ -143,171 +153,71 @@ def inner_factor_from_block(fiber, block):
 
     If f factors through an inner factor whose fiber block this is, the
     product differs from that factor only by a disk automorphism of the
-    target, which the outer recovery absorbs.
+    target, which the outer factor absorbs.
     """
     return BlaschkeProduct(tuple(fiber.points[i] for i in block), 0.0)
 
 
-@dataclass
-class RecoveredOuter:
-    """Outer factor recovered from circle samples plus its Taylor polynomial.
+def outer_factor(f, zeros):
+    """Exact outer factors h = A/C with f = h o B_hat, one per row of zeros.
 
-    The Taylor polynomial (``taylor``) is the serialized artifact and is
-    trusted for |w| <= taylor_radius.  Through the defining pair (source f,
-    inner factor), ``value``, the chain-rule derivatives and ``preimages``
-    evaluate and invert h anywhere in the disk by solving the inner fiber
-    exactly, trusted for |w| <= eval_radius, so h answers the same calls as a
-    RationalFunction; ``_preimages`` solves the fibers over a whole set of w
-    in one stacked call.
+    Row s of the (S, d) array ``zeros`` is the zero set of the phase-0 inner
+    factor B_hat = N/D, and k = deg f / d.  The identity
+    sum_j (c_j P - a_j Q) N^j D^(k-j) = 0 is linear in (c, a).  It is taken
+    divided by D^k, as P(z) C(B_hat(z)) - Q(z) A(B_hat(z)) = 0, at the
+    2 deg f + 1 roots of unity: a polynomial of degree 2 deg f vanishes
+    there only if it vanishes identically, and dividing by D^k keeps the
+    rows near a zero of B_hat close to the circle at full weight.  With the
+    columns normalized, one stacked SVD gives each row's null vector, scaled
+    so that C(0) = 1, and its score sigma_min / sigma_max.  Returns
+    (A, C, score): (S, k+1) constant-first coefficient stacks and (S,) scores.
     """
-
-    radius: float
-    samples: np.ndarray = field(repr=False)
-    coeffs: np.ndarray = field(repr=False)
-    source: object = field(repr=False)  # RationalFunction of f
-    inner: object = field(repr=False)  # inner factor, rational
-    noise_floor: float = 0.0
-    consistency: float = 0.0
-    eval_radius = 0.97
-    taylor_radius = 0.8
-
-    def _preimages(self, w):
-        """One inner-factor preimage per w, preferring large |inner'|.
-
-        Every fiber is solved in one stacked call; each row takes its first
-        in-disk root of largest |inner'|.
-        """
-        w = np.atleast_1d(np.asarray(w, dtype=complex))
-        roots, inside = fiber_roots(self.inner.fiber_poly(w), 1.0)
-        empty = ~np.any(inside, axis=1)
-        if np.any(empty):
-            raise DomainError(
-                f"no inner-factor preimage of {w[np.argmax(empty)]} inside the disk"
-            )
-        d = np.where(inside, np.abs(self.inner.derivative(roots)), -np.inf)
-        return roots[np.arange(w.size), np.argmax(d, axis=1)]
-
-    def value(self, w):
-        out = self.source.value(self._preimages(w))
-        return out if out.size > 1 else complex(out[0])
-
-    # The chain rules combine per point in Python complex arithmetic: numpy's
-    # array division can differ from it in the last bit.
-    def derivative(self, w):
-        out = np.array([
-            self.source.derivative(z) / self.inner.derivative(z)
-            for z in self._preimages(w)
-        ])
-        return out if out.size > 1 else complex(out[0])
-
-    def second_derivative(self, w):
-        vals = []
-        for z in self._preimages(w):
-            fp = self.source.derivative(z)
-            fpp = self.source.second_derivative(z)
-            bp = self.inner.derivative(z)
-            bpp = self.inner.second_derivative(z)
-            vals.append((fpp * bp - fp * bpp) / bp**3)
-        out = np.array(vals)
-        return out if out.size > 1 else complex(out[0])
-
-    def preimages(self, v):
-        """h-preimages of v in the open disk: inner-factor images of the f-fiber over v."""
-        roots = fiber_roots(self.source.fiber_poly(v), 1.0)
-        ws = [complex(self.inner.value(z)) for z in roots]
-        inside = [w for w in ws if abs(w) < 1.0]
-        return sorted((c for c, _ in _cluster(inside, tol=1e-7)), key=_lex_key)
-
-    def taylor(self, w):
-        w = np.asarray(w, dtype=complex)
-        if np.any(np.abs(w) > self.taylor_radius + 1e-12):
-            raise DomainError(
-                f"recovered outer factor is trusted only for |w| <= {self.taylor_radius}"
-            )
-        out = np.polyval(self.coeffs[::-1], w)
-        return out if out.shape else complex(out)
-
-    def tail_report(self):
-        if self.coeffs.size == 0:
-            return 0.0
-        scale = max(float(np.max(np.abs(self.samples))), 1e-300)
-        return float(abs(self.coeffs[-1]) * self.radius ** (self.coeffs.size - 1) / scale)
+    f = RationalFunction.from_spec(f)
+    zeros = np.atleast_2d(np.asarray(zeros, dtype=complex))
+    n, d = f.degree, zeros.shape[1]
+    if n % d:
+        raise ValueError(f"inner order {d} does not divide deg f = {n}")
+    k = n // d
+    z = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
+    powers = _inner_values(zeros, z)[:, :, None] ** np.arange(k + 1)
+    M = np.concatenate([np.polyval(f.P[::-1], z)[:, None] * powers,
+                        -np.polyval(f.Q[::-1], z)[:, None] * powers], axis=2)
+    norms = np.linalg.norm(M, axis=1)
+    _, s, Vh = np.linalg.svd(M / norms[:, None, :], full_matrices=False)
+    x = Vh[:, -1].conj() / norms
+    x /= x[:, :1]
+    x[:, 0] = 1.0
+    return x[:, k + 1:], x[:, : k + 1], s[:, -1] / s[:, 0]
 
 
-def _inner_fibers(f, R, order, tol=_CONSISTENCY_TOL):
-    """f on the inner-factor fibers of a stack R of fiber polynomials.
+def _inner_values(zeros, z):
+    """The phase-0 inner factor of each row of zeros at the points z, (S, len(z))."""
+    p = zeros[:, :, None]
+    return np.prod((p - z) / (1.0 - p.conj() * z), axis=1)
 
-    One stacked solve; a row is bad when its fiber has other than ``order``
-    points in the disk or the f-values on it spread by more than tol times
-    max(1, |f|).  Returns (counts, values of the good-count rows with their
-    preimages in sort_complex order, spread, bad).
+
+def _residuals(fz, zs, zeros, A, C, errors):
+    """Residual of h o B_hat against f on the held-out points, and its sure part.
+
+    Per row of zeros: max |f - h o B_hat| over zs, and the same maximum less
+    the first-order change of h o B_hat when each zero p moves by its error
+    e (|dB_hat| <= sum e (1 + |z|) / |1 - conj(p) z|, times |h'|), which is
+    what the residual is at least for the exact fiber.
     """
-    roots, inside = fiber_roots(R, 1.0)
-    counts = np.sum(inside, axis=1)
-    ok = counts == order
-    vals = f.value(np.sort_complex(roots[ok][inside[ok]].reshape(-1, order)))
-    spread = np.full(len(R), np.nan)
-    spread[ok] = np.max(np.abs(vals - vals[:, :1]), axis=1)
-    scale = np.fmax(1.0, np.max(np.abs(vals), axis=1))
-    bad = ~ok
-    bad[ok] = spread[ok] > tol * scale
-    return counts, vals, spread, bad
+    w = _inner_values(zeros, zs)
+    a, c, da, dc = (npoly.polyval(w, X.T[..., None], tensor=False)
+                    for X in (A, C, npoly.polyder(A, axis=1), npoly.polyder(C, axis=1)))
+    h = a / c
+    r = np.abs(fz - h)
+    dw = np.sum(errors[:, :, None] * (1.0 + np.abs(zs))
+                / np.abs(1.0 - zeros.conj()[:, :, None] * zs), axis=1)
+    sure = r - np.abs((da - h * dc) / c) * dw
+    return np.max(r, axis=1), np.max(sure, axis=1)
 
 
-def outer_factor(spec, bhat, r=0.7, S=1024, tol=_CONSISTENCY_TOL):
-    """Recover h with f = h o bhat by sampling h on the circle |w| = r.
-
-    The full bhat-fibers over all S samples are solved in one stacked call;
-    h(w) is set from the first preimage and all others must agree within the
-    tolerance, otherwise the block is invalid for f and FiberError is raised
-    for the first failing sample.  Taylor coefficients come from the discrete
-    Fourier transform of the circle samples, trimmed at the noise floor.
-    """
-    if not (0.0 < r < 1.0):
-        raise ValueError("sampling radius must lie in (0, 1)")
-    if S & (S - 1):
-        raise ValueError("sample count must be a power of two")
-    f = RationalFunction.from_spec(spec)
-    bres = RationalFunction(*bhat.rational())
-    ws = r * np.exp(2j * np.pi * np.arange(S) / S)
-    counts, vals, spread, bad = _inner_fibers(f, bres.fiber_poly(ws), bhat.order, tol)
-    if np.any(bad):
-        s = int(np.argmax(bad))
-        if counts[s] != bhat.order:
-            raise FiberError(
-                f"inner-factor fiber at sample {s} has {counts[s]} points, "
-                f"expected {bhat.order}"
-            )
-        raise FiberError(
-            f"outer recovery inconsistency {spread[s]:.3e} at sample {s}: "
-            "the block system does not factor f"
-        )
-    worst = float(np.fmax.reduce(spread, initial=0.0))
-    samples = vals[:, 0].copy()
-    fft = np.fft.fft(samples) / S
-    scale = max(float(np.max(np.abs(samples))), 1e-300)
-    floor = 1e-13 * scale
-    mags = np.abs(fft[: S // 2])
-    keep = np.nonzero(mags >= floor)[0]
-    L = int(keep[-1]) + 1 if keep.size else 1
-    ks = np.arange(L)
-    coeffs = fft[:L] / r**ks
-    return RecoveredOuter(
-        radius=r,
-        samples=samples,
-        coeffs=coeffs,
-        source=f,
-        inner=bres,
-        noise_floor=floor,
-        consistency=worst,
-    )
-
-
-# The block search: every 128th of outer_factor's samples on |w| = 0.7 (the
-# same values), the most blocks one decomposition may propose, the most
+# The block search: the most blocks one decomposition may propose, the most
 # solved in one stack, and the distance below which two values of an inner
 # factor on the fiber count as one level.
-_PROBES = 0.7 * np.exp(2j * np.pi * np.arange(1024) / 1024)[::128]
 _CANDIDATE_CAP = 20000
 _CHUNK = 2048
 _LEVEL_TOL = 1e-6
@@ -323,28 +233,59 @@ def _level_sets(fiber, block):
     return tuple(sorted(tuple(g) for g in uf.groups()))
 
 
-def _block_partitions(f, fiber, d):
-    """Sorted partitions into d-point level sets induced by the probed blocks.
+def _block_partitions(f, fiber, errors, d, zs, fz):
+    """Sorted partitions into d-point level sets induced by the accepted blocks.
 
     Every block of d fiber points containing sheet 0 gives a candidate inner
-    factor; it survives when the outer recovery's count test and spread rule
-    hold at the probe samples, so no block that outer_factor accepts is
-    dropped.  The candidates are solved in stacks of at most _CHUNK.
+    factor; its outer factor is solved in stacks of at most _CHUNK blocks,
+    and the block is kept when h o B_hat reproduces f (values fz) on the
+    held-out points zs to _RESIDUAL_TOL.  Also returns the first block that
+    is neither kept nor surely rejected (its residual could fall below the
+    tolerance within the errors of its fiber points), with both residuals,
+    or None.
     """
+    if f.degree % d:
+        return [], None
+    pts = np.array(fiber.points)
     blocks = [(0,) + rest for rest in combinations(range(1, fiber.size), d - 1)]
-    partitions = set()
+    partitions, undecided = set(), None
     for start in range(0, len(blocks), _CHUNK):
         chunk = blocks[start:start + _CHUNK]
-        pairs = (inner_factor_from_block(fiber, b).rational() for b in chunk)
-        R = np.concatenate([RationalFunction(P, Q).fiber_poly(_PROBES) for P, Q in pairs])
-        with np.errstate(all="ignore"):
-            bad = _inner_fibers(f, R, d)[3].reshape(len(chunk), -1)
-        for block, rejected in zip(chunk, np.any(bad, axis=1)):
-            if not rejected:
+        rows = np.array(chunk)
+        A, C, _ = outer_factor(f, pts[rows])
+        for block, residual, sure in zip(chunk, *_residuals(fz, zs, pts[rows], A, C, errors[rows])):
+            if residual < _RESIDUAL_TOL:
                 partition = _level_sets(fiber, block)
                 if all(len(b) == d for b in partition):
                     partitions.add(partition)
-    return sorted(partitions)
+            elif sure < _RESIDUAL_TOL and undecided is None:
+                undecided = (block, residual, sure)
+    return sorted(partitions), undecided
+
+
+# The serialized Taylor polynomial of an outer factor: cut where the rest of
+# the series at |w| = _TAYLOR_RADIUS is below _TAYLOR_TAIL relative.
+_TAYLOR_RADIUS = 0.8
+_TAYLOR_TAIL = 1e-13
+
+
+def outer_taylor(h):
+    """Taylor coefficients of the rational h, cut at the 1e-13 tail at |w| = 0.8.
+
+    The expansion doubles from 64 terms until its last term at radius 0.8 is
+    below 1e-16 of the largest (at most 4096 terms); it is then cut at the
+    first index where the sum of the remaining terms falls below 1e-13 of
+    the largest, which bounds h on |w| <= 0.8 from below.
+    """
+    K = 64
+    while True:
+        c = series.rational(h.P, h.Q, np.eye(1, K, dtype=complex)[0])
+        t = np.abs(c) * _TAYLOR_RADIUS ** np.arange(K)
+        if t[-1] <= 1e-16 * t.max() or K >= 4096:
+            break
+        K *= 2
+    rest = np.cumsum(t[::-1])[::-1]
+    return c[: max(int(np.sum(rest > _TAYLOR_TAIL * t.max())), 1)]
 
 
 @dataclass
@@ -352,7 +293,7 @@ class Decomposition:
     """Certified factorization f = h o B with B of maximal order."""
 
     inner: BlaschkeProduct
-    outer: object  # RecoveredOuter, or the original spec when m == 1
+    outer: object  # RationalFunction, or the original spec when m == 1
     m: int
     residual: float
     base_point: complex
@@ -362,47 +303,47 @@ class Decomposition:
     outer_index: int
     test_points: int
     certificate: str
+    block_score: float | None = None  # sigma_min / sigma_max of the outer solve
+
+    def outer_dict(self):
+        """The spec form when m == 1, else the coefficients, Taylor polynomial and score."""
+        h = self.outer
+        if self.m == 1:
+            return {"spec": spec_to_text(h)}
+        return {
+            "numerator": _pairs(h.P),
+            "denominator": _pairs(h.Q),
+            "taylor": _pairs(outer_taylor(h)),
+            "block_score": self.block_score,
+        }
 
     def to_dict(self):
-        h = self.outer
-        if isinstance(h, RecoveredOuter):
-            hdict = {
-                "taylor": [[c.real, c.imag] for c in h.coeffs],
-                "sample_radius": h.radius,
-                "tail": h.tail_report(),
-                "consistency": h.consistency,
-            }
-        else:
-            hdict = {"spec": spec_to_text(h)}
         return {
             "certificate": self.certificate,
-            "inner_zeros": [[z.real, z.imag] for z in self.inner.zeros],
+            "inner_zeros": _pairs(self.inner.zeros),
             "inner_theta": self.inner.theta,
             "m": self.m,
-            "outer": hdict,
+            "outer": self.outer_dict(),
             "residual": self.residual,
             "base_point": [self.base_point.real, self.base_point.imag],
             "test_points": self.test_points,
-            "branch_values": [[b.real, b.imag] for b in self.branch_values],
+            "branch_values": _pairs(self.branch_values),
             "candidates_tried": self.candidates_tried,
         }
 
 
-def _held_out_points(inner, count, limit, rng_seed=20240613, cap=40000):
+def _pairs(values):
+    return [[c.real, c.imag] for c in values]
+
+
+def _held_out_points(count, rng_seed=20240613):
+    """count points drawn uniformly from the disk |z| <= 0.95."""
     rng = np.random.default_rng(rng_seed)
-    pts = []
-    draws = 0
-    while len(pts) < count and draws < cap:
-        block = rng.uniform(-0.95, 0.95, size=(256, 2))
-        draws += 256
-        zs = block[:, 0] + 1j * block[:, 1]
-        zs = zs[np.abs(zs) <= 0.95]
-        vals = inner.value(zs)
-        good = zs[np.abs(vals) <= limit]
-        pts.extend(good.tolist())
-    if len(pts) < count:
-        raise FiberError("could not draw enough held-out test points")
-    return np.array(pts[:count], dtype=complex)
+    pts = np.zeros(0, dtype=complex)
+    while pts.size < count:
+        zs = rng.uniform(-0.95, 0.95, size=(256, 2)) @ np.array([1.0, 1j])
+        pts = np.concatenate([pts, zs[np.abs(zs) <= 0.95]])
+    return pts[:count]
 
 
 def _certificate_id(spec, omega0):
@@ -417,13 +358,14 @@ def _certificate_id(spec, omega0):
 def decompose(spec, omega0=None, test_points=200):
     """Maximal Blaschke inner factor of f with a residual certificate.
 
-    Block sizes d dividing the fiber size n are searched largest first; the
-    partitions of a size (see _block_partitions) are tried in sorted order,
-    and the first whose outer recovery is consistent and whose reassembled
-    composition matches f on held-out points wins.  No passing candidate
-    means f is indecomposable: m = 1 with f itself as the outer factor.  A
-    search that would propose more than _CANDIDATE_CAP blocks raises
-    FiberError instead.
+    Block sizes d dividing both the fiber size and deg f are searched
+    largest first; the partitions of a size (see _block_partitions) are
+    tried in sorted order, and the first whose best-conditioned block's
+    outer factor reproduces f on the held-out points wins.  No passing
+    candidate means f is indecomposable: m = 1 with f itself as the outer
+    factor.  A search that would propose more than _CANDIDATE_CAP blocks
+    raises FiberError instead, and so do the undecidable cases of the
+    module docstring.
     """
     f = RationalFunction.from_spec(spec)
     curve = geometry.boundary_curve(f, 1024)
@@ -440,12 +382,22 @@ def decompose(spec, omega0=None, test_points=200):
             )
     cert = _certificate_id(spec, omega0)
     fiber = base_fiber(f, omega0)
+    errors = _fiber_errors(spec, f, fiber)
     n = fiber.size
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")
+    zs = _held_out_points(test_points)
+    fz = f.value(zs)
+    if not isinstance(spec, RationalFunction):
+        drift = float(np.max(np.abs(fz - evaluate(spec, zs))))
+        if not drift < _RESIDUAL_TOL:
+            raise FiberError(
+                f"the reduced rational form misses f by {drift:.1e} on the held-out "
+                f"points, not below the certificate tolerance {_RESIDUAL_TOL}"
+            )
     tried = 0
     for d in range(n, 1, -1):
-        if n % d:
+        if n % d or f.degree % d:
             continue
         tried += comb(n - 1, d - 1)
         if tried > _CANDIDATE_CAP:
@@ -453,28 +405,21 @@ def decompose(spec, omega0=None, test_points=200):
                 f"block search over {n} fiber points needs more than "
                 f"{_CANDIDATE_CAP} candidates"
             )
-        for partition in _block_partitions(f, fiber, d):
+        partitions, undecided = _block_partitions(f, fiber, errors, d, zs, fz)
+        for partition in partitions:
             # any block works (they differ by a target automorphism); the one
             # with the smallest zero moduli gives the best-conditioned factor
             block = min(
                 partition, key=lambda b: max(abs(fiber.points[i]) for i in b)
             )
             bhat = inner_factor_from_block(fiber, block)
-            try:
-                outer = outer_factor(f, bhat)
-            except (FiberError, RootFindingError):
-                continue
-            try:
-                zs = _held_out_points(outer.inner, test_points, outer.taylor_radius * 0.97)
-                residual = float(
-                    np.max(np.abs(f.value(zs) - outer.taylor(outer.inner.value(zs))))
-                )
-            except (FiberError, DomainError):
-                continue
+            zeros = np.array([bhat.zeros])
+            A, C, score = outer_factor(f, zeros)
+            residual = float(_residuals(fz, zs, zeros, A, C, errors[None, list(block)])[0][0])
             if residual < _RESIDUAL_TOL:
                 return Decomposition(
                     inner=bhat,
-                    outer=outer,
+                    outer=RationalFunction(A[0], C[0]),
                     m=d,
                     residual=residual,
                     base_point=omega0,
@@ -484,7 +429,15 @@ def decompose(spec, omega0=None, test_points=200):
                     outer_index=n // d,
                     test_points=test_points,
                     certificate=cert,
+                    block_score=float(score[0]),
                 )
+        if undecided is not None:
+            block, residual, sure = undecided
+            raise FiberError(
+                f"block {block} of {d} fiber points has residual {residual:.1e}, which "
+                f"the errors of its points could bring down to {sure:.1e}: "
+                "neither accepted nor rejected"
+            )
     return Decomposition(
         inner=identity_blaschke(),
         outer=spec,

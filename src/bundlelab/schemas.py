@@ -57,6 +57,19 @@ GRAM_RESULT = {
     "additionalProperties": False,
 }
 
+# An outer factor: the spec itself when m == 1, else the exact rational h.
+OUTER_SPEC = {"type": "object", "required": ["spec"],
+              "properties": {"spec": {"type": "string"}}, "additionalProperties": False}
+
+_PAIRS = {"type": "array", "items": _COMPLEX_PAIR, "minItems": 1}
+OUTER_RATIONAL = {
+    "type": "object",
+    "required": ["numerator", "denominator", "taylor", "block_score"],
+    "properties": {"numerator": _PAIRS, "denominator": _PAIRS, "taylor": _PAIRS,
+                   "block_score": {"type": "number", "minimum": 0}},
+    "additionalProperties": False,
+}
+
 DECOMPOSITION = {
     "type": "object",
     "required": [
@@ -69,7 +82,7 @@ DECOMPOSITION = {
         "inner_zeros": {"type": "array", "items": _COMPLEX_PAIR},
         "inner_theta": {"type": "number"},
         "m": {"type": "integer", "minimum": 1},
-        "outer": {"type": "object"},
+        "outer": {"oneOf": [OUTER_SPEC, OUTER_RATIONAL]},
         "residual": {"type": "number", "minimum": 0},
         "base_point": _COMPLEX_PAIR,
         "test_points": {"type": "integer", "minimum": 0},

@@ -107,7 +107,8 @@ def test_jordan_pure_blaschke_on_hardy():
     B = BlaschkeProduct((0, 0.4), np.pi)
     j = classify.jordan(BlaschkeSpec(B), HARDY, attach_riesz=False)
     assert j.m == 2
-    assert j.outer.coeffs.size < 60  # Moebius outer: short expansion
+    assert j.outer.degree == 1  # Moebius outer
+    assert monodromy.outer_taylor(j.outer).size < 60
     assert j.direct_residual < 1e-10
     assert j.certificate.accepted
 
@@ -252,8 +253,9 @@ def test_intertwiner_residuals_match_dense_formulas():
         douglas = np.max(np.abs((MB @ X - X @ shift)[:, : m * n_max]))
         inner = spec if F.conjugator is None else ComposeSpec(spec, BlaschkeSpec(F.conjugator))
         Mf = operators.mult_matrix(series.taylor(inner, F.K - 1), BERGMAN, F.K).entries
-        Mh = operators.mult_matrix(
-            series.PowerSeries(res.outer.coeffs), BERGMAN, n_max + 1).entries
+        impulse = np.eye(1, n_max + 1, dtype=complex)[0]
+        Mh = operators.mult_matrix(series.PowerSeries(
+            series.rational(res.outer.P, res.outer.Q, impulse)), BERGMAN, n_max + 1).entries
         R = Mf @ X - X @ np.kron(Mh, np.eye(m))
         direct = np.max(np.abs(R[:, : res.checked_columns]))
         assert res.certificate.residual == pytest.approx(douglas, abs=1e-12)
@@ -352,10 +354,13 @@ def test_similar_denies_only_after_two_complete_searches(monkeypatch, forward, r
         assert "skipped" in v.reason
 
 
-def test_incomplete_moebius_match_is_inconclusive():
-    # the seed phi(0) = 0.98 lies beyond the oracle radius of a recovered outer
+def test_seed_at_the_z0_limit_makes_the_match_incomplete():
+    # phi(0) = 0.9995 is the only seed that could match, and it lies beyond
+    # the refinement limit 0.999: the search is incomplete in both directions
     g = PolySpec((0, 1, 0, 2))
-    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.98)))
-    h = monodromy.outer_factor(ComposeSpec(g, BlaschkeSpec(INNER)), INNER)
-    with pytest.raises(FiberError, match="beyond radius 0.97"):
-        classify.moebius_match(h, g_phi)
+    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.9995)))
+    with pytest.raises(FiberError, match="beyond radius 0.999"):
+        classify.moebius_match(g, g_phi)
+    v = classify.similar(g, g_phi, BERGMAN)
+    assert v.status == "inconclusive"
+    assert v.reason.startswith("Moebius match incomplete: ") and "0.999" in v.reason

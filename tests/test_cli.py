@@ -120,6 +120,25 @@ def test_decompose_command(tmp_path):
     assert env["result"]["m"] == 2
 
 
+def test_fiber_near_the_circle_is_decomposed_and_never_denied(tmp_path):
+    # f o phi_0.96: the base fiber has a point at 0.998, and f o phi is similar
+    # to f by construction
+    f = "compose(poly(0,1,0,2),blaschke(0;0,0.4))"
+    f_phi = f"compose({f},moebius(0;0.96))"
+    assert _run(["decompose", "--fn", f_phi, "--out", str(tmp_path / "d")]) == 0
+    env = _load(tmp_path / "d")
+    _validate(env)
+    assert env["result"]["m"] == 2 and env["result"]["residual"] < 1e-8
+    # the Douglas certificate of that inner factor does not stabilize by
+    # K = 2048, so the verdict may be inconclusive, but never "not similar"
+    code = _run(["similar", "--weights", "bergman:alpha=1", "--f1", f_phi, "--f2", f,
+                 "--out", str(tmp_path / "s")])
+    env = _load(tmp_path / "s")
+    _validate(env)
+    assert code in (0, 2) and env["result"]["status"] != "not_similar"
+    assert env["result"]["evidence"]["m1"] == env["result"]["evidence"]["m2"] == 2
+
+
 def test_jordan_command(tmp_path):
     code = _run(["jordan", "--weights", "bergman:alpha=1",
                  "--fn", "compose(poly(0,1,0,2),blaschke(0;0,0.4))",

@@ -27,8 +27,10 @@ largest move relative to the parent value.
 The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
 of benchmark seeds 1 and 2 (66 commands), which are taken from
-``perfbench/workloads.py`` without changing it.  A whole run of the 84
-commands took about 21 s on a 2-core machine.
+``perfbench/workloads.py`` without changing it, and last the near-circle
+fiber case (2 commands, ``NEAR_CIRCLE``), appended so that the ``c<k>``
+labels of the first 84 stay put.  A whole run of the 86 commands took
+about 50 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -73,6 +75,12 @@ NAMED = [
     ["gram", "--weights", "hardy"],
     ["verify"],
 ]
+# f o phi_0.96, whose base fiber has a point at 0.998, alone and against f
+F1_PHI = f"compose({F1},moebius(0;0.96))"
+NEAR_CIRCLE = [
+    ["decompose", "--fn", F1_PHI],
+    ["similar", "--weights", "bergman:alpha=1", "--f1", F1_PHI, "--f2", F1],
+]
 
 
 def commands():
@@ -83,7 +91,7 @@ def commands():
     for seed in (1, 2):
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
-    return cmds
+    return cmds + NEAR_CIRCLE
 
 
 def numbers(value, path=""):
