@@ -15,8 +15,8 @@ block, is the result.  The held-out residual is the acceptance authority;
 the solve's singular-value ratio is recorded as evidence only.  Where the
 evidence cannot decide, decompose raises FiberError rather than claim
 m = 1: when the reduced P/Q misses the spec's own tree on the held-out
-points, or when a block's residual could fall below the tolerance within
-the errors of its fiber points.
+points, or when a block that the errors of its fiber points leave open
+induces no accepted partition.
 """
 
 from __future__ import annotations
@@ -234,33 +234,31 @@ def _level_sets(fiber, block):
 
 
 def _block_partitions(f, fiber, errors, d, zs, fz):
-    """Sorted partitions into d-point level sets induced by the accepted blocks.
+    """Partitions into d-point level sets of the blocks not surely rejected.
 
     Every block of d fiber points containing sheet 0 gives a candidate inner
-    factor; its outer factor is solved in stacks of at most _CHUNK blocks,
-    and the block is kept when h o B_hat reproduces f (values fz) on the
-    held-out points zs to _RESIDUAL_TOL.  Also returns the first block that
-    is neither kept nor surely rejected (its residual could fall below the
-    tolerance within the errors of its fiber points), with both residuals,
-    or None.
+    factor; its outer factor is solved in stacks of at most _CHUNK blocks.
+    A block is surely rejected when its residual on the held-out points zs
+    (f's values fz) stays at or above _RESIDUAL_TOL within the errors of its
+    fiber points.  Returns the sorted partitions the other blocks induce and
+    the number of those blocks.
     """
     if f.degree % d:
-        return [], None
+        return [], 0
     pts = np.array(fiber.points)
     blocks = [(0,) + rest for rest in combinations(range(1, fiber.size), d - 1)]
-    partitions, undecided = set(), None
+    partitions, kept = set(), 0
     for start in range(0, len(blocks), _CHUNK):
         chunk = blocks[start:start + _CHUNK]
         rows = np.array(chunk)
         A, C, _ = outer_factor(f, pts[rows])
-        for block, residual, sure in zip(chunk, *_residuals(fz, zs, pts[rows], A, C, errors[rows])):
-            if residual < _RESIDUAL_TOL:
-                partition = _level_sets(fiber, block)
-                if all(len(b) == d for b in partition):
-                    partitions.add(partition)
-            elif sure < _RESIDUAL_TOL and undecided is None:
-                undecided = (block, residual, sure)
-    return sorted(partitions), undecided
+        sure = _residuals(fz, zs, pts[rows], A, C, errors[rows])[1]
+        for block in (b for b, r in zip(chunk, sure) if r < _RESIDUAL_TOL):
+            kept += 1
+            partition = _level_sets(fiber, block)
+            if all(len(b) == d for b in partition):
+                partitions.add(partition)
+    return sorted(partitions), kept
 
 
 # The serialized Taylor polynomial of an outer factor: cut where the rest of
@@ -361,7 +359,7 @@ def decompose(spec, omega0=None, test_points=200):
     Block sizes d dividing both the fiber size and deg f are searched
     largest first; the partitions of a size (see _block_partitions) are
     tried in sorted order, and the first whose best-conditioned block's
-    outer factor reproduces f on the held-out points wins.  No passing
+    outer factor reproduces f on the held-out points to _RESIDUAL_TOL wins.  No passing
     candidate means f is indecomposable: m = 1 with f itself as the outer
     factor.  A search that would propose more than _CANDIDATE_CAP blocks
     raises FiberError instead, and so do the undecidable cases of the
@@ -405,7 +403,7 @@ def decompose(spec, omega0=None, test_points=200):
                 f"block search over {n} fiber points needs more than "
                 f"{_CANDIDATE_CAP} candidates"
             )
-        partitions, undecided = _block_partitions(f, fiber, errors, d, zs, fz)
+        partitions, kept = _block_partitions(f, fiber, errors, d, zs, fz)
         for partition in partitions:
             # any block works (they differ by a target automorphism); the one
             # with the smallest zero moduli gives the best-conditioned factor
@@ -431,12 +429,10 @@ def decompose(spec, omega0=None, test_points=200):
                     certificate=cert,
                     block_score=float(score[0]),
                 )
-        if undecided is not None:
-            block, residual, sure = undecided
+        if kept:
             raise FiberError(
-                f"block {block} of {d} fiber points has residual {residual:.1e}, which "
-                f"the errors of its points could bring down to {sure:.1e}: "
-                "neither accepted nor rejected"
+                f"{kept} blocks of {d} fiber points are not rejected within the errors "
+                "of their points, and no partition they induce is accepted"
             )
     return Decomposition(
         inner=identity_blaschke(),
