@@ -36,7 +36,6 @@ __all__ = [
     "ProdSpec",
     "StarSpec",
     "to_rational",
-    "evaluate",
     "parse_function_spec",
     "spec_to_text",
 ]
@@ -159,30 +158,6 @@ def _rational(spec, cap):
                 D = npoly.polyadd(D, Qo[k] * basis)
         _check_disk_denominator(D)
         return N, D
-    raise TypeError(f"not a FunctionSpec: {spec!r}")
-
-
-def evaluate(spec, z):
-    """The spec at the points z by walking its tree, with no rational reduction.
-
-    A check on the reduced form: expanding a composition can lose digits
-    where its denominator is small, which the tree does not.
-    """
-    z = np.asarray(z, dtype=complex)
-    if isinstance(spec, BlaschkeProduct):
-        return spec(z)
-    if isinstance(spec, PolySpec):
-        return npoly.polyval(z, spec.coeffs)
-    if isinstance(spec, BlaschkeSpec):
-        return spec.product(z)
-    if isinstance(spec, StarSpec):
-        return np.conj(evaluate(spec.inner, np.conj(z)))
-    if isinstance(spec, SumSpec):
-        return sum(scalar * evaluate(term, z) for scalar, term in spec.terms)
-    if isinstance(spec, ProdSpec):
-        return spec.scalar * np.prod([evaluate(f, z) for f in spec.factors], axis=0)
-    if isinstance(spec, ComposeSpec):
-        return evaluate(spec.outer, evaluate(spec.inner, z))
     raise TypeError(f"not a FunctionSpec: {spec!r}")
 
 

@@ -6,17 +6,18 @@ of fiber points is the zero set of a candidate inner factor B_hat = N/D,
 unique up to a disk automorphism of the target.  For f = P/Q of degree n the
 outer factor is then rational of degree k = n/d (Ritt 1922), and h = A/C
 solves  sum_j (c_j P - a_j Q) N^j D^(k-j) = 0,  a linear system in the 2(k+1)
-coefficients of A and C whose null vector is h (see outer_factor).  For each
-d dividing both the fiber size and n, largest first, every block of d points
+coefficients of A and C whose null vector is h (see outer_factor).  The
+degree n is that of P/Q once their common factors are cancelled, found by
+the same solve for the inner factor z (see _reduced_degree).  For each d
+dividing both the fiber size and n, largest first, every block of d points
 containing sheet 0 is solved, one stacked SVD per chunk; the blocks whose h
 reproduces f on held-out points of the disk induce partitions of the fiber
 into level sets, and the first partition, re-solved on its best-conditioned
 block, is the result.  The held-out residual is the acceptance authority;
-the solve's singular-value ratio is recorded as evidence only.  Where the
-evidence cannot decide, decompose raises FiberError rather than claim
-m = 1: when the reduced P/Q misses the spec's own tree on the held-out
-points, or when a block that the errors of its fiber points leave open
-induces no accepted partition.
+the solve's singular-value ratio is recorded as evidence only.  When the
+solve does not reproduce f even for the inner factor z, a search that
+accepts no block proves nothing, and decompose raises FiberError rather
+than claim m = 1.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from . import geometry, series
 from .blaschke import BlaschkeProduct, _cluster, _lex_key, _UnionFind
 from .blaschke import fiber_roots, with_multiplicity
 from .errors import FiberError
-from .funcspec import RationalFunction, evaluate, spec_to_text
+from .funcspec import RationalFunction, spec_to_text
 
 __all__ = [
     "Fiber",
@@ -91,21 +92,6 @@ def base_fiber(spec, omega0):
     return Fiber(complex(omega0), tuple(pts))
 
 
-def _fiber_errors(spec, f, fiber):
-    """How far each fiber point may lie from the true fiber of f, to first order.
-
-    The rounding bound eps sum |r_k| |z|^k of R = P - omega Q at the point,
-    plus, for a spec, |Q| times the miss of the spec's own tree there (the
-    reduction's error), over |R'|.
-    """
-    z = np.array(fiber.points, dtype=complex)
-    R = f.fiber_poly(fiber.base)
-    miss = np.finfo(float).eps * np.polyval(np.abs(R[::-1]), np.abs(z))
-    if not isinstance(spec, RationalFunction):
-        miss += np.abs(np.polyval(f.Q[::-1], z) * (evaluate(spec, z) - fiber.base))
-    return miss / np.abs(np.polyval((R[1:] * np.arange(1, R.size))[::-1], z))
-
-
 def _clustered_branch_values(spec):
     clusters = _cluster(geometry.branch_values(spec), tol=1e-6)
     return sorted((centroid for centroid, _ in clusters), key=_lex_key)
@@ -158,34 +144,42 @@ def inner_factor_from_block(fiber, block):
     return BlaschkeProduct(tuple(fiber.points[i] for i in block), 0.0)
 
 
-def outer_factor(f, zeros):
+def outer_factor(f, zeros, degree=None):
     """Exact outer factors h = A/C with f = h o B_hat, one per row of zeros.
 
     Row s of the (S, d) array ``zeros`` is the zero set of the phase-0 inner
-    factor B_hat = N/D, and k = deg f / d.  The identity
+    factor B_hat = N/D, and k = degree / d, where degree is deg f once the
+    common factors of P and Q are cancelled (default: f.degree, the degree
+    of P/Q as stored; see _reduced_degree).  The identity
     sum_j (c_j P - a_j Q) N^j D^(k-j) = 0 is linear in (c, a).  It is taken
     divided by D^k, as P(z) C(B_hat(z)) - Q(z) A(B_hat(z)) = 0, at the
     2 deg f + 1 roots of unity: a polynomial of degree 2 deg f vanishes
     there only if it vanishes identically, and dividing by D^k keeps the
-    rows near a zero of B_hat close to the circle at full weight.  With the
-    columns normalized, one stacked SVD gives each row's null vector, scaled
-    so that C(0) = 1, and its score sigma_min / sigma_max.  Returns
+    rows near a zero of B_hat close to the circle at full weight.  (At
+    d = 1 and k = deg f it is 2k + 2 roots, so that there are as many rows
+    as columns.)  With the columns normalized, one stacked SVD gives each
+    row's null vector, scaled so that C(0) = 1, and its score
+    sigma_min / sigma_max.  Returns
     (A, C, score): (S, k+1) constant-first coefficient stacks and (S,) scores.
     """
     f = RationalFunction.from_spec(f)
     zeros = np.atleast_2d(np.asarray(zeros, dtype=complex))
     n, d = f.degree, zeros.shape[1]
-    if n % d:
-        raise ValueError(f"inner order {d} does not divide deg f = {n}")
-    k = n // d
-    z = np.exp(2j * np.pi * np.arange(2 * n + 1) / (2 * n + 1))
+    degree = n if degree is None else degree
+    if degree % d:
+        raise ValueError(f"inner order {d} does not divide deg f = {degree}")
+    k = degree // d
+    rows = max(2 * n + 1, 2 * k + 2)
+    z = np.exp(2j * np.pi * np.arange(rows) / rows)
     powers = _inner_values(zeros, z)[:, :, None] ** np.arange(k + 1)
     M = np.concatenate([np.polyval(f.P[::-1], z)[:, None] * powers,
                         -np.polyval(f.Q[::-1], z)[:, None] * powers], axis=2)
     norms = np.linalg.norm(M, axis=1)
     _, s, Vh = np.linalg.svd(M / norms[:, None, :], full_matrices=False)
     x = Vh[:, -1].conj() / norms
-    x /= x[:, :1]
+    # an outer factor has no pole in the disk, so a null vector with C(0) = 0
+    # is none; it is divided by 1 instead, for its residual to reject
+    x /= np.where(x[:, :1] == 0, 1.0, x[:, :1])
     x[:, 0] = 1.0
     return x[:, k + 1:], x[:, : k + 1], s[:, -1] / s[:, 0]
 
@@ -196,23 +190,11 @@ def _inner_values(zeros, z):
     return np.prod((p - z) / (1.0 - p.conj() * z), axis=1)
 
 
-def _residuals(fz, zs, zeros, A, C, errors):
-    """Residual of h o B_hat against f on the held-out points, and its sure part.
-
-    Per row of zeros: max |f - h o B_hat| over zs, and the same maximum less
-    the first-order change of h o B_hat when each zero p moves by its error
-    e (|dB_hat| <= sum e (1 + |z|) / |1 - conj(p) z|, times |h'|), which is
-    what the residual is at least for the exact fiber.
-    """
+def _residuals(fz, zs, zeros, A, C):
+    """max |f - h o B_hat| over the held-out points zs (f's values fz), per row of zeros."""
     w = _inner_values(zeros, zs)
-    a, c, da, dc = (npoly.polyval(w, X.T[..., None], tensor=False)
-                    for X in (A, C, npoly.polyder(A, axis=1), npoly.polyder(C, axis=1)))
-    h = a / c
-    r = np.abs(fz - h)
-    dw = np.sum(errors[:, :, None] * (1.0 + np.abs(zs))
-                / np.abs(1.0 - zeros.conj()[:, :, None] * zs), axis=1)
-    sure = r - np.abs((da - h * dc) / c) * dw
-    return np.max(r, axis=1), np.max(sure, axis=1)
+    h = npoly.polyval(w, A.T[..., None], tensor=False) / npoly.polyval(w, C.T[..., None], tensor=False)
+    return np.max(np.abs(fz - h), axis=1)
 
 
 # The block search: the most blocks one decomposition may propose, the most
@@ -233,32 +215,48 @@ def _level_sets(fiber, block):
     return tuple(sorted(tuple(g) for g in uf.groups()))
 
 
-def _block_partitions(f, fiber, errors, d, zs, fz):
-    """Partitions into d-point level sets of the blocks not surely rejected.
+def _reduced_degree(f, fiber_size, zs, fz):
+    """deg f with the common factors of P and Q cancelled, or None.
+
+    A sum or product of specs reduces to a P/Q that can share factors, and
+    then deg P/Q overstates deg f.  deg f is at least the fiber size, so it
+    is the least degree from there up to deg P/Q whose outer factor for the
+    inner factor -z (f itself, up to the sign of z) reproduces f on the
+    held-out points zs, where f takes the values fz, to _RESIDUAL_TOL.  None
+    when no degree does: the solve cannot reproduce f itself.
+    """
+    zero = np.zeros((1, 1))  # the inner factor -z
+    for degree in range(fiber_size, f.degree + 1):
+        A, C, _ = outer_factor(f, zero, degree)
+        if _residuals(fz, zs, zero, A, C)[0] < _RESIDUAL_TOL:
+            return degree
+    return None
+
+
+def _block_partitions(f, degree, fiber, d, zs, fz):
+    """Sorted partitions into d-point level sets induced by the accepted blocks.
 
     Every block of d fiber points containing sheet 0 gives a candidate inner
-    factor; its outer factor is solved in stacks of at most _CHUNK blocks.
-    A block is surely rejected when its residual on the held-out points zs
-    (f's values fz) stays at or above _RESIDUAL_TOL within the errors of its
-    fiber points.  Returns the sorted partitions the other blocks induce and
-    the number of those blocks.
+    factor; its outer factor (of degree degree / d, degree being the reduced
+    deg f) is solved in stacks of at most _CHUNK blocks, and the block is
+    accepted when its residual on the held-out points zs (f's values fz) is
+    below _RESIDUAL_TOL.  Empty when d does not divide the degree.
     """
-    if f.degree % d:
-        return [], 0
+    if degree % d:
+        return []
     pts = np.array(fiber.points)
     blocks = [(0,) + rest for rest in combinations(range(1, fiber.size), d - 1)]
-    partitions, kept = set(), 0
+    partitions = set()
     for start in range(0, len(blocks), _CHUNK):
         chunk = blocks[start:start + _CHUNK]
         rows = np.array(chunk)
-        A, C, _ = outer_factor(f, pts[rows])
-        sure = _residuals(fz, zs, pts[rows], A, C, errors[rows])[1]
-        for block in (b for b, r in zip(chunk, sure) if r < _RESIDUAL_TOL):
-            kept += 1
+        A, C, _ = outer_factor(f, pts[rows], degree)
+        residuals = _residuals(fz, zs, pts[rows], A, C)
+        for block in (b for b, r in zip(chunk, residuals) if r < _RESIDUAL_TOL):
             partition = _level_sets(fiber, block)
             if all(len(b) == d for b in partition):
                 partitions.add(partition)
-    return sorted(partitions), kept
+    return sorted(partitions)
 
 
 # The serialized Taylor polynomial of an outer factor: cut where the rest of
@@ -356,14 +354,15 @@ def _certificate_id(spec, omega0):
 def decompose(spec, omega0=None, test_points=200):
     """Maximal Blaschke inner factor of f with a residual certificate.
 
-    Block sizes d dividing both the fiber size and deg f are searched
-    largest first; the partitions of a size (see _block_partitions) are
-    tried in sorted order, and the first whose best-conditioned block's
-    outer factor reproduces f on the held-out points to _RESIDUAL_TOL wins.  No passing
-    candidate means f is indecomposable: m = 1 with f itself as the outer
-    factor.  A search that would propose more than _CANDIDATE_CAP blocks
-    raises FiberError instead, and so do the undecidable cases of the
-    module docstring.
+    Block sizes d dividing both the fiber size and the reduced deg f are
+    searched largest first; the partitions of a size (see _block_partitions)
+    are tried in sorted order, and the first whose best-conditioned block's
+    outer factor reproduces f on the held-out points to _RESIDUAL_TOL wins.
+    No passing candidate means f is indecomposable: m = 1 with f itself as
+    the outer factor.  A search over more than _CANDIDATE_CAP blocks of the
+    sizes dividing the fiber size raises FiberError instead, and so does a
+    search without a passing candidate when the solve does not reproduce f
+    for the inner factor z.
     """
     f = RationalFunction.from_spec(spec)
     curve = geometry.boundary_curve(f, 1024)
@@ -380,22 +379,17 @@ def decompose(spec, omega0=None, test_points=200):
             )
     cert = _certificate_id(spec, omega0)
     fiber = base_fiber(f, omega0)
-    errors = _fiber_errors(spec, f, fiber)
     n = fiber.size
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")
     zs = _held_out_points(test_points)
     fz = f.value(zs)
-    if not isinstance(spec, RationalFunction):
-        drift = float(np.max(np.abs(fz - evaluate(spec, zs))))
-        if not drift < _RESIDUAL_TOL:
-            raise FiberError(
-                f"the reduced rational form misses f by {drift:.1e} on the held-out "
-                f"points, not below the certificate tolerance {_RESIDUAL_TOL}"
-            )
+    degree = _reduced_degree(f, n, zs, fz)
+    trusted = degree is not None
+    degree = f.degree if degree is None else degree
     tried = 0
     for d in range(n, 1, -1):
-        if n % d or f.degree % d:
+        if n % d:
             continue
         tried += comb(n - 1, d - 1)
         if tried > _CANDIDATE_CAP:
@@ -403,8 +397,7 @@ def decompose(spec, omega0=None, test_points=200):
                 f"block search over {n} fiber points needs more than "
                 f"{_CANDIDATE_CAP} candidates"
             )
-        partitions, kept = _block_partitions(f, fiber, errors, d, zs, fz)
-        for partition in partitions:
+        for partition in _block_partitions(f, degree, fiber, d, zs, fz):
             # any block works (they differ by a target automorphism); the one
             # with the smallest zero moduli gives the best-conditioned factor
             block = min(
@@ -412,8 +405,8 @@ def decompose(spec, omega0=None, test_points=200):
             )
             bhat = inner_factor_from_block(fiber, block)
             zeros = np.array([bhat.zeros])
-            A, C, score = outer_factor(f, zeros)
-            residual = float(_residuals(fz, zs, zeros, A, C, errors[None, list(block)])[0][0])
+            A, C, score = outer_factor(f, zeros, degree)
+            residual = float(_residuals(fz, zs, zeros, A, C)[0])
             if residual < _RESIDUAL_TOL:
                 return Decomposition(
                     inner=bhat,
@@ -429,11 +422,11 @@ def decompose(spec, omega0=None, test_points=200):
                     certificate=cert,
                     block_score=float(score[0]),
                 )
-        if kept:
-            raise FiberError(
-                f"{kept} blocks of {d} fiber points are not rejected within the errors "
-                "of their points, and no partition they induce is accepted"
-            )
+    if not trusted:
+        raise FiberError(
+            "the outer factor solve does not reproduce f itself (inner factor z) "
+            f"to {_RESIDUAL_TOL}, so rejecting every block does not show m = 1"
+        )
     return Decomposition(
         inner=identity_blaschke(),
         outer=spec,

@@ -120,23 +120,32 @@ def test_decompose_command(tmp_path):
     assert env["result"]["m"] == 2
 
 
-def test_fiber_near_the_circle_is_decomposed_and_never_denied(tmp_path):
-    # f o phi_0.96: the base fiber has a point at 0.998, and f o phi is similar
-    # to f by construction
-    f = "compose(poly(0,1,0,2),blaschke(0;0,0.4))"
-    f_phi = f"compose({f},moebius(0;0.96))"
-    assert _run(["decompose", "--fn", f_phi, "--out", str(tmp_path / "d")]) == 0
-    env = _load(tmp_path / "d")
+# f o phi_0.96: the base fiber of f o phi has a point at 0.998, and f o phi
+# is similar to f by construction
+NEAR_CIRCLE_F = "compose(poly(0,1,0,2),blaschke(0;0,0.4))"
+NEAR_CIRCLE_F_PHI = f"compose({NEAR_CIRCLE_F},moebius(0;0.96))"
+
+
+def test_fiber_near_the_circle_is_decomposed(tmp_path):
+    assert _run(["decompose", "--fn", NEAR_CIRCLE_F_PHI, "--out", str(tmp_path)]) == 0
+    env = _load(tmp_path)
     _validate(env)
     assert env["result"]["m"] == 2 and env["result"]["residual"] < 1e-8
-    # the Douglas certificate of that inner factor does not stabilize by
-    # K = 2048, so the verdict may be inconclusive, but never "not similar"
-    code = _run(["similar", "--weights", "bergman:alpha=1", "--f1", f_phi, "--f2", f,
-                 "--out", str(tmp_path / "s")])
-    env = _load(tmp_path / "s")
+
+
+@pytest.mark.xfail(
+    raises=AssertionError, strict=True,
+    reason="the Douglas certificate of the inner factor with zeros 0 and 0.998 "
+           "does not stabilize by its K cap 2048, so the verdict is inconclusive",
+)
+def test_similar_pair_with_a_fiber_near_the_circle_is_similar(tmp_path):
+    code = _run(["similar", "--weights", "bergman:alpha=1", "--f1", NEAR_CIRCLE_F_PHI,
+                 "--f2", NEAR_CIRCLE_F, "--out", str(tmp_path)])
+    env = _load(tmp_path)
     _validate(env)
-    assert code in (0, 2) and env["result"]["status"] != "not_similar"
-    assert env["result"]["evidence"]["m1"] == env["result"]["evidence"]["m2"] == 2
+    if env["result"]["status"] == "not_similar":
+        pytest.fail("a pair similar by construction is certified not similar")
+    assert code == 0 and env["result"]["status"] == "similar"
 
 
 def test_jordan_command(tmp_path):
