@@ -144,13 +144,13 @@ def inner_factor_from_block(fiber, block):
     return BlaschkeProduct(tuple(fiber.points[i] for i in block), 0.0)
 
 
-def outer_factor(f, zeros, degree=None):
+def outer_factor(f, zeros, degree):
     """Exact outer factors h = A/C with f = h o B_hat, one per row of zeros.
 
     Row s of the (S, d) array ``zeros`` is the zero set of the phase-0 inner
     factor B_hat = N/D, and k = degree / d, where degree is deg f once the
-    common factors of P and Q are cancelled (default: f.degree, the degree
-    of P/Q as stored; see _reduced_degree).  The identity
+    common factors of P and Q are cancelled (see _reduced_degree).  The
+    identity
     sum_j (c_j P - a_j Q) N^j D^(k-j) = 0 is linear in (c, a).  It is taken
     divided by D^k, as P(z) C(B_hat(z)) - Q(z) A(B_hat(z)) = 0, at the
     2 deg f + 1 roots of unity: a polynomial of degree 2 deg f vanishes
@@ -165,7 +165,6 @@ def outer_factor(f, zeros, degree=None):
     f = RationalFunction.from_spec(f)
     zeros = np.atleast_2d(np.asarray(zeros, dtype=complex))
     n, d = f.degree, zeros.shape[1]
-    degree = n if degree is None else degree
     if degree % d:
         raise ValueError(f"inner order {d} does not divide deg f = {degree}")
     k = degree // d
