@@ -345,7 +345,8 @@ def _compositions_near_the_circle(draw):
 def test_decompose_never_certifies_less_than_the_inner_order_near_the_circle(case):
     # a fiber point near the circle may leave the evidence unable to decide,
     # which is a FiberError; the denominator check may also refuse the spec
-    # (a DomainError, see CHANGES); neither is a false m
+    # (a DomainError, for a multiple denominator zero just outside it);
+    # neither is a false m
     f, order = case
     try:
         dec = monodromy.decompose(f)
