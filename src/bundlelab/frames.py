@@ -18,17 +18,21 @@ which squares the condition number; a frame whose Gram matrix is too close
 to singular for that (cond > 1e4) falls back to a full SVD.  The eigenvalues
 are those of the Gram band: offsets past b are dropped for the smallest b whose
 dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
-roundoff level (b = m - 1 for Hardy); a band b >= n/16 is solved dense.  Riesz
-verdicts are finite-truncation statements: every report carries stability-
-under-doubling evidence and never an infinite-dimensional claim.
+roundoff level (b = m - 1 for Hardy); a band b >= n/16 is solved dense.  When
+beta_k**2 is a polynomial of degree d in k, the Riesz ladder needs no K-row
+frame: its rungs come from the exact Gram, block-banded with offsets <= d, whose
+blocks are fitted as polynomials in n from the first columns.  Riesz verdicts
+are finite-section statements: every report carries stability-under-doubling
+evidence and never an infinite-dimensional claim.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.polynomial.chebyshev import chebvander
 from scipy.linalg import eigvals_banded, eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import zherk
 
@@ -304,9 +308,160 @@ class RieszReport:
         }
 
 
-def _extremal(F):
-    s_min, s_max = F.extremes()
-    return float(s_min**2), float(s_max**2)
+def _truncated_extremal(F, K, n_max):
+    """(c1, c2, tail) of the K-row frame of F's product with columns n <= n_max."""
+    G = F if (K, n_max) == (F.K, F.n_max) else F.rebuild(n_max, K)
+    s_min, s_max = G.extremes()
+    return float(s_min**2), float(s_max**2), G.tail("beta")
+
+
+@dataclass
+class _GramFit:
+    """Raw Gram blocks G[n, n+s] (s <= d) of a frame whose beta_k**2 is a
+    polynomial of degree d in k, for every n.
+
+    Then <f, g>_beta = <p(z d/dz) f, g>_{H^2} with deg p = d.  As z d/dz
+    (B^n g) = B^n (n zB'/B + z d/dz) g, p(z d/dz)(B^n k_i) is a sum over
+    r <= d of B^(n-r) g_r, each g_r a polynomial of degree <= r in n with
+    rational coefficients in H^2 minus B^(2r+1) H^2 (analytic once n >= r).
+    M_B is an isometry of H^2, so <B^(n-r) g_r, B^(n+s) k_j> = <g_r,
+    B^(s+r) k_j>: the offsets s > d vanish, and for n >= d each block is a
+    polynomial of degree <= d in n.  The blocks n <= d are kept as read
+    (``head``); the rest come from the Chebyshev coefficients ``coef`` in
+    x = (2n - lo - hi)/(hi - lo), fitted on n in [lo, hi].
+    """
+
+    d: int
+    m: int
+    head: np.ndarray
+    coef: np.ndarray
+    lo: int
+    hi: int
+    residual: float
+    tail: float
+    bound: float
+
+    @property
+    def trusted(self):
+        return self.residual <= self.bound and self.tail**2 <= self.bound
+
+    def blocks(self, n_max):
+        """G[n, n+s] for n = 0..n_max and s = 0..d, shape (n_max+1, d+1, m, m)."""
+        x = (2.0 * np.arange(self.d + 1, n_max + 1) - self.lo - self.hi) / (self.hi - self.lo)
+        fitted = (chebvander(x, self.d) @ self.coef).reshape(-1, self.d + 1, self.m, self.m)
+        return np.concatenate([self.head[: n_max + 1], fitted])
+
+
+def _fit_gram(F):
+    """The :class:`_GramFit` of ``F``'s frame, or None when beta_k**2 is no polynomial.
+
+    It reads the raw Gram of the first block columns of ``F`` (or of one
+    rebuilt frame when ``F`` has too few), fits the blocks n in [d+1, 4d+3]
+    and holds out the next d+1.  A length-K inner product is exact to
+    gamma_{K+2} <= (K+2)*eps times the product of the column norms (sigma), and
+    a fitted block moves each data error by its least-squares weights l_i, so
+    on an exact structure every held-out block lies within (K+2)*eps*(sigma +
+    sum |l_i| sigma_i) of the data, and every block at offset d+1 within
+    (K+2)*eps*sigma of 0.  ``residual`` is the largest of these misfits over
+    its envelope; the fit is trusted when it is at most (K+2)*eps and the
+    read columns' beta-tail, squared, is too (it bounds their truncation
+    error likewise).
+    """
+    d = F.w.beta_sq_degree
+    if d is None:
+        return None
+    m = F.m
+    lo, hi = d + 1, 4 * d + 3
+    held = np.arange(hi + 1, hi + d + 2)
+    need = held[-1] + d + 1  # the last block column read: offset d+1 of the last held-out n
+    # column n of B^n k_j starts by row m*n, so 8m rows per column leaves none empty
+    src = F if F.n_max >= need else F.rebuild(need, max(F.K, 8 * m * (need + 1)))
+    sub = replace(src, n_max=need, taylor=src.taylor[:, : m * (need + 1)])
+    A = sub.matrix("raw")
+    G = (A.conj().T @ A).reshape(need + 1, m, need + 1, m)
+    norms = np.sqrt(np.einsum("nini->ni", G).real)
+    n = np.arange(held[-1] + 1)[:, None]
+    s = np.arange(d + 2)
+    Y = G[n, :, n + s, :]  # (n, s, i, j): G[n, n+s]
+    sigma = norms[n][..., None] * norms[n + s][:, :, None, :]
+    Y, sigma, dropped = Y[:, : d + 1], sigma[:, : d + 1], np.abs(Y[:, d + 1]) / sigma[:, d + 1]
+    fit_n = np.arange(lo, hi + 1)
+
+    def vander(ns):
+        return chebvander((2.0 * ns - lo - hi) / (hi - lo), d)
+
+    pinv = np.linalg.pinv(vander(fit_n))
+    weights = vander(held) @ pinv  # (held, fit): each held-out block from the fitted data
+    flat = Y[fit_n].reshape(fit_n.size, -1)
+    misfit = np.abs(weights @ flat - Y[held].reshape(held.size, -1))
+    envelope = sigma[held].reshape(held.size, -1) + np.abs(weights) @ sigma[fit_n].reshape(fit_n.size, -1)
+    return _GramFit(
+        d=d, m=m, head=Y[: d + 1], coef=pinv @ flat, lo=lo, hi=hi,
+        residual=float(max(np.max(misfit / envelope), np.max(dropped))),
+        tail=sub.tail("beta"), bound=(src.K + 2) * np.finfo(float).eps,
+    )
+
+
+def _band_extremal(fit, w, n_max):
+    """(c1, c2, tail) of the beta-normalized Gram of columns n <= n_max from ``fit``.
+
+    Column (n, j) has index n*m + j, so block G[n, n+s] fills the offsets
+    s*m + j - i of the scalar band, whose width is m(d+1) - 1.  None when the
+    eigenvalue ratio is at or below ``_GRAM_RATIO``, where the Gram route is
+    not accurate enough.
+    """
+    d, m = fit.d, fit.m
+    b = m * (d + 1) - 1
+    s, i, j = (a.ravel() for a in np.meshgrid(np.arange(d + 1), np.arange(m), np.arange(m), indexing="ij"))
+    upper = (s > 0) | (j >= i)
+    s, i, j = s[upper], i[upper], j[upper]
+    n = np.arange(n_max + 1)[:, None]
+    inside = n + s <= n_max
+    lb = w.log_betas(n_max + d)
+    vals = fit.blocks(n_max)[n, s, i, j] * np.exp(-lb[n] - lb[n + s])
+    band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
+    rows = np.broadcast_to(b - (s * m + j - i), inside.shape)
+    band[rows[inside], ((n + s) * m + j)[inside]] = vals[inside]
+    lam = eigvals_banded(band, overwrite_a_band=True)
+    if lam[0] <= _GRAM_RATIO * lam[-1]:
+        return None
+    return float(lam[0]), float(lam[-1]), fit.tail
+
+
+def _climb(F, extremal, stability_target, max_doublings):
+    """The doubling ladder from F's (K, n_max); ``extremal(K, n_max)`` gives
+    the rung's (c1, c2, tail), or None to abandon the climb (then None)."""
+    K, n_max = F.K, F.n_max
+    first = extremal(K, n_max)
+    if first is None:
+        return None
+    c1, c2, tail = first
+    ladder = [{"K": K, "n_max": n_max, "c1": c1, "c2": c2}]
+    verdict = "inconclusive"
+    rel1 = rel2 = math.inf
+    for _ in range(max_doublings):
+        K, n_max = 2 * K, 2 * n_max
+        rung = extremal(K, n_max)
+        if rung is None:
+            return None
+        c1d, c2d, tail = rung
+        ladder.append({"K": K, "n_max": n_max, "c1": c1d, "c2": c2d})
+        rel1 = abs(c1d - c1) / max(c1d, 1e-300)
+        rel2 = abs(c2d - c2) / max(c2d, 1e-300)
+        degenerating = c1d < 0.9 * c1 or c2d > 1.1 * c2
+        c1, c2 = c1d, c2d
+        if degenerating:
+            verdict = "degenerating"
+            break
+        if rel1 <= stability_target and rel2 <= stability_target:
+            verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
+            break
+    return c1, c2, K, n_max, tail, verdict, {
+        "c1_rel_change": rel1,
+        "c2_rel_change": rel2,
+        "target": stability_target,
+        "ladder": ladder,
+    }
 
 
 def riesz_bounds(F, stability_target=0.01, max_doublings=4):
@@ -320,37 +475,31 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     * ``"Riesz-consistent"`` -- both bounds stable, c1 bounded away from 0;
     * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling;
     * ``"inconclusive"``     -- the ladder budget ran out before stability.
+
+    When beta_k**2 is a polynomial in k and :func:`_fit_gram` trusts its fit,
+    every rung is the exact (untruncated) Gram band of its n_max columns
+    (``stability["path"] == "band"``, ``tail`` that of the columns the fit
+    read); otherwise, or when a band rung is too ill-conditioned for the Gram
+    route, each rung is the K-row frame (``"truncated"``, ``tail`` that of the
+    last rung).  ``stability["fit_residual"]`` is the fit's held-out residual,
+    None without a fit.
     """
-    K, n_max, last = F.K, F.n_max, F
-    c1, c2 = _extremal(F)
-    ladder = [{"K": K, "n_max": n_max, "c1": c1, "c2": c2}]
-    verdict = "inconclusive"
-    rel1 = rel2 = math.inf
-    for _ in range(max_doublings):
-        K, n_max = 2 * K, 2 * n_max
-        last = F.rebuild(n_max, K)
-        c1d, c2d = _extremal(last)
-        ladder.append({"K": K, "n_max": n_max, "c1": c1d, "c2": c2d})
-        rel1 = abs(c1d - c1) / max(c1d, 1e-300)
-        rel2 = abs(c2d - c2) / max(c2d, 1e-300)
-        degenerating = c1d < 0.9 * c1 or c2d > 1.1 * c2
-        c1, c2 = c1d, c2d
-        if degenerating:
-            verdict = "degenerating"
-            break
-        if rel1 <= stability_target and rel2 <= stability_target:
-            verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
-            break
-    stability = {
-        "c1_rel_change": rel1,
-        "c2_rel_change": rel2,
-        "target": stability_target,
-        "ladder": ladder,
-    }
+    fit = _fit_gram(F)
+    climb = None
+    if fit is not None and fit.trusted:
+        climb = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max),
+                       stability_target, max_doublings)
+        path = "band"
+    if climb is None:
+        climb = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max),
+                       stability_target, max_doublings)
+        path = "truncated"
+    c1, c2, K, n_max, tail, verdict, stability = climb
+    stability["path"] = path
+    stability["fit_residual"] = None if fit is None else fit.residual
     return RieszReport(
         c1=c1, c2=c2, cond=math.sqrt(c2 / c1) if c1 > 0 else math.inf,
-        K=K, n_max=n_max, tail=last.tail("beta"), stability=stability,
-        verdict=verdict,
+        K=K, n_max=n_max, tail=tail, stability=stability, verdict=verdict,
     )
 
 

@@ -199,6 +199,23 @@ class WeightSequence:
         return WeightSequence.reciprocal(self)
 
     @property
+    def beta_sq_degree(self):
+        """Degree d of beta_k**2 as a polynomial in k, or None when it is none.
+
+        For an integer M, polygrowth:M has beta_k = C(k+M+1, M)/(M+1), so
+        d = 2M; the reciprocal of bergman:alpha=a has beta_k**2 =
+        C(k+2a+1, 2a)/(2a+1), so d = 2a when 2a is an integer; hardy has d = 0.
+        """
+        if self.kind == "hardy":
+            return 0
+        if self.kind == "polygrowth" and self.params[0].is_integer():
+            return 2 * int(self.params[0])
+        if self.kind == "reciprocal" and self.base.kind == "bergman":
+            two_a = 2.0 * self.base.params[0]
+            return int(two_a) if two_a.is_integer() else None
+        return None
+
+    @property
     def growth_certificate(self):
         """Analytically certified growth class, or None for explicit lists."""
         if self.kind in ("hardy", "bergman", "polygrowth"):

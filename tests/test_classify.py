@@ -43,6 +43,20 @@ def test_douglas_key_regime():
     assert cert.accepted
 
 
+def test_douglas_polygrowth_ladder_keeps_its_rungs_and_values():
+    cert = classify.douglas_intertwiner(BlaschkeProduct((0, 0.5)), WeightSequence.polygrowth(2))
+    rep = cert.riesz
+    ladder = rep.stability["ladder"]
+    assert rep.stability["path"] == "band"
+    assert [(r["K"], r["n_max"]) for r in ladder] == [(512, 100), (1024, 200), (2048, 400), (4096, 800)]
+    assert (rep.K, rep.n_max, rep.verdict) == (4096, 800, "Riesz-consistent")
+    assert rep.c1 == pytest.approx(0.4996468108979858, rel=1e-10)
+    assert [r["c2"] for r in ladder] == pytest.approx(
+        [298.2174140946029, 310.4588046723624, 316.6095884476706, 319.6480589029723], rel=1e-10
+    )
+    assert cert.accepted
+
+
 def test_douglas_fails_on_intermediate_growth():
     recip_nln = WeightSequence.nln().dual()
     with pytest.warns(UserWarning, match="polynomial growth"):

@@ -2,6 +2,8 @@
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigvalsh, svdvals
 from scipy.linalg.blas import zherk
 
@@ -223,11 +225,107 @@ def test_riesz_key_regime_stability():
 
 def test_riesz_reports_the_tail_of_its_last_rung():
     B = BlaschkeProduct(ZEROS[3])
+    F = frames.build_frame(B, BERGMAN, 50, 256)
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
+    assert (rep.K, rep.n_max) == (512, 100)
+    assert rep.tail == frames.build_frame(B, BERGMAN, 100, 512).tail("beta")
+    assert rep.tail < 1e-3 * F.tail("beta")
+
+
+def test_band_riesz_reports_the_tail_of_the_columns_its_fit_read():
+    # hardy (d = 0) fits n = 1..3, holds out n = 4 and reads offset 1: n <= 5
+    B = BlaschkeProduct(ZEROS[3])
     F = frames.build_frame(B, HARDY, 50, 256)
     rep = frames.riesz_bounds(F)
+    assert rep.stability["path"] == "band"
     assert (rep.K, rep.n_max) == (512, 100)
-    assert rep.tail == frames.build_frame(B, HARDY, 100, 512).tail("beta")
-    assert rep.tail < 1e-3 * F.tail("beta")
+    assert rep.tail == frames.build_frame(B, HARDY, 5, 256).tail("beta")
+    assert rep.tail < 1e-50 < F.tail("beta")
+
+
+POLYNOMIAL_WEIGHTS = ["hardy", "polygrowth:M=1", "polygrowth:M=2", "reciprocal:bergman:alpha=1"]
+
+
+@st.composite
+def _polynomial_frames(draw):
+    order = draw(st.integers(1, 3))
+    zeros = tuple(
+        draw(st.floats(0.0, 0.6)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(order)
+    )
+    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
+    return zeros, draw(st.sampled_from(POLYNOMIAL_WEIGHTS)), draw(st.integers(1, 100))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True, database=None)
+@given(_polynomial_frames())
+@example(((0.45 - 0.3j,), "polygrowth:M=2", 60))  # an order-1 frame with its kernel point
+def test_band_extremes_match_the_truncated_frame(case):
+    zeros, wid, n_max = case
+    w = parse_weight_id(wid)
+    F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
+    while F.tail("beta") >= 1e-12:
+        F = F.rebuild(n_max, 2 * F.K)
+    s_min, s_max = F.extremes()
+    # the Gram route gives c1 to about n*eps*c2 absolute
+    assume(s_max**2 <= 1e4 * s_min**2)
+    fit = frames._fit_gram(F)
+    assert fit.trusted, (fit.residual, fit.tail, fit.bound)
+    c1, c2, tail = frames._band_extremal(fit, w, n_max)
+    assert c1 == pytest.approx(s_min**2, rel=1e-9)
+    assert c2 == pytest.approx(s_max**2, rel=1e-9)
+    assert tail == fit.tail
+
+
+@pytest.mark.parametrize("wid", ["bergman:alpha=1", "polygrowth:M=1.5", "reciprocal:nln"])
+def test_riesz_stays_truncated_without_a_polynomial_beta_square(wid):
+    w = parse_weight_id(wid)
+    assert w.beta_sq_degree is None
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), w, 20, 128)
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
+    assert rep.stability["fit_residual"] is None
+    assert rep.stability["ladder"][0]["c1"] == float(F.extremes()[0] ** 2)
+
+
+def test_a_fit_that_misses_a_held_out_block_falls_back(monkeypatch):
+    # polygrowth:M=1 (d = 2) fits n = 3..11 and holds out n = 12..14; one
+    # held-out raw column grows by 1e-9, far above the (K+2)*eps roundoff bound
+    matrix = frames.FrameMatrix.matrix
+
+    def perturbed(self, normalization="beta"):
+        A = matrix(self, normalization)
+        if normalization == "raw":
+            A[:, 2 * 13] *= 1.0 + 1e-9
+        return A
+
+    monkeypatch.setattr(frames.FrameMatrix, "matrix", perturbed)
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), WeightSequence.polygrowth(1), 40, 256)
+    fit = frames._fit_gram(F)
+    assert fit.bound < fit.residual and not fit.trusted
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
+    assert rep.stability["fit_residual"] == fit.residual
+    assert rep.stability["ladder"][0]["c1"] == float(F.extremes()[0] ** 2)
+
+
+def test_a_fit_from_columns_with_a_large_tail_falls_back():
+    # at K = 64 the columns n <= 17 that polygrowth:M=1 reads are cut short
+    F = frames.build_frame(BlaschkeProduct((0, 0.9)), WeightSequence.polygrowth(1), 40, 64)
+    fit = frames._fit_gram(F)
+    assert fit.tail**2 > fit.bound and not fit.trusted
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
+    assert rep.tail == F.rebuild(80, 128).tail("beta")
+
+
+def test_an_ill_conditioned_band_rung_falls_back(monkeypatch):
+    monkeypatch.setattr(frames, "_GRAM_RATIO", 0.5)
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), HARDY, 20, 128)
+    rep = frames.riesz_bounds(F)
+    assert frames._fit_gram(F).trusted
+    assert rep.stability["path"] == "truncated"
 
 
 def test_riesz_degenerating_on_intermediate_growth():

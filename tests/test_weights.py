@@ -174,3 +174,19 @@ def test_concurrent_cache_extension():
         t.join()
     assert not errs
     assert w.betas(1296).size == 1297
+
+
+@pytest.mark.parametrize("wid, degree", [
+    ("hardy", 0), ("polygrowth:M=1", 2), ("polygrowth:M=3", 6),
+    ("reciprocal:bergman:alpha=1", 2), ("reciprocal:bergman:alpha=1.5", 3),
+    ("polygrowth:M=1.5", None), ("bergman:alpha=1", None), ("nln", None),
+    ("reciprocal:polygrowth:M=1", None),
+])
+def test_beta_sq_degree_is_the_degree_of_beta_square(wid, degree):
+    w = parse_weight_id(wid)
+    assert w.beta_sq_degree == degree
+    if degree is not None:
+        # differences of order d+1 of a degree-d polynomial vanish; of order d they do not
+        b2 = w.betas(40) ** 2
+        assert np.max(np.abs(np.diff(b2, degree + 1))) <= 1e-12 * np.max(b2)
+        assert np.min(np.abs(np.diff(b2, degree))) > 1e-9 * np.max(b2)
