@@ -67,6 +67,9 @@ _GRAM_RATIO = 1e-8
 # a Gram band b >= n/16 goes dense: with BLAS at one thread the two solvers
 # break even there for n = 150..1602 (n = 1602: b = 100 took 1.6 s, dense 1.7 s)
 _BAND_CROSSOVER = 16
+# build_frame applies each kernel factor to this many powers at a time, so that
+# its temporaries stay at (K + pad) x 64 entries next to the frame block
+_BUILD_CHUNK = 64
 
 
 @dataclass
@@ -231,9 +234,11 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     """Frame columns B^n(z)/(1 - conj(z_j) z) by exact rational recursion.
 
     With B = P/Q, each power is ``B^{n+1} = rational(P, Q, B^n)`` on ``K +
-    pad`` coefficients, and each kernel factor 1/(1 - conj(z_j) z) is one
-    banded solve over all powers at once.  Entries below ``_FLUSH`` in the
-    powers and the columns are set to 0.  Zeros must be distinct.  For
+    pad`` coefficients, written into the columns (n, 0) of the frame block,
+    and each kernel factor 1/(1 - conj(z_j) z) is a banded solve over chunks of
+    ``_BUILD_CHUNK`` powers, written in place (j = 0 last, as it overwrites the
+    powers).  Entries below ``_FLUSH`` in the powers and the columns are set to
+    0.  Zeros must be distinct.  For
     order >= 2 without a zero at the origin the product is precomposed with
     the automorphism swapping 0 and its first zero (recorded in
     ``conjugator``); order-1 families are kept as supplied.
@@ -246,13 +251,20 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     rows = K + pad
     m = Bn.order
     P, Q = funcspec.to_rational(BlaschkeSpec(Bn))
-    powers = np.zeros((n_max + 1, rows), dtype=complex)
-    powers[0, 0] = 1.0
-    for n in range(n_max):
-        powers[n + 1] = _flush(series.rational(P, Q, powers[n]))
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
-    for j, zj in enumerate(Bn.zeros):
-        X[:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
+    powers = X[:, ::m]  # B^n sits in column (n, 0) until its kernel factor overwrites it
+    power = np.zeros(rows, dtype=complex)
+    power[0] = 1.0
+    powers[:, 0] = power
+    for n in range(n_max):
+        power = _flush(series.rational(P, Q, power))
+        powers[:, n + 1] = power
+    for j in reversed(range(m)):
+        kernel = [1.0, -np.conj(Bn.zeros[j])]
+        for c in range(0, n_max + 1, _BUILD_CHUNK):
+            X[:, j::m][:, c : c + _BUILD_CHUNK] = _flush(
+                series.rational([1.0], kernel, powers[:, c : c + _BUILD_CHUNK])
+            )
     return FrameMatrix(
         product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad,
         conjugator=conj_psi, source=B,
