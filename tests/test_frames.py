@@ -1,4 +1,6 @@
 
+import tracemalloc
+
 import mpmath
 import numpy as np
 import pytest
@@ -205,6 +207,21 @@ def test_gram_tail_bounds_reported():
     F = frames.build_frame(BlaschkeProduct((0, 0.5)), HARDY, 10, 32)
     G = frames.gram(F, "raw")
     assert G.column_tails.shape == (22,)
+
+
+def _peak_bytes(f, *args):
+    f(*args)  # fill the weight caches first
+    tracemalloc.start()
+    try:
+        out = f(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_frame_holds_little_besides_its_block():
+    F, peak = _peak_bytes(frames.build_frame, BlaschkeProduct((0, 0.5)), BERGMAN, 200, 1024)
+    assert peak <= 1.5 * F.taylor.nbytes
 
 
 def test_riesz_monomial():

@@ -19,10 +19,12 @@ so that a change meant to move the numbers only by roundoff is checked with
     python3 tools/output_digest.py --compare values-parent.txt values-change.txt
 
 reads two ``--values`` outputs and fails (exit 1) when a command, an exit
-code, a file, a value path or the hash of a file other than ``result.json``
-differs.  Otherwise it prints, for each value path name (list indices
-collapsed to ``[]``) whose value moved, the largest absolute move and the
-largest move relative to the parent value.
+code, a file or the hash of a file other than ``result.json`` differs.
+Otherwise it prints, for each value path name (list indices collapsed to
+``[]``) whose value moved, the largest absolute move and the largest move
+relative to the parent value, and then each value path name found on one
+side only, with the number of outputs that have it; it fails when there is
+one.
 
 The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
@@ -120,15 +122,15 @@ def _read_values(path):
 
 
 def compare(parent, change):
-    """Print the largest moves of each value path name; 1 when anything else differs."""
+    """Print the largest moves of each value path name, then the value path
+    names found on one side only; 1 when those exist or anything else differs."""
     (files_p, values_p), (files_c, values_c) = _read_values(parent), _read_values(change)
-    if files_p != files_c or values_p.keys() != values_c.keys():
-        bad = sorted(set(files_p) ^ set(files_c)) or sorted(values_p.keys() ^ values_c.keys())
-        print("outputs differ:", *bad[:20], sep="\n  ")
+    if files_p != files_c:
+        print("outputs differ:", *sorted(set(files_p) ^ set(files_c))[:20], sep="\n  ")
         return 1
     moves = {}
     for (out, key), a in values_p.items():
-        b = values_c[out, key]
+        b = values_c.get((out, key), a)
         if a != b and not (math.isnan(a) and math.isnan(b)):
             worst = moves.setdefault(re.sub(r"\[\d+\]", "[]", key), [0.0, 0.0])
             move = math.inf if math.isnan(b - a) else abs(b - a)  # to or from nan
@@ -137,7 +139,16 @@ def compare(parent, change):
     print(f"{len(values_p)} values; {len(moves)} value path names moved")
     for key, (absolute, relative) in sorted(moves.items()):
         print(f"  {key}  max abs {absolute:.3g}  max rel {relative:.3g}")
-    return 0
+    one_side = []
+    for side, keys in (("parent", values_p.keys() - values_c.keys()),
+                       ("change", values_c.keys() - values_p.keys())):
+        names = {}
+        for out, key in keys:
+            names.setdefault(re.sub(r"\[\d+\]", "[]", key), set()).add(out)
+        one_side += [f"  {name}  only in {side}, {len(outs)} outputs" for name, outs in sorted(names.items())]
+    if one_side:
+        print(f"{len(one_side)} value path names on one side only", *one_side, sep="\n")
+    return 1 if one_side else 0
 
 
 def main(argv=None):
