@@ -284,14 +284,23 @@ class GramResult:
 
 
 def gram(F, normalization="raw"):
-    """Conjugate-transpose(A) @ A with per-column tail diagnostics."""
+    """Conjugate-transpose(A) @ A with per-column tail diagnostics.
+
+    ``zherk`` on the F-ordered view A.T fills the upper triangle of conj(A^H
+    A) with no conjugate copy of A; conjugating that triangle in place and
+    mirroring it column by column gives the Hermitian Gram matrix.
+    """
     rows = F.K + F.pad
     rscale, cscale = F._scales(normalization, rows)
     full = F.taylor * rscale[:, None]
     full *= cscale  # in place, as in FrameMatrix.matrix
-    A = full[: F.K]
     tails = np.linalg.norm(full[F.K :], axis=0)
-    return GramResult(A.conj().T @ A, normalization, tails)
+    G = zherk(1.0, full[: F.K].T)
+    np.conjugate(G, out=G)
+    for k in range(G.shape[0] - 1):
+        G[k + 1 :, k] = G[k, k + 1 :].conj()
+    G += 0.0  # the conjugation turns zero imaginary parts into -0; print them as 0
+    return GramResult(G, normalization, tails)
 
 
 @dataclass

@@ -219,6 +219,16 @@ def _peak_bytes(f, *args):
         tracemalloc.stop()
 
 
+def test_gram_is_hermitian_and_holds_no_conjugate_copy_of_the_block():
+    F = frames.build_frame(BlaschkeProduct(ZEROS[3]), BERGMAN, 100, 512)
+    G, peak = _peak_bytes(frames.gram, F, "beta")
+    A = F.matrix("beta")
+    assert np.array_equal(G.matrix, G.matrix.conj().T)
+    assert np.max(np.abs(G.matrix - A.conj().T @ A)) <= 1e-14 * np.max(np.abs(G.matrix))
+    # the scaled block and the Gram matrix, plus small change
+    assert peak <= 1.1 * (F.taylor.nbytes + G.matrix.nbytes)
+
+
 def test_build_frame_holds_little_besides_its_block():
     F, peak = _peak_bytes(frames.build_frame, BlaschkeProduct((0, 0.5)), BERGMAN, 200, 1024)
     assert peak <= 1.5 * F.taylor.nbytes
