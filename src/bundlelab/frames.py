@@ -405,7 +405,8 @@ def _fit_gram(F):
     s = np.arange(d + 2)
     Y = G[n, :, n + s, :]  # (n, s, i, j): G[n, n+s]
     sigma = norms[n][..., None] * norms[n + s][:, :, None, :]
-    Y, sigma, dropped = Y[:, : d + 1], sigma[:, : d + 1], np.abs(Y[:, d + 1]) / sigma[:, d + 1]
+    dropped = np.abs(Y[:, d + 1]) / sigma[:, d + 1]
+    Y, sigma = Y[:, : d + 1], sigma[:, : d + 1]
     fit_n = np.arange(lo, hi + 1)
 
     def vander(ns):
@@ -450,8 +451,11 @@ def _band_extremal(fit, w, n_max):
 
 
 def _climb(F, extremal, stability_target, max_doublings):
-    """The doubling ladder from F's (K, n_max); ``extremal(K, n_max)`` gives
-    the rung's (c1, c2, tail), or None to abandon the climb (then None)."""
+    """The :class:`RieszReport` of the doubling ladder from F's (K, n_max).
+
+    ``extremal(K, n_max)`` gives a rung's (c1, c2, tail), or None to abandon
+    the climb, which then returns None.
+    """
     K, n_max = F.K, F.n_max
     first = extremal(K, n_max)
     if first is None:
@@ -477,12 +481,16 @@ def _climb(F, extremal, stability_target, max_doublings):
         if rel1 <= stability_target and rel2 <= stability_target:
             verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
             break
-    return c1, c2, K, n_max, tail, verdict, {
+    stability = {
         "c1_rel_change": rel1,
         "c2_rel_change": rel2,
         "target": stability_target,
         "ladder": ladder,
     }
+    return RieszReport(
+        c1=c1, c2=c2, cond=math.sqrt(c2 / c1) if c1 > 0 else math.inf,
+        K=K, n_max=n_max, tail=tail, stability=stability, verdict=verdict,
+    )
 
 
 def riesz_bounds(F, stability_target=0.01, max_doublings=4):
@@ -506,22 +514,17 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     None without a fit.
     """
     fit = _fit_gram(F)
-    climb = None
+    rep, path = None, "band"
     if fit is not None and fit.trusted:
-        climb = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max),
-                       stability_target, max_doublings)
-        path = "band"
-    if climb is None:
-        climb = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max),
-                       stability_target, max_doublings)
+        rep = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max),
+                     stability_target, max_doublings)
+    if rep is None:
+        rep = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max),
+                     stability_target, max_doublings)
         path = "truncated"
-    c1, c2, K, n_max, tail, verdict, stability = climb
-    stability["path"] = path
-    stability["fit_residual"] = None if fit is None else fit.residual
-    return RieszReport(
-        c1=c1, c2=c2, cond=math.sqrt(c2 / c1) if c1 > 0 else math.inf,
-        K=K, n_max=n_max, tail=tail, stability=stability, verdict=verdict,
-    )
+    rep.stability["path"] = path
+    rep.stability["fit_residual"] = None if fit is None else fit.residual
+    return rep
 
 
 @dataclass
