@@ -336,6 +336,11 @@ def _truncated_extremal(F, K, n_max):
     return float(s_min**2), float(s_max**2), G.tail("beta")
 
 
+def _cheb(ns, lo, hi, d):
+    """Chebyshev-Vandermonde rows of degree d at x = (2n - lo - hi)/(hi - lo)."""
+    return chebvander((2.0 * np.asarray(ns, dtype=float) - lo - hi) / (hi - lo), d)
+
+
 @dataclass
 class _GramFit:
     """Raw Gram blocks G[n, n+s] (s <= d) of a frame whose beta_k**2 is a
@@ -349,13 +354,16 @@ class _GramFit:
     B^(s+r) k_j>: the offsets s > d vanish, and for n >= d each block is a
     polynomial of degree <= d in n.  The blocks n <= d are kept as read
     (``head``); the rest come from the Chebyshev coefficients ``coef`` in
-    x = (2n - lo - hi)/(hi - lo), fitted on n in [lo, hi].
+    x = (2n - lo - hi)/(hi - lo), fitted on n in [lo, hi] by ``pinv`` from
+    blocks whose largest diagonal entries are ``scale``.
     """
 
     d: int
     m: int
     head: np.ndarray
     coef: np.ndarray
+    pinv: np.ndarray
+    scale: np.ndarray
     lo: int
     hi: int
     residual: float
@@ -368,9 +376,19 @@ class _GramFit:
 
     def blocks(self, n_max):
         """G[n, n+s] for n = 0..n_max and s = 0..d, shape (n_max+1, d+1, m, m)."""
-        x = (2.0 * np.arange(self.d + 1, n_max + 1) - self.lo - self.hi) / (self.hi - self.lo)
-        fitted = (chebvander(x, self.d) @ self.coef).reshape(-1, self.d + 1, self.m, self.m)
-        return np.concatenate([self.head[: n_max + 1], fitted])
+        fitted = _cheb(np.arange(self.d + 1, n_max + 1), self.lo, self.hi, self.d) @ self.coef
+        return np.concatenate([self.head[: n_max + 1], fitted.reshape(-1, self.d + 1, self.m, self.m)])
+
+    def error(self, n, own_scale):
+        """Estimated error of the blocks at n relative to their scale ``own_scale``.
+
+        The measured noise ``residual`` (at least eps) per unit of envelope,
+        carried from the fit points to n by the fit's weights: it grows like
+        (n/hi)^d times the data scale, against n^d for the blocks themselves,
+        so by a factor of about 2^(2d) far out.
+        """
+        carried = np.abs(_cheb([n], self.lo, self.hi, self.d) @ self.pinv)[0] @ self.scale / own_scale
+        return max(self.residual, np.finfo(float).eps) * (1.0 + carried)
 
 
 def _fit_gram(F):
@@ -408,17 +426,14 @@ def _fit_gram(F):
     dropped = np.abs(Y[:, d + 1]) / sigma[:, d + 1]
     Y, sigma = Y[:, : d + 1], sigma[:, : d + 1]
     fit_n = np.arange(lo, hi + 1)
-
-    def vander(ns):
-        return chebvander((2.0 * ns - lo - hi) / (hi - lo), d)
-
-    pinv = np.linalg.pinv(vander(fit_n))
-    weights = vander(held) @ pinv  # (held, fit): each held-out block from the fitted data
     flat = Y[fit_n].reshape(fit_n.size, -1)
+    pinv = np.linalg.pinv(_cheb(fit_n, lo, hi, d))
+    weights = _cheb(held, lo, hi, d) @ pinv  # (held, fit): each held-out block from the fitted data
     misfit = np.abs(weights @ flat - Y[held].reshape(held.size, -1))
     envelope = sigma[held].reshape(held.size, -1) + np.abs(weights) @ sigma[fit_n].reshape(fit_n.size, -1)
     return _GramFit(
-        d=d, m=m, head=Y[: d + 1], coef=pinv @ flat, lo=lo, hi=hi,
+        d=d, m=m, head=Y[: d + 1], coef=pinv @ flat, pinv=pinv,
+        scale=np.max(norms[fit_n], axis=1) ** 2, lo=lo, hi=hi,
         residual=float(max(np.max(misfit / envelope), np.max(dropped))),
         tail=sub.tail("beta"), bound=(src.K + 2) * np.finfo(float).eps,
     )
@@ -428,9 +443,12 @@ def _band_extremal(fit, w, n_max):
     """(c1, c2, tail) of the beta-normalized Gram of columns n <= n_max from ``fit``.
 
     Column (n, j) has index n*m + j, so block G[n, n+s] fills the offsets
-    s*m + j - i of the scalar band, whose width is m(d+1) - 1.  None when the
-    eigenvalue ratio is at or below ``_GRAM_RATIO``, where the Gram route is
-    not accurate enough.
+    s*m + j - i of the scalar band, whose width b is m(d+1) - 1.  An entry
+    error of at most e*sqrt(G_aa G_bb) <= e*c2, with e the fit's error at
+    n_max, moves c1 by at most (2b+1)*e*c2 (Weyl, by row sums).  The Gram
+    route accepts c1 to eps/_GRAM_RATIO relative (its error is about
+    eps*c2/c1, and it hands over at c1/c2 = _GRAM_RATIO), so the rung is None
+    when this bound is larger.
     """
     d, m = fit.d, fit.m
     b = m * (d + 1) - 1
@@ -440,12 +458,14 @@ def _band_extremal(fit, w, n_max):
     n = np.arange(n_max + 1)[:, None]
     inside = n + s <= n_max
     lb = w.log_betas(n_max + d)
-    vals = fit.blocks(n_max)[n, s, i, j] * np.exp(-lb[n] - lb[n + s])
+    blocks = fit.blocks(n_max)
+    error = fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
+    vals = blocks[n, s, i, j] * np.exp(-lb[n] - lb[n + s])
     band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
     rows = np.broadcast_to(b - (s * m + j - i), inside.shape)
     band[rows[inside], ((n + s) * m + j)[inside]] = vals[inside]
     lam = eigvals_banded(band, overwrite_a_band=True)
-    if lam[0] <= _GRAM_RATIO * lam[-1]:
+    if (2 * b + 1) * error * lam[-1] * _GRAM_RATIO >= np.finfo(float).eps * lam[0]:
         return None
     return float(lam[0]), float(lam[-1]), fit.tail
 

@@ -299,7 +299,9 @@ def test_band_extremes_match_the_truncated_frame(case):
     assume(s_max**2 <= 1e4 * s_min**2)
     fit = frames._fit_gram(F)
     assert fit.trusted, (fit.residual, fit.tail, fit.bound)
-    c1, c2, tail = frames._band_extremal(fit, w, n_max)
+    band = frames._band_extremal(fit, w, n_max)
+    assume(band is not None)  # its error bound beyond the Gram route's
+    c1, c2, tail = band
     assert c1 == pytest.approx(s_min**2, rel=1e-9)
     assert c2 == pytest.approx(s_max**2, rel=1e-9)
     assert tail == fit.tail
@@ -345,6 +347,15 @@ def test_a_fit_from_columns_with_a_large_tail_falls_back():
     rep = frames.riesz_bounds(F, max_doublings=1)
     assert rep.stability["path"] == "truncated"
     assert rep.tail == F.rebuild(80, 128).tail("beta")
+
+
+def test_a_band_whose_extrapolation_error_is_too_large_falls_back():
+    # d = 12: the fit carries its noise to n = 100 by a factor of about 1e7
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), WeightSequence.polygrowth(6), 100, 512)
+    fit = frames._fit_gram(F)
+    assert fit.trusted and frames._band_extremal(fit, F.w, 100) is None
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
 
 
 def test_an_ill_conditioned_band_rung_falls_back(monkeypatch):
