@@ -67,8 +67,8 @@ _GRAM_RATIO = 1e-8
 # a Gram band b >= n/16 goes dense: with BLAS at one thread the two solvers
 # break even there for n = 150..1602 (n = 1602: b = 100 took 1.6 s, dense 1.7 s)
 _BAND_CROSSOVER = 16
-# build_frame applies each kernel factor to this many powers at a time, so that
-# its temporaries stay at (K + pad) x 64 entries next to the frame block
+# build_frame makes this many powers at a time, so that its temporaries stay
+# at (K + pad) x 64 entries next to the frame block
 _BUILD_CHUNK = 64
 
 
@@ -234,11 +234,10 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     """Frame columns B^n(z)/(1 - conj(z_j) z) by exact rational recursion.
 
     With B = P/Q, each power is ``B^{n+1} = rational(P, Q, B^n)`` on ``K +
-    pad`` coefficients, written into the columns (n, 0) of the frame block,
-    and each kernel factor 1/(1 - conj(z_j) z) is a banded solve over chunks of
-    ``_BUILD_CHUNK`` powers, written in place (j = 0 last, as it overwrites the
-    powers).  Entries below ``_FLUSH`` in the powers and the columns are set to
-    0.  Zeros must be distinct.  For
+    pad`` coefficients.  The powers are made ``_BUILD_CHUNK`` at a time, and
+    each kernel factor 1/(1 - conj(z_j) z) is one banded solve over a chunk,
+    written straight into the frame block.  Entries below ``_FLUSH`` in the
+    powers and the columns are set to 0.  Zeros must be distinct.  For
     order >= 2 without a zero at the origin the product is precomposed with
     the automorphism swapping 0 and its first zero (recorded in
     ``conjugator``); order-1 families are kept as supplied.
@@ -252,19 +251,17 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     m = Bn.order
     P, Q = funcspec.to_rational(BlaschkeSpec(Bn))
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
-    powers = X[:, ::m]  # B^n sits in column (n, 0) until its kernel factor overwrites it
     power = np.zeros(rows, dtype=complex)
     power[0] = 1.0
-    powers[:, 0] = power
-    for n in range(n_max):
-        power = _flush(series.rational(P, Q, power))
-        powers[:, n + 1] = power
-    for j in reversed(range(m)):
-        kernel = [1.0, -np.conj(Bn.zeros[j])]
-        for c in range(0, n_max + 1, _BUILD_CHUNK):
-            X[:, j::m][:, c : c + _BUILD_CHUNK] = _flush(
-                series.rational([1.0], kernel, powers[:, c : c + _BUILD_CHUNK])
-            )
+    for c in range(0, n_max + 1, _BUILD_CHUNK):
+        powers = np.empty((min(_BUILD_CHUNK, n_max + 1 - c), rows), dtype=complex)
+        for k in range(powers.shape[0]):
+            if c + k > 0:
+                power = _flush(series.rational(P, Q, power))
+            powers[k] = power
+        cols = slice(m * c, m * (c + powers.shape[0]))
+        for j, zj in enumerate(Bn.zeros):
+            X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
     return FrameMatrix(
         product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad,
         conjugator=conj_psi, source=B,
