@@ -380,9 +380,9 @@ class _GramFit:
         """Estimated error of the blocks at n relative to their scale ``own_scale``.
 
         The measured noise ``residual`` (at least eps) per unit of envelope,
-        carried from the fit points to n by the fit's weights: it grows like
-        (n/hi)^d times the data scale, against n^d for the blocks themselves,
-        so by a factor of about 2^(2d) far out.
+        carried from the fit points to n by the fit's weights.  As the blocks
+        grow like n^d, the factor levels off far out at about 2^(d-1) (8/3)^d
+        (about 200 for d = 4, 5e7 for d = 12).
         """
         carried = np.abs(_cheb([n], self.lo, self.hi, self.d) @ self.pinv)[0] @ self.scale / own_scale
         return max(self.residual, np.finfo(float).eps) * (1.0 + carried)
@@ -525,9 +525,9 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     When beta_k**2 is a polynomial in k and :func:`_fit_gram` trusts its fit,
     every rung is the exact (untruncated) Gram band of its n_max columns
     (``stability["path"] == "band"``, ``tail`` that of the columns the fit
-    read); otherwise, or when a band rung is too ill-conditioned for the Gram
-    route, each rung is the K-row frame (``"truncated"``, ``tail`` that of the
-    last rung).  ``stability["fit_residual"]`` is the fit's held-out residual,
+    read); otherwise, or when a band rung's error bound is beyond what the
+    Gram route accepts (:func:`_band_extremal`), each rung is the K-row frame
+    (``"truncated"``, ``tail`` that of the last rung).  ``stability["fit_residual"]`` is the fit's held-out residual,
     None without a fit.
     """
     fit = _fit_gram(F)
