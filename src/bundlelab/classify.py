@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, funcspec, monodromy, operators, series
-from .blaschke import BlaschkeProduct, MoebiusTransform
+from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots
 from .errors import BundleLabError, DomainError, FiberError
 from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction
 from .weights import POLYNOMIAL
@@ -34,7 +34,9 @@ __all__ = [
 ]
 
 _MATCH_TOL = 1e-8
-_Z0_LIMIT = 0.999  # phi(0) is refined only for |phi(0)| below this
+_Z0_LIMIT = 0.999  # phi(0) is sought only for |phi(0)| below this
+_SNAP = 1e-4  # a critical point of g1 this close to a preimage is a seed too
+_POLISH_STEPS = 3
 
 
 @dataclass
@@ -104,7 +106,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         sd_min, sd_max = Fd.extremes()
         cond_d = float(sd_max / sd_min)
         rel = abs(cond_d - cond) / cond_d
-        if (rel < 0.05 and F.tail("beta") < 1e-8) or F.K >= K_cap:
+        if (rel < 0.05 and F.tail("beta") < frames.TAIL_BAR) or F.K >= K_cap:
             break
         F = Fd
     # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
@@ -193,149 +195,126 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
 
 @dataclass
 class MoebiusMatch:
-    """A disk automorphism phi with g2 = g1 o phi on the sample set."""
+    """A disk automorphism phi with g2 = g1 o phi to the relative ``residual``
+    of the cleared polynomial identity (see :func:`moebius_match`)."""
 
     transform: MoebiusTransform
     residual: float
     candidates: list = field(default_factory=list)
 
 
-def _phi_eval(theta, z0, z):
-    return np.exp(1j * theta) * (z0 - z) / (1.0 - np.conj(z0) * z)
+def _identity(g1, g2, theta, z0):
+    """E = N Q2 - D P2 with N/D = g1 o phi cleared of denominators, max|E|
+    over the max of |N| |Q2| + |D| |P2| (E's terms) and over the same identity
+    formed from absolute coefficients (E's roundoff envelope), and E's real
+    Jacobian in (theta, Re z0, Im z0).  With a = e^{i theta} (z0 - z) and
+    b = 1 - conj(z0) z, N = sum_j p_j a^j b^(k-j), so dN/da and dN/db are the
+    same sums at degree k-1 with the coefficients j p_j and (k-j) p_j.
+    """
+    k, P2, Q2 = g1.degree, g2.P, g2.Q
+    e = np.exp(1j * theta)
+    a, b = e * np.array([z0, -1.0]), np.array([1.0, -np.conj(z0)])
+    P1, Q1 = (np.pad(c, (0, k + 1 - c.size)) for c in (g1.P, g1.Q))
+    size = k + max(P2.size, Q2.size)
+
+    def cross(N, D, P=P2, Q=Q2, sign=-1.0):
+        out = np.zeros(size, dtype=complex)
+        NQ, DP = np.convolve(N, Q), np.convolve(D, P)
+        out[: NQ.size] += NQ
+        out[: DP.size] += sign * DP
+        return out
+
+    N, D = funcspec.compose_cleared(P1, Q1, a, b, k)
+    E = cross(N, D)
+    envelope = funcspec.compose_cleared(abs(P1), abs(Q1), abs(a), abs(b), k)
+    residuals = [np.max(abs(E)) / np.max(cross(abs(n), abs(d), abs(P2), abs(Q2), 1.0).real)
+                 for n, d in ((N, D), envelope)]
+    j = np.arange(k)
+    du, dv = (cross(*funcspec.compose_cleared(P1[s] * w, Q1[s] * w, a, b, k - 1))
+              for s, w in ((slice(1, None), j + 1), (slice(None, -1), k - j)))
+    zdv = np.roll(dv, 1)
+    dE = np.stack([1j * np.convolve(a, du)[:size], e * du - zdv, 1j * (e * du + zdv)], axis=1)
+    return E, residuals, np.concatenate([dE.real, dE.imag])
 
 
-def _match_samples(z0_abs):
-    """Two sample rings whose images under phi stay inside |w| <= 0.97."""
-    r1 = 0.2
-    r2 = 0.4
-    cap = 0.97
-    if (z0_abs + r2) / (1.0 + r2 * z0_abs) > cap:
-        r2 = max(0.05, 0.95 * (cap - z0_abs) / (1.0 - cap * z0_abs))
-        r1 = 0.5 * r2
-    ring1 = r1 * np.exp(2j * np.pi * np.arange(32) / 32.0)
-    ring2 = r2 * np.exp(2j * np.pi * (np.arange(32) + 0.5) / 32.0)
-    return np.concatenate([ring1, ring2])
-
-
-def _refine_match(g1, g2, theta, z0, samples):
-    """Damped Gauss-Newton on (theta, Re z0, Im z0); returns (params, maxres)."""
-    g2v = g2.value(samples)
-
-    def resid_many(param_sets):
-        """Residual vectors of several parameter sets from one g1 evaluation."""
-        pts = []
-        for th, x, y in param_sets:
-            zz = complex(x, y)
-            if abs(zz) >= _Z0_LIMIT:
-                return None
-            pts.append(_phi_eval(th, zz, samples))
-        vals = np.reshape(g1.value(np.concatenate(pts)), (len(pts), -1))
-        return [np.concatenate([r.real, r.imag]) for r in g2v - vals]
-
-    def resid(params):
-        out = resid_many([params])
-        return None if out is None else out[0]
-
-    params = np.array([theta, z0.real, z0.imag])
-    r = resid(params)
-    if r is None:
-        return None
-    lam = 1e-6
-    for _ in range(60):
-        fr = float(np.max(np.abs(r)))
-        if fr < 1e-11:
+def _polish(g1, g2, theta, z0):
+    """(residual, envelope residual, theta, z0) after at most _POLISH_STEPS
+    undamped Gauss-Newton steps on E, taken while a step lowers the residual
+    and keeps |z0| below _Z0_LIMIT."""
+    E, res, J = _identity(g1, g2, theta, z0)
+    for _ in range(_POLISH_STEPS):
+        step = np.linalg.lstsq(J, -np.concatenate([E.real, E.imag]), rcond=None)[0]
+        theta_n, z0_n = theta + step[0], z0 + complex(step[1], step[2])
+        if abs(z0_n) >= _Z0_LIMIT:
             break
-        perturbed = []
-        for k in range(3):
-            dp = params.copy()
-            dp[k] += 1e-7
-            perturbed.append(dp)
-        rks = resid_many(perturbed)
-        if rks is None:
-            return None
-        J = np.empty((r.size, 3))
-        for k, rk in enumerate(rks):
-            J[:, k] = (rk - r) / 1e-7
-        A = J.T @ J + lam * np.eye(3)
-        g = J.T @ r
-        try:
-            step = np.linalg.solve(A, g)
-        except np.linalg.LinAlgError:
-            return None
-        cand = params - step
-        rc = resid(cand)
-        if rc is not None and np.linalg.norm(rc) < np.linalg.norm(r):
-            params, r = cand, rc
-            lam = max(lam * 0.3, 1e-12)
-        else:
-            lam *= 10.0
-            if lam > 1e8:
-                break
-    return params, float(np.max(np.abs(r)))
+        E_n, res_n, J_n = _identity(g1, g2, theta_n, z0_n)
+        if not res_n[0] < res[0]:
+            break
+        theta, z0, E, res, J = theta_n, z0_n, E_n, res_n, J_n
+    return res[0], res[1], theta % (2.0 * np.pi), z0
+
+
+def _seed(p, dphi):
+    """(theta, z0) of the phi with phi(0) = p and phi'(0) = dphi."""
+    theta = float(np.angle(dphi / (abs(p) ** 2 - 1.0)))
+    return theta, p * np.exp(-1j * theta)
 
 
 def moebius_match(g1, g2, tol=_MATCH_TOL):
     """Search for phi in Aut(D) with g2 = g1 o phi.
 
-    Seeds come from every g1-preimage of g2(0) in the open disk (one on the
-    circle cannot be phi(0)): the chain rule fixes phi'(0) from the first
-    derivatives, or from the second derivatives (two sign candidates) when
-    the seed is a critical point of g1.  Each seed is refined by damped
-    Gauss-Newton over 64 fixed disk samples.  Each of g1, g2 is a spec or a
-    RationalFunction (an outer factor of decompose is one).
+    The seeds are every distinct g1-preimage p of g2(0) in the open disk, with
+    phi'(0) from the first derivatives, and every critical point of g1 within
+    1e-4 of one, with the two phi'(0) from the second derivatives (there a
+    double preimage splits into points whose first derivatives fix nothing).
+    Each seed takes at most _POLISH_STEPS Gauss-Newton steps on the identity
+    g1 o phi = g2 cleared of denominators (:func:`_identity`) and passes when
+    max|E| is below tol times the size of E's terms.  The bar 1e-8 lies far
+    above a true match (about 1e-15; 1e-9 with g1 a composition at |phi(0)|
+    0.995, whose roundoff phi^-1 amplifies) and below g2 with one coefficient
+    moved by 1e-6 of itself (2e-7 near the circle).  A fit below tol times E's
+    roundoff envelope only cannot be told from a match.  g1, g2 are specs or
+    RationalFunctions (an outer factor of decompose is one).
 
     Returns the best passing candidate, or None when there is none and the
-    search was complete.  The search is incomplete when a preimage lies at
-    or beyond radius 0.999, sits on a critical point of order above 2, or
-    its refinement returns None or raises DomainError; then, with no
-    passing candidate, FiberError names every such seed instead.
+    search was complete.  It is incomplete when a preimage lies at or beyond
+    radius _Z0_LIMIT, a critical point has order above 2, or a fit holds
+    within roundoff only; then, with no passing candidate, FiberError names
+    every such seed instead.
     """
     g1, g2 = (RationalFunction.from_spec(g) for g in (g1, g2))
     v0 = complex(g2.value(0.0))
     d2 = complex(g2.derivative(0.0))
-    seeds, skipped = [], []
-    for p in g1.preimages(v0):
+    critical = fiber_roots(g1.N1, 1.0) if np.max(np.abs(g1.N1)) > 0.0 else []
+    seeds, snapped, skipped = [], [], []
+    for p in dict.fromkeys(g1.preimages(v0)):
         if abs(p) >= _Z0_LIMIT:
             skipped.append(f"preimage {p:.6g} lies at or beyond radius {_Z0_LIMIT}")
             continue
         d1 = complex(g1.derivative(p))
-        if abs(d1) > 1e-8:
-            s = d2 / d1
-            denom = abs(p) ** 2 - 1.0
-            theta = float(np.angle(s / denom))
-            seeds.append((theta, p * np.exp(-1j * theta)))
+        if d1 != 0.0:
+            seeds.append(_seed(p, d2 / d1))
+        snapped += [c for c in critical if abs(c - p) < _SNAP and c not in snapped]
+    dd2 = complex(g2.second_derivative(0.0))
+    for c in snapped:
+        dd1 = complex(g1.second_derivative(c))
+        if abs(dd1) < 1e-12:
+            skipped.append(f"critical point {c:.6g} has order above 2")
         else:
-            dd1 = complex(g1.second_derivative(p))
-            dd2 = complex(g2.second_derivative(0.0))
-            if abs(dd1) < 1e-12:
-                skipped.append(f"preimage {p:.6g} is a critical point of order above 2")
-                continue
             root = np.sqrt(dd2 / dd1)
-            for sgn in (root, -root):
-                denom = abs(p) ** 2 - 1.0
-                theta = float(np.angle(sgn / denom))
-                seeds.append((theta, p * np.exp(-1j * theta)))
+            seeds.extend(_seed(c, s) for s in (root, -root))
     passing = []
-    for theta, z0 in seeds:
-        samples = _match_samples(abs(z0))
-        try:
-            refined = _refine_match(g1, g2, theta, complex(z0), samples)
-        except DomainError as exc:
-            skipped.append(f"refinement from {z0:.6g} failed: {exc}")
-            continue
-        if refined is None:
-            skipped.append(f"refinement from {z0:.6g} left the evaluable disk")
-            continue
-        params, res = refined
+    for res, envelope_res, th, zz in (_polish(g1, g2, th, z0) for th, z0 in seeds):
         if res < tol:
-            th = float(params[0]) % (2.0 * np.pi)
-            zz = complex(params[1], params[2])
             passing.append((res, th, zz))
+        elif envelope_res < tol:
+            skipped.append(f"phi with z0 {zz:.6g} fits only within the roundoff of "
+                           f"g1 o phi (residual {res:.3g})")
+    passing.sort(key=lambda c: c[0])
     if not passing:
         if skipped:
             raise FiberError("; ".join(skipped))
         return None
-    passing.sort(key=lambda c: c[0])
     deduped = []
     for res, th, zz in passing:
         if all(

@@ -58,6 +58,9 @@ __all__ = [
 
 _DISTINCT_TOL = 1e-8
 _TAIL_PAD = 64
+# a frame whose beta-tail is above this does not hold its columns in its K
+# rows, so its extremes say nothing about the untruncated ones
+TAIL_BAR = 1e-8
 # entries below sqrt(tiny) are flushed to 0, so that every product of two
 # surviving entries is a normal number (subnormal arithmetic is slow)
 _FLUSH = math.sqrt(np.finfo(float).tiny)
@@ -493,7 +496,7 @@ def _climb(F, extremal, stability_target, max_doublings):
         degenerating = c1d < 0.9 * c1 or c2d > 1.1 * c2
         c1, c2 = c1d, c2d
         if degenerating:
-            verdict = "degenerating"
+            verdict = "degenerating" if tail <= TAIL_BAR else "inconclusive"
             break
         if rel1 <= stability_target and rel2 <= stability_target:
             verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
@@ -519,8 +522,10 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     The report carries the converged values, the full ladder, and a verdict:
 
     * ``"Riesz-consistent"`` -- both bounds stable, c1 bounded away from 0;
-    * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling;
-    * ``"inconclusive"``     -- the ladder budget ran out before stability.
+    * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling,
+      on a rung whose beta-tail is at most ``TAIL_BAR``;
+    * ``"inconclusive"``     -- the ladder budget ran out before stability, or
+      the rung that collapsed does not hold its columns (tail above the bar).
 
     When beta_k**2 is a polynomial in k and :func:`_fit_gram` trusts its fit,
     every rung is the exact (untruncated) Gram band of its n_max columns

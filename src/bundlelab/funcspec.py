@@ -139,26 +139,35 @@ def _rational(spec, cap):
             Q = npoly.polymul(Q, Qf)
         return P, Q
     if isinstance(spec, ComposeSpec):
-        Po, Qo = _rational(spec.outer, cap)
-        Pi, Qi = _rational(spec.inner, cap)
-        d = max(Po.size, Qo.size) - 1
-        # outer(P_i/Q_i) cleared of denominators: sum p_k P_i^k Q_i^(d-k)
-        pow_p = [np.ones(1, dtype=complex)]
-        pow_q = [np.ones(1, dtype=complex)]
-        for _ in range(d):
-            pow_p.append(npoly.polymul(pow_p[-1], Pi))
-            pow_q.append(npoly.polymul(pow_q[-1], Qi))
-        N = np.zeros(1, dtype=complex)
-        D = np.zeros(1, dtype=complex)
-        for k in range(d + 1):
-            basis = npoly.polymul(pow_p[k], pow_q[d - k])
-            if k < Po.size and Po[k] != 0:
-                N = npoly.polyadd(N, Po[k] * basis)
-            if k < Qo.size and Qo[k] != 0:
-                D = npoly.polyadd(D, Qo[k] * basis)
+        N, D = compose_cleared(*_rational(spec.outer, cap), *_rational(spec.inner, cap))
         _check_disk_denominator(D)
         return N, D
     raise TypeError(f"not a FunctionSpec: {spec!r}")
+
+
+def compose_cleared(Po, Qo, Pi, Qi, d=None):
+    """(N, D) with N/D = (Po/Qo) o (Pi/Qi), cleared of denominators.
+
+    N = sum_k Po[k] Pi^k Qi^(d-k) and D likewise from Qo, with d the degree
+    of Po/Qo unless given (a larger d multiplies both by Qi^(d - deg)).
+    """
+    if d is None:
+        d = max(Po.size, Qo.size) - 1
+    Pi, Qi = _trim(Pi), _trim(Qi)
+    pow_p = [np.ones(1, dtype=complex)]
+    pow_q = [np.ones(1, dtype=complex)]
+    for _ in range(d):
+        pow_p.append(np.convolve(pow_p[-1], Pi))
+        pow_q.append(np.convolve(pow_q[-1], Qi))
+    N = np.zeros(d * max(Pi.size, Qi.size) - d + 1, dtype=complex)
+    D = np.zeros_like(N)
+    for k in range(d + 1):
+        basis = np.convolve(pow_p[k], pow_q[d - k])
+        if k < Po.size and Po[k] != 0:
+            N[: basis.size] += Po[k] * basis
+        if k < Qo.size and Qo[k] != 0:
+            D[: basis.size] += Qo[k] * basis
+    return _trim(N), _trim(D)
 
 
 def _check_disk_denominator(D):

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundlelab import classify, frames, monodromy, operators, series
-from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
+from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke, fiber_roots
 from bundlelab.errors import FiberError
 from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec, RationalFunction
 from bundlelab.weights import WeightSequence
@@ -378,3 +378,50 @@ def test_seed_at_the_z0_limit_makes_the_match_incomplete():
     v = classify.similar(g, g_phi, BERGMAN)
     assert v.status == "inconclusive"
     assert v.reason.startswith("Moebius match incomplete: ") and "0.999" in v.reason
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-9, 1e-7, 1e-5])
+def test_forward_match_seeded_at_a_critical_point(delta):
+    # phi(0) = q + delta with q a critical point of g = 2z + z^4: the preimage
+    # of g2(0) there is double (or split by delta), and its first derivatives
+    # fix no phi
+    g = PolySpec((0, 2, 0, 0, 1))
+    for q in fiber_roots(RationalFunction.from_spec(g).N1, 1.0):
+        for theta in (0.0, 1.0, 2.5, 4.0):
+            p = q + delta * np.exp(0.7j)
+            phi = MoebiusTransform(p * np.exp(-1j * theta), theta)
+            m = classify.moebius_match(g, ComposeSpec(g, BlaschkeSpec(phi)))
+            assert m is not None and m.residual < 1e-8, (q, theta)
+
+
+def _perturbed(coeffs, a, theta, j):
+    """g and g o phi_a with the j-th numerator coefficient moved by 1e-6 of itself."""
+    g = PolySpec(tuple(coeffs))
+    g_phi = RationalFunction.from_spec(ComposeSpec(g, BlaschkeSpec(MoebiusTransform(a, theta))))
+    P = g_phi.P.copy()
+    P[j % P.size] *= 1.0 + 1e-6
+    return g, RationalFunction(P, g_phi.Q)
+
+
+@pytest.mark.parametrize("j", [0, 1, 2])
+def test_a_perturbed_near_circle_precomposition_matches_in_neither_direction(j):
+    # |a| = 0.976, and the coefficients of g o phi_a are about 30 times smaller
+    # than those of g: moving the first by 1e-6 of itself moves E by 2.4e-9 of
+    # its roundoff envelope, and by 2e-7 of its terms
+    g, g2 = _perturbed([-0.61 - 0.53j, -1.67 + 0.25j, 0.6 + 1.62j], 0.86 - 0.46j, 5.88, j)
+    for x, y in ((g, g2), (g2, g)):
+        try:
+            assert classify.moebius_match(x, y) is None
+        except FiberError:
+            pass
+
+
+def test_a_fit_within_the_roundoff_of_g1_o_phi_only_makes_the_match_incomplete():
+    # composing g o phi back with phi^-1 this near the circle amplifies the
+    # roundoff of g o phi so much that the reverse fits are within E's
+    # roundoff envelope, yet off by 2.8e-8 and more in the size of its terms
+    g = PolySpec((1, -0.5 + 1j, 0.3, 1.2 - 0.4j))
+    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.998 * np.exp(0.3j))))
+    assert classify.moebius_match(g, g_phi).residual < 1e-12
+    with pytest.raises(FiberError, match="roundoff"):
+        classify.moebius_match(g_phi, g)

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bundlelab import cli, schemas
+from bundlelab import cli, frames, schemas
 from bundlelab.errors import ConfigError
 
 
@@ -63,6 +63,18 @@ def test_riesz_command(tmp_path):
     env = _load(tmp_path)
     _validate(env)
     assert env["result"]["verdict"] == "Riesz-consistent"
+
+
+def test_riesz_from_a_frame_that_cannot_hold_its_columns_is_inconclusive(tmp_path):
+    # c1 collapses from 6.6e-20 to 7.7e-33 on a rung whose beta-tail is 0.107:
+    # the truncation, not the weights, made it fall
+    code = _run(["riesz", "--weights", "bergman:alpha=1",
+                 "--blaschke", "blaschke(0; 0.4,-0.2,0.3i)", "--n-max", "50",
+                 "--trunc", "256", "--out", str(tmp_path)])
+    assert code == 0
+    result = _load(tmp_path)["result"]
+    assert result["tail"] > frames.TAIL_BAR
+    assert result["verdict"] == "inconclusive"
 
 
 def test_index_map_outputs(tmp_path):

@@ -30,9 +30,10 @@ The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
 of benchmark seeds 1 and 2 (66 commands), which are taken from
 ``perfbench/workloads.py`` without changing it, and last the near-circle
-fiber case (2 commands, ``NEAR_CIRCLE``), appended so that the ``c<k>``
-labels of the first 84 stay put.  A whole run of the 86 commands took
-about 50 s on a 2-core machine.
+fiber case (2 commands, ``NEAR_CIRCLE``) and the Moebius match whose seed
+is a critical point (2 commands, ``CRITICAL_SEED``), appended so that the
+``c<k>`` labels of the earlier commands stay put.  A whole run of the 88
+commands took about 50 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -83,6 +84,13 @@ NEAR_CIRCLE = [
     ["decompose", "--fn", F1_PHI],
     ["similar", "--weights", "bergman:alpha=1", "--f1", F1_PHI, "--f2", F1],
 ]
+# z + 2z^3 and its precomposition with the phi whose phi(0) is a critical point
+# of z + 2z^3 (i/sqrt(6)), in both argument orders
+CUBIC_PHI = "compose(poly(0,1,0,2), blaschke(0; 0.408248290464i))"
+CRITICAL_SEED = [
+    ["similar", "--weights", "bergman:alpha=1", "--f1", "poly(0,1,0,2)", "--f2", CUBIC_PHI],
+    ["similar", "--weights", "bergman:alpha=1", "--f1", CUBIC_PHI, "--f2", "poly(0,1,0,2)"],
+]
 
 
 def commands():
@@ -93,7 +101,7 @@ def commands():
     for seed in (1, 2):
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
-    return cmds + NEAR_CIRCLE
+    return cmds + NEAR_CIRCLE + CRITICAL_SEED
 
 
 def numbers(value, path=""):
