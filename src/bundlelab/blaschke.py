@@ -6,8 +6,8 @@ m-to-1 and has modulus one on the circle.  Fibers (all disk preimages of a
 value, with multiplicity) are computed through companion-matrix roots of the
 rational form plus Newton polishing; :func:`fiber_roots` and
 :func:`with_multiplicity` are the one fiber path every module uses.
-:func:`fiber_roots` solves a whole stack of fiber polynomials with one
-companion-matrix ``eigvals`` call and one vectorized Newton loop.
+:func:`fiber_roots` solves one fiber polynomial per call and polishes all
+of its roots in one vectorized Newton loop.
 """
 
 from __future__ import annotations
@@ -143,115 +143,65 @@ def moebius_inverse(phi):
     return psi
 
 
-def _trimmed_roots(c):
-    """numpy.roots of one constant-first row after trimming its top zeros."""
-    nz = np.nonzero(np.abs(c) > 1e-300)[0]
-    c = c[: nz[-1] + 1]
-    if c.size <= 1:
-        return np.zeros(0, dtype=complex)
-    return np.roots(c[::-1])
-
-
 def _poly_roots(coeffs):
-    """Roots of an (S, n) stack of constant-first polynomials, one row each.
+    """Roots of one constant-first polynomial, as complex numbers.
 
-    Every row gets the companion matrix numpy.roots builds (``-p[1:]/p[0]``
-    in the first row of the highest-first p, ones on the subdiagonal), and
-    one ``eigvals`` call solves the whole stack.  A row whose top
-    coefficient is at most 1e-300, or whose constant term is zero, goes
-    through numpy.roots after trimming instead; its missing roots are NaN.
-    A 1-D input is the one-row case and comes back unpadded.
+    numpy.roots after trimming the top coefficients of modulus at most
+    1e-300; a zero polynomial has no isolated roots and raises.
     """
     c = np.asarray(coeffs, dtype=complex)
-    stack = np.atleast_2d(c)
-    if np.any(np.max(np.abs(stack), axis=1) == 0.0):
+    if np.max(np.abs(c)) == 0.0:
         raise RootFindingError("zero polynomial has no isolated roots")
-    S, n = stack.shape
-    trim = (np.abs(stack[:, -1]) <= 1e-300) | (stack[:, 0] == 0.0)
-    if c.ndim == 1 and trim[0]:
-        return _trimmed_roots(c)
-    roots = np.full((S, max(n - 1, 0)), np.nan, dtype=complex)
-    full = np.flatnonzero(~trim)
-    if full.size and n > 1:
-        p = stack[full, ::-1]
-        A = np.zeros((full.size, n - 1, n - 1), dtype=complex)
-        A[:, 0, :] = -p[:, 1:] / p[:, :1]
-        A[:, np.arange(1, n - 1), np.arange(n - 2)] = 1.0
-        roots[full] = np.linalg.eigvals(A)
-    for s in np.flatnonzero(trim):
-        r = _trimmed_roots(stack[s])
-        roots[s, : r.size] = r
-    return roots[0] if c.ndim == 1 else roots
-
-
-def _horner(c, z):
-    """Rows of constant-first c at the points z, by numpy.polyval's recurrence."""
-    y = np.zeros_like(z)
-    for k in range(c.shape[1] - 1, -1, -1):
-        y = y * z + c[:, k]
-    return y
+    c = c[: np.flatnonzero(np.abs(c) > 1e-300)[-1] + 1]
+    # numpy.roots gives float zeros when every root is an exact zero
+    return np.roots(c[::-1]).astype(complex)
 
 
 def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
-    """Polish the roots of a stack of constant-first polynomials, row by row.
+    """Polish roots of one constant-first polynomial, all roots at once.
 
-    ``coeffs`` is (S, n) and ``roots`` (S, d); a 1-D pair is the one-row
-    case.  Each root stops on its own: relative residual below tol with a
-    Newton step below tol (1 + |z|) (so an ill-conditioned root, one with a
-    small derivative, keeps polishing to the noise floor), a flat
-    derivative, a step below 1e-16 (1 + |z|), or after iters steps.  NaN
-    entries are padding and stay NaN.  Moduli are taken with ``hypot``, as
-    Python's ``abs`` of one complex value does.
+    Each root stops on its own: relative residual below tol with a Newton
+    step below tol (1 + |z|) (so an ill-conditioned root, one with a small
+    derivative, keeps polishing to the noise floor), a flat derivative, a
+    step below 1e-16 (1 + |z|), or after iters steps.  Moduli are taken with
+    ``hypot``, as Python's ``abs`` of one complex value does.
     """
     c = np.asarray(coeffs, dtype=complex)
-    stack = np.atleast_2d(c)
+    p = c[::-1]
+    dp = (c[1:] * np.arange(1, c.size))[::-1]
+    scale = max(np.max(np.abs(c)), 1e-300)
     z = np.array(roots, dtype=complex)
-    if c.ndim == 1:
-        z = np.atleast_1d(z)[None, :]
-    dc = stack[:, 1:] * np.arange(1, stack.shape[1])
-    scale = np.maximum(np.max(np.abs(stack), axis=1), 1e-300)
-    row = np.repeat(np.arange(z.shape[0]), z.shape[1])
-    flat = z.reshape(-1)
-    live = np.flatnonzero(~np.isnan(flat))
+    live = np.arange(z.size)
     for _ in range(iters):
         if live.size == 0:
             break
-        r = row[live]
-        x = flat[live]
-        v = _horner(stack[r], x)
-        dv = _horner(dc[r], x)
+        x = z[live]
+        v, dv = np.polyval(p, x), np.polyval(dp, x)
         # negated tests: a NaN modulus stops nothing, as in a scalar loop
         av, adv = np.hypot(v.real, v.imag), np.hypot(dv.real, dv.imag)
-        go = ~(av <= tol * scale[r]) | ~(av <= tol * adv * (1.0 + np.hypot(x.real, x.imag)))
+        go = ~(av <= tol * scale) | ~(av <= tol * adv * (1.0 + np.hypot(x.real, x.imag)))
         go &= ~(adv < 1e-300)
         live = live[go]
         step = v[go] / dv[go]
         x = x[go] - step
-        flat[live] = x
+        z[live] = x
         small = np.hypot(step.real, step.imag) < 1e-16 * (1.0 + np.hypot(x.real, x.imag))
         live = live[~small]
-    return z[0] if c.ndim == 1 else z
+    return z
 
 
 def fiber_roots(R, radius):
-    """Newton-polished roots of constant-first polynomials, kept when |z| < radius.
+    """Newton-polished roots of constant-first R with |z| < radius, in solver order.
 
-    The single fiber solve: companion-matrix roots, then Newton polishing,
-    one call for a whole stack.  Only the roots below twice the radius are
-    polished: polishing moves a root by far less than its modulus, so one
-    beyond that cannot end inside, and far out its polynomial overflows.  A
-    1-D R returns its kept roots in solver order.  An (S, n) stack returns
-    the (S, n-1) roots in solver order (NaN where a trimmed row has fewer;
-    the unpolished ones as the eigensolver gave them) and the mask of those
-    with |z| < radius.
+    The single fiber solve: companion-matrix roots, then Newton polishing.
+    Only the roots below twice the radius are polished: polishing moves a
+    root by far less than its modulus, so one beyond that cannot end inside,
+    and far out its polynomial overflows.
     """
     roots = _poly_roots(R)
     near = np.abs(roots) < 2.0 * radius
-    roots = np.where(near, _newton_polish(R, np.where(near, roots, np.nan)), roots)
-    inside = np.abs(roots) < radius
-    if roots.ndim == 1:
-        return roots[inside]
-    return roots, inside
+    roots[near] = _newton_polish(R, roots[near])
+    return roots[np.abs(roots) < radius]
 
 
 def _lex_key(z, quantum=1e-9):

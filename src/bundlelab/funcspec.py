@@ -238,11 +238,10 @@ class RationalFunction:
         return out if out.shape else complex(out)
 
     def fiber_poly(self, omega):
-        """Constant-first coefficients of P - omega*Q; one row per omega of an array."""
-        n = max(self.P.size, self.Q.size)
-        R = np.zeros(np.shape(omega) + (n,), dtype=complex)
-        R[..., : self.P.size] += self.P
-        R[..., : self.Q.size] -= np.multiply.outer(omega, self.Q)
+        """Constant-first coefficients of P - omega*Q for one value omega."""
+        R = np.zeros(max(self.P.size, self.Q.size), dtype=complex)
+        R[: self.P.size] += self.P
+        R[: self.Q.size] -= omega * self.Q
         return R
 
     def preimages(self, v):

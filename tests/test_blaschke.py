@@ -226,7 +226,7 @@ def test_critical_values_match_rational_value(case):
         assert v == f.value(z)
 
 
-# The scalar fiber solve the stacked kernel replaced, kept as the reference:
+# The scalar fiber solve, kept as the reference for the vectorized one:
 # numpy.roots per polynomial, then a Python Newton loop per root that stops
 # by the kernel's rule.
 def _reference_poly_roots(coeffs):
@@ -266,51 +266,37 @@ _complex = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 
 @st.composite
-def _stack_rows(draw, degree):
-    """One row of a stack: random, zero constant, tiny top, or an exact double root."""
+def _polys(draw):
+    """Random, zero constant, tiny top, or an exact double root; and a radius."""
+    degree = draw(st.integers(1, 12))
     kind = draw(st.sampled_from(["random", "zero constant", "tiny top", "double root"]))
+    radius = draw(st.sampled_from([0.5, 1.0, 2.0, np.inf]))
     if kind == "double root" and degree >= 2:
         twice = draw(_complex) / 3.0
         rest = draw(st.lists(_complex, min_size=degree - 2, max_size=degree - 2))
-        return np.poly(np.array([twice, twice] + rest, dtype=complex))[::-1]
-    row = np.array(draw(st.lists(_complex, min_size=degree + 1, max_size=degree + 1)))
-    row[0] = draw(_complex) + 4.0  # nonzero unless chosen below
-    row[-1] = draw(_complex) + 4.0
+        return np.poly(np.array([twice, twice] + rest, dtype=complex))[::-1], radius
+    c = np.array(draw(st.lists(_complex, min_size=degree + 1, max_size=degree + 1)))
+    c[0] = draw(_complex) + 4.0  # nonzero unless chosen below
+    c[-1] = draw(_complex) + 4.0
     if kind == "zero constant":
-        row[0] = 0.0
+        c[0] = 0.0
     elif kind == "tiny top":
-        row[-1] = 1e-301
-    return row
+        c[-1] = 1e-301
+    return c, radius
 
 
-@st.composite
-def _stacks(draw):
-    degree = draw(st.integers(1, 12))
-    rows = draw(st.lists(_stack_rows(degree), min_size=1, max_size=8))
-    return np.array(rows, dtype=complex), draw(st.sampled_from([0.5, 1.0, 2.0, np.inf]))
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme rows
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on extreme polynomials
 @_PROPERTY
-@given(_stacks())
-def test_stacked_fiber_roots_equal_the_scalar_loop(case):
+@given(_polys())
+def test_fiber_roots_equal_the_scalar_loop(case):
     R, radius = case
-    roots, inside = fiber_roots(R, radius)
-    assert roots.shape == (R.shape[0], R.shape[1] - 1) and inside.shape == roots.shape
-    for row, got, mask in zip(R, roots, inside):
-        # roots at twice the radius or beyond are left unpolished
-        ref = _reference_poly_roots(row)
-        near = np.abs(ref) < 2.0 * radius
-        ref[near] = _reference_newton_polish(row, ref[near])
-        k = ref.size
-        assert np.array_equal(got[:k], ref, equal_nan=True)
-        assert np.array_equal(mask[:k], np.abs(ref) < radius)
-        assert np.all(np.isnan(got[k:])) and not np.any(mask[k:])
-        assert np.array_equal(fiber_roots(row, radius), ref[np.abs(ref) < radius])
+    # roots at twice the radius or beyond are left unpolished
+    ref = _reference_poly_roots(R)
+    near = np.abs(ref) < 2.0 * radius
+    ref[near] = _reference_newton_polish(R, ref[near])
+    assert np.array_equal(fiber_roots(R, radius), ref[np.abs(ref) < radius])
 
 
-def test_zero_polynomial_raises_alone_and_in_a_stack():
+def test_zero_polynomial_raises():
     with pytest.raises(RootFindingError):
         fiber_roots(np.zeros(4, dtype=complex), 1.0)
-    with pytest.raises(RootFindingError):
-        fiber_roots(np.array([[1.0, 2.0, 1.0], [0.0, 0.0, 0.0]], dtype=complex), 1.0)
