@@ -39,13 +39,13 @@ COUNT_RADIUS = 1.0 - 1e-5
 _BOUNDARY_BAND_DIAGONALS = 1.5
 
 
-def boundary_curve(spec, samples=1024, max_gap_frac=0.01, max_points=1 << 20):
+def boundary_curve(spec, samples=1024, max_gap_frac=0.01, max_points=1 << 20, spacing=np.inf):
     """Image of the unit circle, adaptively refined.
 
     Starts from ``samples`` equispaced parameters and bisects every interval
-    whose chord exceeds ``max_gap_frac`` of the bounding-box diameter.
-    Returns the open polyline (the closing edge back to the first point is
-    implicit).
+    whose chord exceeds ``max_gap_frac`` of the bounding-box diameter or
+    ``spacing``, whichever is smaller.  Returns the open polyline (the
+    closing edge back to the first point is implicit).
     """
     if samples < 256:
         raise ValueError("boundary curves need at least 256 samples")
@@ -56,7 +56,7 @@ def boundary_curve(spec, samples=1024, max_gap_frac=0.01, max_points=1 << 20):
         diam = _bbox_diag(vals)
         nxt = np.roll(vals, -1)
         gaps = np.abs(nxt - vals)
-        bad = gaps > max_gap_frac * diam
+        bad = gaps > min(max_gap_frac * diam, spacing)
         if not np.any(bad):
             break
         tn = np.roll(t, -1).copy()
@@ -179,8 +179,7 @@ def index_map(spec, bounds, resolution, probes_per_region=5):
     cell_w = (re_max - re_min) / resolution
     cell_h = (im_max - im_min) / resolution
     diag = float(np.hypot(cell_w, cell_h))
-    curve = boundary_curve(f, 2048)
-    curve = _refine_to_spacing(f, curve, 0.25 * diag)
+    curve = boundary_curve(f, 2048, spacing=0.25 * diag)
 
     xs = re_min + (np.arange(resolution) + 0.5) * cell_w
     ys = im_min + (np.arange(resolution) + 0.5) * cell_h
@@ -216,24 +215,6 @@ def index_map(spec, bounds, resolution, probes_per_region=5):
         branch_points=branch_values(f),
         probes=probes,
     )
-
-
-def _refine_to_spacing(f, curve, spacing):
-    """Bisect parameter gaps until consecutive points are within spacing."""
-    n = curve.size
-    t = np.linspace(0.0, 1.0, n, endpoint=False)
-    vals = curve
-    for _ in range(16):
-        nxt = np.roll(vals, -1)
-        bad = np.abs(nxt - vals) > spacing
-        if not np.any(bad) or t.size > (1 << 21):
-            break
-        tn = np.roll(t, -1).copy()
-        tn[-1] += 1.0
-        mids = (0.5 * (t[bad] + tn[bad])) % 1.0
-        t = np.sort(np.concatenate([t, mids]))
-        vals = f.value(np.exp(2j * np.pi * t))
-    return vals
 
 
 def _spread_picks(cells, count):

@@ -27,6 +27,16 @@ def test_boundary_curve_refinement_bound():
     assert np.max(gaps) <= 0.01 * diam + 1e-12
 
 
+def test_boundary_curve_spacing_bound():
+    curve = geometry.boundary_curve(QUAD, 256, spacing=0.002)
+    gaps = np.abs(np.roll(curve, -1) - curve)
+    diam = np.hypot(np.ptp(curve.real), np.ptp(curve.imag))
+    assert np.max(gaps) <= min(0.002, 0.01 * diam)
+    # an unset spacing leaves the adaptive curve as it is
+    assert np.array_equal(geometry.boundary_curve(QUAD, 256, spacing=np.inf),
+                          geometry.boundary_curve(QUAD, 256))
+
+
 def test_boundary_curve_minimum_samples():
     with pytest.raises(ValueError):
         geometry.boundary_curve(QUAD, 64)
