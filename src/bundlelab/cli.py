@@ -106,11 +106,17 @@ def _option(config, key, default, parse, valid=lambda value: True):
     return value
 
 
+def _spec_option(config, key, default):
+    """The function spec of option ``key`` and the text it was parsed from."""
+    return _option(config, key, default, parse_function_spec), config.get(key, default)
+
+
 def _blaschke_from(config):
-    spec = _option(config, "blaschke", "blaschke(0; 0, 0.5)", parse_function_spec)
+    """The Blaschke product of the ``blaschke`` option and its text."""
+    spec, text = _spec_option(config, "blaschke", "blaschke(0; 0, 0.5)")
     if not isinstance(spec, BlaschkeSpec):
         raise ConfigError("expected a blaschke(...) literal")
-    return spec.product
+    return spec.product, text
 
 
 def _write_json(out_dir, name, payload):
@@ -192,7 +198,7 @@ def _cmd_equivalent(config):
 
 def _cmd_gram(config):
     w = _option(config, "weights", "hardy", parse_weight_id)
-    B = _blaschke_from(config)
+    B, blaschke = _blaschke_from(config)
     n_max = _option(config, "n-max", 40, int, lambda n: n >= 0)
     K = _option(config, "trunc", 256, int, lambda k: k >= 8)
     norm = _option(config, "normalization", "raw", str, lambda n: n in _NORMALIZATIONS)
@@ -213,7 +219,7 @@ def _cmd_gram(config):
         operators.dump_matrix_csv(G.matrix, path)
         result["csv"] = "gram.csv"
         artifacts.append(path)
-    params = {"weights": w.id, "blaschke": config.get("blaschke"),
+    params = {"weights": w.id, "blaschke": blaschke,
               "n-max": n_max, "trunc": K, "normalization": norm,
               "csv": config.get("csv", "yes")}
     _emit(config, params, result, artifacts)
@@ -226,13 +232,13 @@ def _cmd_gram(config):
 
 def _cmd_riesz(config):
     w = _option(config, "weights", "hardy", parse_weight_id)
-    B = _blaschke_from(config)
+    B, blaschke = _blaschke_from(config)
     n_max = _option(config, "n-max", 100, int, lambda n: n >= 0)
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     _progress(f"building frame for {w.id}, order {B.order}, n_max {n_max}, K {K}")
     F = frames.build_frame(B, w, n_max, K)
     rep = frames.riesz_bounds(F)
-    _emit(config, {"weights": w.id, "blaschke": config.get("blaschke"),
+    _emit(config, {"weights": w.id, "blaschke": blaschke,
                    "n-max": n_max, "trunc": K}, rep.to_dict())
     print(
         f"riesz {w.id}: c1 {rep.c1:.6g}, c2 {rep.c2:.6g}, cond {rep.cond:.4g}, "
@@ -242,7 +248,7 @@ def _cmd_riesz(config):
 
 
 def _cmd_index_map(config):
-    spec = _option(config, "fn", "poly(2,1,1)", parse_function_spec)
+    spec, fn = _spec_option(config, "fn", "poly(2,1,1)")
     bounds = _option(config, "bounds", "-1,5,-3,3", _parse_bounds)
     res = _option(config, "res", 400, int, lambda r: 1 <= r <= 2048)
     _progress(f"index map on {bounds} at {res}x{res}")
@@ -270,7 +276,7 @@ def _cmd_index_map(config):
         "svg": "map.svg",
         "grid": "grid.json",
     }
-    _emit(config, {"fn": config.get("fn"), "bounds": list(bounds), "res": res},
+    _emit(config, {"fn": fn, "bounds": list(bounds), "res": res},
           result, [svg_path, grid_path])
     print(
         f"index-map: values {imap.index_values}, "
@@ -280,9 +286,9 @@ def _cmd_index_map(config):
 
 
 def _cmd_decompose(config):
-    spec = _option(config, "fn", "poly(0,1,0,2)", parse_function_spec)
+    spec, fn = _spec_option(config, "fn", "poly(0,1,0,2)")
     dec = monodromy.decompose(spec)
-    _emit(config, {"fn": config.get("fn")}, dec.to_dict())
+    _emit(config, {"fn": fn}, dec.to_dict())
     print(
         f"decompose: m = {dec.m}, residual {dec.residual:.3e} "
         f"({'indecomposable' if dec.m == 1 else f'inner order {dec.m}'})"
@@ -292,7 +298,7 @@ def _cmd_decompose(config):
 
 def _cmd_jordan(config):
     w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    spec = _option(config, "fn", "poly(0,1,0,2)", parse_function_spec)
+    spec, fn = _spec_option(config, "fn", "poly(0,1,0,2)")
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     j = classify.jordan(spec, w, K=K)
     result = {
@@ -302,7 +308,7 @@ def _cmd_jordan(config):
         "decomposition": j.decomposition.to_dict(),
         "certificate": j.certificate.to_dict() if j.certificate else None,
     }
-    _emit(config, {"weights": w.id, "fn": config.get("fn"), "trunc": K}, result)
+    _emit(config, {"weights": w.id, "fn": fn, "trunc": K}, result)
     print(
         f"jordan: m = {j.m}, direct residual "
         f"{j.direct_residual if j.checked_columns else 0.0:.3e}, "
@@ -313,20 +319,20 @@ def _cmd_jordan(config):
 
 def _cmd_similar(config):
     w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    f1 = _option(config, "f1", "poly(0,0,1)", parse_function_spec)
-    f2 = _option(config, "f2", "poly(0,0,1)", parse_function_spec)
+    f1, f1_text = _spec_option(config, "f1", "poly(0,0,1)")
+    f2, f2_text = _spec_option(config, "f2", "poly(0,0,1)")
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     v = classify.similar(f1, f2, w, K=K)
-    _emit(config, {"weights": w.id, "f1": config.get("f1"),
-                   "f2": config.get("f2"), "trunc": K}, v.to_dict())
+    _emit(config, {"weights": w.id, "f1": f1_text,
+                   "f2": f2_text, "trunc": K}, v.to_dict())
     print(f"similar: {v.status}" + (f" ({v.reason})" if v.reason else ""))
     return v.exit_code
 
 
 def _cmd_kaplansky(config):
     w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    f1 = _option(config, "f1", "poly(0,0,1)", parse_function_spec)
-    f2 = _option(config, "f2", "poly(0,0,1)", parse_function_spec)
+    f1, f1_text = _spec_option(config, "f1", "poly(0,0,1)")
+    f2, f2_text = _spec_option(config, "f2", "poly(0,0,1)")
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     double, single, consistent = classify.kaplansky(f1, f2, w, K=K)
     result = {
@@ -334,8 +340,8 @@ def _cmd_kaplansky(config):
         "single": single.to_dict(),
         "consistent": bool(consistent),
     }
-    _emit(config, {"weights": w.id, "f1": config.get("f1"),
-                   "f2": config.get("f2"), "trunc": K}, result)
+    _emit(config, {"weights": w.id, "f1": f1_text,
+                   "f2": f2_text, "trunc": K}, result)
     print(
         f"kaplansky: double {double.status}, single {single.status}, "
         f"consistent {consistent}"
@@ -345,11 +351,11 @@ def _cmd_kaplansky(config):
 
 def _cmd_douglas(config):
     w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    B = _blaschke_from(config)
+    B, blaschke = _blaschke_from(config)
     K = _option(config, "trunc", 512, int, lambda k: k >= 8)
     n_max = _option(config, "n-max", 100, int, lambda n: n >= 1)
     cert = classify.douglas_intertwiner(B, w, K=K, n_max=n_max)
-    _emit(config, {"weights": w.id, "blaschke": config.get("blaschke"),
+    _emit(config, {"weights": w.id, "blaschke": blaschke,
                    "trunc": K, "n-max": n_max}, cert.to_dict())
     print(
         f"douglas: residual {cert.residual:.3e}, cond {cert.cond:.4g}, "

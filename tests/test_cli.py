@@ -132,6 +132,18 @@ def test_decompose_command(tmp_path):
     assert env["result"]["m"] == 2
 
 
+def test_parameters_echo_the_parsed_function_text(tmp_path):
+    assert _run(["decompose", "--out", str(tmp_path / "fn")]) == 0
+    assert _load(tmp_path / "fn")["parameters"] == {"fn": "poly(0,1,0,2)"}
+    assert _run(["gram", "--weights", "hardy", "--n-max", "2", "--trunc", "16",
+                 "--csv", "no", "--out", str(tmp_path / "gram")]) == 0
+    assert _load(tmp_path / "gram")["parameters"]["blaschke"] == "blaschke(0; 0, 0.5)"
+    assert _run(["similar", "--weights", "hardy", "--f2", "poly(0,0,2)", "--trunc", "64",
+                 "--out", str(tmp_path / "similar")]) in (0, 1, 2)
+    params = _load(tmp_path / "similar")["parameters"]
+    assert (params["f1"], params["f2"]) == ("poly(0,0,1)", "poly(0,0,2)")
+
+
 # f o phi_0.96: the base fiber of f o phi has a point at 0.998, and f o phi
 # is similar to f by construction
 NEAR_CIRCLE_F = "compose(poly(0,1,0,2),blaschke(0;0,0.4))"
