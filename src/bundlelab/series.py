@@ -24,7 +24,6 @@ __all__ = [
     "rational",
     "taylor",
     "multiply",
-    "derivative",
     "evaluate",
     "inner",
     "norm",
@@ -107,13 +106,6 @@ def multiply(f, g):
     """Cauchy product truncated at min(K_f, K_g)."""
     n = min(f.K, g.K) + 1
     return PowerSeries(np.convolve(f.coeffs, g.coeffs)[:n])
-
-
-def derivative(f):
-    """Termwise derivative; truncation drops by one."""
-    if f.K == 0:
-        return PowerSeries(np.zeros(1, dtype=complex))
-    return PowerSeries(f.coeffs[1:] * np.arange(1, f.coeffs.size))
 
 
 def evaluate(f, z):

@@ -45,18 +45,6 @@ def test_multiply_truncation_is_min():
     assert series.multiply(a, b).K == 4
 
 
-def test_derivative_examples():
-    assert series.derivative(series.PowerSeries([2, 1, 1])).coeffs.tolist() == [1, 2]
-    c = series.derivative(series.PowerSeries([3.0]))
-    assert c.coeffs.tolist() == [0]
-    # derivative of geom(a) equals a * geom(a)^2 termwise
-    a = 0.4 + 0.1j
-    g = _geometric(a, 30)
-    lhs = series.derivative(g).coeffs
-    rhs = a * series.multiply(g, g).coeffs[:30]
-    assert np.allclose(lhs, rhs, rtol=1e-13)
-
-
 def test_evaluate_examples():
     f = series.PowerSeries([2, 1, 1])
     assert series.evaluate(f, 0.0) == 2.0
