@@ -115,7 +115,7 @@ def default_base_point(f, curve, bvs):
     clearance = max(1e-3, 0.02 * scale)
     best = None
     for delta in (0.0, 0.005, 0.02, 0.05, 0.12, 0.25):
-        for k in range(8):
+        for k in range(8 if delta > 0 else 1):  # the ring of radius 0 is one point
             cand = center + delta * scale * np.exp(1j * np.pi * k / 4.0)
             d_curve = float(np.min(np.abs(curve - cand)))
             d_b = min((abs(cand - b) for b in bvs), default=np.inf)
