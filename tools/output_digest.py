@@ -30,9 +30,10 @@ The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
 of benchmark seeds 1 and 2 (66 commands), which are taken from
 ``perfbench/workloads.py`` without changing it, and last the near-circle
-fiber case (2 commands, ``NEAR_CIRCLE``) and the Moebius match whose seed
-is a critical point (2 commands, ``CRITICAL_SEED``), appended so that the
-``c<k>`` labels of the earlier commands stay put.  A whole run of the 88
+fiber case (2 commands, ``NEAR_CIRCLE``), the Moebius match whose seed is a
+critical point (2 commands, ``CRITICAL_SEED``) and the options and commands
+that no earlier entry reaches (5 commands, ``OPTION_COVER``), appended so that
+the ``c<k>`` labels of the earlier commands stay put.  A whole run of the 93
 commands took about 50 s on a 2-core machine.
 """
 
@@ -91,6 +92,14 @@ CRITICAL_SEED = [
     ["similar", "--weights", "bergman:alpha=1", "--f1", "poly(0,1,0,2)", "--f2", CUBIC_PHI],
     ["similar", "--weights", "bergman:alpha=1", "--f1", CUBIC_PHI, "--f2", "poly(0,1,0,2)"],
 ]
+# every command at least once, and the options no entry above sets
+OPTION_COVER = [
+    ["weights-classify", "--weights", "hardy"],
+    ["weights-classify", "--weights", "nln"],
+    ["equivalent", "--weights", "bergman:alpha=1", "--weights2", "reciprocal:polygrowth:M=1"],
+    ["gram", "--normalization", "beta-inv", "--csv", "no", "--n-max", "6", "--trunc", "64"],
+    ["counterexample", "--weights", "bergman:alpha=1", "--n-max", "120", "--csv", "no"],
+]
 
 
 def commands():
@@ -101,7 +110,7 @@ def commands():
     for seed in (1, 2):
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
-    return cmds + NEAR_CIRCLE + CRITICAL_SEED
+    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER
 
 
 def numbers(value, path=""):
