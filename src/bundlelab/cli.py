@@ -9,15 +9,17 @@ computation errors.
 
 Config files are flat ``key = value`` text with optional ``[section]``
 headers; keys match the long flag names and flags override the file.
+Each option is stated once, in ``_OPTIONS``, and each command's options,
+defaults and ranges once, in ``_COMMANDS``.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
+from csv import writer as csv_writer
 from pathlib import Path
 
 import numpy as np
@@ -28,25 +30,54 @@ from .funcspec import BlaschkeSpec, parse_function_spec
 from .svgout import emit_svg
 from .weights import equivalent, growth_classify, parse_weight_id
 
-__all__ = ["main", "run", "RunConfig", "parse_config_file"]
+__all__ = ["main", "run", "parse_config_file"]
 
-_KNOWN_KEYS = {
-    "command", "weights", "weights2", "fn", "f1", "f2", "blaschke",
-    "n-max", "trunc", "res", "bounds", "t", "probe", "out", "normalization",
-    "csv",
+
+def _parse_bounds(text):
+    b = tuple(float(p) for p in text.split(","))
+    if len(b) != 4 or not (-np.inf < b[0] < b[1] < np.inf and -np.inf < b[2] < b[3] < np.inf):
+        raise ValueError("need re_min,re_max,im_min,im_max spanning a finite rectangle")
+    return b
+
+
+def _parse_blaschke(text):
+    spec = parse_function_spec(text)
+    if not isinstance(spec, BlaschkeSpec):
+        raise ValueError("expected a blaschke(...) literal")
+    return spec.product
+
+
+def _value(value, text):
+    return value
+
+
+def _text(value, text):
+    return text
+
+
+def _weight_id(w, text):
+    return w.id
+
+
+# key: (help, parse of the option text, its parameters echo from (value, text));
+# every key is both a --flag and a config key
+_OPTIONS = {
+    "weights": ("weight preset id, e.g. bergman:alpha=1", parse_weight_id, _weight_id),
+    "weights2": ("second weight preset (equivalent)", parse_weight_id, _weight_id),
+    "fn": ("function spec expression", parse_function_spec, _text),
+    "f1": ("first function spec", parse_function_spec, _text),
+    "f2": ("second function spec", parse_function_spec, _text),
+    "blaschke": ("blaschke(theta; z1, z2, ...) literal", _parse_blaschke, _text),
+    "n-max": ("frame power cutoff", int, _value),
+    "trunc": ("row truncation K", int, _value),
+    "res": ("index map cells per axis", int, _value),
+    "bounds": ("re_min,re_max,im_min,im_max", _parse_bounds, _value),
+    "t": ("automorphism parameter in (0,1)", float, _value),
+    "probe": ("weight probe horizon", int, _value),
+    "normalization": ("Gram normalization: raw, beta or beta-inv", str, _value),
+    "csv": ("write CSV artifacts: yes or no", str, _value),
+    "out": ("output directory (default .)", str, _value),
 }
-_NORMALIZATIONS = ("raw", "beta", "beta-inv")
-
-
-class RunConfig:
-    """Validated command id plus option mapping."""
-
-    def __init__(self, command, options):
-        self.command = command
-        self.options = options
-
-    def get(self, key, default=None):
-        return self.options.get(key, default)
 
 
 def parse_config_file(path):
@@ -71,7 +102,7 @@ def parse_config_file(path):
                 raise ConfigError("expected key = value", line=lineno, column=1)
             key, _, value = stripped.partition("=")
             key = key.strip()
-            if key not in _KNOWN_KEYS:
+            if key != "command" and key not in _OPTIONS:
                 col = line.index(key) + 1
                 raise ConfigError(f"unknown key {key!r}", line=lineno, column=col)
             options[key] = value.strip()
@@ -80,43 +111,6 @@ def parse_config_file(path):
 
 def _progress(msg):
     print(msg, file=sys.stderr)
-
-
-def _parse_bounds(text):
-    b = tuple(float(p) for p in text.split(","))
-    if len(b) != 4 or not (-np.inf < b[0] < b[1] < np.inf and -np.inf < b[2] < b[3] < np.inf):
-        raise ValueError("need re_min,re_max,im_min,im_max spanning a finite rectangle")
-    return b
-
-
-def _option(config, key, default, parse, valid=lambda value: True):
-    """Option ``key`` converted by ``parse``; a ConfigError names the key.
-
-    A value that ``parse`` rejects (a bad number, a Blaschke zero outside the
-    disk, a weight parameter out of range) or that fails ``valid`` is a
-    configuration error, not a computation error.
-    """
-    text = config.get(key, default)
-    try:
-        value = parse(text)
-    except (DomainError, ValueError, TypeError, OSError) as exc:
-        raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
-    if not valid(value):
-        raise ConfigError(f"value {text!r} for {key} is out of range")
-    return value
-
-
-def _spec_option(config, key, default):
-    """The function spec of option ``key`` and the text it was parsed from."""
-    return _option(config, key, default, parse_function_spec), config.get(key, default)
-
-
-def _blaschke_from(config):
-    """The Blaschke product of the ``blaschke`` option and its text."""
-    spec, text = _spec_option(config, "blaschke", "blaschke(0; 0, 0.5)")
-    if not isinstance(spec, BlaschkeSpec):
-        raise ConfigError("expected a blaschke(...) literal")
-    return spec.product, text
 
 
 def _write_json(out_dir, name, payload):
@@ -143,28 +137,13 @@ def _sanitize(value):
     return value
 
 
-def _emit(config, params, result, artifacts=()):
-    envelope = {
-        "command": config.command,
-        "parameters": _sanitize(params),
-        "result": _sanitize(result),
-    }
-    out = config.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    path = _write_json(out, "result.json", envelope)
-    for note in artifacts:
-        _progress(f"wrote {note}")
-    _progress(f"wrote {path}")
-    return envelope
-
-
 # -- command implementations -------------------------------------------------
+# Each takes the output directory and its parsed options (``n-max`` as n_max)
+# and returns (result, exit code, summary line, paths of the artifacts written).
 
 
-def _cmd_weights_classify(config):
-    w = _option(config, "weights", "hardy", parse_weight_id)
-    K = _option(config, "probe", 10000, int, lambda k: k >= 10)
-    rep = growth_classify(w, K)
+def _cmd_weights_classify(out, weights, probe):
+    rep = growth_classify(weights, probe)
     result = {
         "probe_limit": rep.probe_limit,
         "sup_val": rep.sup_val,
@@ -172,89 +151,57 @@ def _cmd_weights_classify(config):
         "classification": rep.classification,
         "certified": rep.certified,
     }
-    params = {"weights": w.id, "probe": K}
-    _emit(config, params, result)
     tag = "certified" if rep.certified else "empirical"
-    print(
-        f"weights-classify {w.id}: {rep.classification} ({tag}), "
+    return result, 0, (
+        f"weights-classify {weights.id}: {rep.classification} ({tag}), "
         f"sup {rep.sup_val:.6g}, trend {rep.tail_trend:+.3g}"
-    )
-    return 0
+    ), ()
 
 
-def _cmd_equivalent(config):
-    w = _option(config, "weights", "hardy", parse_weight_id)
-    w2 = _option(config, "weights2", "hardy", parse_weight_id)
-    K = _option(config, "probe", 10000, int, lambda k: k >= 1)
-    ok, K1, K2 = equivalent(w, w2, K)
-    result = {"equivalent": bool(ok), "K1": K1, "K2": K2, "probe": K}
-    _emit(config, {"weights": w.id, "weights2": w2.id, "probe": K}, result)
-    print(
-        f"equivalent {w.id} ~ {w2.id}: {ok} "
-        f"(ratio range [{K1:.6g}, {K2:.6g}] over k <= {K})"
-    )
-    return 0
+def _cmd_equivalent(out, weights, weights2, probe):
+    ok, K1, K2 = equivalent(weights, weights2, probe)
+    result = {"equivalent": bool(ok), "K1": K1, "K2": K2, "probe": probe}
+    return result, 0, (
+        f"equivalent {weights.id} ~ {weights2.id}: {ok} "
+        f"(ratio range [{K1:.6g}, {K2:.6g}] over k <= {probe})"
+    ), ()
 
 
-def _cmd_gram(config):
-    w = _option(config, "weights", "hardy", parse_weight_id)
-    B, blaschke = _blaschke_from(config)
-    n_max = _option(config, "n-max", 40, int, lambda n: n >= 0)
-    K = _option(config, "trunc", 256, int, lambda k: k >= 8)
-    norm = _option(config, "normalization", "raw", str, lambda n: n in _NORMALIZATIONS)
-    F = frames.build_frame(B, w, n_max, K)
-    G = frames.gram(F, norm)
+def _cmd_gram(out, weights, blaschke, n_max, trunc, normalization, csv):
+    F = frames.build_frame(blaschke, weights, n_max, trunc)
+    G = frames.gram(F, normalization)
     herm = float(np.max(np.abs(G.matrix - G.matrix.conj().T)))
     result = {
-        "normalization": norm,
+        "normalization": normalization,
         "shape": list(G.matrix.shape),
         "hermitian_dev": herm,
         "max_tail": float(np.max(G.column_tails)) if G.column_tails.size else 0.0,
     }
     artifacts = []
-    out = config.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    if config.get("csv", "yes") != "no":
+    if csv == "yes":
         path = str(Path(out) / "gram.csv")
         operators.dump_matrix_csv(G.matrix, path)
         result["csv"] = "gram.csv"
         artifacts.append(path)
-    params = {"weights": w.id, "blaschke": blaschke,
-              "n-max": n_max, "trunc": K, "normalization": norm,
-              "csv": config.get("csv", "yes")}
-    _emit(config, params, result, artifacts)
-    print(
-        f"gram {norm} {G.matrix.shape[0]}x{G.matrix.shape[1]}: "
+    return result, 0, (
+        f"gram {normalization} {G.matrix.shape[0]}x{G.matrix.shape[1]}: "
         f"hermitian dev {herm:.3e}, tail {result['max_tail']:.3e}"
-    )
-    return 0
+    ), artifacts
 
 
-def _cmd_riesz(config):
-    w = _option(config, "weights", "hardy", parse_weight_id)
-    B, blaschke = _blaschke_from(config)
-    n_max = _option(config, "n-max", 100, int, lambda n: n >= 0)
-    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    _progress(f"building frame for {w.id}, order {B.order}, n_max {n_max}, K {K}")
-    F = frames.build_frame(B, w, n_max, K)
-    rep = frames.riesz_bounds(F)
-    _emit(config, {"weights": w.id, "blaschke": blaschke,
-                   "n-max": n_max, "trunc": K}, rep.to_dict())
-    print(
-        f"riesz {w.id}: c1 {rep.c1:.6g}, c2 {rep.c2:.6g}, cond {rep.cond:.4g}, "
+def _cmd_riesz(out, weights, blaschke, n_max, trunc):
+    _progress(f"building frame for {weights.id}, order {blaschke.order}, "
+              f"n_max {n_max}, K {trunc}")
+    rep = frames.riesz_bounds(frames.build_frame(blaschke, weights, n_max, trunc))
+    return rep.to_dict(), 0, (
+        f"riesz {weights.id}: c1 {rep.c1:.6g}, c2 {rep.c2:.6g}, cond {rep.cond:.4g}, "
         f"verdict {rep.verdict}"
-    )
-    return 0
+    ), ()
 
 
-def _cmd_index_map(config):
-    spec, fn = _spec_option(config, "fn", "poly(2,1,1)")
-    bounds = _option(config, "bounds", "-1,5,-3,3", _parse_bounds)
-    res = _option(config, "res", 400, int, lambda r: 1 <= r <= 2048)
+def _cmd_index_map(out, fn, bounds, res):
     _progress(f"index map on {bounds} at {res}x{res}")
-    imap = geometry.index_map(spec, bounds, res)
-    out = config.get("out", ".")
-    os.makedirs(out, exist_ok=True)
+    imap = geometry.index_map(fn, bounds, res)
     svg_path = str(Path(out) / "map.svg")
     emit_svg(imap, svg_path)
     grid_path = _write_json(out, "grid.json", {
@@ -276,31 +223,22 @@ def _cmd_index_map(config):
         "svg": "map.svg",
         "grid": "grid.json",
     }
-    _emit(config, {"fn": fn, "bounds": list(bounds), "res": res},
-          result, [svg_path, grid_path])
-    print(
+    return result, 0, (
         f"index-map: values {imap.index_values}, "
         f"{len(imap.probes)} probes cross-checked, svg {svg_path}"
-    )
-    return 0
+    ), [svg_path, grid_path]
 
 
-def _cmd_decompose(config):
-    spec, fn = _spec_option(config, "fn", "poly(0,1,0,2)")
-    dec = monodromy.decompose(spec)
-    _emit(config, {"fn": fn}, dec.to_dict())
-    print(
+def _cmd_decompose(out, fn):
+    dec = monodromy.decompose(fn)
+    return dec.to_dict(), 0, (
         f"decompose: m = {dec.m}, residual {dec.residual:.3e} "
         f"({'indecomposable' if dec.m == 1 else f'inner order {dec.m}'})"
-    )
-    return 0
+    ), ()
 
 
-def _cmd_jordan(config):
-    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    spec, fn = _spec_option(config, "fn", "poly(0,1,0,2)")
-    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    j = classify.jordan(spec, w, K=K)
+def _cmd_jordan(out, weights, fn, trunc):
+    j = classify.jordan(fn, weights, K=trunc)
     result = {
         "m": j.m,
         "direct_residual": None if np.isnan(j.direct_residual) else j.direct_residual,
@@ -308,106 +246,140 @@ def _cmd_jordan(config):
         "decomposition": j.decomposition.to_dict(),
         "certificate": j.certificate.to_dict() if j.certificate else None,
     }
-    _emit(config, {"weights": w.id, "fn": fn, "trunc": K}, result)
-    print(
+    return result, 0, (
         f"jordan: m = {j.m}, direct residual "
         f"{j.direct_residual if j.checked_columns else 0.0:.3e}, "
         f"certificate {'accepted' if j.certificate and j.certificate.accepted else 'trivial' if j.m == 1 else 'failed'}"
-    )
-    return 0
+    ), ()
 
 
-def _cmd_similar(config):
-    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    f1, f1_text = _spec_option(config, "f1", "poly(0,0,1)")
-    f2, f2_text = _spec_option(config, "f2", "poly(0,0,1)")
-    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    v = classify.similar(f1, f2, w, K=K)
-    _emit(config, {"weights": w.id, "f1": f1_text,
-                   "f2": f2_text, "trunc": K}, v.to_dict())
-    print(f"similar: {v.status}" + (f" ({v.reason})" if v.reason else ""))
-    return v.exit_code
+def _cmd_similar(out, weights, f1, f2, trunc):
+    v = classify.similar(f1, f2, weights, K=trunc)
+    summary = f"similar: {v.status}" + (f" ({v.reason})" if v.reason else "")
+    return v.to_dict(), v.exit_code, summary, ()
 
 
-def _cmd_kaplansky(config):
-    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    f1, f1_text = _spec_option(config, "f1", "poly(0,0,1)")
-    f2, f2_text = _spec_option(config, "f2", "poly(0,0,1)")
-    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    double, single, consistent = classify.kaplansky(f1, f2, w, K=K)
+def _cmd_kaplansky(out, weights, f1, f2, trunc):
+    double, single, consistent = classify.kaplansky(f1, f2, weights, K=trunc)
     result = {
         "double": double.to_dict(),
         "single": single.to_dict(),
         "consistent": bool(consistent),
     }
-    _emit(config, {"weights": w.id, "f1": f1_text,
-                   "f2": f2_text, "trunc": K}, result)
-    print(
+    return result, 0 if consistent else 1, (
         f"kaplansky: double {double.status}, single {single.status}, "
         f"consistent {consistent}"
-    )
-    return 0 if consistent else 1
+    ), ()
 
 
-def _cmd_douglas(config):
-    w = _option(config, "weights", "bergman:alpha=1", parse_weight_id)
-    B, blaschke = _blaschke_from(config)
-    K = _option(config, "trunc", 512, int, lambda k: k >= 8)
-    n_max = _option(config, "n-max", 100, int, lambda n: n >= 1)
-    cert = classify.douglas_intertwiner(B, w, K=K, n_max=n_max)
-    _emit(config, {"weights": w.id, "blaschke": blaschke,
-                   "trunc": K, "n-max": n_max}, cert.to_dict())
-    print(
+def _cmd_douglas(out, weights, blaschke, trunc, n_max):
+    cert = classify.douglas_intertwiner(blaschke, weights, K=trunc, n_max=n_max)
+    return cert.to_dict(), 0 if cert.accepted else 1, (
         f"douglas: residual {cert.residual:.3e}, cond {cert.cond:.4g}, "
         f"{'accepted' if cert.accepted else 'failed'}"
-    )
-    return 0 if cert.accepted else 1
+    ), ()
 
 
-def _cmd_counterexample(config):
-    w = _option(config, "weights", "reciprocal:nln", parse_weight_id)
-    t = _option(config, "t", 0.5, float, lambda t: 0.0 < t < 1.0)
-    n_max = _option(config, "n-max", 400, int, lambda n: n >= 2)
-    rep = classify.counterexample_probe(t, w, n_max)
+def _cmd_counterexample(out, weights, t, n_max, csv):
+    rep = classify.counterexample_probe(t, weights, n_max)
     result = rep.to_dict()
-    out = config.get("out", ".")
-    os.makedirs(out, exist_ok=True)
-    if config.get("csv", "yes") != "no":
+    artifacts = []
+    if csv == "yes":
         path = str(Path(out) / "profile.csv")
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
+            writer = csv_writer(fh)
             writer.writerow(["n", "r_n"])
             for n, r in enumerate(rep.profile):
                 writer.writerow([n, f"{r:.17g}"])
         result["csv"] = "profile.csv"
-    _emit(config, {"weights": w.id, "t": t, "n-max": n_max,
-                   "csv": config.get("csv", "yes")}, result)
-    print(f"counterexample {w.id} t={t}: {rep.verdict} (slope {rep.slope:+.4f})")
-    return 0
+        artifacts.append(path)
+    return result, 0, (
+        f"counterexample {weights.id} t={t}: {rep.verdict} (slope {rep.slope:+.4f})"
+    ), artifacts
 
 
-def _cmd_verify(config):
-    passed, failed, records = verify.run_all(report=print)
+def _cmd_verify(out):
+    passed, failed, records = verify.run_all()
     result = {"passed": passed, "failed": failed, "checks": records}
-    _emit(config, {}, result)
-    print(f"verify: {passed} passed, {failed} failed")
-    return 0 if failed == 0 else 1
+    return result, 0 if failed == 0 else 1, f"verify: {passed} passed, {failed} failed", ()
 
 
+_WEIGHTS = ("hardy", None)
+_BERGMAN = ("bergman:alpha=1", None)
+_BLASCHKE = ("blaschke(0; 0, 0.5)", None)
+_TRUNC = ("512", lambda k: k >= 8)
+_CSV = ("yes", lambda c: c in ("yes", "no"))
+
+# command: (implementation, {option: (default text, range check or None)}),
+# options parsed in this order
 _COMMANDS = {
-    "weights-classify": _cmd_weights_classify,
-    "equivalent": _cmd_equivalent,
-    "gram": _cmd_gram,
-    "riesz": _cmd_riesz,
-    "index-map": _cmd_index_map,
-    "decompose": _cmd_decompose,
-    "jordan": _cmd_jordan,
-    "similar": _cmd_similar,
-    "kaplansky": _cmd_kaplansky,
-    "douglas": _cmd_douglas,
-    "counterexample": _cmd_counterexample,
-    "verify": _cmd_verify,
+    "weights-classify": (_cmd_weights_classify, {
+        "weights": _WEIGHTS, "probe": ("10000", lambda k: k >= 10)}),
+    "equivalent": (_cmd_equivalent, {
+        "weights": _WEIGHTS, "weights2": _WEIGHTS, "probe": ("10000", lambda k: k >= 1)}),
+    "gram": (_cmd_gram, {
+        "weights": _WEIGHTS, "blaschke": _BLASCHKE, "n-max": ("40", lambda n: n >= 0),
+        "trunc": ("256", lambda k: k >= 8),
+        "normalization": ("raw", lambda n: n in ("raw", "beta", "beta-inv")), "csv": _CSV}),
+    "riesz": (_cmd_riesz, {
+        "weights": _WEIGHTS, "blaschke": _BLASCHKE, "n-max": ("100", lambda n: n >= 0),
+        "trunc": _TRUNC}),
+    "index-map": (_cmd_index_map, {
+        "fn": ("poly(2,1,1)", None), "bounds": ("-1,5,-3,3", None),
+        "res": ("400", lambda r: 1 <= r <= 2048)}),
+    "decompose": (_cmd_decompose, {"fn": ("poly(0,1,0,2)", None)}),
+    "jordan": (_cmd_jordan, {
+        "weights": _BERGMAN, "fn": ("poly(0,1,0,2)", None), "trunc": _TRUNC}),
+    "similar": (_cmd_similar, {
+        "weights": _BERGMAN, "f1": ("poly(0,0,1)", None), "f2": ("poly(0,0,1)", None),
+        "trunc": _TRUNC}),
+    "kaplansky": (_cmd_kaplansky, {
+        "weights": _BERGMAN, "f1": ("poly(0,0,1)", None), "f2": ("poly(0,0,1)", None),
+        "trunc": _TRUNC}),
+    "douglas": (_cmd_douglas, {
+        "weights": _BERGMAN, "blaschke": _BLASCHKE, "trunc": _TRUNC,
+        "n-max": ("100", lambda n: n >= 1)}),
+    "counterexample": (_cmd_counterexample, {
+        "weights": ("reciprocal:nln", None), "t": ("0.5", lambda t: 0.0 < t < 1.0),
+        "n-max": ("400", lambda n: n >= 2), "csv": _CSV}),
+    "verify": (_cmd_verify, {}),
 }
+
+
+def run(command, options):
+    """Run ``command`` on the option texts ``options``; returns the exit status.
+
+    Each option the command declares is parsed from its text (or its default)
+    in table order; a value that does not parse (a bad number, a Blaschke zero
+    outside the disk, a weight parameter out of range) or fails the range
+    check is a configuration error.  Options the command does not declare are
+    ignored.
+    """
+    if command not in _COMMANDS:
+        raise ConfigError(f"unknown command {command!r}")
+    impl, declared = _COMMANDS[command]
+    values, params = {}, {}
+    for key, (default, valid) in declared.items():
+        _, parse, echo = _OPTIONS[key]
+        text = options.get(key, default)
+        try:
+            value = parse(text)
+        except (DomainError, ValueError, TypeError, OSError) as exc:
+            raise ConfigError(f"bad value {text!r} for {key}: {exc}") from None
+        if valid is not None and not valid(value):
+            raise ConfigError(f"value {text!r} for {key} is out of range")
+        values[key.replace("-", "_")] = value
+        params[key] = echo(value, text)
+    out = options.get("out", ".")
+    os.makedirs(out, exist_ok=True)
+    result, code, summary, artifacts = impl(out, **values)
+    envelope = {"command": command, "parameters": _sanitize(params), "result": _sanitize(result)}
+    path = _write_json(out, "result.json", envelope)
+    for note in artifacts:
+        _progress(f"wrote {note}")
+    _progress(f"wrote {path}")
+    print(summary)
+    return code
 
 
 class _Parser(argparse.ArgumentParser):
@@ -425,32 +397,12 @@ def _build_parser():
     )
     parser.add_argument("command", choices=sorted(_COMMANDS), nargs="?")
     parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--weights", help="weight preset id, e.g. bergman:alpha=1")
-    parser.add_argument("--weights2", help="second weight preset (equivalent)")
-    parser.add_argument("--fn", help="function spec expression")
-    parser.add_argument("--f1", help="first function spec")
-    parser.add_argument("--f2", help="second function spec")
-    parser.add_argument("--blaschke", help="blaschke(theta; z1, z2, ...) literal")
-    parser.add_argument("--n-max", dest="n_max", help="frame power cutoff")
-    parser.add_argument("--trunc", help="row truncation K")
-    parser.add_argument("--res", help="index map cells per axis")
-    parser.add_argument("--bounds", help="re_min,re_max,im_min,im_max")
-    parser.add_argument("--t", help="automorphism parameter in (0,1)")
-    parser.add_argument("--probe", help="weight probe horizon")
-    parser.add_argument("--normalization", choices=_NORMALIZATIONS)
-    parser.add_argument("--csv", choices=["yes", "no"], help="write CSV artifacts")
-    parser.add_argument("--out", help="output directory (default .)")
+    for key, (help_text, _, _) in _OPTIONS.items():
+        parser.add_argument(f"--{key}", dest=key, help=help_text)
     return parser
 
 
-def run(config):
-    """Dispatch a RunConfig; returns the process exit status."""
-    if config.command not in _COMMANDS:
-        raise ConfigError(f"unknown command {config.command!r}")
-    return _COMMANDS[config.command](config)
-
-
-_VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _KNOWN_KEYS - {"command"}}
+_VALUE_FLAGS = {"--config"} | {f"--{key}" for key in _OPTIONS}
 
 
 def _preprocess(argv):
@@ -472,18 +424,15 @@ def main(argv=None):
     parser = _build_parser()
     options = {}
     try:
-        args = parser.parse_args(_preprocess(list(sys.argv[1:] if argv is None else argv)))
-        if args.config:
-            options.update(parse_config_file(args.config))
-        for key in _KNOWN_KEYS - {"command"}:
-            val = getattr(args, key.replace("-", "_"))
-            if val is not None:
-                options[key] = val
-        command = args.command or options.get("command")
+        args = vars(parser.parse_args(_preprocess(list(sys.argv[1:] if argv is None else argv))))
+        if args["config"]:
+            options.update(parse_config_file(args["config"]))
+        options.update((key, args[key]) for key in _OPTIONS if args[key] is not None)
+        command = args["command"] or options.get("command")
         if not command:
             parser.print_usage(sys.stderr)
             raise ConfigError("no command given (argument or config 'command =')")
-        return run(RunConfig(command, options))
+        return run(command, options)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 64

@@ -142,6 +142,15 @@ def test_parameters_echo_the_parsed_function_text(tmp_path):
                  "--out", str(tmp_path / "similar")]) in (0, 1, 2)
     params = _load(tmp_path / "similar")["parameters"]
     assert (params["f1"], params["f2"]) == ("poly(0,0,1)", "poly(0,0,2)")
+    assert _run(["index-map", "--fn", "blaschke(0; 0.5)", "--bounds", "-1,5,-3,3",
+                 "--res", "8", "--out", str(tmp_path / "map")]) == 0
+    params = _load(tmp_path / "map")["parameters"]
+    assert params == {"fn": "blaschke(0; 0.5)", "bounds": [-1.0, 5.0, -3.0, 3.0], "res": 8}
+    assert _run(["weights-classify", "--weights", "bergman:alpha=1.0", "--probe", "0800",
+                 "--out", str(tmp_path / "weights")]) == 0
+    params = _load(tmp_path / "weights")["parameters"]
+    assert params == {"weights": "bergman:alpha=1", "probe": 800}
+    assert type(params["probe"]) is int
 
 
 # f o phi_0.96: the base fiber of f o phi has a point at 0.998, and f o phi
@@ -253,6 +262,15 @@ def test_config_error_exit_code(tmp_path):
     cfg.write_text("command = riesz\nfrobnicate = 7\n")
     assert _run(["--config", str(cfg)]) == 64
     assert _run(["similar", "--f1", "poly(", "--out", str(tmp_path)]) == 64
+
+
+def test_config_file_values_are_checked_like_flags(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"command = gram\ncsv = maybe\nout = {tmp_path / 'out'}\n")
+    assert _run(["--config", str(cfg)]) == 64
+    assert _run(["gram", "--csv", "maybe", "--out", str(tmp_path / "out")]) == 64
+    assert not (tmp_path / "out").exists()
+    assert not (tmp_path / "error.json").exists()
 
 
 def test_computation_error_exit_code(tmp_path):
