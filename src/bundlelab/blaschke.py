@@ -157,13 +157,13 @@ def _poly_roots(coeffs):
     return np.roots(c[::-1]).astype(complex)
 
 
-def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
+def _newton_polish(coeffs, roots):
     """Polish roots of one constant-first polynomial, all roots at once.
 
-    Each root stops on its own: relative residual below tol with a Newton
-    step below tol (1 + |z|) (so an ill-conditioned root, one with a small
-    derivative, keeps polishing to the noise floor), a flat derivative, a
-    step below 1e-16 (1 + |z|), or after iters steps.  Moduli are taken with
+    Each root stops on its own: relative residual below _POLISH_TOL with a
+    Newton step below _POLISH_TOL (1 + |z|) (so an ill-conditioned root, one
+    with a small derivative, keeps polishing to the noise floor), a flat
+    derivative, a step below 1e-16 (1 + |z|), or after 50 steps.  Moduli are taken with
     ``hypot``, as Python's ``abs`` of one complex value does.
     """
     c = np.asarray(coeffs, dtype=complex)
@@ -172,14 +172,15 @@ def _newton_polish(coeffs, roots, tol=_POLISH_TOL, iters=50):
     scale = max(np.max(np.abs(c)), 1e-300)
     z = np.array(roots, dtype=complex)
     live = np.arange(z.size)
-    for _ in range(iters):
+    for _ in range(50):
         if live.size == 0:
             break
         x = z[live]
         v, dv = np.polyval(p, x), np.polyval(dp, x)
         # negated tests: a NaN modulus stops nothing, as in a scalar loop
         av, adv = np.hypot(v.real, v.imag), np.hypot(dv.real, dv.imag)
-        go = ~(av <= tol * scale) | ~(av <= tol * adv * (1.0 + np.hypot(x.real, x.imag)))
+        go = ~(av <= _POLISH_TOL * scale)
+        go |= ~(av <= _POLISH_TOL * adv * (1.0 + np.hypot(x.real, x.imag)))
         go &= ~(adv < 1e-300)
         live = live[go]
         step = v[go] / dv[go]
@@ -204,10 +205,10 @@ def fiber_roots(R, radius):
     return roots[np.abs(roots) < radius]
 
 
-def _lex_key(z, quantum=1e-9):
-    """(re, im) lexicographic key, quantized so roundoff cannot flip order."""
+def _lex_key(z):
+    """(re, im) lexicographic key, quantized to 1e-9 so roundoff cannot flip order."""
     z = complex(z)
-    return (round(z.real / quantum), round(z.imag / quantum))
+    return (round(z.real / 1e-9), round(z.imag / 1e-9))
 
 
 class _UnionFind:
@@ -254,7 +255,7 @@ def with_multiplicity(points, tol=_CLUSTER_TOL):
     return sorted(out, key=_lex_key)
 
 
-def solve_fiber(spec, omega, cluster_tol=_CLUSTER_TOL):
+def solve_fiber(spec, omega):
     """All zeros of spec(z) - omega strictly inside the disk, with multiplicity.
 
     Roots come from :func:`fiber_roots` on P - omega*Q and are clustered for
@@ -281,7 +282,7 @@ def solve_fiber(spec, omega, cluster_tol=_CLUSTER_TOL):
             BoundaryRootWarning,
             stacklevel=2,
         )
-    return with_multiplicity(roots[~near & (r < _INTERIOR)], cluster_tol)
+    return with_multiplicity(roots[~near & (r < _INTERIOR)])
 
 
 def critical_points(spec):

@@ -37,6 +37,7 @@ _MATCH_TOL = 1e-8
 _Z0_LIMIT = 0.999  # phi(0) is sought only for |phi(0)| below this
 _SNAP = 1e-4  # a critical point of g1 this close to a preimage is a seed too
 _POLISH_STEPS = 3
+_K_CAP = 2048  # the intertwiner's doubling ladder stops at this row truncation
 
 
 @dataclass
@@ -75,7 +76,7 @@ class SimilarityCertificate:
         }
 
 
-def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
+def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     """Deformation X with columns the beta-normalized frame of B.
 
     X carries the direct sum of ``order`` copies of M_z onto M_B column by
@@ -86,7 +87,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
     recursion (:meth:`frames.FrameMatrix.times`) and X times the block shift
     is a column shift scaled by the weights, so no K x K matrix is formed.
     Zeros close to the circle slow the column decay, so the row truncation
-    climbs a doubling ladder (up to ``K_cap``) until cond stabilizes.
+    climbs a doubling ladder (up to ``_K_CAP``) until cond stabilizes.
     Fails (accepted=False) on intermediate-growth presets, as it must.
     """
     if n_max < 1:
@@ -106,7 +107,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True, K_cap=2048):
         sd_min, sd_max = Fd.extremes()
         cond_d = float(sd_max / sd_min)
         rel = abs(cond_d - cond) / cond_d
-        if (rel < 0.05 and F.tail("beta") < frames.TAIL_BAR) or F.K >= K_cap:
+        if (rel < 0.05 and F.tail("beta") < frames.TAIL_BAR) or F.K >= _K_CAP:
             break
         F = Fd
     # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
@@ -146,7 +147,7 @@ class JordanResult:
     checked_columns: int
 
 
-def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
+def jordan(spec, w, K=512, attach_riesz=True):
     """Jordan data of f: multiplicity m, indecomposable outer part, inner B.
 
     The deformation is reused from the inner product's intertwiner through
@@ -164,8 +165,7 @@ def jordan(spec, w, K=512, n_max=None, attach_riesz=True):
         )
     h = dec.outer
     L = monodromy.outer_taylor(h).size
-    if n_max is None:
-        n_max = min(max(60, L + 30), 160)
+    n_max = min(max(60, L + 30), 160)
     cert = douglas_intertwiner(dec.inner, w, K=K, n_max=n_max,
                                attach_riesz=attach_riesz)
     F = cert.frame
@@ -260,7 +260,7 @@ def _seed(p, dphi):
     return theta, p * np.exp(-1j * theta)
 
 
-def moebius_match(g1, g2, tol=_MATCH_TOL):
+def moebius_match(g1, g2):
     """Search for phi in Aut(D) with g2 = g1 o phi.
 
     The seeds are every distinct g1-preimage p of g2(0) in the open disk, with
@@ -269,12 +269,12 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
     double preimage splits into points whose first derivatives fix nothing).
     Each seed takes at most _POLISH_STEPS Gauss-Newton steps on the identity
     g1 o phi = g2 cleared of denominators (:func:`_identity`) and passes when
-    max|E| is below tol times the size of E's terms.  The bar 1e-8 lies far
-    above a true match (about 1e-15; 1e-9 with g1 a composition at |phi(0)|
-    0.995, whose roundoff phi^-1 amplifies) and below g2 with one coefficient
-    moved by 1e-6 of itself (2e-7 near the circle).  A fit below tol times E's
-    roundoff envelope only cannot be told from a match.  g1, g2 are specs or
-    RationalFunctions (an outer factor of decompose is one).
+    max|E| is below _MATCH_TOL times the size of E's terms.  The bar 1e-8 lies
+    far above a true match (about 1e-15; 1e-9 with g1 a composition at
+    |phi(0)| 0.995, whose roundoff phi^-1 amplifies) and below g2 with one
+    coefficient moved by 1e-6 of itself (2e-7 near the circle).  A fit below
+    _MATCH_TOL times E's roundoff envelope only cannot be told from a match.
+    g1, g2 are specs or RationalFunctions (an outer factor of decompose is one).
 
     Returns the best passing candidate, or None when there is none and the
     search was complete.  It is incomplete when a preimage lies at or beyond
@@ -305,9 +305,9 @@ def moebius_match(g1, g2, tol=_MATCH_TOL):
             seeds.extend(_seed(c, s) for s in (root, -root))
     passing = []
     for res, envelope_res, th, zz in (_polish(g1, g2, th, z0) for th, z0 in seeds):
-        if res < tol:
+        if res < _MATCH_TOL:
             passing.append((res, th, zz))
-        elif envelope_res < tol:
+        elif envelope_res < _MATCH_TOL:
             skipped.append(f"phi with z0 {zz:.6g} fits only within the roundoff of "
                            f"g1 o phi (residual {res:.3g})")
     passing.sort(key=lambda c: c[0])
@@ -352,7 +352,7 @@ class Verdict:
         return {"status": self.status, "reason": self.reason, "evidence": self.evidence}
 
 
-def similar(h1, h2, w, K=512, attach_riesz=False):
+def similar(h1, h2, w, K=512):
     """Similarity verdict for the bundles induced by two analytic functions.
 
     Both functions are put in Jordan form; the verdict is similar exactly
@@ -361,8 +361,8 @@ def similar(h1, h2, w, K=512, attach_riesz=False):
     with diagnostics attached.
     """
     try:
-        j1 = jordan(h1, w, K=K, attach_riesz=attach_riesz)
-        j2 = jordan(h2, w, K=K, attach_riesz=attach_riesz)
+        j1 = jordan(h1, w, K=K, attach_riesz=False)
+        j2 = jordan(h2, w, K=K, attach_riesz=False)
     except BundleLabError as exc:
         return Verdict("inconclusive", f"jordan pipeline failed: {exc}")
     evidence = {
@@ -486,7 +486,7 @@ def counterexample_probe(t, w, n_max=400):
     conds = []
     for N in (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max):
         K = max(512, 4 * N)
-        F = frames.moebius_frame(t, w, N, K, pad=0)
+        F = frames.build_frame(MoebiusTransform(t), w, N, K, pad=0)
         s_min, s_max = F.extremes()
         cond = float(s_max / s_min) if s_min > 0 else float("inf")
         conds.append(cond)

@@ -45,7 +45,6 @@ __all__ = [
     "FrameMatrix",
     "RieszReport",
     "build_frame",
-    "moebius_frame",
     "gram",
     "riesz_bounds",
     "kernel_matrix",
@@ -61,6 +60,8 @@ _TAIL_PAD = 64
 # a frame whose beta-tail is above this does not hold its columns in its K
 # rows, so its extremes say nothing about the untruncated ones
 TAIL_BAR = 1e-8
+# the Riesz ladder stops when c1 and c2 each drift by at most this, relative
+_STABILITY_TARGET = 0.01
 # entries below sqrt(tiny) are flushed to 0, so that every product of two
 # surviving entries is a normal number (subnormal arithmetic is slow)
 _FLUSH = math.sqrt(np.finfo(float).tiny)
@@ -271,11 +272,6 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     )
 
 
-def moebius_frame(z0, w, n_max, K, pad=_TAIL_PAD):
-    """The order-1 kernel family phi^n(z)/(1 - conj(z0) z), un-normalized."""
-    return build_frame(MoebiusTransform(z0), w, n_max, K, pad=pad)
-
-
 @dataclass
 class GramResult:
     matrix: np.ndarray
@@ -470,7 +466,7 @@ def _band_extremal(fit, w, n_max):
     return float(lam[0]), float(lam[-1]), fit.tail
 
 
-def _climb(F, extremal, stability_target, max_doublings):
+def _climb(F, extremal, max_doublings):
     """The :class:`RieszReport` of the doubling ladder from F's (K, n_max).
 
     ``extremal(K, n_max)`` gives a rung's (c1, c2, tail), or None to abandon
@@ -498,13 +494,13 @@ def _climb(F, extremal, stability_target, max_doublings):
         if degenerating:
             verdict = "degenerating" if tail <= TAIL_BAR else "inconclusive"
             break
-        if rel1 <= stability_target and rel2 <= stability_target:
+        if rel1 <= _STABILITY_TARGET and rel2 <= _STABILITY_TARGET:
             verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
             break
     stability = {
         "c1_rel_change": rel1,
         "c2_rel_change": rel2,
-        "target": stability_target,
+        "target": _STABILITY_TARGET,
         "ladder": ladder,
     }
     return RieszReport(
@@ -513,11 +509,11 @@ def _climb(F, extremal, stability_target, max_doublings):
     )
 
 
-def riesz_bounds(F, stability_target=0.01, max_doublings=4):
+def riesz_bounds(F, max_doublings=4):
     """Riesz bound estimates with stability-under-doubling evidence.
 
     Both K and n_max are doubled from the frame's base scale until the
-    relative drift of (c1, c2) falls below ``stability_target`` (finite
+    relative drift of (c1, c2) falls below ``_STABILITY_TARGET`` (finite
     sections converge like 1/n_max, so a fixed base may need a rung or two).
     The report carries the converged values, the full ladder, and a verdict:
 
@@ -538,11 +534,9 @@ def riesz_bounds(F, stability_target=0.01, max_doublings=4):
     fit = _fit_gram(F)
     rep, path = None, "band"
     if fit is not None and fit.trusted:
-        rep = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max),
-                     stability_target, max_doublings)
+        rep = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max), max_doublings)
     if rep is None:
-        rep = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max),
-                     stability_target, max_doublings)
+        rep = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max), max_doublings)
         path = "truncated"
     rep.stability["path"] = path
     rep.stability["fit_residual"] = None if fit is None else fit.residual
@@ -629,7 +623,7 @@ def moebius_duality_check(z0, w, n_max, K):
     """
     if abs(z0) >= 1:
         raise DomainError("the automorphism parameter must lie inside the disk")
-    F = moebius_frame(z0, w, n_max, K, pad=0)
+    F = build_frame(MoebiusTransform(z0), w, n_max, K, pad=0)
     M1 = F.matrix("beta-inv")
     M2 = F.matrix("beta")
     scale = 1.0 / (1.0 - abs(z0) ** 2)
@@ -637,14 +631,15 @@ def moebius_duality_check(z0, w, n_max, K):
     return IdentityCheckReport(float(np.max(dev)), n_max, K, scale=scale)
 
 
-def column_norm_profile(z0, w, n_max, rel_tail=1e-6, K0=512, K_cap=1 << 17):
+def column_norm_profile(z0, w, n_max):
     """Normalized power norms r_n = ||phi^n|| / beta_n for n <= n_max.
 
     The truncation K is doubled until the tail (last eighth of the rows)
-    contributes less than ``rel_tail`` of every power's squared norm.
+    contributes less than 1e-6 of every power's squared norm, from K = 512
+    (or 4 n_max) up to 2**17.
     """
     P, Q = funcspec.to_rational(BlaschkeSpec(MoebiusTransform(z0)))
-    K = max(K0, 4 * n_max)
+    K = max(512, 4 * n_max)
     while True:
         betas2 = w.betas(K) ** 2
         lb = w.log_betas(n_max)
@@ -660,29 +655,29 @@ def column_norm_profile(z0, w, n_max, rel_tail=1e-6, K0=512, K_cap=1 << 17):
             total = float(np.sum(terms))
             if total <= 0:
                 raise DomainError("power norms underflowed; weights decay too fast")
-            if float(np.sum(terms[cut:])) > rel_tail * total:
+            if float(np.sum(terms[cut:])) > 1e-6 * total:
                 ok = False
                 break
             r[n] = math.exp(0.5 * math.log(total) - lb[n])
         if ok:
             return r
         K *= 2
-        if K > K_cap:
+        if K > 1 << 17:
             raise DomainError("truncation budget exceeded in column_norm_profile")
 
 
-def moebius_derivative_power_norm(t, N, K=2048):
+def moebius_derivative_power_norm(t, N):
     """Classical-space norm of (phi_t')^N for the real automorphism phi_t.
 
     phi_t' = (t^2 - 1)/(1 - t z)^2, so each power is the last one times this
-    rational function, one :func:`series.rational` recursion on K + 1
+    rational function, one :func:`series.rational` recursion on 2049
     coefficients.
     """
     from .weights import WeightSequence
 
     if not 0 < t < 1:
         raise DomainError("t must lie in (0, 1)")
-    power = np.zeros(K + 1, dtype=complex)
+    power = np.zeros(2049, dtype=complex)
     power[0] = 1.0
     for _ in range(N):
         power = series.rational([t * t - 1.0], [1.0, -2.0 * t, t * t], power)

@@ -95,38 +95,38 @@ def _trim(c):
     return c[: nz[-1] + 1]
 
 
-def to_rational(spec, cap=DEGREE_CAP):
+def to_rational(spec):
     """Reduce a spec tree to (P, Q) constant-first coefficient arrays.
 
-    Degrees are capped (default 64) to keep companion matrices small; no
+    Degrees are capped at DEGREE_CAP (64) to keep companion matrices small; no
     common-factor simplification is attempted.
     """
     if isinstance(spec, BlaschkeProduct):
         spec = BlaschkeSpec(spec)
-    P, Q = _rational(spec, cap)
+    P, Q = _rational(spec)
     P, Q = _trim(P), _trim(Q)
-    if max(P.size, Q.size) - 1 > cap:
+    if max(P.size, Q.size) - 1 > DEGREE_CAP:
         raise DomainError(
-            f"rational reduction exceeds the degree cap ({cap}); "
-            "simplify the expression or raise the cap"
+            f"rational reduction exceeds the degree cap ({DEGREE_CAP}); "
+            "simplify the expression"
         )
     return P, Q
 
 
-def _rational(spec, cap):
+def _rational(spec):
     if isinstance(spec, PolySpec):
         # trailing zeros would leave a common factor in a composition
         return _trim(spec.coeffs), np.ones(1, dtype=complex)
     if isinstance(spec, BlaschkeSpec):
         return spec.product.rational()
     if isinstance(spec, StarSpec):
-        P, Q = _rational(spec.inner, cap)
+        P, Q = _rational(spec.inner)
         return np.conj(P), np.conj(Q)
     if isinstance(spec, SumSpec):
         P = np.zeros(1, dtype=complex)
         Q = np.ones(1, dtype=complex)
         for scalar, term in spec.terms:
-            Pt, Qt = _rational(term, cap)
+            Pt, Qt = _rational(term)
             P = npoly.polyadd(npoly.polymul(P, Qt), scalar * npoly.polymul(Pt, Q))
             Q = npoly.polymul(Q, Qt)
         return P, Q
@@ -134,12 +134,12 @@ def _rational(spec, cap):
         P = np.array([spec.scalar], dtype=complex)
         Q = np.ones(1, dtype=complex)
         for f in spec.factors:
-            Pf, Qf = _rational(f, cap)
+            Pf, Qf = _rational(f)
             P = npoly.polymul(P, Pf)
             Q = npoly.polymul(Q, Qf)
         return P, Q
     if isinstance(spec, ComposeSpec):
-        N, D = compose_cleared(*_rational(spec.outer, cap), *_rational(spec.inner, cap))
+        N, D = compose_cleared(*_rational(spec.outer), *_rational(spec.inner))
         _check_disk_denominator(D)
         return N, D
     raise TypeError(f"not a FunctionSpec: {spec!r}")
@@ -209,9 +209,9 @@ class RationalFunction:
         self.dN1 = _poly_deriv(self.N1)
 
     @classmethod
-    def from_spec(cls, spec, cap=DEGREE_CAP):
+    def from_spec(cls, spec):
         """The reduced spec; a RationalFunction is passed through unchanged."""
-        return spec if isinstance(spec, cls) else cls(*to_rational(spec, cap))
+        return spec if isinstance(spec, cls) else cls(*to_rational(spec))
 
     @property
     def degree(self):

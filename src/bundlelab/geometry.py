@@ -39,32 +39,36 @@ COUNT_RADIUS = 1.0 - 1e-5
 _BOUNDARY_BAND_DIAGONALS = 1.5
 
 
-def boundary_curve(spec, samples=1024, max_gap_frac=0.01, max_points=1 << 20, spacing=np.inf):
+def boundary_curve(spec, samples=1024, spacing=np.inf):
     """Image of the unit circle, adaptively refined.
 
     Starts from ``samples`` equispaced parameters and bisects every interval
-    whose chord exceeds ``max_gap_frac`` of the bounding-box diameter or
-    ``spacing``, whichever is smaller.  Returns the open polyline (the
-    closing edge back to the first point is implicit).
+    whose chord exceeds 1% of the bounding-box diameter or ``spacing``,
+    whichever is smaller, while there are fewer than 2**20 points.  Returns
+    the open polyline (the closing edge back to the first point is implicit).
     """
     if samples < 256:
         raise ValueError("boundary curves need at least 256 samples")
     f = RationalFunction.from_spec(spec)
     t = np.linspace(0.0, 1.0, samples, endpoint=False)
     vals = f.value(np.exp(2j * np.pi * t))
-    while t.size < max_points:
+    while t.size < 1 << 20:
         diam = _bbox_diag(vals)
-        nxt = np.roll(vals, -1)
-        gaps = np.abs(nxt - vals)
-        bad = gaps > min(max_gap_frac * diam, spacing)
+        gaps = np.abs(np.roll(vals, -1) - vals)
+        bad = gaps > min(0.01 * diam, spacing)
         if not np.any(bad):
             break
-        tn = np.roll(t, -1).copy()
-        tn[-1] += 1.0
-        mids = 0.5 * (t[bad] + tn[bad])
-        t = np.sort(np.concatenate([t, mids % 1.0]))
+        t = _bisect(t, bad)
         vals = f.value(np.exp(2j * np.pi * t))
     return vals
+
+
+def _bisect(t, bad):
+    """The sorted parameters t in [0, 1) plus the midpoint of each interval
+    flagged in ``bad`` (interval i runs from t[i] to the next, cyclically)."""
+    tn = np.roll(t, -1)
+    tn[-1] += 1.0
+    return np.sort(np.concatenate([t, (0.5 * (t[bad] + tn[bad])) % 1.0]))
 
 
 def _bbox_diag(vals):
@@ -73,9 +77,10 @@ def _bbox_diag(vals):
     return max(np.hypot(w, h), 1e-12)
 
 
-def _argument_winding(f, omega, radius, start_points=4096, max_points=1 << 21):
-    """Winding of f on |z| = radius around omega by summed argument steps."""
-    t = np.linspace(0.0, 1.0, start_points, endpoint=False)
+def _argument_winding(f, omega, radius):
+    """Winding of f on |z| = radius around omega by summed argument steps,
+    from 4096 points bisected up to 2**21."""
+    t = np.linspace(0.0, 1.0, 4096, endpoint=False)
     v = f.value(radius * np.exp(2j * np.pi * t)) - omega
     scale = 1.0 + abs(omega)
     while True:
@@ -94,12 +99,9 @@ def _argument_winding(f, omega, radius, start_points=4096, max_points=1 << 21):
                     f"winding sum {total:.4f} is not within 0.05 of an integer"
                 )
             return int(nearest)
-        if t.size >= max_points:
+        if t.size >= 1 << 21:
             raise WindingError("argument-principle refinement budget exceeded")
-        tn = np.roll(t, -1).copy()
-        tn[-1] += 1.0
-        mids = (0.5 * (t[bad] + tn[bad])) % 1.0
-        t = np.sort(np.concatenate([t, mids]))
+        t = _bisect(t, bad)
         v = f.value(radius * np.exp(2j * np.pi * t)) - omega
 
 
@@ -161,12 +163,12 @@ class IndexMap:
         return [int(v) for v in vals]
 
 
-def index_map(spec, bounds, resolution, probes_per_region=5):
+def index_map(spec, bounds, resolution):
     """Constant-index regions of the complement of the boundary curve.
 
     Cells within 1.5 cell diagonals of the sampled curve are flagged as
     boundary band (-1).  Every 4-connected unflagged region is assigned the
-    index computed at up to ``probes_per_region`` deterministic probe cells;
+    index computed at up to 5 deterministic probe cells;
     the probes must agree with each other (region constancy) and each probe
     runs both index computations internally.
     """
@@ -196,7 +198,7 @@ def index_map(spec, bounds, resolution, probes_per_region=5):
     probes = []
     for lab in range(1, nlab + 1):
         cells = np.argwhere(labels == lab)
-        picks = _spread_picks(cells, probes_per_region)
+        picks = _spread_picks(cells, 5)
         values = []
         for (i, j) in picks:
             omega = complex(X[i, j], Y[i, j])

@@ -49,6 +49,7 @@ __all__ = [
 
 _MIN_SEPARATION = 1e-6
 _RESIDUAL_TOL = 1e-8
+_TEST_POINTS = 200  # held-out points of the residual certificate
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,6 @@ def _clustered_branch_values(spec):
     return sorted((centroid for centroid, _ in clusters), key=_lex_key)
 
 
-def _bbox(curve):
-    return float(
-        np.hypot(np.ptp(curve.real), np.ptp(curve.imag))
-    )
-
-
 def default_base_point(f, curve, bvs):
     """f(0) nudged off the branch set and the boundary curve, deterministically.
 
@@ -110,7 +105,7 @@ def default_base_point(f, curve, bvs):
     branch values and the curve) the one with the largest index is taken, so
     the decomposition runs over the maximal-index component when possible.
     """
-    scale = _bbox(curve)
+    scale = geometry._bbox_diag(curve)
     center = f.value(0.0)
     clearance = max(1e-3, 0.02 * scale)
     best = None
@@ -331,9 +326,9 @@ def _pairs(values):
     return [[c.real, c.imag] for c in values]
 
 
-def _held_out_points(count, rng_seed=20240613):
-    """count points drawn uniformly from the disk |z| <= 0.95."""
-    rng = np.random.default_rng(rng_seed)
+def _held_out_points(count):
+    """count points drawn uniformly from the disk |z| <= 0.95, one fixed seed."""
+    rng = np.random.default_rng(20240613)
     pts = np.zeros(0, dtype=complex)
     while pts.size < count:
         zs = rng.uniform(-0.95, 0.95, size=(256, 2)) @ np.array([1.0, 1j])
@@ -350,7 +345,7 @@ def _certificate_id(spec, omega0):
     return f"dec-{digest[:12]}"
 
 
-def decompose(spec, omega0=None, test_points=200):
+def decompose(spec, omega0=None):
     """Maximal Blaschke inner factor of f with a residual certificate.
 
     Block sizes d dividing both the fiber size and the reduced deg f are
@@ -381,7 +376,7 @@ def decompose(spec, omega0=None, test_points=200):
     n = fiber.size
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")
-    zs = _held_out_points(test_points)
+    zs = _held_out_points(_TEST_POINTS)
     fz = f.value(zs)
     degree = _reduced_degree(f, n, zs, fz)
     trusted = degree is not None
@@ -417,7 +412,7 @@ def decompose(spec, omega0=None, test_points=200):
                     branch_values=bvs,
                     candidates_tried=tried,
                     outer_index=n // d,
-                    test_points=test_points,
+                    test_points=_TEST_POINTS,
                     certificate=cert,
                     block_score=float(score[0]),
                 )

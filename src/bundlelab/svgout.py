@@ -30,8 +30,9 @@ def _f(x):
     return f"{float(x):.6g}"
 
 
-def render_svg(imap, width=720):
-    """The SVG document for an IndexMap, as a string."""
+def render_svg(imap):
+    """The SVG document for an IndexMap, 720 pixels wide, as a string."""
+    width = 720
     re_min, re_max, im_min, im_max = imap.bounds
     span_x = re_max - re_min
     span_y = im_max - im_min
@@ -102,9 +103,9 @@ def render_svg(imap, width=720):
     return "\n".join(parts) + "\n"
 
 
-def emit_svg(imap, path, width=720):
+def emit_svg(imap, path):
     """Write the rendering to a file; identical maps give identical bytes."""
-    data = render_svg(imap, width=width)
+    data = render_svg(imap)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(data)
     return path

@@ -416,8 +416,8 @@ def all_checks():
     return list(ALL_CHECKS)
 
 
-def run_all(report=print):
-    """Run every check; returns (passed, failed, records)."""
+def run_all():
+    """Run every check, printing one line each; returns (passed, failed, records)."""
     records = []
     passed = failed = 0
     for name, fn in ALL_CHECKS:
@@ -430,6 +430,5 @@ def run_all(report=print):
             passed += 1
         else:
             failed += 1
-        if report:
-            report(f"{'PASS' if ok else 'FAIL'}  {name}: {info}")
+        print(f"{'PASS' if ok else 'FAIL'}  {name}: {info}")
     return passed, failed, records

@@ -10,7 +10,7 @@ from scipy.linalg import eigvalsh, svdvals
 from scipy.linalg.blas import zherk
 
 from bundlelab import frames, funcspec, operators, series
-from bundlelab.blaschke import BlaschkeProduct
+from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform
 from bundlelab.errors import DomainError
 from bundlelab.weights import WeightSequence, parse_weight_id
 
@@ -71,7 +71,7 @@ def _mp_frame_columns(F):
 
 
 @pytest.mark.parametrize("F", [
-    frames.moebius_frame(0.5, HARDY, 100, 512),
+    frames.build_frame(MoebiusTransform(0.5), HARDY, 100, 512),
     frames.build_frame(BlaschkeProduct((0, 0.5, -0.3 + 0.4j)), HARDY, 40, 256),
 ], ids=["order-1", "order-3"])
 def test_frame_matches_40_digit_recursion(F):
@@ -100,7 +100,7 @@ def test_extremes_match_svdvals(monkeypatch, w):
 def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
     calls = []
     monkeypatch.setattr(frames, "svdvals", lambda A: calls.append(1) or svdvals(A))
-    F = frames.moebius_frame(0.5, WeightSequence.nln().dual(), 60, 384, pad=0)
+    F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 60, 384, pad=0)
     s = svdvals(F.matrix("beta"))
     assert s[0] / s[-1] > 1e4
     assert F.extremes() == (s[-1], s[0])
@@ -368,7 +368,7 @@ def test_an_ill_conditioned_band_rung_falls_back(monkeypatch):
 
 def test_riesz_degenerating_on_intermediate_growth():
     recip_nln = WeightSequence.nln().dual()
-    F = frames.moebius_frame(0.5, recip_nln, 60, 384)
+    F = frames.build_frame(MoebiusTransform(0.5), recip_nln, 60, 384)
     rep = frames.riesz_bounds(F)
     assert rep.verdict == "degenerating"
     ladder = rep.stability["ladder"]
@@ -444,6 +444,6 @@ def test_derivative_power_norms_dominate_bound():
 
 
 def test_moebius_frame_keeps_kernel_point():
-    F = frames.moebius_frame(0.5, HARDY, 8, 64)
+    F = frames.build_frame(MoebiusTransform(0.5), HARDY, 8, 64)
     assert F.conjugator is None
     assert F.product.zeros == (0.5,)
