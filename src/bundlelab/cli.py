@@ -60,7 +60,7 @@ def _weight_id(w, text):
 
 
 # key: (help, parse of the option text, its parameters echo from (value, text));
-# every key is both a --flag and a config key
+# every key is both a --flag and a config key; no command declares ``out``
 _OPTIONS = {
     "weights": ("weight preset id, e.g. bergman:alpha=1", parse_weight_id, _weight_id),
     "weights2": ("second weight preset (equivalent)", parse_weight_id, _weight_id),
@@ -76,7 +76,7 @@ _OPTIONS = {
     "probe": ("weight probe horizon", int, _value),
     "normalization": ("Gram normalization: raw, beta or beta-inv", str, _value),
     "csv": ("write CSV artifacts: yes or no", str, _value),
-    "out": ("output directory (default .)", str, _value),
+    "out": ("output directory (default .)", None, None),
 }
 
 

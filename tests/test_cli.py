@@ -269,8 +269,7 @@ def test_config_file_values_are_checked_like_flags(tmp_path):
     cfg.write_text(f"command = gram\ncsv = maybe\nout = {tmp_path / 'out'}\n")
     assert _run(["--config", str(cfg)]) == 64
     assert _run(["gram", "--csv", "maybe", "--out", str(tmp_path / "out")]) == 64
-    assert not (tmp_path / "out").exists()
-    assert not (tmp_path / "error.json").exists()
+    assert not (tmp_path / "out").exists()  # neither result.json nor error.json
 
 
 def test_computation_error_exit_code(tmp_path):
