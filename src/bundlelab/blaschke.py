@@ -163,8 +163,8 @@ def _newton_polish(coeffs, roots):
     Each root stops on its own: relative residual below _POLISH_TOL with a
     Newton step below _POLISH_TOL (1 + |z|) (so an ill-conditioned root, one
     with a small derivative, keeps polishing to the noise floor), a flat
-    derivative, a step below 1e-16 (1 + |z|), or after 50 steps.  Moduli are taken with
-    ``hypot``, as Python's ``abs`` of one complex value does.
+    derivative, a step below 1e-16 (1 + |z|), or after 50 steps.  Moduli are
+    taken with ``hypot``, as Python's ``abs`` of one complex value does.
     """
     c = np.asarray(coeffs, dtype=complex)
     p = c[::-1]

@@ -54,7 +54,8 @@ def boundary_curve(spec, samples=1024, spacing=np.inf):
     vals = f.value(np.exp(2j * np.pi * t))
     while t.size < 1 << 20:
         diam = _bbox_diag(vals)
-        gaps = np.abs(np.roll(vals, -1) - vals)
+        nxt = np.roll(vals, -1)
+        gaps = np.abs(nxt - vals)
         bad = gaps > min(0.01 * diam, spacing)
         if not np.any(bad):
             break
