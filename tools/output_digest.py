@@ -31,10 +31,12 @@ plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
 of benchmark seeds 1 and 2 (66 commands), which are taken from
 ``perfbench/workloads.py`` without changing it, and last the near-circle
 fiber case (2 commands, ``NEAR_CIRCLE``), the Moebius match whose seed is a
-critical point (2 commands, ``CRITICAL_SEED``) and the options and commands
-that no earlier entry reaches (5 commands, ``OPTION_COVER``), appended so that
-the ``c<k>`` labels of the earlier commands stay put.  A whole run of the 93
-commands took about 50 s on a 2-core machine.
+critical point (2 commands, ``CRITICAL_SEED``), the options and commands that
+no earlier entry reaches (5 commands, ``OPTION_COVER``), and the three
+``index-map`` inputs of benchmark seed 1 and the paper's figure at the
+largest resolution (4 commands, the last ``INDEX_MAP_CAP``), appended so
+that the ``c<k>`` labels of the earlier commands stay put.  A whole run of
+the 97 commands took about 60 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -101,6 +103,9 @@ OPTION_COVER = [
     ["counterexample", "--weights", "bergman:alpha=1", "--n-max", "120", "--csv", "no"],
 ]
 
+# the paper's figure at the resolution cap, after the benchmark's maps
+INDEX_MAP_CAP = ["index-map", "--fn", "poly(2,1,1)", "--bounds", "-1,5,-3,3", "--res", "2048"]
+
 
 def commands():
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -110,7 +115,8 @@ def commands():
     for seed in (1, 2):
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
-    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER
+    index_maps = [op.argv for op in workloads.index_map(1)] + [INDEX_MAP_CAP]
+    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps
 
 
 def numbers(value, path=""):
