@@ -114,10 +114,29 @@ def _progress(msg):
 
 
 def _write_json(out_dir, name, payload):
+    """Write the dict ``payload`` as ``json.dump`` with sorted keys and indent
+    1 writes it, plus a newline.
+
+    A value that is a 2-D integer array (at least 1 x 1, of a small range of
+    values like the int16 index grid) is written as its nested lists would
+    be, but from its rows with ``str.join`` and a table of the texts of the
+    values in its range, without the pure-Python encoder.
+    """
+    items = []
+    for key in sorted(payload):
+        value = payload[key]
+        if isinstance(value, np.ndarray):
+            lo = int(value.min())
+            names = np.array([str(v) for v in range(lo, int(value.max()) + 1)], dtype=object)
+            cells = names[value.astype(np.intp) - lo].tolist()
+            rows = ("  [\n   " + ",\n   ".join(row) + "\n  ]" for row in cells)
+            text = "[\n" + ",\n".join(rows) + "\n ]"
+        else:
+            text = json.dumps(value, sort_keys=True, indent=1, allow_nan=False).replace("\n", "\n ")
+        items.append(f" {json.dumps(key)}: {text}")
     path = Path(out_dir) / name
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
-        fh.write("\n")
+        fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
     return str(path)
 
 
@@ -207,15 +226,14 @@ def _cmd_index_map(out, fn, bounds, res):
     grid_path = _write_json(out, "grid.json", {
         "bounds": list(imap.bounds),
         "resolution": imap.resolution,
-        "grid": imap.grid.tolist(),
+        "grid": imap.grid,
     })
     # artifact references are relative so identical configs give identical bytes
-    counts = {str(v): int(np.sum(imap.grid == v)) for v in imap.index_values}
     result = {
         "bounds": list(imap.bounds),
         "resolution": imap.resolution,
         "index_values": imap.index_values,
-        "cells_per_index": counts,
+        "cells_per_index": {str(v): n for v, n in imap.cells_per_index.items()},
         "probes": [
             {"omega": [o.real, o.imag], "index": n} for o, n in imap.probes
         ],

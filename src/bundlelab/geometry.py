@@ -10,13 +10,14 @@ unit disk.  Two independent computations must agree or the operation errors:
   same radius.
 
 Index maps flag a band of cells around the sampled image of the unit circle
-and assign each remaining 4-connected region the common index of its probe
-cells.
+(a nearest-point query on the cells near the curve) and assign each remaining
+4-connected region the common index of its probe cells.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy import ndimage
@@ -158,10 +159,16 @@ class IndexMap:
         ys = im_min + (np.arange(self.resolution) + 0.5) * (im_max - im_min) / self.resolution
         return xs, ys
 
+    @cached_property
+    def cells_per_index(self):
+        """{index: number of cells} over the cells off the band, by index."""
+        counts = np.bincount(self.grid.ravel() + 1)[1:]
+        values = np.flatnonzero(counts)
+        return dict(zip(values.tolist(), counts[values].tolist()))
+
     @property
     def index_values(self):
-        vals = np.unique(self.grid[self.grid >= 0])
-        return [int(v) for v in vals]
+        return list(self.cells_per_index)
 
 
 def index_map(spec, bounds, resolution):
@@ -186,38 +193,77 @@ def index_map(spec, bounds, resolution):
 
     xs = re_min + (np.arange(resolution) + 0.5) * cell_w
     ys = im_min + (np.arange(resolution) + 0.5) * cell_h
-    X, Y = np.meshgrid(xs, ys)
-    width = _BOUNDARY_BAND_DIAGONALS * diag
-    tree = cKDTree(np.column_stack([curve.real, curve.imag]))
-    # cells farther than the band width get an infinite distance
-    dist, _ = tree.query(np.column_stack([X.ravel(), Y.ravel()]), distance_upper_bound=width)
-    band = dist.reshape(resolution, resolution) < width
+    band = _band(curve, xs, ys, (re_min, im_min, cell_w, cell_h),
+                 _BOUNDARY_BAND_DIAGONALS * diag)
 
-    grid = np.full((resolution, resolution), -1, dtype=np.int16)
     structure = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
     labels, nlab = ndimage.label(~band, structure=structure)
+    values_by_label = np.full(nlab + 1, -1, dtype=np.int16)  # label 0 is the band
     probes = []
-    for lab in range(1, nlab + 1):
-        cells = np.argwhere(labels == lab)
+    for lab, box in enumerate(ndimage.find_objects(labels), start=1):
+        # row-major within the bounding box is row-major in the grid
+        cells = np.argwhere(labels[box] == lab) + (box[0].start, box[1].start)
         picks = _spread_picks(cells, 5)
         values = []
         for (i, j) in picks:
-            omega = complex(X[i, j], Y[i, j])
+            omega = complex(xs[j], ys[i])
             values.append(winding_index(f, omega))
             probes.append((omega, values[-1]))
         if len(set(values)) != 1:
             raise WindingError(
                 f"region {lab} is not index-constant across probes: {values}"
             )
-        grid[labels == lab] = values[0]
+        values_by_label[lab] = values[0]
     return IndexMap(
         bounds=(re_min, re_max, im_min, im_max),
         resolution=resolution,
-        grid=grid,
+        grid=values_by_label[labels],
         curve=curve,
         branch_points=branch_values(f),
         probes=probes,
     )
+
+
+def _band(curve, xs, ys, cells, width):
+    """Whether the center (xs[j], ys[i]) of cell (i, j) is closer than
+    ``width`` to a point of ``curve``; ``cells`` is (re_min, im_min, cell
+    width, cell height).
+
+    Such a center lies within ``width`` of the point on each axis, so only
+    the cells in the boxes of that half-width around the points are queried.
+    The boxes are a quarter cell wider for roundoff, and ``width`` is padded
+    by 64 ulps of the largest coordinate so that they also cover cells too
+    small for the coordinates to resolve.
+    """
+    tree = cKDTree(np.column_stack([curve.real, curve.imag]))
+    res = xs.size
+    re_min, im_min, cell_w, cell_h = cells
+    extent = max(abs(xs[0]), abs(xs[-1]), abs(ys[0]), abs(ys[-1]))
+    padded = width + 64.0 * np.finfo(float).eps * extent
+    spans = []
+    for coord, lo, size in ((curve.imag, im_min, cell_h), (curve.real, re_min, cell_w)):
+        at = (coord - lo) / size - 0.5  # in cells, from the first center
+        reach = padded / size + 0.25
+        # clipped to the grid in floating point, before the integer cast
+        spans.append((np.maximum(np.ceil(at - reach), 0.0),
+                      np.minimum(np.floor(at + reach), res - 1.0)))
+    (r0, r1), (c0, c1) = spans
+    keep = (r0 <= r1) & (c0 <= c1)
+    r0, c0 = r0[keep].astype(np.intp), c0[keep].astype(np.intp)
+    r1, c1 = r1[keep].astype(np.intp) + 1, c1[keep].astype(np.intp) + 1
+    # the union of the boxes [r0, r1) x [c0, c1), by summing a 2-D difference array
+    n = res + 1
+    cover = np.bincount(np.concatenate([r0 * n + c0, r1 * n + c1]), minlength=n * n)
+    cover -= np.bincount(np.concatenate([r0 * n + c1, r1 * n + c0]), minlength=n * n)
+    cover = cover.reshape(n, n)
+    np.cumsum(cover, axis=0, out=cover)
+    np.cumsum(cover, axis=1, out=cover)
+    near = np.flatnonzero(cover[:res, :res] > 0)
+    dist, _ = tree.query(np.column_stack([xs[near % res], ys[near // res]]),
+                         distance_upper_bound=width)
+    band = np.zeros(res * res, dtype=bool)
+    band[near[dist < width]] = True
+    return band.reshape(res, res)
 
 
 def _spread_picks(cells, count):

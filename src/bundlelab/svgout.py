@@ -52,29 +52,26 @@ def render_svg(imap):
         f'viewBox="0 0 {_f(width)} {_f(height)}">',
         f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
     ]
-    # merge horizontal runs of equal value into single rectangles
+    # merge horizontal runs of equal value into single rectangles: a run
+    # starts at column 0 and wherever the value changes along its row
     grid = imap.grid
-    for i in range(res):
-        y_lo = im_min + i * cell_h
-        j = 0
-        while j < res:
-            v = int(grid[i, j])
-            j2 = j
-            while j2 + 1 < res and int(grid[i, j2 + 1]) == v:
-                j2 += 1
-            if v != 0:  # white background already covers index 0
-                x0, ypx = to_px(re_min + j * cell_w, y_lo + cell_h)
-                wpx = (j2 - j + 1) * cell_w * sx
-                hpx = cell_h * sy
-                parts.append(
-                    f'<rect x="{_f(x0)}" y="{_f(ypx)}" width="{_f(wpx)}" '
-                    f'height="{_f(hpx)}" fill="{_color(v)}"/>'
-                )
-            j = j2 + 1
+    starts = np.ones(grid.shape, dtype=bool)
+    starts[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    flat = np.flatnonzero(starts)
+    lengths = np.diff(np.append(flat, grid.size))
+    rows, cols = np.divmod(flat, res)
+    values = grid.ravel()[flat]
+    colors = {v: _color(v) for v in set(values.tolist())}
+    for i, j, n, v in zip(rows.tolist(), cols.tolist(), lengths.tolist(), values.tolist()):
+        if v != 0:  # white background already covers index 0
+            x0, ypx = to_px(re_min + j * cell_w, im_min + i * cell_h + cell_h)
+            parts.append(
+                '<rect x="%.6g" y="%.6g" width="%.6g" height="%.6g" fill="%s"/>'
+                % (x0, ypx, n * cell_w * sx, cell_h * sy, colors[v])
+            )
     pts = np.concatenate([imap.curve, imap.curve[:1]])
-    coords = " ".join(
-        f"{_f(px)},{_f(py)}" for px, py in (to_px(p.real, p.imag) for p in pts)
-    )
+    px, py = to_px(pts.real, pts.imag)
+    coords = " ".join(map("%.6g,%.6g".__mod__, zip(px.tolist(), py.tolist())))
     parts.append(
         f'<polyline points="{coords}" fill="none" stroke="#000000" '
         f'stroke-width="{_f(0.002 * width)}"/>'
@@ -85,9 +82,8 @@ def render_svg(imap):
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(0.006 * width)}" '
             f'fill="none" stroke="#000000" stroke-width="{_f(0.0015 * width)}"/>'
         )
-    values = sorted(set(int(v) for v in np.unique(grid)))
     box = 0.022 * width
-    for row, v in enumerate(values):
+    for row, v in enumerate(sorted(colors)):
         y = 0.02 * width + row * 1.4 * box
         label = "band" if v < 0 else f"index {v}"
         parts.append(

@@ -412,3 +412,132 @@ def test_fuzzed_options_keep_exit_code_contract(argv):
         code = _run(argv + ["--out", out])
     assert code in (0, 1, 2, 64, 70), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
+
+
+def _json_dump_text(payload):
+    fh = io.StringIO()
+    json.dump(payload, fh, sort_keys=True, indent=1, allow_nan=False)
+    fh.write("\n")
+    return fh.getvalue()
+
+
+@pytest.mark.parametrize("grid, bounds", [
+    ([[-1]], (-1.0, 5.0, -3.0, 3.0)),
+    ([[7]], (0.0, 1.0, 0.0, 1.0)),
+    ([[0, -1, 12], [3, 3, 105], [-1, 0, 7]], (-1.0, 5.0, -0.5, 0.25)),
+    ([[-1, -1], [-1, -1]], (10.0, 11.0, -1e-9, 1e-9)),
+    (np.random.default_rng(3).integers(-1, 13, (40, 40)).tolist(), (-3.5, 3.5, -3.5, 3.5)),
+])
+def test_grid_json_is_json_dump(tmp_path, grid, bounds):
+    payload = {"bounds": list(bounds), "resolution": len(grid)}
+    path = cli._write_json(tmp_path, "grid.json", {**payload, "grid": np.array(grid, dtype=np.int16)})
+    assert Path(path).read_text(encoding="utf-8") == _json_dump_text({**payload, "grid": grid})
+
+
+def test_write_json_is_json_dump_for_nested_values(tmp_path):
+    payload = {
+        "z": {"b": [1, 2.5, None, True], "a": {"s": "line\nbreak, é–\"q\""}},
+        "a": [], "m": {}, "n": -0.0, "k": [[1, [2, {"x": "y"}]], 1e-300],
+        "command": "index-map",
+    }
+    path = cli._write_json(tmp_path, "result.json", payload)
+    assert Path(path).read_text(encoding="utf-8") == _json_dump_text(payload)
+
+
+def _per_cell_svg(imap):
+    """render_svg as written with one int() per grid cell, for comparison."""
+    from bundlelab.svgout import _color, _f
+
+    width = 720
+    re_min, re_max, im_min, im_max = imap.bounds
+    span_x = re_max - re_min
+    span_y = im_max - im_min
+    height = width * span_y / span_x
+    sx = width / span_x
+    sy = height / span_y
+
+    def to_px(x, y):
+        return (x - re_min) * sx, (im_max - y) * sy
+
+    res = imap.resolution
+    cell_w = span_x / res
+    cell_h = span_y / res
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'width="{_f(width)}" height="{_f(height)}" '
+        f'viewBox="0 0 {_f(width)} {_f(height)}">',
+        f'<rect x="0" y="0" width="{_f(width)}" height="{_f(height)}" fill="#ffffff"/>',
+    ]
+    grid = imap.grid
+    for i in range(res):
+        y_lo = im_min + i * cell_h
+        j = 0
+        while j < res:
+            v = int(grid[i, j])
+            j2 = j
+            while j2 + 1 < res and int(grid[i, j2 + 1]) == v:
+                j2 += 1
+            if v != 0:
+                x0, ypx = to_px(re_min + j * cell_w, y_lo + cell_h)
+                wpx = (j2 - j + 1) * cell_w * sx
+                hpx = cell_h * sy
+                parts.append(
+                    f'<rect x="{_f(x0)}" y="{_f(ypx)}" width="{_f(wpx)}" '
+                    f'height="{_f(hpx)}" fill="{_color(v)}"/>'
+                )
+            j = j2 + 1
+    pts = np.concatenate([imap.curve, imap.curve[:1]])
+    coords = " ".join(
+        f"{_f(px)},{_f(py)}" for px, py in (to_px(p.real, p.imag) for p in pts)
+    )
+    parts.append(
+        f'<polyline points="{coords}" fill="none" stroke="#000000" '
+        f'stroke-width="{_f(0.002 * width)}"/>'
+    )
+    for b in imap.branch_points:
+        px, py = to_px(b.real, b.imag)
+        parts.append(
+            f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(0.006 * width)}" '
+            f'fill="none" stroke="#000000" stroke-width="{_f(0.0015 * width)}"/>'
+        )
+    values = sorted(set(int(v) for v in np.unique(grid)))
+    box = 0.022 * width
+    for row, v in enumerate(values):
+        y = 0.02 * width + row * 1.4 * box
+        label = "band" if v < 0 else f"index {v}"
+        parts.append(
+            f'<rect x="{_f(0.02 * width)}" y="{_f(y)}" width="{_f(box)}" '
+            f'height="{_f(box)}" fill="{_color(v)}" stroke="#000000" '
+            f'stroke-width="1"/>'
+        )
+        parts.append(
+            f'<text x="{_f(0.02 * width + 1.3 * box)}" y="{_f(y + 0.8 * box)}" '
+            f'font-family="monospace" font-size="{_f(0.8 * box)}">{label}</text>'
+        )
+    parts.append("</svg>")
+    return "\n".join(parts) + "\n"
+
+
+@pytest.mark.parametrize("grid, bounds", [
+    # single-cell runs, a row of zeros, runs that reach the last column, 3..9
+    ([[1, 2, 1, 2, 3, 4],
+      [0, 0, 0, 0, 0, 0],
+      [5, 5, 6, 7, 8, 9],
+      [-1, -1, 0, 0, 9, 9],
+      [4, 4, 4, 4, 4, 4],
+      [0, 3, 0, -1, 0, 2]], (-1.0, 5.0, -3.0, 3.0)),
+    ([[9]], (0.25, 1.75, -0.1, 0.05)),
+    (np.repeat(np.random.default_rng(4).integers(-1, 10, (30, 10)), 3, axis=1).tolist(),
+     (-3.5, 3.5, -0.7, 1.3)),
+])
+def test_render_svg_matches_the_per_cell_rendering(grid, bounds):
+    from bundlelab.geometry import IndexMap
+    from bundlelab.svgout import render_svg
+
+    t = np.linspace(0.0, 2.0 * np.pi, 97, endpoint=False)
+    re_min, re_max, im_min, im_max = bounds
+    curve = (0.5 * (re_min + re_max) + 0.3 * (re_max - re_min) * np.cos(t)
+             + 1j * (0.5 * (im_min + im_max) + 0.3 * (im_max - im_min) * np.sin(3 * t)))
+    imap = IndexMap(bounds, len(grid), np.array(grid, dtype=np.int16), curve,
+                    [0.1 + 0.2j, complex(re_max, im_min)])
+    assert render_svg(imap) == _per_cell_svg(imap)

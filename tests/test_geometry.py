@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 from bundlelab import geometry
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform
@@ -139,3 +142,73 @@ def test_index_map_moebius_invariance():
     m2 = geometry.index_map(ComposeSpec(QUAD, BlaschkeSpec(phi)), (-1, 5, -3, 3), 90)
     both = (m1.grid >= 0) & (m2.grid >= 0)
     assert np.array_equal(m1.grid[both], m2.grid[both])
+
+
+def _full_query_band(imap):
+    """The band as a query of every cell center against the whole curve."""
+    re_min, re_max, im_min, im_max = imap.bounds
+    res = imap.resolution
+    cell_w = (re_max - re_min) / res
+    cell_h = (im_max - im_min) / res
+    xs = re_min + (np.arange(res) + 0.5) * cell_w
+    ys = im_min + (np.arange(res) + 0.5) * cell_h
+    X, Y = np.meshgrid(xs, ys)
+    width = 1.5 * float(np.hypot(cell_w, cell_h))
+    tree = cKDTree(np.column_stack([imap.curve.real, imap.curve.imag]))
+    dist, _ = tree.query(np.column_stack([X.ravel(), Y.ravel()]), distance_upper_bound=width)
+    return dist.reshape(res, res) < width
+
+
+_COEFF = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _maps(draw):
+    """A polynomial or g o B, a rectangle (square or not, entered by the
+    curve or far from it) and a resolution."""
+    g = PolySpec(tuple(draw(st.lists(_COEFF, min_size=2, max_size=5))))
+    assume(abs(g.coeffs[-1]) > 0.1)
+    if draw(st.booleans()):
+        zeros = draw(st.lists(st.complex_numbers(max_magnitude=0.7), min_size=1, max_size=2))
+        g = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct(tuple(zeros))))
+    far = draw(st.sampled_from([0.0, 0.0, 40.0]))
+    cx = far + draw(st.floats(-3.0, 3.0))
+    cy = draw(st.floats(-3.0, 3.0))
+    hw, hh = draw(st.floats(0.05, 5.0)), draw(st.floats(0.05, 5.0))
+    return g, (cx - hw, cx + hw, cy - hh, cy + hh), draw(st.integers(1, 300))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True, database=None)
+@given(_maps())
+def test_index_map_band_equals_the_full_query(case):
+    spec, bounds, res = case
+    imap = geometry.index_map(spec, bounds, res)
+    assert np.array_equal(imap.grid == -1, _full_query_band(imap))
+
+
+def test_band_covers_cells_finer_than_the_coordinates():
+    # cells below about 1e-13 of the coordinates: the centers are rounded by
+    # more than a cell, and the pruned query must still find every near cell
+    rng = np.random.default_rng(5)
+    for _ in range(60):
+        c = 10.0 ** rng.uniform(5, 12)
+        span = c * 10.0 ** rng.uniform(-15.5, -12)
+        re_min, re_max, im_min, im_max = c, c + span, -c, -c + span
+        res = int(rng.integers(1, 120))
+        cell_w, cell_h = (re_max - re_min) / res, (im_max - im_min) / res
+        xs = re_min + (np.arange(res) + 0.5) * cell_w
+        ys = im_min + (np.arange(res) + 0.5) * cell_h
+        width = 1.5 * float(np.hypot(cell_w, cell_h))
+        curve = (re_min + rng.uniform(-0.2, 1.2, 50) * (re_max - re_min)
+                 + 1j * (im_min + rng.uniform(-0.2, 1.2, 50) * (im_max - im_min)))
+        imap = geometry.IndexMap((re_min, re_max, im_min, im_max), res,
+                                 np.zeros((res, res), dtype=np.int16), curve, [])
+        band = geometry._band(curve, xs, ys, (re_min, im_min, cell_w, cell_h), width)
+        assert np.array_equal(band, _full_query_band(imap))
+
+
+def test_cells_per_index_counts_the_cells_off_the_band():
+    grid = np.array([[-1, 0, 0], [2, 2, -1], [0, 11, 11]], dtype=np.int16)
+    imap = geometry.IndexMap((0.0, 1.0, 0.0, 1.0), 3, grid, np.zeros(3, complex), [])
+    assert imap.cells_per_index == {0: 3, 2: 2, 11: 2}
+    assert imap.index_values == [0, 2, 11]
