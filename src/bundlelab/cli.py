@@ -114,8 +114,8 @@ def _progress(msg):
 
 
 def _write_json(out_dir, name, payload):
-    """Write the dict ``payload`` as ``json.dump`` with sorted keys and indent
-    1 writes it, plus a newline.
+    """Write the non-empty dict ``payload`` as ``json.dump`` with sorted keys
+    and indent 1 writes it, plus a newline.
 
     A value that is a 2-D integer array (at least 1 x 1, of a small range of
     values like the int16 index grid) is written as its nested lists would
@@ -136,7 +136,7 @@ def _write_json(out_dir, name, payload):
         items.append(f" {json.dumps(key)}: {text}")
     path = Path(out_dir) / name
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("{\n" + ",\n".join(items) + "\n}\n" if items else "{}\n")
+        fh.write("{\n" + ",\n".join(items) + "\n}\n")
     return str(path)
 
 
