@@ -34,9 +34,10 @@ fiber case (2 commands, ``NEAR_CIRCLE``), the Moebius match whose seed is a
 critical point (2 commands, ``CRITICAL_SEED``), the options and commands that
 no earlier entry reaches (5 commands, ``OPTION_COVER``), and the three
 ``index-map`` inputs of benchmark seed 1 and the paper's figure at the
-largest resolution (4 commands, the last ``INDEX_MAP_CAP``), appended so
-that the ``c<k>`` labels of the earlier commands stay put.  A whole run of
-the 97 commands took about 60 s on a 2-core machine.
+largest resolution (4 commands, the last ``INDEX_MAP_CAP``), and the
+``sum``, ``prod``, ``scale`` and ``star`` forms (4 commands, ``SPEC_FORMS``),
+appended so that the ``c<k>`` labels of the earlier commands stay put.  A
+whole run of the 101 commands took about 60 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -106,6 +107,15 @@ OPTION_COVER = [
 # the paper's figure at the resolution cap, after the benchmark's maps
 INDEX_MAP_CAP = ["index-map", "--fn", "poly(2,1,1)", "--bounds", "-1,5,-3,3", "--res", "2048"]
 
+# the expression forms that no input above uses
+SPEC_FORMS = [
+    ["decompose", "--fn", "scale(2+0i; poly(0,1,0,2))"],
+    ["decompose", "--fn", "sum(poly(1), compose(poly(0,1,0,2), blaschke(0; 0, 0.4)))"],
+    ["decompose", "--fn", "prod(poly(0,1), star(blaschke(0.3; 0.2+0.1i)))"],
+    ["similar", "--f1", "compose(poly(0,1,0,2), moebius(0; 0.3))",
+     "--f2", "sum(poly(0,1), scale(2+0i; poly(0,0,0,1)))"],
+]
+
 
 def commands():
     sys.path.insert(0, str(ROOT / "perfbench"))
@@ -116,7 +126,7 @@ def commands():
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
     index_maps = [op.argv for op in workloads.index_map(1)] + [INDEX_MAP_CAP]
-    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps
+    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
 
 
 def numbers(value, path=""):
