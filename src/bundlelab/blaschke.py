@@ -111,12 +111,9 @@ def compose_blaschke(B1, B2):
     phase is fixed by matching one probe evaluation rather than by symbolic
     phase algebra.
     """
-    from .funcspec import BlaschkeSpec
-
     zeros = []
-    spec2 = BlaschkeSpec(B2)
     for zj in B1.zeros:
-        zeros.extend(solve_fiber(spec2, zj))
+        zeros.extend(solve_fiber(B2, zj))
     candidate = BlaschkeProduct(tuple(zeros), 0.0)
     for probe in (0.31 + 0.17j, -0.22 + 0.41j, 0.05 - 0.53j):
         denom = eval_blaschke(candidate, probe)

@@ -17,7 +17,7 @@ import numpy as np
 from . import frames, funcspec, monodromy, operators, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots
 from .errors import BundleLabError, DomainError, FiberError
-from .funcspec import BlaschkeSpec, ComposeSpec, RationalFunction
+from .funcspec import ComposeSpec, RationalFunction
 from .weights import POLYNOMIAL
 
 __all__ = [
@@ -111,7 +111,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
             break
         F = Fd
     # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
-    R = F.times(*funcspec.to_rational(BlaschkeSpec(F.product)))[:, : m * n_max]
+    R = F.times(*funcspec.to_rational(F.product))[:, : m * n_max]
     R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
     residual = float(np.max(np.abs(R)))
     riesz = frames.riesz_bounds(F) if attach_riesz else None
@@ -172,11 +172,11 @@ def jordan(spec, w, K=512, attach_riesz=True):
     K, m = F.K, F.m
     inner_spec = spec
     if F.conjugator is not None:
-        inner_spec = ComposeSpec(spec, BlaschkeSpec(F.conjugator))
+        inner_spec = ComposeSpec(spec, F.conjugator)
     nb = max(n_max + 1 - L, 0)
     ncheck = nb * m
     h_hat = series.rational(h.P, h.Q, np.eye(1, n_max + 1, dtype=complex)[0])
-    Mh = operators.mult_matrix(series.PowerSeries(h_hat), w, n_max + 1).entries
+    Mh = operators.mult_matrix(series.PowerSeries(h_hat), w, n_max + 1)
     # X (M_h kron I_m): with X reshaped to rows (i, j) and columns n, one product
     X = F.matrix("beta").reshape(K, n_max + 1, m).transpose(0, 2, 1)
     XH = (X.reshape(K * m, n_max + 1) @ Mh[:, :nb]).reshape(K, m, nb)

@@ -25,8 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from . import classify, frames, geometry, monodromy, operators, verify
+from .blaschke import BlaschkeProduct
 from .errors import ConfigError, DomainError
-from .funcspec import BlaschkeSpec, parse_function_spec
+from .funcspec import parse_function_spec
 from .svgout import emit_svg
 from .weights import equivalent, growth_classify, parse_weight_id
 
@@ -42,9 +43,9 @@ def _parse_bounds(text):
 
 def _parse_blaschke(text):
     spec = parse_function_spec(text)
-    if not isinstance(spec, BlaschkeSpec):
+    if not isinstance(spec, BlaschkeProduct):
         raise ValueError("expected a blaschke(...) literal")
-    return spec.product
+    return spec
 
 
 def _value(value, text):

@@ -39,7 +39,6 @@ from scipy.linalg.blas import zherk
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from .errors import DomainError, NumericalSingularityError
-from .funcspec import BlaschkeSpec
 
 __all__ = [
     "FrameMatrix",
@@ -253,7 +252,7 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     Bn, conj_psi = _normalize_product(B)
     rows = K + pad
     m = Bn.order
-    P, Q = funcspec.to_rational(BlaschkeSpec(Bn))
+    P, Q = funcspec.to_rational(Bn)
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
     power = np.zeros(rows, dtype=complex)
     power[0] = 1.0
@@ -599,7 +598,7 @@ def cpb_check(B, w, n_max, K):
     d_row = (ks + 2.0) / (ks + 1.0)
     w_row = w.weights(K + 1)  # w_{k+1} at index k, length K+1
     # B = P/Q and B' = N1/Q^2; column n holds B^n
-    f = funcspec.RationalFunction.from_spec(BlaschkeSpec(B))
+    f = funcspec.RationalFunction.from_spec(B)
     powers = np.zeros((K + 1, n_max + 2), dtype=complex)
     powers[0, 0] = 1.0
     for n in ns:
@@ -638,7 +637,7 @@ def column_norm_profile(z0, w, n_max):
     contributes less than 1e-6 of every power's squared norm, from K = 512
     (or 4 n_max) up to 2**17.
     """
-    P, Q = funcspec.to_rational(BlaschkeSpec(MoebiusTransform(z0)))
+    P, Q = funcspec.to_rational(MoebiusTransform(z0))
     K = max(512, 4 * n_max)
     while True:
         betas2 = w.betas(K) ** 2

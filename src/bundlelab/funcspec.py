@@ -2,9 +2,10 @@
 
 The grammar is deliberately small: polynomials, finite Blaschke products,
 composition, weighted sums, products, and the coefficient-conjugation star.
-Every tree reduces to a rational function P/Q whose denominator has no zeros
-on the closed disk, which is what the fiber, winding, and decomposition
-machinery consume.
+A ``BlaschkeProduct`` (or ``MoebiusTransform``) is itself a leaf of the
+tree.  Every tree reduces to a rational function P/Q whose denominator has
+no zeros on the closed disk, which is what the fiber, winding, and
+decomposition machinery consume.
 
 Config-file syntax (prefix expressions)::
 
@@ -12,7 +13,7 @@ Config-file syntax (prefix expressions)::
     blaschke(0; 0, 0.5)              # theta; then zeros, complex literals a+bi
     moebius(0; 0.4)                  # order-1 shorthand
     compose(poly(0,1,0,2), blaschke(0; 0, 0.4))
-    sum(poly(1), scale(2+0i, poly(0,1)))
+    sum(poly(1), scale(2+0i; poly(0,1)))
     prod(poly(0,1), blaschke(0; 0.4))
     star(blaschke(0.3; 0.2+0.1i))
 """
@@ -28,9 +29,7 @@ from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots, with_multi
 from .errors import ConfigError, DomainError
 
 __all__ = [
-    "FunctionSpec",
     "PolySpec",
-    "BlaschkeSpec",
     "ComposeSpec",
     "SumSpec",
     "ProdSpec",
@@ -43,12 +42,8 @@ __all__ = [
 DEGREE_CAP = 64
 
 
-class FunctionSpec:
-    """Base class; concrete nodes implement ``_rational``."""
-
-
 @dataclass(frozen=True)
-class PolySpec(FunctionSpec):
+class PolySpec:
     """Polynomial with constant coefficient first."""
 
     coeffs: tuple
@@ -61,30 +56,25 @@ class PolySpec(FunctionSpec):
 
 
 @dataclass(frozen=True)
-class BlaschkeSpec(FunctionSpec):
-    product: BlaschkeProduct
+class ComposeSpec:
+    outer: object
+    inner: object
 
 
 @dataclass(frozen=True)
-class ComposeSpec(FunctionSpec):
-    outer: FunctionSpec
-    inner: FunctionSpec
+class SumSpec:
+    terms: tuple
 
 
 @dataclass(frozen=True)
-class SumSpec(FunctionSpec):
-    terms: tuple  # of (complex scalar, FunctionSpec)
-
-
-@dataclass(frozen=True)
-class ProdSpec(FunctionSpec):
+class ProdSpec:
     factors: tuple
     scalar: complex = 1.0 + 0j
 
 
 @dataclass(frozen=True)
-class StarSpec(FunctionSpec):
-    inner: FunctionSpec
+class StarSpec:
+    inner: object
 
 
 def _trim(c):
@@ -101,8 +91,6 @@ def to_rational(spec):
     Degrees are capped at DEGREE_CAP (64) to keep companion matrices small; no
     common-factor simplification is attempted.
     """
-    if isinstance(spec, BlaschkeProduct):
-        spec = BlaschkeSpec(spec)
     P, Q = _rational(spec)
     P, Q = _trim(P), _trim(Q)
     if max(P.size, Q.size) - 1 > DEGREE_CAP:
@@ -117,17 +105,17 @@ def _rational(spec):
     if isinstance(spec, PolySpec):
         # trailing zeros would leave a common factor in a composition
         return _trim(spec.coeffs), np.ones(1, dtype=complex)
-    if isinstance(spec, BlaschkeSpec):
-        return spec.product.rational()
+    if isinstance(spec, BlaschkeProduct):
+        return spec.rational()
     if isinstance(spec, StarSpec):
         P, Q = _rational(spec.inner)
         return np.conj(P), np.conj(Q)
     if isinstance(spec, SumSpec):
         P = np.zeros(1, dtype=complex)
         Q = np.ones(1, dtype=complex)
-        for scalar, term in spec.terms:
+        for term in spec.terms:
             Pt, Qt = _rational(term)
-            P = npoly.polyadd(npoly.polymul(P, Qt), scalar * npoly.polymul(Pt, Q))
+            P = npoly.polyadd(npoly.polymul(P, Qt), npoly.polymul(Pt, Q))
             Q = npoly.polymul(Q, Qt)
         return P, Q
     if isinstance(spec, ProdSpec):
@@ -142,7 +130,7 @@ def _rational(spec):
         N, D = compose_cleared(*_rational(spec.outer), *_rational(spec.inner))
         _check_disk_denominator(D)
         return N, D
-    raise TypeError(f"not a FunctionSpec: {spec!r}")
+    raise TypeError(f"not a function spec: {spec!r}")
 
 
 def compose_cleared(Po, Qo, Pi, Qi, d=None):
@@ -360,8 +348,8 @@ def _parse(toks):
         if head == "moebius":
             if len(zeros) != 1:
                 toks.error("moebius takes exactly one zero")
-            return BlaschkeSpec(MoebiusTransform(zeros[0], theta.real))
-        return BlaschkeSpec(BlaschkeProduct(tuple(zeros), theta.real))
+            return MoebiusTransform(zeros[0], theta.real)
+        return BlaschkeProduct(tuple(zeros), theta.real)
     if head == "compose":
         outer = _parse(toks)
         toks.expect(",")
@@ -369,10 +357,10 @@ def _parse(toks):
         toks.expect(")")
         return ComposeSpec(outer, inner)
     if head == "sum":
-        terms = [(1.0 + 0j, _parse(toks))]
+        terms = [_parse(toks)]
         while toks.peek() == ",":
             toks.expect(",")
-            terms.append((1.0 + 0j, _parse(toks)))
+            terms.append(_parse(toks))
         toks.expect(")")
         return SumSpec(tuple(terms))
     if head == "prod":
@@ -407,22 +395,15 @@ def spec_to_text(spec):
     """Round-trippable textual form of a spec tree."""
     if isinstance(spec, PolySpec):
         return "poly(" + ",".join(_cfmt(c) for c in spec.coeffs) + ")"
-    if isinstance(spec, BlaschkeSpec):
-        B = spec.product
-        inner = _cfmt(B.theta)
-        if B.zeros:
-            inner += "; " + ",".join(_cfmt(z) for z in B.zeros)
+    if isinstance(spec, BlaschkeProduct):
+        inner = _cfmt(spec.theta)
+        if spec.zeros:
+            inner += "; " + ",".join(_cfmt(z) for z in spec.zeros)
         return f"blaschke({inner})"
     if isinstance(spec, ComposeSpec):
         return f"compose({spec_to_text(spec.outer)}, {spec_to_text(spec.inner)})"
     if isinstance(spec, SumSpec):
-        parts = []
-        for scalar, term in spec.terms:
-            if scalar == 1:
-                parts.append(spec_to_text(term))
-            else:
-                parts.append(f"scale({_cfmt(scalar)}; {spec_to_text(term)})")
-        return "sum(" + ", ".join(parts) + ")"
+        return "sum(" + ", ".join(spec_to_text(t) for t in spec.terms) + ")"
     if isinstance(spec, ProdSpec):
         body = ", ".join(spec_to_text(f) for f in spec.factors)
         if spec.scalar != 1:
@@ -430,7 +411,7 @@ def spec_to_text(spec):
         return f"prod({body})"
     if isinstance(spec, StarSpec):
         return f"star({spec_to_text(spec.inner)})"
-    raise TypeError(f"not a FunctionSpec: {spec!r}")
+    raise TypeError(f"not a function spec: {spec!r}")
 
 
 def _cfmt(c):

@@ -19,10 +19,8 @@ import numpy as np
 from scipy.linalg import toeplitz
 
 from . import series
-from .funcspec import BlaschkeSpec
 
 __all__ = [
-    "OperatorMatrix",
     "shift_matrix",
     "mult_matrix",
     "calculus_matrix",
@@ -32,18 +30,10 @@ __all__ = [
 ]
 
 
-@dataclass
-class OperatorMatrix:
-    """Dense truncated operator with a role tag and weight-sequence id."""
-
-    entries: np.ndarray
-    role: str
-    weights_id: str
-    K: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.entries)):
-            raise ValueError("operator entries must be finite")
+def _finite(entries):
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("operator entries must be finite")
+    return entries
 
 
 def _ratio_matrix(w, K):
@@ -59,15 +49,14 @@ def shift_matrix(w, K):
     lb = w.log_betas(K - 1)
     entries = np.zeros((K, K), dtype=complex)
     entries[np.arange(K - 1), np.arange(1, K)] = np.exp(lb[:-1] - lb[1:])
-    return OperatorMatrix(entries, "shift", w.id, K)
+    return _finite(entries)
 
 
 def mult_matrix(f, w, K):
     """Multiplication by a power series: lower-triangular Toeplitz pattern."""
     col = f.padded(K - 1)
     T = toeplitz(col, np.zeros(K, dtype=complex))
-    entries = T * _ratio_matrix(w, K)
-    return OperatorMatrix(entries, "mult", w.id, K)
+    return _finite(T * _ratio_matrix(w, K))
 
 
 def calculus_matrix(h, w, K):
@@ -76,8 +65,7 @@ def calculus_matrix(h, w, K):
     e0 = np.zeros(K, dtype=complex)
     e0[0] = row[0]
     T = toeplitz(e0, row)
-    entries = T * _ratio_matrix(w, K)
-    return OperatorMatrix(entries, "calculus", w.id, K)
+    return _finite(T * _ratio_matrix(w, K))
 
 
 @dataclass
@@ -105,9 +93,9 @@ def left_inverse_check(B, w, K, tailpad=14):
     block = K - 2 * m * tailpad
     if block < 1:
         raise ValueError("tailpad leaves no exact block; reduce it or raise K")
-    bstar = series.taylor(BlaschkeSpec(B.star()), K - 1)
-    b = series.taylor(BlaschkeSpec(B), K - 1)
-    prod = calculus_matrix(bstar, w, K).entries @ mult_matrix(b, w, K).entries
+    bstar = series.taylor(B.star(), K - 1)
+    b = series.taylor(B, K - 1)
+    prod = calculus_matrix(bstar, w, K) @ mult_matrix(b, w, K)
     dev = np.abs(prod - np.eye(K))
     return LeftInverseReport(
         K=K,
@@ -126,9 +114,9 @@ def commutant_transport_check(w, K):
     the conjugate transpose of multiplication by z there, exactly at
     truncation.
     """
-    lhs = shift_matrix(w, K).entries
+    lhs = shift_matrix(w, K)
     zser = series.poly_series([0.0, 1.0], K - 1)
-    rhs = mult_matrix(zser, w.dual(), K).entries.conj().T
+    rhs = mult_matrix(zser, w.dual(), K).conj().T
     return float(np.max(np.abs(lhs - rhs)))
 
 

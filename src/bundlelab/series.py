@@ -89,7 +89,7 @@ def rational(P, Q, X):
 
 
 def taylor(spec, K):
-    """Taylor coefficients of a FunctionSpec through order K.
+    """Taylor coefficients of a function spec through order K.
 
     The tree is reduced to P/Q and expanded as :func:`rational` applied to the
     impulse, which is exact for polynomials and carries no composition tail.

@@ -19,7 +19,7 @@ from .blaschke import (
     eval_blaschke,
     solve_fiber,
 )
-from .funcspec import BlaschkeSpec, ComposeSpec, PolySpec, RationalFunction
+from .funcspec import ComposeSpec, PolySpec, RationalFunction
 from .weights import WeightSequence
 
 __all__ = ["all_checks", "run_all"]
@@ -140,7 +140,7 @@ def check_fiber_counts():
         zeros = 0.7 * rng.uniform(0.1, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
         B = BlaschkeProduct(tuple(zeros))
         omega = 0.6 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        pts = solve_fiber(BlaschkeSpec(B), omega)
+        pts = solve_fiber(B, omega)
         if len(pts) != m:
             return False, f"order {m} fiber returned {len(pts)} points"
     return True, "Blaschke fibers carry exactly `order` points for |w|<1"
@@ -169,8 +169,8 @@ def check_star_involution():
 def check_shift_mult_identity():
     for w in _presets():
         K = 64
-        S = operators.shift_matrix(w, K).entries
-        M = operators.mult_matrix(series.poly_series([0, 1], K - 1), w, K).entries
+        S = operators.shift_matrix(w, K)
+        M = operators.mult_matrix(series.poly_series([0, 1], K - 1), w, K)
         P = S @ M
         dev = np.max(np.abs(P[: K - 1, : K - 1] - np.eye(K - 1)))
         if dev > 1e-14:
@@ -183,9 +183,9 @@ def check_calculus_multiplicative():
     K = 128
     h1 = series.poly_series([1, 0.3, -0.2], K - 1)
     h2 = series.poly_series([0.5, -0.1, 0, 0.2], K - 1)
-    A = operators.calculus_matrix(h1, w, K).entries
-    B = operators.calculus_matrix(h2, w, K).entries
-    C = operators.calculus_matrix(series.multiply(h1, h2), w, K).entries
+    A = operators.calculus_matrix(h1, w, K)
+    B = operators.calculus_matrix(h2, w, K)
+    C = operators.calculus_matrix(series.multiply(h1, h2), w, K)
     blk = K - 8
     dev = np.max(np.abs((A @ B)[:blk, :blk] - C[:blk, :blk]))
     return dev < 1e-12, f"calculus multiplicativity deviation {dev:.2e}"
@@ -194,10 +194,10 @@ def check_calculus_multiplicative():
 def check_mult_support():
     w = WeightSequence.polygrowth(1)
     f0 = series.poly_series([0, 0.4, 0.1], 31)
-    M = operators.mult_matrix(f0, w, 32).entries
+    M = operators.mult_matrix(f0, w, 32)
     strict = np.max(np.abs(np.triu(M, 0)))
     f1 = series.poly_series([0.7, 0.4], 31)
-    M1 = operators.mult_matrix(f1, w, 32).entries
+    M1 = operators.mult_matrix(f1, w, 32)
     diag = np.min(np.abs(np.diag(M1)))
     ok = strict == 0.0 and diag > 0
     return ok, "mult support strictly lower-triangular iff constant term vanishes"
@@ -287,7 +287,7 @@ def check_winding_vs_roots():
 
 def check_blaschke_sum_rule():
     B = BlaschkeProduct((0, 0.4, -0.3j))
-    f = RationalFunction.from_spec(BlaschkeSpec(B))
+    f = RationalFunction.from_spec(B)
     for omega in (0.05, -0.2 + 0.1j, 0.3j):
         if geometry.winding_index(f, omega) != B.order:
             return False, f"index at {omega} is not the order"
@@ -297,7 +297,7 @@ def check_blaschke_sum_rule():
 def check_index_moebius_invariance():
     spec1 = PolySpec((2, 1, 1))
     phi = MoebiusTransform(0.3, 0.8)
-    spec2 = ComposeSpec(spec1, BlaschkeSpec(phi))
+    spec2 = ComposeSpec(spec1, phi)
     m1 = geometry.index_map(spec1, (-1, 5, -3, 3), 120)
     m2 = geometry.index_map(spec2, (-1, 5, -3, 3), 120)
     both = (m1.grid >= 0) & (m2.grid >= 0)
@@ -308,7 +308,7 @@ def check_index_moebius_invariance():
 def check_decompose_round_trip():
     g = PolySpec((0, 1, 0, 2))
     B = BlaschkeProduct((0, 0.4))
-    f = ComposeSpec(g, BlaschkeSpec(B))
+    f = ComposeSpec(g, B)
     dec = monodromy.decompose(f)
     if dec.m != B.order or dec.residual > 1e-8:
         return False, f"m={dec.m}, residual={dec.residual:.2e}"
@@ -316,8 +316,8 @@ def check_decompose_round_trip():
     matched = match is not None and match.residual < 1e-8
     # nested inner factors: the maximal one has order 2 * 2
     nested = ComposeSpec(PolySpec((0, 1, 1)), ComposeSpec(
-        BlaschkeSpec(BlaschkeProduct((0, 0.5))),
-        BlaschkeSpec(BlaschkeProduct((0.2, -0.1j))),
+        BlaschkeProduct((0, 0.5)),
+        BlaschkeProduct((0.2, -0.1j)),
     ))
     dec4 = monodromy.decompose(nested)
     ok = matched and dec4.m == 4 and dec4.residual < 1e-8
@@ -330,8 +330,8 @@ def check_decompose_round_trip():
 def check_verdict_symmetry():
     w = WeightSequence.bergman(1)
     g = PolySpec((0, 1, 0, 2))
-    h1 = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct((0, 0.4))))
-    h2 = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct((0.2, -0.5))))
+    h1 = ComposeSpec(g, BlaschkeProduct((0, 0.4)))
+    h2 = ComposeSpec(g, BlaschkeProduct((0.2, -0.5)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         a = classify.similar(h1, h2, w).status
@@ -342,9 +342,9 @@ def check_verdict_symmetry():
 def check_moebius_precompose_invariance():
     w = WeightSequence.bergman(1)
     g = PolySpec((0, 1, 0, 2))
-    h1 = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct((0, 0.4))))
+    h1 = ComposeSpec(g, BlaschkeProduct((0, 0.4)))
     phi = MoebiusTransform(0.25 + 0.1j, 0.7)
-    h2 = ComposeSpec(h1, BlaschkeSpec(phi))
+    h2 = ComposeSpec(h1, phi)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         v = classify.similar(h1, h2, w)
@@ -372,8 +372,8 @@ def check_kaplansky_consistency():
         for _ in range(3):
             z1 = 0.4 * rng.uniform(0.3, 1) * np.exp(2j * np.pi * rng.uniform())
             z2 = 0.4 * rng.uniform(0.3, 1) * np.exp(2j * np.pi * rng.uniform())
-            h1 = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct((0, z1))))
-            h2 = ComposeSpec(g, BlaschkeSpec(BlaschkeProduct((0, z2))))
+            h1 = ComposeSpec(g, BlaschkeProduct((0, z1)))
+            h2 = ComposeSpec(g, BlaschkeProduct((0, z2)))
             _, _, consistent = classify.kaplansky(h1, h2, w)
             if not consistent:
                 return False, "doubled similar without single similar"

@@ -11,7 +11,7 @@ import numpy as np
 
 from bundlelab import classify, frames, geometry, monodromy, operators
 from bundlelab.blaschke import BlaschkeProduct
-from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec
+from bundlelab.funcspec import ComposeSpec, PolySpec
 from bundlelab.weights import WeightSequence
 
 HARDY = WeightSequence.hardy()
@@ -172,7 +172,7 @@ def test_criterion_07_figure_reproduction():
 def test_criterion_08_decomposition_round_trip():
     t0 = time.perf_counter()
     inner = BlaschkeProduct((0, 0.4), np.pi)  # z * (0.4 - z)/(1 - 0.4 z)
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(inner))
+    f = ComposeSpec(G_CUBIC, inner)
     dec = monodromy.decompose(f)
     match = classify.moebius_match(dec.outer, G_CUBIC)
     dec_plain = monodromy.decompose(G_CUBIC)
@@ -215,16 +215,16 @@ def test_criterion_09_classification_consistency():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for _ in range(20):
-            h1 = ComposeSpec(G_CUBIC, BlaschkeSpec(BlaschkeProduct(rand_zeros(2))))
-            h2 = ComposeSpec(G_CUBIC, BlaschkeSpec(BlaschkeProduct(rand_zeros(2))))
+            h1 = ComposeSpec(G_CUBIC, BlaschkeProduct(rand_zeros(2)))
+            h2 = ComposeSpec(G_CUBIC, BlaschkeProduct(rand_zeros(2)))
             double, single, consistent = classify.kaplansky(h1, h2, BERGMAN1)
             if single.status == "similar":
                 similar_ok += 1
             if consistent:
                 consistent_ok += 1
         for _ in range(10):
-            h1 = ComposeSpec(G_CUBIC, BlaschkeSpec(BlaschkeProduct(rand_zeros(2))))
-            h2 = ComposeSpec(G_CUBIC, BlaschkeSpec(BlaschkeProduct(rand_zeros(3))))
+            h1 = ComposeSpec(G_CUBIC, BlaschkeProduct(rand_zeros(2)))
+            h2 = ComposeSpec(G_CUBIC, BlaschkeProduct(rand_zeros(3)))
             double, single, consistent = classify.kaplansky(h1, h2, BERGMAN1)
             if single.status == "not_similar" and single.reason == "order mismatch":
                 not_similar_ok += 1

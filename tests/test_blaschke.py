@@ -18,7 +18,7 @@ from bundlelab.blaschke import (
     with_multiplicity,
 )
 from bundlelab.errors import BoundaryRootWarning, DomainError, RootFindingError
-from bundlelab.funcspec import BlaschkeSpec, PolySpec, RationalFunction
+from bundlelab.funcspec import PolySpec, RationalFunction
 
 
 def test_eval_at_zero_points():
@@ -115,7 +115,7 @@ def test_moebius_inverse_generic():
 
 
 def test_solve_fiber_blaschke_zeros():
-    pts = solve_fiber(BlaschkeSpec(BlaschkeProduct((0, 0.5))), 0.0)
+    pts = solve_fiber(BlaschkeProduct((0, 0.5)), 0.0)
     assert np.allclose(pts, [0.0, 0.5], atol=1e-12)
 
 
@@ -144,7 +144,7 @@ def test_solve_fiber_order_matches_for_interior_values():
         zeros = 0.7 * rng.uniform(0.1, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
         B = BlaschkeProduct(tuple(zeros))
         w = 0.55 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        assert len(solve_fiber(BlaschkeSpec(B), w)) == m
+        assert len(solve_fiber(B, w)) == m
 
 
 def test_critical_points_quadratic():
@@ -156,13 +156,13 @@ def test_critical_points_quadratic():
 
 
 def test_critical_points_blaschke():
-    pts = critical_points(BlaschkeSpec(BlaschkeProduct((0, 0.5))))
+    pts = critical_points(BlaschkeProduct((0, 0.5)))
     assert len(pts) == 1
     assert pts[0][0] == pytest.approx(2 - math.sqrt(3), abs=1e-10)
 
 
 def test_critical_points_moebius_empty():
-    assert critical_points(BlaschkeSpec(moebius(0.4))) == []
+    assert critical_points(moebius(0.4)) == []
 
 
 def test_rational_form_of_product():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from bundlelab import classify, frames, monodromy, operators, series
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke, fiber_roots
 from bundlelab.errors import FiberError
-from bundlelab.funcspec import BlaschkeSpec, ComposeSpec, PolySpec, RationalFunction
+from bundlelab.funcspec import ComposeSpec, PolySpec, RationalFunction
 from bundlelab.weights import WeightSequence
 
 BERGMAN = WeightSequence.bergman(1)
@@ -19,8 +19,8 @@ INNER = BlaschkeProduct((0, 0.4), np.pi)
 
 def _pair(z1, z2):
     return (
-        ComposeSpec(G, BlaschkeSpec(BlaschkeProduct(z1))),
-        ComposeSpec(G, BlaschkeSpec(BlaschkeProduct(z2))),
+        ComposeSpec(G, BlaschkeProduct(z1)),
+        ComposeSpec(G, BlaschkeProduct(z2)),
     )
 
 
@@ -76,7 +76,7 @@ def test_moebius_match_identity_among_solutions():
 
 
 def test_moebius_match_recovers_parameters():
-    g2 = ComposeSpec(PolySpec((0, 0, 1)), BlaschkeSpec(MoebiusTransform(0.3)))
+    g2 = ComposeSpec(PolySpec((0, 0, 1)), MoebiusTransform(0.3))
     m = classify.moebius_match(PolySpec((0, 0, 1)), g2)
     assert m is not None
     assert m.transform.z0 == pytest.approx(0.3, abs=1e-6)
@@ -90,7 +90,7 @@ def test_moebius_match_degree_mismatch_empty():
 
 def test_moebius_match_functional_identity():
     phi_true = MoebiusTransform(0.25 - 0.15j, 1.1)
-    g2 = ComposeSpec(G, BlaschkeSpec(phi_true))
+    g2 = ComposeSpec(G, phi_true)
     m = classify.moebius_match(G, g2)
     assert m is not None and m.residual < 1e-8
     g1 = RationalFunction.from_spec(G)
@@ -108,7 +108,7 @@ def test_jordan_trivial_for_indecomposable():
 
 
 def test_jordan_composite():
-    f = ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4))))
+    f = ComposeSpec(G, BlaschkeProduct((0, 0.4)))
     j = classify.jordan(f, BERGMAN, attach_riesz=False)
     assert j.m == 2
     assert j.certificate.accepted
@@ -119,7 +119,7 @@ def test_jordan_composite():
 def test_jordan_pure_blaschke_on_hardy():
     # an order-2 product decomposes fully: trivial (Moebius) outer part
     B = BlaschkeProduct((0, 0.4), np.pi)
-    j = classify.jordan(BlaschkeSpec(B), HARDY, attach_riesz=False)
+    j = classify.jordan(B, HARDY, attach_riesz=False)
     assert j.m == 2
     assert j.outer.degree == 1  # Moebius outer
     assert monodromy.outer_taylor(j.outer).size < 60
@@ -137,8 +137,8 @@ def test_similar_positive_pair():
 
 
 def test_similar_order_mismatch():
-    h1 = ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4))))
-    h3 = ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0.2, -0.5, 0.1))))
+    h1 = ComposeSpec(G, BlaschkeProduct((0, 0.4)))
+    h3 = ComposeSpec(G, BlaschkeProduct((0.2, -0.5, 0.1)))
     v = classify.similar(h1, h3, BERGMAN)
     assert v.status == "not_similar"
     assert v.reason == "order mismatch"
@@ -147,7 +147,7 @@ def test_similar_order_mismatch():
 
 def test_similar_direct_square_pair():
     h1 = PolySpec((0, 0, 1))
-    h2 = ComposeSpec(PolySpec((0, 0, 1)), BlaschkeSpec(MoebiusTransform(0.3)))
+    h2 = ComposeSpec(PolySpec((0, 0, 1)), MoebiusTransform(0.3))
     v = classify.similar(h1, h2, BERGMAN)
     assert v.status == "similar"
 
@@ -160,9 +160,9 @@ def test_similar_symmetry():
 
 
 def test_similar_moebius_precomposition():
-    h1 = ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4))))
+    h1 = ComposeSpec(G, BlaschkeProduct((0, 0.4)))
     phi = MoebiusTransform(0.2 + 0.1j, 0.9)
-    h2 = ComposeSpec(h1, BlaschkeSpec(phi))
+    h2 = ComposeSpec(h1, phi)
     assert classify.similar(h1, h2, BERGMAN).status == "similar"
 
 
@@ -172,7 +172,7 @@ def test_kaplansky_consistency():
     assert double.status == single.status == "similar"
     assert double.evidence["m1_doubled"] == 4
     assert consistent
-    h3 = ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0.2, -0.5, 0.1))))
+    h3 = ComposeSpec(G, BlaschkeProduct((0.2, -0.5, 0.1)))
     d2, s2, c2 = classify.kaplansky(h1, h3, BERGMAN)
     assert d2.status == s2.status == "not_similar"
     assert c2
@@ -242,7 +242,7 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     monkeypatch.setattr(frames, "build_frame", counting_build)
     monkeypatch.setattr(frames, "zherk", counting_zherk)
     monkeypatch.setattr(frames, "svdvals", counting_svdvals)
-    res = classify.jordan(ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4)))), BERGMAN)
+    res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.4))), BERGMAN)
     assert res.m == 2 and res.certificate.accepted
     assert len(built) == len(set(built)), f"a frame was built twice: {built}"
     # every frame built gets its extremes, from its Gram matrix, exactly once
@@ -258,18 +258,18 @@ def test_intertwiner_residuals_match_dense_formulas():
         F, m, n_max = res.certificate.frame, res.m, res.certificate.n_max
         X = F.matrix("beta")
         MB = operators.mult_matrix(
-            series.taylor(BlaschkeSpec(F.product), F.K - 1), BERGMAN, F.K).entries
+            series.taylor(F.product, F.K - 1), BERGMAN, F.K)
         shift = np.zeros((X.shape[1], X.shape[1]), dtype=complex)
         ws = BERGMAN.weights(n_max + 1)
         for n in range(n_max):
             for j in range(m):
                 shift[(n + 1) * m + j, n * m + j] = ws[n]
         douglas = np.max(np.abs((MB @ X - X @ shift)[:, : m * n_max]))
-        inner = spec if F.conjugator is None else ComposeSpec(spec, BlaschkeSpec(F.conjugator))
-        Mf = operators.mult_matrix(series.taylor(inner, F.K - 1), BERGMAN, F.K).entries
+        inner = spec if F.conjugator is None else ComposeSpec(spec, F.conjugator)
+        Mf = operators.mult_matrix(series.taylor(inner, F.K - 1), BERGMAN, F.K)
         impulse = np.eye(1, n_max + 1, dtype=complex)[0]
         Mh = operators.mult_matrix(series.PowerSeries(
-            series.rational(res.outer.P, res.outer.Q, impulse)), BERGMAN, n_max + 1).entries
+            series.rational(res.outer.P, res.outer.Q, impulse)), BERGMAN, n_max + 1)
         R = Mf @ X - X @ np.kron(Mh, np.eye(m))
         direct = np.max(np.abs(R[:, : res.checked_columns]))
         assert res.certificate.residual == pytest.approx(douglas, abs=1e-12)
@@ -289,7 +289,7 @@ def test_intertwiners_form_no_matrix_beyond_the_outer_block(monkeypatch):
         BlaschkeProduct((0, 0.5)), BERGMAN, K=256, n_max=40, attach_riesz=False
     )
     assert cert.accepted and sizes == []
-    res = classify.jordan(ComposeSpec(G, BlaschkeSpec(BlaschkeProduct((0, 0.4)))), BERGMAN)
+    res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.4))), BERGMAN)
     assert res.m == 2 and res.certificate.accepted
     assert sizes and max(sizes) <= res.certificate.n_max + 1, sizes
 
@@ -308,7 +308,7 @@ def _moebius_pairs(draw):
     # drawn from the edge inward, so that |a| near 0.99 is tried often
     a = (0.99 - draw(st.floats(0.0, 0.99))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
     phi = MoebiusTransform(a, draw(st.floats(0.0, 2.0 * np.pi)))
-    return PolySpec(tuple(g)), ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(phi)), a
+    return PolySpec(tuple(g)), ComposeSpec(PolySpec(tuple(g)), phi), a
 
 
 @settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -372,7 +372,7 @@ def test_seed_at_the_z0_limit_makes_the_match_incomplete():
     # phi(0) = 0.9995 is the only seed that could match, and it lies beyond
     # the refinement limit 0.999: the search is incomplete in both directions
     g = PolySpec((0, 1, 0, 2))
-    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.9995)))
+    g_phi = ComposeSpec(g, MoebiusTransform(0.9995))
     with pytest.raises(FiberError, match="beyond radius 0.999"):
         classify.moebius_match(g, g_phi)
     v = classify.similar(g, g_phi, BERGMAN)
@@ -390,14 +390,14 @@ def test_forward_match_seeded_at_a_critical_point(delta):
         for theta in (0.0, 1.0, 2.5, 4.0):
             p = q + delta * np.exp(0.7j)
             phi = MoebiusTransform(p * np.exp(-1j * theta), theta)
-            m = classify.moebius_match(g, ComposeSpec(g, BlaschkeSpec(phi)))
+            m = classify.moebius_match(g, ComposeSpec(g, phi))
             assert m is not None and m.residual < 1e-8, (q, theta)
 
 
 def _perturbed(coeffs, a, theta, j):
     """g and g o phi_a with the j-th numerator coefficient moved by 1e-6 of itself."""
     g = PolySpec(tuple(coeffs))
-    g_phi = RationalFunction.from_spec(ComposeSpec(g, BlaschkeSpec(MoebiusTransform(a, theta))))
+    g_phi = RationalFunction.from_spec(ComposeSpec(g, MoebiusTransform(a, theta)))
     P = g_phi.P.copy()
     P[j % P.size] *= 1.0 + 1e-6
     return g, RationalFunction(P, g_phi.Q)
@@ -421,7 +421,7 @@ def test_a_fit_within_the_roundoff_of_g1_o_phi_only_makes_the_match_incomplete()
     # roundoff of g o phi so much that the reverse fits are within E's
     # roundoff envelope, yet off by 2.8e-8 and more in the size of its terms
     g = PolySpec((1, -0.5 + 1j, 0.3, 1.2 - 0.4j))
-    g_phi = ComposeSpec(g, BlaschkeSpec(MoebiusTransform(0.998 * np.exp(0.3j))))
+    g_phi = ComposeSpec(g, MoebiusTransform(0.998 * np.exp(0.3j)))
     assert classify.moebius_match(g, g_phi).residual < 1e-12
     with pytest.raises(FiberError, match="roundoff"):
         classify.moebius_match(g_phi, g)

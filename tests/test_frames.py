@@ -36,9 +36,7 @@ def test_frame_column_is_geometric_kernel():
 def test_frame_column_against_series_oracle():
     B = BlaschkeProduct((0, 0.5))
     F = frames.build_frame(B, BERGMAN, 4, 64)
-    from bundlelab.funcspec import BlaschkeSpec
-
-    b = series.taylor(BlaschkeSpec(B), 63)
+    b = series.taylor(B, 63)
     kernel = series.poly_series([1], 63)  # kernel direction at the zero 0
     col_ser = series.multiply(b, kernel)
     expect = col_ser.coeffs * BERGMAN.betas(63) / BERGMAN.beta(1)
@@ -58,7 +56,7 @@ def _mp_rational(P, Q, x):
 
 def _mp_frame_columns(F):
     """The frame's Taylor columns from the same P/Q recursion at 40 digits."""
-    P, Q = funcspec.to_rational(funcspec.BlaschkeSpec(F.product))
+    P, Q = funcspec.to_rational(F.product)
     P, Q = [mpmath.mpc(c) for c in P], [mpmath.mpc(c) for c in Q]
     one = mpmath.mpc(1)
     power = [one] + [mpmath.mpc(0)] * (F.K + F.pad - 1)
@@ -176,10 +174,10 @@ def test_times_matches_dense_multiplication(wid, zeros):
     F = frames.build_frame(BlaschkeProduct(zeros), w, 20, 128)
     # g o B, precomposed with the conjugator as jordan does when there is one
     g = funcspec.PolySpec((0, 1, 0, 2))
-    spec = funcspec.ComposeSpec(g, funcspec.BlaschkeSpec(F.source))
+    spec = funcspec.ComposeSpec(g, F.source)
     if F.conjugator is not None:
-        spec = funcspec.ComposeSpec(spec, funcspec.BlaschkeSpec(F.conjugator))
-    M = operators.mult_matrix(series.taylor(spec, F.K - 1), w, F.K).entries
+        spec = funcspec.ComposeSpec(spec, F.conjugator)
+    M = operators.mult_matrix(series.taylor(spec, F.K - 1), w, F.K)
     dense = M @ F.matrix("beta")
     got = F.times(*funcspec.to_rational(spec))
     assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))

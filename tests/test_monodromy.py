@@ -8,7 +8,6 @@ from bundlelab import classify, funcspec, monodromy, schemas
 from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, compose_blaschke, eval_blaschke
 from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
-    BlaschkeSpec,
     ComposeSpec,
     PolySpec,
     RationalFunction,
@@ -30,7 +29,7 @@ def test_base_fiber_constructed_roots():
 
 
 def test_base_fiber_composite_count():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
     assert fib.size == 6
 
@@ -60,7 +59,7 @@ def test_block_systems_four_cycle():
 
 
 def test_block_search_on_six_points():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
     assert fib.size == 6
     assert _surviving(f, 0.05, 3) == []
@@ -74,7 +73,7 @@ def test_block_search_on_six_points():
 def test_block_system_trivial_group_single_point():
     from bundlelab.blaschke import MoebiusTransform
 
-    spec = BlaschkeSpec(MoebiusTransform(0.4))
+    spec = MoebiusTransform(0.4)
     assert monodromy.base_fiber(spec, 0.1).size == 1
     dec = monodromy.decompose(spec, 0.1)
     assert dec.m == 1 and dec.candidates_tried == 0
@@ -116,7 +115,7 @@ def test_outer_factor_square_trivial():
 
 
 def test_outer_factor_solves_a_stack_like_single_blocks():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
     zeros = np.array([[fib.points[0], fib.points[j]] for j in range(1, fib.size)])
     A, C, score = monodromy.outer_factor(f, zeros, 6)
@@ -130,7 +129,7 @@ def test_outer_factor_solves_a_stack_like_single_blocks():
 def test_block_scores_separate_the_level_set_block():
     # the block of a level set of INNER is the only one whose h o B_hat is f;
     # its score sits at roundoff and every other block's far above it
-    f = RationalFunction.from_spec(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)))
+    f = RationalFunction.from_spec(ComposeSpec(G_CUBIC, INNER))
     fib = monodromy.base_fiber(f, 0.05)
     pts = np.array(fib.points)
     zeros = np.array([[pts[0], pts[j]] for j in range(1, fib.size)])
@@ -172,7 +171,7 @@ def test_reduced_degree_cancels_the_common_factor_of_a_sum():
     zs = monodromy._held_out_points(200)
     assert f.degree == 7
     assert monodromy._reduced_degree(f, 4, zs, f.value(zs)) == 6
-    g = RationalFunction.from_spec(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)))
+    g = RationalFunction.from_spec(ComposeSpec(G_CUBIC, INNER))
     assert monodromy._reduced_degree(g, 6, zs, g.value(zs)) == 6
 
 
@@ -187,7 +186,7 @@ def test_decompose_sees_through_the_common_factor_of_a_sum():
 
 
 def test_decompose_composite_round_trip():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     dec = monodromy.decompose(f)
     assert dec.m == 2
     assert dec.residual < 1e-8
@@ -198,7 +197,7 @@ def test_decompose_composite_round_trip():
 def test_decompose_order_bookkeeping_against_winding():
     from bundlelab import geometry
 
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     dec = monodromy.decompose(f)
     assert geometry.winding_index(f, dec.base_point) == dec.m * dec.outer_index
 
@@ -212,7 +211,7 @@ def test_decompose_indecomposable():
 
 def test_decompose_full_blaschke():
     B6 = compose_blaschke(BlaschkeProduct((0.2, -0.3, 0.1j)), BlaschkeProduct((0, 0.4)))
-    dec = monodromy.decompose(BlaschkeSpec(B6))
+    dec = monodromy.decompose(B6)
     assert dec.m == 6
     assert dec.residual < 1e-8
 
@@ -226,7 +225,7 @@ def test_decompose_reduces_its_spec_once(monkeypatch):
         return to_rational(spec, *args, **kw)
 
     monkeypatch.setattr(funcspec, "to_rational", counting_to_rational)
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     for spec, m in ((f, 2), (G_CUBIC, 1)):
         calls.clear()
         assert monodromy.decompose(spec).m == m
@@ -234,7 +233,7 @@ def test_decompose_reduces_its_spec_once(monkeypatch):
 
 
 def test_decompose_reproducible_between_base_points():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     d1 = monodromy.decompose(f)
     omega2 = d1.base_point + 0.03
     d2 = monodromy.decompose(f, omega2)
@@ -251,7 +250,7 @@ def test_decompose_base_point_validation():
 
 
 def test_decomposition_serialization():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     dec = monodromy.decompose(f)
     d = dec.to_dict()
     assert d["m"] == 2
@@ -270,7 +269,7 @@ def test_decomposition_serialization():
 
 def test_schema_accepts_each_outer_form_and_nothing_else():
     spec_form = monodromy.decompose(G_CUBIC).to_dict()
-    rational_form = monodromy.decompose(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))).to_dict()
+    rational_form = monodromy.decompose(ComposeSpec(G_CUBIC, INNER)).to_dict()
     assert spec_form["outer"] == {"spec": "poly(0,1,0,2)"}
     for d in (spec_form, rational_form):
         jsonschema.validate(d, schemas.DECOMPOSITION)
@@ -282,7 +281,7 @@ def test_schema_accepts_each_outer_form_and_nothing_else():
 
 
 def test_serialized_taylor_polynomial_is_h_below_radius_0_8():
-    dec = monodromy.decompose(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)))
+    dec = monodromy.decompose(ComposeSpec(G_CUBIC, INNER))
     c = np.array([complex(*p) for p in dec.to_dict()["outer"]["taylor"]])
     w = 0.8 * np.exp(2j * np.pi * np.arange(64) / 64) * np.linspace(0.0, 1.0, 64)
     h = dec.outer.value(w)
@@ -290,7 +289,7 @@ def test_serialized_taylor_polynomial_is_h_below_radius_0_8():
 
 
 def test_reconstruction_matches_on_fresh_points():
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))
+    f = ComposeSpec(G_CUBIC, INNER)
     dec = monodromy.decompose(f)
     rng = np.random.default_rng(99)  # seed differs from the held-out stream
     zs = rng.uniform(-0.99, 0.99, size=(800, 2)) @ np.array([1.0, 1j])
@@ -318,7 +317,7 @@ def _compositions(draw):
     ])
     gaps = np.abs(zeros[:, None] - zeros[None, :]) + np.eye(zeros.size)
     assume(gaps.min() > 0.05)
-    return ComposeSpec(PolySpec(tuple(g)), BlaschkeSpec(BlaschkeProduct(tuple(zeros)))), zeros.size
+    return ComposeSpec(PolySpec(tuple(g)), BlaschkeProduct(tuple(zeros))), zeros.size
 
 
 @settings(max_examples=60, deadline=None, derandomize=True, database=None,
@@ -336,7 +335,7 @@ def _compositions_near_the_circle(draw):
     """g o B o phi_a for g o B of _compositions and |a| <= 0.99, drawn from the edge inward."""
     f, order = draw(_compositions())
     a = (0.99 - draw(st.floats(0.0, 0.99))) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
-    return ComposeSpec(f, BlaschkeSpec(MoebiusTransform(a))), order
+    return ComposeSpec(f, MoebiusTransform(a)), order
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None,
@@ -359,7 +358,7 @@ def test_decompose_never_certifies_less_than_the_inner_order_near_the_circle(cas
 @pytest.mark.parametrize("a", [0.93, 0.96, 0.98])
 def test_decompose_finds_the_inner_factor_of_a_fiber_near_the_circle(a):
     # the base fiber of f(0) has a point within 0.003 of the circle
-    f = ComposeSpec(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)), BlaschkeSpec(MoebiusTransform(a)))
+    f = ComposeSpec(ComposeSpec(G_CUBIC, INNER), MoebiusTransform(a))
     dec = monodromy.decompose(f)
     assert max(abs(p) for p in dec.fiber.points) > 0.99
     assert dec.m == 2 and dec.residual < 1e-8
@@ -368,14 +367,14 @@ def test_decompose_finds_the_inner_factor_of_a_fiber_near_the_circle(a):
 def test_a_solve_that_misses_f_itself_shows_no_m_1():
     # at a = 0.99 no outer factor for the inner factor z reproduces f to
     # 1e-8, so rejecting every block would be no proof that m = 1
-    f = ComposeSpec(ComposeSpec(G_CUBIC, BlaschkeSpec(INNER)), BlaschkeSpec(MoebiusTransform(0.99)))
+    f = ComposeSpec(ComposeSpec(G_CUBIC, INNER), MoebiusTransform(0.99))
     with pytest.raises(FiberError, match="does not reproduce f itself"):
         monodromy.decompose(f)
 
 
 def test_candidate_cap_is_inconclusive_not_indecomposable(monkeypatch):
     monkeypatch.setattr(monodromy, "_CANDIDATE_CAP", 5)
-    f = ComposeSpec(G_CUBIC, BlaschkeSpec(INNER))  # six points: 1 + 10 blocks for d = 6, 3
+    f = ComposeSpec(G_CUBIC, INNER)  # six points: 1 + 10 blocks for d = 6, 3
     with pytest.raises(FiberError, match="more than 5 candidates"):
         monodromy.decompose(f)
     assert classify.similar(f, f, WeightSequence.bergman(1)).status == "inconclusive"

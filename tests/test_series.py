@@ -5,7 +5,7 @@ import pytest
 from bundlelab import series
 from bundlelab.blaschke import BlaschkeProduct
 from bundlelab.errors import DomainError
-from bundlelab.funcspec import BlaschkeSpec, PolySpec
+from bundlelab.funcspec import PolySpec
 from bundlelab.weights import WeightSequence
 
 HARDY = WeightSequence.hardy()
@@ -23,7 +23,7 @@ def test_taylor_polynomial_exact():
 
 def test_taylor_blaschke_expansion():
     # (0.5 - z) * (1 + 0.5 z + 0.25 z^2 + ...) through order 2
-    f = series.taylor(BlaschkeSpec(BlaschkeProduct((0.5,))), 2)
+    f = series.taylor(BlaschkeProduct((0.5,)), 2)
     assert np.allclose(f.coeffs, [0.5, -0.75, -0.375], atol=1e-15)
 
 
