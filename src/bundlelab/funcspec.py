@@ -406,9 +406,11 @@ def spec_to_text(spec):
         return "sum(" + ", ".join(spec_to_text(t) for t in spec.terms) + ")"
     if isinstance(spec, ProdSpec):
         body = ", ".join(spec_to_text(f) for f in spec.factors)
-        if spec.scalar != 1:
-            return f"scale({_cfmt(spec.scalar)}; prod({body}))"
-        return f"prod({body})"
+        if spec.scalar == 1:
+            return f"prod({body})"
+        if len(spec.factors) > 1:
+            body = f"prod({body})"
+        return f"scale({_cfmt(spec.scalar)}; {body})"
     if isinstance(spec, StarSpec):
         return f"star({spec_to_text(spec.inner)})"
     raise TypeError(f"not a function spec: {spec!r}")

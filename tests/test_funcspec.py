@@ -71,11 +71,19 @@ def test_round_trip_text():
         "blaschke(0; 0,0.5)",
         "compose(poly(0,1,0,2), blaschke(0; 0,0.4))",
         "prod(poly(0,1), blaschke(0; 0.4))",
+        "prod(poly(1), compose(poly(0,1,0,2), moebius(0; 0.3)), star(blaschke(0.3; 0.2+0.1i)))",
         "star(blaschke(0.3; 0.2+0.1i))",
+        "moebius(0.5; 0.3-0.2i)",
+        "sum(poly(1), compose(poly(0,1,0,2), blaschke(0; 0, 0.4)))",
+        "scale(2+0i; poly(0,1,0,2))",
+        "scale(-1i; prod(poly(0,1), blaschke(0; 0.4)))",
+        "sum(poly(0,1), scale(2+0i; poly(0,0,0,1)), star(moebius(0; 0.3)))",
     ]
     for text in texts:
         spec = parse_function_spec(text)
-        again = parse_function_spec(spec_to_text(spec))
+        t1 = spec_to_text(spec)
+        assert spec_to_text(parse_function_spec(t1)) == t1, text
+        again = parse_function_spec(t1)
         zs = 0.4 * np.exp(2j * np.pi * np.arange(7) / 7)
         assert np.allclose(
             RationalFunction.from_spec(spec).value(zs),
