@@ -154,10 +154,9 @@ class IndexMap:
     probes: list = field(default_factory=list)  # (omega, index) verification records
 
     def cell_centers(self):
+        """Cell-center coordinates (xs, ys), as index_map bands and probes them."""
         re_min, re_max, im_min, im_max = self.bounds
-        xs = re_min + (np.arange(self.resolution) + 0.5) * (re_max - re_min) / self.resolution
-        ys = im_min + (np.arange(self.resolution) + 0.5) * (im_max - im_min) / self.resolution
-        return xs, ys
+        return _centers(re_min, re_max, self.resolution), _centers(im_min, im_max, self.resolution)
 
     @cached_property
     def cells_per_index(self):
@@ -191,8 +190,8 @@ def index_map(spec, bounds, resolution):
     diag = float(np.hypot(cell_w, cell_h))
     curve = boundary_curve(f, 2048, spacing=0.25 * diag)
 
-    xs = re_min + (np.arange(resolution) + 0.5) * cell_w
-    ys = im_min + (np.arange(resolution) + 0.5) * cell_h
+    xs = _centers(re_min, re_max, resolution)
+    ys = _centers(im_min, im_max, resolution)
     band = _band(curve, xs, ys, (re_min, im_min, cell_w, cell_h),
                  _BOUNDARY_BAND_DIAGONALS * diag)
 
@@ -264,6 +263,10 @@ def _band(curve, xs, ys, cells, width):
     band = np.zeros(res * res, dtype=bool)
     band[near[dist < width]] = True
     return band.reshape(res, res)
+
+
+def _centers(lo, hi, res):
+    return lo + (np.arange(res) + 0.5) * ((hi - lo) / res)
 
 
 def _spread_picks(cells, count):

@@ -118,6 +118,9 @@ def test_index_map_figure_structure():
     # region with index 2 is the small inner loop
     assert np.sum(imap.grid == 2) < np.sum(imap.grid == 1)
     assert all(n in (0, 1, 2) for _, n in imap.probes)
+    # each probe sits at a cell center as cell_centers() gives it
+    xs, ys = imap.cell_centers()
+    assert all(omega.real in xs and omega.imag in ys for omega, _ in imap.probes)
 
 
 def test_index_map_band_is_flagged():
