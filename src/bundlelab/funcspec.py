@@ -1,7 +1,7 @@
 """Expression trees for analytic functions on the closed disk.
 
 The grammar is deliberately small: polynomials, finite Blaschke products,
-composition, weighted sums, products, and the coefficient-conjugation star.
+composition, sums, scaled products, and the coefficient-conjugation star.
 A ``BlaschkeProduct`` (or ``MoebiusTransform``) is itself a leaf of the
 tree.  Every tree reduces to a rational function P/Q whose denominator has
 no zeros on the closed disk, which is what the fiber, winding, and
