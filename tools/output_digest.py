@@ -36,8 +36,10 @@ no earlier entry reaches (5 commands, ``OPTION_COVER``), and the three
 ``index-map`` inputs of benchmark seed 1 and the paper's figure at the
 largest resolution (4 commands, the last ``INDEX_MAP_CAP``), and the
 ``sum``, ``prod``, ``scale`` and ``star`` forms (4 commands, ``SPEC_FORMS``),
-appended so that the ``c<k>`` labels of the earlier commands stay put.  A
-whole run of the 101 commands took about 60 s on a 2-core machine.
+and the Bergman Riesz ladders of order 1, 2 and 4, conjugated and at three
+alphas (5 commands, ``BERGMAN_RIESZ``), appended so that the ``c<k>`` labels
+of the earlier commands stay put.  A whole run of the 106 commands took about
+60 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -117,6 +119,17 @@ SPEC_FORMS = [
 ]
 
 
+# Bergman Riesz ladders: order 4, alpha 0.5 and 0.75 (2 alpha no integer), a
+# product without a zero at 0, and the order-1 kernel-point layout
+BERGMAN_RIESZ = [
+    ["riesz", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0, 0.4, -0.2, 0.3i)"],
+    ["riesz", "--weights", "bergman:alpha=0.5", "--blaschke", "blaschke(0; 0, 0.5)"],
+    ["riesz", "--weights", "bergman:alpha=0.75", "--blaschke", "blaschke(0; 0, 0.5)"],
+    ["riesz", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.2+0.1i, -0.3)"],
+    ["riesz", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.4)"],
+]
+
+
 def commands():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -126,7 +139,8 @@ def commands():
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
     index_maps = [op.argv for op in workloads.index_map(1)] + [INDEX_MAP_CAP]
-    return cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
+    return (cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
+            + BERGMAN_RIESZ)
 
 
 def numbers(value, path=""):
