@@ -101,14 +101,16 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     F = frames.build_frame(B, w, n_max, K)
     m = F.m
     while True:
-        s_min, s_max = F.extremes()
-        cond = float(s_max / s_min)
         Fd = F.rebuild(n_max, 2 * F.K)
-        sd_min, sd_max = Fd.extremes()
-        cond_d = float(sd_max / sd_min)
-        rel = abs(cond_d - cond) / cond_d
-        if (rel < 0.05 and F.tail("beta") < frames.TAIL_BAR) or F.K >= _K_CAP:
-            break
+        # only a rung that holds its columns, or the last one, can end the ladder
+        if F.tail("beta") < frames.TAIL_BAR or F.K >= _K_CAP:
+            s_min, s_max = F.extremes()
+            cond = float(s_max / s_min)
+            sd_min, sd_max = Fd.extremes()
+            cond_d = float(sd_max / sd_min)
+            rel = abs(cond_d - cond) / cond_d
+            if rel < 0.05 or F.K >= _K_CAP:
+                break
         F = Fd
     # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
     R = F.times(*funcspec.to_rational(F.product))[:, : m * n_max]

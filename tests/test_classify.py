@@ -57,6 +57,28 @@ def test_douglas_polygrowth_ladder_keeps_its_rungs_and_values():
     assert cert.accepted
 
 
+def test_douglas_takes_no_extremes_of_a_rung_that_cannot_end_its_ladder(monkeypatch):
+    # an inner factor of the verdict-pairs workload: at K = 512 its columns
+    # leave a beta-tail of 1e-2 in the pad rows, so that rung cannot end the ladder
+    B = BlaschkeProduct((-0.64 + 0.205j, 0.189 + 0.089j))
+    assert frames.build_frame(B, BERGMAN, 60, 512).tail("beta") >= frames.TAIL_BAR
+    seen = []
+    extremes = frames.FrameMatrix.extremes
+
+    def counting(self):
+        seen.append(self.K)
+        return extremes(self)
+
+    monkeypatch.setattr(frames.FrameMatrix, "extremes", counting)
+    cert = classify.douglas_intertwiner(B, BERGMAN, K=512, n_max=60, attach_riesz=False)
+    assert 512 not in seen and set(seen) == {1024, 2048}
+    assert (cert.K, cert.accepted) == (1024, True)
+    # the values the ladder gave when it took the extremes of every rung
+    assert cert.cond == pytest.approx(11.51397653330013, rel=1e-10)
+    assert cert.cond_doubled == pytest.approx(11.51397653330013, rel=1e-10)
+    assert cert.cond_rel_change < 1e-10
+
+
 def test_douglas_fails_on_intermediate_growth():
     recip_nln = WeightSequence.nln().dual()
     with pytest.warns(UserWarning, match="polynomial growth"):
@@ -245,8 +267,12 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.4))), BERGMAN)
     assert res.m == 2 and res.certificate.accepted
     assert len(built) == len(set(built)), f"a frame was built twice: {built}"
-    # every frame built gets its extremes, from its Gram matrix, exactly once
-    assert len(grams) == len(built), (len(grams), built)
+    # every frame built gets its extremes, from its Gram matrix, exactly once,
+    # but for the intertwiner's first rung: its beta-tail is above the bar, so
+    # it cannot end the ladder
+    first = build_frame(res.inner, BERGMAN, *built[0])
+    assert first.tail("beta") >= frames.TAIL_BAR
+    assert len(grams) == len(built) - 1, (len(grams), built)
     assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
     assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"
 
