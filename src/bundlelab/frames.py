@@ -21,7 +21,8 @@ dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
 roundoff level (b = m - 1 for Hardy); a band b >= n/16 is solved dense.  When
 beta_k**2 is a polynomial of degree d in k, the Riesz ladder needs no K-row
 frame: its rungs come from the exact Gram, block-banded with offsets <= d, whose
-blocks are fitted as polynomials in n from the first columns.  Riesz verdicts
+blocks are fitted as polynomials in n from the first columns; when 1/beta_k**2
+is one, they come from the same band of the dual frame.  Riesz verdicts
 are finite-section statements: every report carries stability-under-doubling
 evidence and never an infinite-dimensional claim.
 """
@@ -434,16 +435,20 @@ def _fit_gram(F):
     )
 
 
-def _band_extremal(fit, w, n_max):
+def _band_extremal(fit, w, n_max, C=None):
     """(c1, c2, tail) of the beta-normalized Gram of columns n <= n_max from ``fit``.
 
     Column (n, j) has index n*m + j, so block G[n, n+s] fills the offsets
     s*m + j - i of the scalar band, whose width b is m(d+1) - 1.  An entry
-    error of at most e*sqrt(G_aa G_bb) <= e*c2, with e the fit's error at
-    n_max, moves c1 by at most (2b+1)*e*c2 (Weyl, by row sums).  The Gram
-    route accepts c1 to eps/_GRAM_RATIO relative (its error is about
-    eps*c2/c1, and it hands over at c1/c2 = _GRAM_RATIO), so the rung is None
-    when this bound is larger.
+    error of at most e*sqrt(G_aa G_bb) <= e*lambda_max, with e the fit's error
+    at n_max, moves each eigenvalue by at most (2b+1)*e*lambda_max (Weyl, by
+    row sums).  With ``C`` the fit is that of the dual frame and each block is
+    mapped to C^H G C (see :func:`riesz_bounds`): the band solved is then the
+    Gram of the biorthogonal family, whose extremes are (1/c2, 1/c1), and the
+    move grows by ||C||_2^2, lambda_max staying that of the band before the
+    map.  The Gram route accepts c1 to eps/_GRAM_RATIO relative (its error is
+    about eps*c2/c1, and it hands over at c1/c2 = _GRAM_RATIO), so the rung is
+    None when the move relative to the smallest eigenvalue solved is larger.
     """
     d, m = fit.d, fit.m
     b = m * (d + 1) - 1
@@ -453,16 +458,29 @@ def _band_extremal(fit, w, n_max):
     n = np.arange(n_max + 1)[:, None]
     inside = n + s <= n_max
     lb = w.log_betas(n_max + d)
+    scale = np.exp(-lb[n] - lb[n + s])[inside]
+    rows = np.broadcast_to(b - (s * m + j - i), inside.shape)[inside]
+    cols = ((n + s) * m + j)[inside]
     blocks = fit.blocks(n_max)
-    error = fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
-    vals = blocks[n, s, i, j] * np.exp(-lb[n] - lb[n + s])
-    band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
-    rows = np.broadcast_to(b - (s * m + j - i), inside.shape)
-    band[rows[inside], ((n + s) * m + j)[inside]] = vals[inside]
-    lam = eigvals_banded(band, overwrite_a_band=True)
-    if (2 * b + 1) * error * lam[-1] * _GRAM_RATIO >= np.finfo(float).eps * lam[0]:
+    error = (2 * b + 1) * fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
+
+    def eigenvalues(blocks, **select):
+        band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
+        band[rows, cols] = blocks[n, s, i, j][inside] * scale
+        return eigvals_banded(band, overwrite_a_band=True, **select)
+
+    if C is None:
+        lam = eigenvalues(blocks)
+        move = error * lam[-1]
+    else:
+        top = m * (n_max + 1) - 1
+        move = error * np.linalg.norm(C, 2) ** 2 * eigenvalues(blocks, select="i", select_range=(top, top))[0]
+        lam = eigenvalues(C.conj().T @ blocks @ C)
+    if move * _GRAM_RATIO >= np.finfo(float).eps * lam[0]:
         return None
-    return float(lam[0]), float(lam[-1]), fit.tail
+    if C is None:
+        return float(lam[0]), float(lam[-1]), fit.tail
+    return float(1.0 / lam[-1]), float(1.0 / lam[0]), fit.tail
 
 
 def _climb(F, extremal, max_doublings):
@@ -508,6 +526,13 @@ def _climb(F, extremal, max_doublings):
     )
 
 
+def _dual_map(zeros):
+    """C = Gr^-1, Gr[i, j] = 1/(1 - z_i conj(z_j)) = <k_j, k_i>_{H^2}: the
+    functions g_j = sum_i k_i C[i, j] pair with the kernels k_i to the identity."""
+    z = np.asarray(zeros, dtype=complex)
+    return np.linalg.inv(1.0 / (1.0 - z[:, None] * z.conj()[None, :]))
+
+
 def riesz_bounds(F, max_doublings=4):
     """Riesz bound estimates with stability-under-doubling evidence.
 
@@ -527,13 +552,23 @@ def riesz_bounds(F, max_doublings=4):
     (``stability["path"] == "band"``, ``tail`` that of the columns the fit
     read); otherwise, or when a band rung's error bound is beyond what the
     Gram route accepts (:func:`_band_extremal`), each rung is the K-row frame
-    (``"truncated"``, ``tail`` that of the last rung).  ``stability["fit_residual"]`` is the fit's held-out residual,
-    None without a fit.
+    (``"truncated"``, ``tail`` that of the last rung).  When only 1/beta_k**2
+    is a polynomial (bergman with 2*alpha an integer), the band is that of the
+    dual frame y_{n,j} = beta_n B^n g_j in the reciprocal space, with g_j =
+    sum_i k_i C[i, j] and C = Gr^-1, Gr[i, j] = 1/(1 - z_i conj(z_j)) over the
+    frame's zeros: the spaces B^n K_B are orthogonal in H^2, so y pairs with
+    the beta-frame to the identity, its Gram has the same block band, fitted
+    from the same Taylor block, and its extremes are (1/c2, 1/c1).
+    ``stability["fit_residual"]`` is the fit's held-out residual, None without
+    a fit.
     """
-    fit = _fit_gram(F)
+    fit, w, C = _fit_gram(F), F.w, None
+    if fit is None and w.dual().beta_sq_degree is not None:
+        w = w.dual()
+        fit, C = _fit_gram(replace(F, w=w)), _dual_map(F.product.zeros)
     rep, path = None, "band"
     if fit is not None and fit.trusted:
-        rep = _climb(F, lambda K, n_max: _band_extremal(fit, F.w, n_max), max_doublings)
+        rep = _climb(F, lambda K, n_max: _band_extremal(fit, w, n_max, C), max_doublings)
     if rep is None:
         rep = _climb(F, lambda K, n_max: _truncated_extremal(F, K, n_max), max_doublings)
         path = "truncated"

@@ -1,5 +1,6 @@
 
 import tracemalloc
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -249,13 +250,17 @@ def test_riesz_key_regime_stability():
 
 
 def test_riesz_reports_the_tail_of_its_last_rung():
+    # 2*alpha is no integer, so neither beta_k**2 nor its reciprocal is a polynomial
     B = BlaschkeProduct(ZEROS[3])
-    F = frames.build_frame(B, BERGMAN, 50, 256)
+    w = WeightSequence.bergman(0.75)
+    F = frames.build_frame(B, w, 50, 256)
     rep = frames.riesz_bounds(F, max_doublings=1)
     assert rep.stability["path"] == "truncated"
     assert (rep.K, rep.n_max) == (512, 100)
-    assert rep.tail == frames.build_frame(B, BERGMAN, 100, 512).tail("beta")
+    assert rep.tail == frames.build_frame(B, w, 100, 512).tail("beta")
     assert rep.tail < 1e-3 * F.tail("beta")
+    F = frames.build_frame(B, BERGMAN, 50, 256)
+    assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
 
 
 def test_band_riesz_reports_the_tail_of_the_columns_its_fit_read():
@@ -305,7 +310,7 @@ def test_band_extremes_match_the_truncated_frame(case):
     assert tail == fit.tail
 
 
-@pytest.mark.parametrize("wid", ["bergman:alpha=1", "polygrowth:M=1.5", "reciprocal:nln"])
+@pytest.mark.parametrize("wid", ["bergman:alpha=0.75", "polygrowth:M=1.5", "reciprocal:nln"])
 def test_riesz_stays_truncated_without_a_polynomial_beta_square(wid):
     w = parse_weight_id(wid)
     assert w.beta_sq_degree is None
@@ -313,6 +318,75 @@ def test_riesz_stays_truncated_without_a_polynomial_beta_square(wid):
     rep = frames.riesz_bounds(F, max_doublings=1)
     assert rep.stability["path"] == "truncated"
     assert rep.stability["fit_residual"] is None
+    assert rep.stability["ladder"][0]["c1"] == float(F.extremes()[0] ** 2)
+    if wid.startswith("bergman"):
+        # with 2*alpha an integer, 1/beta_k**2 is a polynomial: the dual band
+        F = frames.build_frame(BlaschkeProduct(ZEROS[2]), BERGMAN, 20, 128)
+        assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
+
+
+@st.composite
+def _bergman_frames(draw):
+    order = draw(st.integers(1, 3))
+    zeros = tuple(
+        draw(st.floats(0.0, 0.6)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+        for _ in range(order)
+    )
+    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
+    return zeros, draw(st.sampled_from([0.5, 1.0, 1.5])), draw(st.integers(1, 100))
+
+
+def _held_frame(zeros, w, n_max):
+    """The frame of columns n <= n_max whose beta-tail is below 1e-12."""
+    F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
+    while F.tail("beta") >= 1e-12:
+        F = F.rebuild(n_max, 2 * F.K)
+    return F
+
+
+@settings(max_examples=12, deadline=None, derandomize=True, database=None)
+@given(_bergman_frames())
+@example(((0.2 + 0.1j, -0.3, 0.45j), 1.0, 40))  # order 3, no zero at 0
+def test_the_dual_frame_pairs_with_the_beta_frame(case):
+    zeros, alpha, n_max = case
+    w = WeightSequence.bergman(alpha)
+    F = _held_frame(zeros, w, n_max)
+    Fd = replace(F, w=w.dual())
+    assume(Fd.tail("beta") < 1e-12)
+    X = F.matrix("beta")
+    Y = (Fd.matrix("beta").reshape(F.K, n_max + 1, F.m) @ frames._dual_map(F.product.zeros)).reshape(F.K, -1)
+    assert np.max(np.abs(X.conj().T @ Y - np.eye(X.shape[1]))) <= 1e-11
+
+
+@settings(max_examples=24, deadline=None, derandomize=True, database=None)
+@given(_bergman_frames())
+@example(((0, 0.5, -0.3 + 0.4j), 1.0, 50))
+def test_dual_band_extremes_interlace_the_truncated_frame(case):
+    # the dual band's Gram is the inverse of the Gram of all columns, cut to
+    # n <= n_max: the inverse of a Schur complement of the truncated Gram
+    zeros, alpha, n_max = case
+    w = WeightSequence.bergman(alpha)
+    F = _held_frame(zeros, w, n_max)
+    s_min, s_max = F.extremes()
+    assume(s_max**2 <= 1e4 * s_min**2)  # the Gram route gives c1 to about n*eps*c2
+    fit = frames._fit_gram(replace(F, w=w.dual()))
+    assert fit.trusted, (fit.residual, fit.tail, fit.bound)
+    band = frames._band_extremal(fit, w.dual(), n_max, frames._dual_map(F.product.zeros))
+    assume(band is not None)  # its error bound beyond the Gram route's
+    c1, c2, tail = band
+    assert c1 <= s_min**2 * (1 + 1e-9)
+    assert c2 <= s_max**2 * (1 + 1e-9)
+    assert tail == fit.tail
+
+
+def test_an_untrusted_dual_fit_falls_back():
+    # at K = 256 the dual frame's columns n <= 17 leave a beta-tail of about 20
+    F = frames.build_frame(BlaschkeProduct((0, 0.9)), BERGMAN, 40, 256)
+    fit = frames._fit_gram(replace(F, w=BERGMAN.dual()))
+    assert fit.tail**2 > fit.bound and not fit.trusted
+    rep = frames.riesz_bounds(F, max_doublings=1)
+    assert rep.stability["path"] == "truncated"
+    assert rep.stability["fit_residual"] == fit.residual
     assert rep.stability["ladder"][0]["c1"] == float(F.extremes()[0] ** 2)
 
 
