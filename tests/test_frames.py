@@ -278,25 +278,32 @@ POLYNOMIAL_WEIGHTS = ["hardy", "polygrowth:M=1", "polygrowth:M=2", "reciprocal:b
 
 
 @st.composite
-def _polynomial_frames(draw):
+def _frames(draw, weights):
+    """(zeros, weight, n_max): order 1-3, zeros at most 0.6 and 0.1 apart, n_max <= 100."""
     order = draw(st.integers(1, 3))
     zeros = tuple(
         draw(st.floats(0.0, 0.6)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
         for _ in range(order)
     )
     assume(all(abs(a - b) >= 0.1 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
-    return zeros, draw(st.sampled_from(POLYNOMIAL_WEIGHTS)), draw(st.integers(1, 100))
+    return zeros, draw(st.sampled_from(weights)), draw(st.integers(1, 100))
+
+
+def _held_frame(zeros, w, n_max):
+    """The frame of columns n <= n_max whose beta-tail is below 1e-12."""
+    F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
+    while F.tail("beta") >= 1e-12:
+        F = F.rebuild(n_max, 2 * F.K)
+    return F
 
 
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-@given(_polynomial_frames())
+@given(_frames(POLYNOMIAL_WEIGHTS))
 @example(((0.45 - 0.3j,), "polygrowth:M=2", 60))  # an order-1 frame with its kernel point
 def test_band_extremes_match_the_truncated_frame(case):
     zeros, wid, n_max = case
     w = parse_weight_id(wid)
-    F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
-    while F.tail("beta") >= 1e-12:
-        F = F.rebuild(n_max, 2 * F.K)
+    F = _held_frame(zeros, w, n_max)
     s_min, s_max = F.extremes()
     # the Gram route gives c1 to about n*eps*c2 absolute
     assume(s_max**2 <= 1e4 * s_min**2)
@@ -325,31 +332,14 @@ def test_riesz_stays_truncated_without_a_polynomial_beta_square(wid):
         assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
 
 
-@st.composite
-def _bergman_frames(draw):
-    order = draw(st.integers(1, 3))
-    zeros = tuple(
-        draw(st.floats(0.0, 0.6)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
-        for _ in range(order)
-    )
-    assume(all(abs(a - b) >= 0.1 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
-    return zeros, draw(st.sampled_from([0.5, 1.0, 1.5])), draw(st.integers(1, 100))
-
-
-def _held_frame(zeros, w, n_max):
-    """The frame of columns n <= n_max whose beta-tail is below 1e-12."""
-    F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
-    while F.tail("beta") >= 1e-12:
-        F = F.rebuild(n_max, 2 * F.K)
-    return F
+BERGMAN_DUAL_WEIGHTS = [WeightSequence.bergman(a) for a in (0.5, 1.0, 1.5)]
 
 
 @settings(max_examples=12, deadline=None, derandomize=True, database=None)
-@given(_bergman_frames())
-@example(((0.2 + 0.1j, -0.3, 0.45j), 1.0, 40))  # order 3, no zero at 0
+@given(_frames(BERGMAN_DUAL_WEIGHTS))
+@example(((0.2 + 0.1j, -0.3, 0.45j), BERGMAN, 40))  # order 3, no zero at 0
 def test_the_dual_frame_pairs_with_the_beta_frame(case):
-    zeros, alpha, n_max = case
-    w = WeightSequence.bergman(alpha)
+    zeros, w, n_max = case
     F = _held_frame(zeros, w, n_max)
     Fd = replace(F, w=w.dual())
     assume(Fd.tail("beta") < 1e-12)
@@ -359,13 +349,12 @@ def test_the_dual_frame_pairs_with_the_beta_frame(case):
 
 
 @settings(max_examples=24, deadline=None, derandomize=True, database=None)
-@given(_bergman_frames())
-@example(((0, 0.5, -0.3 + 0.4j), 1.0, 50))
+@given(_frames(BERGMAN_DUAL_WEIGHTS))
+@example(((0, 0.5, -0.3 + 0.4j), BERGMAN, 50))
 def test_dual_band_extremes_interlace_the_truncated_frame(case):
     # the dual band's Gram is the inverse of the Gram of all columns, cut to
     # n <= n_max: the inverse of a Schur complement of the truncated Gram
-    zeros, alpha, n_max = case
-    w = WeightSequence.bergman(alpha)
+    zeros, w, n_max = case
     F = _held_frame(zeros, w, n_max)
     s_min, s_max = F.extremes()
     assume(s_max**2 <= 1e4 * s_min**2)  # the Gram route gives c1 to about n*eps*c2
