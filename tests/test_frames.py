@@ -259,6 +259,7 @@ def test_riesz_reports_the_tail_of_its_last_rung():
     assert (rep.K, rep.n_max) == (512, 100)
     assert rep.tail == frames.build_frame(B, w, 100, 512).tail("beta")
     assert rep.tail < 1e-3 * F.tail("beta")
+    # with 2*alpha an integer, 1/beta_k**2 is a polynomial: the dual band
     F = frames.build_frame(B, BERGMAN, 50, 256)
     assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
 
@@ -326,10 +327,6 @@ def test_riesz_stays_truncated_without_a_polynomial_beta_square(wid):
     assert rep.stability["path"] == "truncated"
     assert rep.stability["fit_residual"] is None
     assert rep.stability["ladder"][0]["c1"] == float(F.extremes()[0] ** 2)
-    if wid.startswith("bergman"):
-        # with 2*alpha an integer, 1/beta_k**2 is a polynomial: the dual band
-        F = frames.build_frame(BlaschkeProduct(ZEROS[2]), BERGMAN, 20, 128)
-        assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
 
 
 BERGMAN_DUAL_WEIGHTS = [WeightSequence.bergman(a) for a in (0.5, 1.0, 1.5)]
