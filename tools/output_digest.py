@@ -37,9 +37,12 @@ no earlier entry reaches (5 commands, ``OPTION_COVER``), and the three
 largest resolution (4 commands, the last ``INDEX_MAP_CAP``), and the
 ``sum``, ``prod``, ``scale`` and ``star`` forms (4 commands, ``SPEC_FORMS``),
 and the Bergman Riesz ladders of order 1, 2 and 4, conjugated and at three
-alphas (5 commands, ``BERGMAN_RIESZ``), appended so that the ``c<k>`` labels
-of the earlier commands stay put.  A whole run of the 106 commands took about
-60 s on a 2-core machine.
+alphas (5 commands, ``BERGMAN_RIESZ``), and the inputs whose frame layout
+depends on which disk automorphism precomposes the product (6 commands,
+``FRAME_LAYOUT``), appended so that the ``c<k>`` labels of the earlier
+commands stay put.  A ``null`` in a ``result.json`` is printed as ``nan`` (no
+output holds a NaN), so that a value that goes from ``null`` to a number is a
+move.  A whole run of the 112 commands took about 70 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -130,6 +133,33 @@ BERGMAN_RIESZ = [
 ]
 
 
+# Douglas intertwiners of order-2 products without a zero at 0 (clustered
+# off-centre, off the real axis, symmetric, and with one zero far from the
+# others), similar on the nested input against itself, and jordan on the
+# order-3 side of the unequal verdict-pairs pair at two full-turn rotations
+FRAME_LAYOUT = [
+    ["douglas", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.8, 0.85)"],
+    ["douglas", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.7, 0.75i)"],
+    ["douglas", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; -0.5, 0.5)"],
+    ["similar", "--weights", "bergman:alpha=1", "--f1", NESTED, "--f2", NESTED],
+]
+
+
+def unequal_order3(workloads, angle):
+    """g o B for the order-3 side of verdict-pairs' unequal pair, rotated by ``angle``.
+
+    The zeros are drawn from the workload's family as ``verdict_pairs`` draws
+    them: five order-2 sets, then this one."""
+    import numpy as np
+
+    family = np.random.default_rng(20240613)
+    for _ in range(5):
+        workloads._criterion09_zeros(family, 2)
+    zeros = workloads._criterion09_zeros(family, 3)
+    B = workloads.blaschke_text(*workloads.rotate_blaschke(zeros, angle))
+    return f"compose({workloads.poly_text(workloads.G_CUBIC)}, {B})"
+
+
 def commands():
     sys.path.insert(0, str(ROOT / "perfbench"))
     import workloads
@@ -139,18 +169,22 @@ def commands():
         for make in (workloads.decompose_fuzz, workloads.verdict_pairs, workloads.riesz_ladder):
             cmds.extend(op.argv for op in make(seed))
     index_maps = [op.argv for op in workloads.index_map(1)] + [INDEX_MAP_CAP]
+    rotated = [["jordan", "--weights", "bergman:alpha=1", "--fn", unequal_order3(workloads, angle)]
+               for angle in (0.0, math.pi / 2)]
     return (cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
-            + BERGMAN_RIESZ)
+            + BERGMAN_RIESZ + FRAME_LAYOUT + rotated)
 
 
 def numbers(value, path=""):
-    """``(path, number)`` for every int or float leaf of a JSON value."""
+    """``(path, number)`` for every int or float leaf of a JSON value, nan for null."""
     if isinstance(value, dict):
         for key, item in value.items():
             yield from numbers(item, f"{path}.{key}" if path else key)
     elif isinstance(value, list):
         for i, item in enumerate(value):
             yield from numbers(item, f"{path}[{i}]")
+    elif value is None:
+        yield path, math.nan
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
         yield path, value
 
