@@ -1,9 +1,9 @@
 """Kernel-direction frames, Gram matrices and Riesz bounds.
 
-For a finite Blaschke product B with distinct zeros ``z_1..z_m`` (``z_1 = 0``
-for order >= 2; order-1 families keep their kernel point), the frame columns
-are the vectors ``B^n(z) / (1 - conj(z_j) z)`` laid out with column index
-``n*m + j``.  The coefficients come from the exact rational recursion
+For a finite Blaschke product B with distinct zeros ``z_1..z_m`` (B itself or
+a precomposition that brings them nearer 0, :func:`_normalize_product`), the
+frame columns are the vectors ``B^n(z) / (1 - conj(z_j) z)`` laid out with
+column index ``n*m + j``.  The coefficients come from the exact rational recursion
 ``B^{n+1} = (P/Q) B^n`` and one banded solve per kernel factor
 (:func:`series.rational`).  Three normalizations of the same Taylor
 coefficient block are exposed:
@@ -56,6 +56,9 @@ __all__ = [
 ]
 
 _DISTINCT_TOL = 1e-8
+# a precomposition must lower the largest zero modulus by more than this,
+# relative (well above roundoff), so that a laid-out product stays as it is
+_LAYOUT_GAIN = 1e-12
 _TAIL_PAD = 64
 # a frame whose beta-tail is above this does not hold its columns in its K
 # rows, so its extremes say nothing about the untruncated ones
@@ -83,7 +86,7 @@ class FrameMatrix:
     ``taylor`` has ``K + pad`` rows (coefficient indices 0..K-1 plus a tail
     pad that only feeds the truncation diagnostics), matching the K x K
     operator truncation.  ``conjugator`` records the Moebius
-    precomposition applied when the supplied product had no zero at 0.
+    precomposition that laid out ``product`` (None when it is the supplied one).
     """
 
     product: BlaschkeProduct
@@ -93,7 +96,6 @@ class FrameMatrix:
     taylor: np.ndarray
     pad: int
     conjugator: MoebiusTransform | None = None
-    source: BlaschkeProduct | None = None
     _extremes: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
@@ -171,8 +173,8 @@ class FrameMatrix:
         return self._extremes
 
     def rebuild(self, n_max, K):
-        base = self.source if self.source is not None else self.product
-        return build_frame(base, self.w, n_max, K)
+        # build_frame keeps the laid-out ``product`` as it is
+        return replace(build_frame(self.product, self.w, n_max, K), conjugator=self.conjugator)
 
 
 def _gram_band(G):
@@ -196,7 +198,14 @@ def _gram_band(G):
 
 
 def _normalize_product(B):
-    """Move a zero to the origin by Moebius precomposition when needed."""
+    """B, or B o psi_k when that lowers the largest zero modulus, and psi_k or None.
+
+    psi_k swaps 0 and z_k, for the k whose moved zeros psi_k(z_i) (in B's
+    order) have the lowest largest modulus.  The rule reads the zero set
+    alone, so no order or rotation of the zeros changes the layout, and it
+    keeps a laid-out product.  Order 1 keeps its kernel point (the duality
+    layout).
+    """
     zeros = np.array(B.zeros, dtype=complex)
     m = zeros.size
     if m == 0:
@@ -208,24 +217,18 @@ def _normalize_product(B):
                     f"repeated zeros {zeros[i]} ~ {zeros[j]}: the frame layout "
                     "needs distinct zeros; perturb the product and retry"
                 )
-    k0 = int(np.argmin(np.abs(zeros)))
-    if abs(zeros[k0]) <= 1e-9:
-        order = [k0] + [i for i in range(m) if i != k0]
-        return BlaschkeProduct(tuple(zeros[order]), B.theta), None
     if m == 1:
-        # order-1 kernel family keeps its kernel point (the duality layout)
         return B, None
-    psi = MoebiusTransform(zeros[0])
-    moved = sorted(
-        (complex(eval_blaschke(psi, z)) for z in zeros),
-        key=lambda z: (abs(z), z.real, z.imag),
-    )
-    phase_probe = 0.37 + 0.21j
-    cand = BlaschkeProduct(tuple(moved), 0.0)
-    ratio = eval_blaschke(B, eval_blaschke(psi, phase_probe)) / eval_blaschke(
-        cand, phase_probe
-    )
-    return BlaschkeProduct(tuple(moved), float(np.angle(ratio))), psi
+    # moved[k, i] = psi_k(z_i) = (z_k - z_i)/(1 - conj(z_k) z_i)
+    moved = (zeros[:, None] - zeros) / (1.0 - zeros[:, None].conj() * zeros)
+    radii = np.max(np.abs(moved), axis=1)
+    k = int(np.argmin(radii))
+    if radii[k] >= (1.0 - _LAYOUT_GAIN) * np.max(np.abs(zeros)):
+        return B, None
+    psi, probe = MoebiusTransform(zeros[k]), 0.37 + 0.21j
+    cand = BlaschkeProduct(tuple(moved[k]))
+    ratio = eval_blaschke(B, eval_blaschke(psi, probe)) / eval_blaschke(cand, probe)
+    return replace(cand, theta=float(np.angle(ratio))), psi
 
 
 def _flush(a):
@@ -241,10 +244,9 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     pad`` coefficients.  The powers are made ``_BUILD_CHUNK`` at a time, and
     each kernel factor 1/(1 - conj(z_j) z) is one banded solve over a chunk,
     written straight into the frame block.  Entries below ``_FLUSH`` in the
-    powers and the columns are set to 0.  Zeros must be distinct.  For
-    order >= 2 without a zero at the origin the product is precomposed with
-    the automorphism swapping 0 and its first zero (recorded in
-    ``conjugator``); order-1 families are kept as supplied.
+    powers and the columns are set to 0.  Zeros must be distinct.  The
+    product is laid out by :func:`_normalize_product` (its precomposition,
+    if any, recorded in ``conjugator``).
     """
     if n_max < 0 or K < 8:
         raise ValueError("need n_max >= 0 and K >= 8")
@@ -266,10 +268,7 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
         cols = slice(m * c, m * (c + powers.shape[0]))
         for j, zj in enumerate(Bn.zeros):
             X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
-    return FrameMatrix(
-        product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad,
-        conjugator=conj_psi, source=B,
-    )
+    return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad, conjugator=conj_psi)
 
 
 @dataclass

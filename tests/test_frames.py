@@ -154,10 +154,15 @@ def test_build_frame_rejects_repeated_zeros():
 
 
 def test_build_frame_normalizes_missing_origin():
-    B = BlaschkeProduct((0.4, -0.2))
+    # the automorphism swapping 0 and 0.8 moves the zeros to 0 and 0.156
+    B = BlaschkeProduct((0.8, 0.85))
     F = frames.build_frame(B, HARDY, 4, 64)
     assert F.conjugator is not None
-    assert any(abs(z) < 1e-12 for z in F.product.zeros)
+    assert np.abs(F.product.zeros) == pytest.approx([0.0, 0.05 / 0.32], abs=1e-12)
+    # (0.4, -0.2): every swap moves a zero to 0.5, above the product's own 0.4
+    kept = frames.build_frame(BlaschkeProduct((0.4, -0.2)), HARDY, 4, 64)
+    assert kept.conjugator is None
+    assert kept.product.zeros == (0.4, -0.2)
     # the normalized product is the original precomposed with the conjugator
     from bundlelab.blaschke import eval_blaschke
 
@@ -167,15 +172,16 @@ def test_build_frame_normalizes_missing_origin():
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
-@pytest.mark.parametrize("zeros", [*ZEROS.values(), (0.4, -0.2)],
-                         ids=["order1", "order2", "order3", "no-zero-at-0"])
+@pytest.mark.parametrize("zeros", [*ZEROS.values(), (0.4, -0.2), (0.8, 0.85)],
+                         ids=["order1", "order2", "order3", "no-zero-at-0", "conjugated"])
 @pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "polygrowth:M=2"])
 def test_times_matches_dense_multiplication(wid, zeros):
     w = parse_weight_id(wid)
-    F = frames.build_frame(BlaschkeProduct(zeros), w, 20, 128)
+    B = BlaschkeProduct(zeros)
+    F = frames.build_frame(B, w, 20, 128)
     # g o B, precomposed with the conjugator as jordan does when there is one
     g = funcspec.PolySpec((0, 1, 0, 2))
-    spec = funcspec.ComposeSpec(g, F.source)
+    spec = funcspec.ComposeSpec(g, B)
     if F.conjugator is not None:
         spec = funcspec.ComposeSpec(spec, F.conjugator)
     M = operators.mult_matrix(series.taylor(spec, F.K - 1), w, F.K)
@@ -499,6 +505,37 @@ def test_derivative_power_norms_dominate_bound():
         for N in range(1, 6):
             lhs = frames.moebius_derivative_power_norm(t, N)
             assert lhs >= frames.derivative_power_lower_bound(t, N)
+
+
+@st.composite
+def _layout_products(draw):
+    """Order 2-5, zeros in |z| <= 0.95, some of them clustered near modulus 0.8."""
+    order = draw(st.integers(2, 5))
+    clustered = draw(st.integers(0, order))
+    center = 0.8 * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+    offset = st.floats(-0.1, 0.1)
+    zeros = [center + complex(draw(offset), draw(offset)) for _ in range(clustered)]
+    zeros += [draw(st.floats(0.0, 0.95)) * np.exp(1j * draw(st.floats(0.0, 2.0 * np.pi)))
+              for _ in range(order - clustered)]
+    assume(all(abs(a - b) >= 1e-6 for i, a in enumerate(zeros) for b in zeros[i + 1 :]))
+    return zeros, draw(st.permutations(range(order))), draw(st.floats(0.0, 2.0 * np.pi))
+
+
+def _largest_modulus(F):
+    return float(np.max(np.abs(F.product.zeros)))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_layout_products())
+def test_frame_layout_lowers_the_largest_zero_modulus_whatever_the_zero_order(case):
+    zeros, perm, angle = case
+    F = frames.build_frame(BlaschkeProduct(zeros), HARDY, 1, 16)
+    assert _largest_modulus(F) <= np.max(np.abs(zeros)) + 1e-12
+    moved = np.exp(1j * angle) * np.asarray(zeros)[perm]
+    Fm = frames.build_frame(BlaschkeProduct(moved, -len(zeros) * angle), HARDY, 1, 16)
+    assert _largest_modulus(Fm) == pytest.approx(_largest_modulus(F), abs=1e-12)
+    again = frames.build_frame(F.product, HARDY, 1, 16)
+    assert again.conjugator is None and again.product == F.product
 
 
 def test_moebius_frame_keeps_kernel_point():
