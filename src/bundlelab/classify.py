@@ -103,7 +103,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     while True:
         Fd = F.rebuild(n_max, 2 * F.K)
         # only a rung that holds its columns, or the last one, can end the ladder
-        if F.tail("beta") < frames.TAIL_BAR or F.K >= _K_CAP:
+        if F.tail() < frames.TAIL_BAR or F.K >= _K_CAP:
             s_min, s_max = F.extremes()
             cond = float(s_max / s_min)
             sd_min, sd_max = Fd.extremes()

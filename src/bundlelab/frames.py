@@ -137,10 +137,10 @@ class FrameMatrix:
         A *= cscale
         return A
 
-    def tail(self, normalization="beta"):
-        """Max column norm carried by the pad rows at and beyond K."""
+    def tail(self):
+        """Max column norm of ``matrix("beta")`` carried by the pad rows at and beyond K."""
         rows = self.K + self.pad
-        rscale, cscale = self._scales(normalization, rows)
+        rscale, cscale = self._scales("beta", rows)
         block = self.taylor[self.K :] * rscale[self.K :, None] * cscale[None, :]
         return float(np.max(np.linalg.norm(block, axis=0))) if block.size else 0.0
 
@@ -328,7 +328,7 @@ def _truncated_extremal(F, K, n_max):
     """(c1, c2, tail) of the K-row frame of F's product with columns n <= n_max."""
     G = F if (K, n_max) == (F.K, F.n_max) else F.rebuild(n_max, K)
     s_min, s_max = G.extremes()
-    return float(s_min**2), float(s_max**2), G.tail("beta")
+    return float(s_min**2), float(s_max**2), G.tail()
 
 
 def _cheb(ns, lo, hi, d):
@@ -430,7 +430,7 @@ def _fit_gram(F):
         d=d, m=m, head=Y[: d + 1], coef=pinv @ flat, pinv=pinv,
         scale=np.max(norms[fit_n], axis=1) ** 2, lo=lo, hi=hi,
         residual=float(max(np.max(misfit / envelope), np.max(dropped))),
-        tail=sub.tail("beta"), bound=(src.K + 2) * np.finfo(float).eps,
+        tail=sub.tail(), bound=(src.K + 2) * np.finfo(float).eps,
     )
 
 

@@ -114,8 +114,8 @@ def _root_count(f, omega, radius):
     return len(fiber_roots(R, radius))
 
 
-def winding_index(spec, omega, radius=COUNT_RADIUS):
-    """Zeros of spec - omega inside |z| < radius, doubly computed.
+def winding_index(spec, omega):
+    """Zeros of spec - omega inside |z| < COUNT_RADIUS, doubly computed.
 
     The argument-principle path and the companion-matrix root count must
     agree; disagreement (sampling too coarse, or omega pathologically close
@@ -123,8 +123,8 @@ def winding_index(spec, omega, radius=COUNT_RADIUS):
     """
     f = RationalFunction.from_spec(spec)
     omega = complex(omega)
-    n_arg = _argument_winding(f, omega, radius)
-    n_root = _root_count(f, omega, radius)
+    n_arg = _argument_winding(f, omega, COUNT_RADIUS)
+    n_root = _root_count(f, omega, COUNT_RADIUS)
     if n_arg != n_root:
         raise WindingError(
             f"index cross-check disagreement at {omega}: "

@@ -61,7 +61,7 @@ def test_douglas_takes_no_extremes_of_a_rung_that_cannot_end_its_ladder(monkeypa
     # a zero at 0.8: at K = 512 its columns leave a beta-tail of 8e-2 in the
     # pad rows, so that rung cannot end the ladder
     B = BlaschkeProduct((0, 0.8))
-    assert frames.build_frame(B, BERGMAN, 60, 512).tail("beta") >= frames.TAIL_BAR
+    assert frames.build_frame(B, BERGMAN, 60, 512).tail() >= frames.TAIL_BAR
     seen = []
     extremes = frames.FrameMatrix.extremes
 
@@ -306,7 +306,7 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     # but for the intertwiner's first rung: its beta-tail is above the bar, so
     # it cannot end the ladder
     first = build_frame(res.inner, BERGMAN, *built[0])
-    assert first.tail("beta") >= frames.TAIL_BAR
+    assert first.tail() >= frames.TAIL_BAR
     assert len(grams) == len(built) - 1, (len(grams), built)
     assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
     assert len(svds) == len(set(svds)), "a frame's SVD was taken twice"

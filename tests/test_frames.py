@@ -263,8 +263,8 @@ def test_riesz_reports_the_tail_of_its_last_rung():
     rep = frames.riesz_bounds(F, max_doublings=1)
     assert rep.stability["path"] == "truncated"
     assert (rep.K, rep.n_max) == (512, 100)
-    assert rep.tail == frames.build_frame(B, w, 100, 512).tail("beta")
-    assert rep.tail < 1e-3 * F.tail("beta")
+    assert rep.tail == frames.build_frame(B, w, 100, 512).tail()
+    assert rep.tail < 1e-3 * F.tail()
     # with 2*alpha an integer, 1/beta_k**2 is a polynomial: the dual band
     F = frames.build_frame(B, BERGMAN, 50, 256)
     assert frames.riesz_bounds(F, max_doublings=1).stability["path"] == "band"
@@ -277,8 +277,8 @@ def test_band_riesz_reports_the_tail_of_the_columns_its_fit_read():
     rep = frames.riesz_bounds(F)
     assert rep.stability["path"] == "band"
     assert (rep.K, rep.n_max) == (512, 100)
-    assert rep.tail == frames.build_frame(B, HARDY, 5, 256).tail("beta")
-    assert rep.tail < 1e-50 < F.tail("beta")
+    assert rep.tail == frames.build_frame(B, HARDY, 5, 256).tail()
+    assert rep.tail < 1e-50 < F.tail()
 
 
 POLYNOMIAL_WEIGHTS = ["hardy", "polygrowth:M=1", "polygrowth:M=2", "reciprocal:bergman:alpha=1"]
@@ -299,7 +299,7 @@ def _frames(draw, weights):
 def _held_frame(zeros, w, n_max):
     """The frame of columns n <= n_max whose beta-tail is below 1e-12."""
     F = frames.build_frame(BlaschkeProduct(zeros), w, n_max, 8 * (n_max + 1))
-    while F.tail("beta") >= 1e-12:
+    while F.tail() >= 1e-12:
         F = F.rebuild(n_max, 2 * F.K)
     return F
 
@@ -345,7 +345,7 @@ def test_the_dual_frame_pairs_with_the_beta_frame(case):
     zeros, w, n_max = case
     F = _held_frame(zeros, w, n_max)
     Fd = replace(F, w=w.dual())
-    assume(Fd.tail("beta") < 1e-12)
+    assume(Fd.tail() < 1e-12)
     X = F.matrix("beta")
     Y = (Fd.matrix("beta").reshape(F.K, n_max + 1, F.m) @ frames._dual_map(F.product.zeros)).reshape(F.K, -1)
     assert np.max(np.abs(X.conj().T @ Y - np.eye(X.shape[1]))) <= 1e-11
@@ -410,7 +410,7 @@ def test_a_fit_from_columns_with_a_large_tail_falls_back():
     assert fit.tail**2 > fit.bound and not fit.trusted
     rep = frames.riesz_bounds(F, max_doublings=1)
     assert rep.stability["path"] == "truncated"
-    assert rep.tail == F.rebuild(80, 128).tail("beta")
+    assert rep.tail == F.rebuild(80, 128).tail()
 
 
 def test_a_band_whose_extrapolation_error_is_too_large_falls_back():
