@@ -3,8 +3,8 @@
 For a finite Blaschke product B with distinct zeros ``z_1..z_m`` (B itself or
 a precomposition that brings them nearer 0, :func:`_normalize_product`), the
 frame columns are the vectors ``B^n(z) / (1 - conj(z_j) z)`` laid out with
-column index ``n*m + j``.  The coefficients come from the exact rational recursion
-``B^{n+1} = (P/Q) B^n`` and one banded solve per kernel factor
+column index ``n*m + j``.  The coefficients come from the exact rational
+recursion ``B^{n+1} = (P/Q) B^n`` and one banded solve per kernel factor
 (:func:`series.rational`).  Three normalizations of the same Taylor
 coefficient block are exposed:
 
