@@ -42,7 +42,7 @@ depends on which disk automorphism precomposes the product (6 commands,
 ``FRAME_LAYOUT``), appended so that the ``c<k>`` labels of the earlier
 commands stay put.  A ``null`` in a ``result.json`` is printed as ``nan`` (no
 output holds a NaN), so that a value that goes from ``null`` to a number is a
-move.  A whole run of the 112 commands took about 70 s on a 2-core machine.
+move.  A whole run of the 112 commands took about 40 s on a 2-core machine.
 """
 
 from __future__ import annotations
