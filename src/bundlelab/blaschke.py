@@ -208,40 +208,34 @@ def _lex_key(z):
     return (round(z.real / 1e-9), round(z.imag / 1e-9))
 
 
-class _UnionFind:
-    """Disjoint sets over 0..n-1: union links root to root, find halves paths."""
+def _groups(points, tol):
+    """Indices of the points linked by chains of pairs i < j with
+    |p_i - p_j| <= tol max(1, |p_i|), each group ascending, the groups in
+    order of their first member."""
+    pts = list(points)
+    parent = list(range(len(pts)))
 
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
         return x
 
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-
-    def groups(self):
-        """Members of each set, sets in order of their first member."""
-        out = {}
-        for i in range(len(self.parent)):
-            out.setdefault(self.find(i), []).append(i)
-        return list(out.values())
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if abs(pts[i] - pts[j]) <= tol * max(1.0, abs(pts[i])):
+                ri, rj = find(i), find(j)
+                parent[ri] = rj
+    out = {}
+    for i in range(len(pts)):
+        out.setdefault(find(i), []).append(i)
+    return list(out.values())
 
 
 def _cluster(points, tol=_CLUSTER_TOL):
     """Group points within tol; returns (centroid, size) pairs."""
     pts = list(points)
-    uf = _UnionFind(len(pts))
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            if abs(pts[i] - pts[j]) <= tol * max(1.0, abs(pts[i])):
-                uf.union(i, j)
-    return [(complex(np.mean([pts[k] for k in g])), len(g)) for g in uf.groups()]
+    return [(complex(np.mean([pts[k] for k in g])), len(g)) for g in _groups(pts, tol)]
 
 
 def with_multiplicity(points, tol=_CLUSTER_TOL):

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import frames, funcspec, monodromy, operators, series
-from .blaschke import BlaschkeProduct, MoebiusTransform, fiber_roots
+from .blaschke import MoebiusTransform, fiber_roots
 from .errors import BundleLabError, DomainError, FiberError
 from .funcspec import ComposeSpec, RationalFunction
 from .weights import POLYNOMIAL
@@ -140,9 +140,6 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
 class JordanResult:
     """Maximal factorization plus the intertwiner evidence for the inner part."""
 
-    m: int
-    outer: object  # RationalFunction, or the original spec when m == 1
-    inner: BlaschkeProduct
     decomposition: monodromy.Decomposition
     certificate: SimilarityCertificate | None
     direct_residual: float
@@ -162,8 +159,7 @@ def jordan(spec, w, K=512, attach_riesz=True):
     dec = monodromy.decompose(spec)
     if dec.m == 1:
         return JordanResult(
-            m=1, outer=dec.outer, inner=dec.inner, decomposition=dec,
-            certificate=None, direct_residual=0.0, checked_columns=0,
+            decomposition=dec, certificate=None, direct_residual=0.0, checked_columns=0,
         )
     h = dec.outer
     L = monodromy.outer_taylor(h).size
@@ -186,8 +182,7 @@ def jordan(spec, w, K=512, attach_riesz=True):
     R -= XH.transpose(0, 2, 1).reshape(K, ncheck)
     direct = float(np.max(np.abs(R))) if ncheck else float("nan")
     return JordanResult(
-        m=dec.m, outer=h, inner=dec.inner, decomposition=dec,
-        certificate=cert, direct_residual=direct,
+        decomposition=dec, certificate=cert, direct_residual=direct,
         checked_columns=ncheck,
     )
 
@@ -202,7 +197,6 @@ class MoebiusMatch:
 
     transform: MoebiusTransform
     residual: float
-    candidates: list = field(default_factory=list)
 
 
 def _identity(g1, g2, theta, z0):
@@ -278,11 +272,11 @@ def moebius_match(g1, g2):
     _MATCH_TOL times E's roundoff envelope only cannot be told from a match.
     g1, g2 are specs or RationalFunctions (an outer factor of decompose is one).
 
-    Returns the best passing candidate, or None when there is none and the
-    search was complete.  It is incomplete when a preimage lies at or beyond
-    radius _Z0_LIMIT, a critical point has order above 2, or a fit holds
-    within roundoff only; then, with no passing candidate, FiberError names
-    every such seed instead.
+    Returns the match of the first passing seed of least residual, or None
+    when no seed passes and the search was complete.  It is incomplete when a
+    preimage lies at or beyond radius _Z0_LIMIT, a critical point has order
+    above 2, or a fit holds within roundoff only; then, with no passing seed,
+    FiberError names every such seed instead.
     """
     g1, g2 = (RationalFunction.from_spec(g) for g in (g1, g2))
     v0 = complex(g2.value(0.0))
@@ -312,27 +306,12 @@ def moebius_match(g1, g2):
         elif envelope_res < _MATCH_TOL:
             skipped.append(f"phi with z0 {zz:.6g} fits only within the roundoff of "
                            f"g1 o phi (residual {res:.3g})")
-    passing.sort(key=lambda c: c[0])
     if not passing:
         if skipped:
             raise FiberError("; ".join(skipped))
         return None
-    deduped = []
-    for res, th, zz in passing:
-        if all(
-            abs(zz - q[2]) > 1e-6 or abs((th - q[1] + np.pi) % (2 * np.pi) - np.pi) > 1e-6
-            for q in deduped
-        ):
-            deduped.append((res, th, zz))
-    best = deduped[0]
-    return MoebiusMatch(
-        transform=MoebiusTransform(best[2], best[1]),
-        residual=best[0],
-        candidates=[
-            {"theta": th, "z0": [zz.real, zz.imag], "residual": res}
-            for res, th, zz in deduped
-        ],
-    )
+    res, th, zz = min(passing, key=lambda c: c[0])
+    return MoebiusMatch(transform=MoebiusTransform(zz, th), residual=res)
 
 
 # -- verdicts ---------------------------------------------------------------
@@ -367,13 +346,14 @@ def similar(h1, h2, w, K=512):
         j2 = jordan(h2, w, K=K, attach_riesz=False)
     except BundleLabError as exc:
         return Verdict("inconclusive", f"jordan pipeline failed: {exc}")
+    d1, d2 = j1.decomposition, j2.decomposition
     evidence = {
-        "m1": j1.m,
-        "m2": j2.m,
-        "outer1": j1.decomposition.outer_dict(),
-        "outer2": j2.decomposition.outer_dict(),
-        "residual1": j1.decomposition.residual,
-        "residual2": j2.decomposition.residual,
+        "m1": d1.m,
+        "m2": d2.m,
+        "outer1": d1.outer_dict(),
+        "outer2": d2.outer_dict(),
+        "residual1": d1.residual,
+        "residual2": d2.residual,
         "certificate1": j1.certificate.to_dict() if j1.certificate else None,
         "certificate2": j2.certificate.to_dict() if j2.certificate else None,
     }
@@ -383,12 +363,12 @@ def similar(h1, h2, w, K=512):
                 "inconclusive", f"{name} failed (frame degeneration or "
                 "unstable conditioning)", evidence,
             )
-    if j1.m != j2.m:
+    if d1.m != d2.m:
         return Verdict("not_similar", "order mismatch", evidence)
     # an incomplete search in one direction still leaves the other to try
     match, incomplete = None, []
-    for search, g1, g2 in ((moebius_match, j1.outer, j2.outer),
-                           (_reverse_match, j2.outer, j1.outer)):
+    for search, g1, g2 in ((moebius_match, d1.outer, d2.outer),
+                           (_reverse_match, d2.outer, d1.outer)):
         try:
             match = search(g1, g2)
         except BundleLabError as exc:
@@ -415,11 +395,7 @@ def _reverse_match(g2, g1):
     m = moebius_match(g2, g1)
     if m is None:
         return None
-    return MoebiusMatch(
-        transform=moebius_inverse(m.transform),
-        residual=m.residual,
-        candidates=m.candidates,
-    )
+    return MoebiusMatch(transform=moebius_inverse(m.transform), residual=m.residual)
 
 
 def kaplansky(h1, h2, w, K=512):
@@ -488,7 +464,7 @@ def counterexample_probe(t, w, n_max=400):
     conds = []
     for N in (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max):
         K = max(512, 4 * N)
-        F = frames.build_frame(MoebiusTransform(t), w, N, K, pad=0)
+        F = frames.build_frame(MoebiusTransform(t), w, N, K)
         s_min, s_max = F.extremes()
         cond = float(s_max / s_min) if s_min > 0 else float("inf")
         conds.append(cond)

@@ -258,17 +258,18 @@ def _cmd_decompose(out, fn):
 
 def _cmd_jordan(out, weights, fn, trunc):
     j = classify.jordan(fn, weights, K=trunc)
+    m = j.decomposition.m
     result = {
-        "m": j.m,
+        "m": m,
         "direct_residual": None if np.isnan(j.direct_residual) else j.direct_residual,
         "checked_columns": j.checked_columns,
         "decomposition": j.decomposition.to_dict(),
         "certificate": j.certificate.to_dict() if j.certificate else None,
     }
     return result, 0, (
-        f"jordan: m = {j.m}, direct residual "
+        f"jordan: m = {m}, direct residual "
         f"{j.direct_residual if j.checked_columns else 0.0:.3e}, "
-        f"certificate {'accepted' if j.certificate and j.certificate.accepted else 'trivial' if j.m == 1 else 'failed'}"
+        f"certificate {'accepted' if j.certificate and j.certificate.accepted else 'trivial' if m == 1 else 'failed'}"
     ), ()
 
 

@@ -75,7 +75,7 @@ _GRAM_RATIO = 1e-8
 # break even there for n = 150..1602 (n = 1602: b = 100 took 1.6 s, dense 1.7 s)
 _BAND_CROSSOVER = 16
 # build_frame makes this many powers at a time, so that its temporaries stay
-# at (K + pad) x 64 entries next to the frame block
+# at (K + _TAIL_PAD) x 64 entries next to the frame block
 _BUILD_CHUNK = 64
 
 
@@ -237,11 +237,11 @@ def _flush(a):
     return a
 
 
-def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
+def build_frame(B, w, n_max, K):
     """Frame columns B^n(z)/(1 - conj(z_j) z) by exact rational recursion.
 
     With B = P/Q, each power is ``B^{n+1} = rational(P, Q, B^n)`` on ``K +
-    pad`` coefficients.  The powers are made ``_BUILD_CHUNK`` at a time, and
+    _TAIL_PAD`` coefficients.  The powers are made ``_BUILD_CHUNK`` at a time, and
     each kernel factor 1/(1 - conj(z_j) z) is one banded solve over a chunk,
     written straight into the frame block.  Entries below ``_FLUSH`` in the
     powers and the columns are set to 0.  Zeros must be distinct.  The
@@ -253,7 +253,7 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
     if B.order * max(n_max, 1) > 8 * K:
         raise DomainError("truncation overflow: n_max*order is too large for K")
     Bn, conj_psi = _normalize_product(B)
-    rows = K + pad
+    rows = K + _TAIL_PAD
     m = Bn.order
     P, Q = funcspec.to_rational(Bn)
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
@@ -268,13 +268,12 @@ def build_frame(B, w, n_max, K, pad=_TAIL_PAD):
         cols = slice(m * c, m * (c + powers.shape[0]))
         for j, zj in enumerate(Bn.zeros):
             X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
-    return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=pad, conjugator=conj_psi)
+    return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=_TAIL_PAD, conjugator=conj_psi)
 
 
 @dataclass
 class GramResult:
     matrix: np.ndarray
-    normalization: str
     column_tails: np.ndarray
 
 
@@ -295,7 +294,7 @@ def gram(F, normalization="raw"):
     for k in range(G.shape[0] - 1):
         G[k + 1 :, k] = G[k, k + 1 :].conj()
     G += 0.0  # the conjugation turns zero imaginary parts into -0; print them as 0
-    return GramResult(G, normalization, tails)
+    return GramResult(G, tails)
 
 
 @dataclass
@@ -580,7 +579,6 @@ def riesz_bounds(F, max_doublings=4):
 class KernelMatrixResult:
     matrix: np.ndarray
     inverse: np.ndarray
-    cond: float
     min_singular_value: float
 
 
@@ -602,14 +600,12 @@ def kernel_matrix(points):
         )
     lu, piv = lu_factor(A)
     inv = lu_solve((lu, piv), np.eye(m, dtype=complex))
-    return KernelMatrixResult(A, inv, float(s[0] / s[-1]), float(s[-1]))
+    return KernelMatrixResult(A, inv, float(s[-1]))
 
 
 @dataclass
 class IdentityCheckReport:
     max_dev: float
-    n_max: int
-    K: int
     scale: float = 1.0
 
 
@@ -642,7 +638,7 @@ def cpb_check(B, w, n_max, K):
     rhs_cols = bprime_powers * (d_row * w_row * betas)[:, None] / betas[ns]
     G_l = lhs_cols.conj().T @ lhs_cols
     G_r = rhs_cols.conj().T @ rhs_cols
-    return IdentityCheckReport(float(np.max(np.abs(G_l - G_r))), n_max, K)
+    return IdentityCheckReport(float(np.max(np.abs(G_l - G_r))))
 
 
 def moebius_duality_check(z0, w, n_max, K):
@@ -656,12 +652,12 @@ def moebius_duality_check(z0, w, n_max, K):
     """
     if abs(z0) >= 1:
         raise DomainError("the automorphism parameter must lie inside the disk")
-    F = build_frame(MoebiusTransform(z0), w, n_max, K, pad=0)
+    F = build_frame(MoebiusTransform(z0), w, n_max, K)
     M1 = F.matrix("beta-inv")
     M2 = F.matrix("beta")
     scale = 1.0 / (1.0 - abs(z0) ** 2)
     dev = np.abs(M1.conj().T @ M2 - scale * np.eye(n_max + 1))
-    return IdentityCheckReport(float(np.max(dev)), n_max, K, scale=scale)
+    return IdentityCheckReport(float(np.max(dev)), scale=scale)
 
 
 def column_norm_profile(z0, w, n_max):

@@ -31,13 +31,12 @@ import numpy as np
 from numpy.polynomial import polynomial as npoly
 
 from . import geometry, series
-from .blaschke import BlaschkeProduct, _cluster, _lex_key, _UnionFind
+from .blaschke import BlaschkeProduct, _cluster, _groups, _lex_key
 from .blaschke import fiber_roots, with_multiplicity
 from .errors import FiberError
 from .funcspec import RationalFunction, spec_to_text
 
 __all__ = [
-    "Fiber",
     "Decomposition",
     "base_fiber",
     "inner_factor_from_block",
@@ -52,25 +51,13 @@ _RESIDUAL_TOL = 1e-8
 _TEST_POINTS = 200  # held-out points of the residual certificate
 
 
-@dataclass(frozen=True)
-class Fiber:
-    """Ordered distinct preimages of a base value."""
-
-    base: complex
-    points: tuple
-
-    @property
-    def size(self):
-        return len(self.points)
-
-
 def identity_blaschke():
     """The automorphism that is literally z (zero at 0, phase pi)."""
     return BlaschkeProduct((0.0,), np.pi)
 
 
 def base_fiber(spec, omega0):
-    """Distinct fiber points over omega0, validated against the winding index.
+    """Tuple of the distinct fiber points over omega0, checked against the index.
 
     The count must match the argument-principle/root-count index, and the
     points must be separated by more than 1e-6 (otherwise omega0 sits too
@@ -90,7 +77,7 @@ def base_fiber(spec, omega0):
             f"fiber points at {omega0} are closer than {_MIN_SEPARATION}; "
             "choose a base point farther from the branch values"
         )
-    return Fiber(complex(omega0), tuple(pts))
+    return tuple(pts)
 
 
 def _clustered_branch_values(spec):
@@ -136,7 +123,7 @@ def inner_factor_from_block(fiber, block):
     product differs from that factor only by a disk automorphism of the
     target, which the outer factor absorbs.
     """
-    return BlaschkeProduct(tuple(fiber.points[i] for i in block), 0.0)
+    return BlaschkeProduct(tuple(fiber[i] for i in block), 0.0)
 
 
 def outer_factor(f, zeros, degree):
@@ -201,12 +188,9 @@ _LEVEL_TOL = 1e-6
 
 def _level_sets(fiber, block):
     """The fiber partitioned by the values of the block's inner factor."""
-    vals = inner_factor_from_block(fiber, block)(np.array(fiber.points))
-    uf = _UnionFind(fiber.size)
-    for i, j in combinations(range(fiber.size), 2):
-        if abs(vals[i] - vals[j]) <= _LEVEL_TOL:
-            uf.union(i, j)
-    return tuple(sorted(tuple(g) for g in uf.groups()))
+    vals = inner_factor_from_block(fiber, block)(np.array(fiber))
+    # the values lie in the disk, where _groups' tolerance is absolute
+    return tuple(sorted(tuple(g) for g in _groups(vals, _LEVEL_TOL)))
 
 
 def _reduced_degree(f, fiber_size, zs, fz):
@@ -238,8 +222,8 @@ def _block_partitions(f, degree, fiber, d, zs, fz):
     """
     if degree % d:
         return []
-    pts = np.array(fiber.points)
-    blocks = [(0,) + rest for rest in combinations(range(1, fiber.size), d - 1)]
+    pts = np.array(fiber)
+    blocks = [(0,) + rest for rest in combinations(range(1, len(fiber)), d - 1)]
     partitions = set()
     for start in range(0, len(blocks), _CHUNK):
         chunk = blocks[start:start + _CHUNK]
@@ -287,10 +271,9 @@ class Decomposition:
     m: int
     residual: float
     base_point: complex
-    fiber: Fiber
+    fiber: tuple
     branch_values: list
     candidates_tried: int
-    outer_index: int
     test_points: int
     certificate: str
     block_score: float | None = None  # sigma_min / sigma_max of the outer solve
@@ -373,7 +356,7 @@ def decompose(spec, omega0=None):
             )
     cert = _certificate_id(spec, omega0)
     fiber = base_fiber(f, omega0)
-    n = fiber.size
+    n = len(fiber)
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")
     zs = _held_out_points(_TEST_POINTS)
@@ -395,7 +378,7 @@ def decompose(spec, omega0=None):
             # any block works (they differ by a target automorphism); the one
             # with the smallest zero moduli gives the best-conditioned factor
             block = min(
-                partition, key=lambda b: max(abs(fiber.points[i]) for i in b)
+                partition, key=lambda b: max(abs(fiber[i]) for i in b)
             )
             bhat = inner_factor_from_block(fiber, block)
             zeros = np.array([bhat.zeros])
@@ -411,7 +394,6 @@ def decompose(spec, omega0=None):
                     fiber=fiber,
                     branch_values=bvs,
                     candidates_tried=tried,
-                    outer_index=n // d,
                     test_points=_TEST_POINTS,
                     certificate=cert,
                     block_score=float(score[0]),
@@ -430,7 +412,6 @@ def decompose(spec, omega0=None):
         fiber=fiber,
         branch_values=bvs,
         candidates_tried=tried,
-        outer_index=n,
         test_points=0,
         certificate=cert,
     )

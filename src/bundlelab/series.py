@@ -24,7 +24,6 @@ __all__ = [
     "rational",
     "taylor",
     "multiply",
-    "evaluate",
     "inner",
     "norm",
 ]
@@ -46,9 +45,6 @@ class PowerSeries:
     @property
     def K(self):
         return self.coeffs.size - 1
-
-    def __len__(self):
-        return self.coeffs.size
 
     def __repr__(self):
         head = ", ".join(f"{c:.4g}" for c in self.coeffs[:4])
@@ -106,15 +102,6 @@ def multiply(f, g):
     """Cauchy product truncated at min(K_f, K_g)."""
     n = min(f.K, g.K) + 1
     return PowerSeries(np.convolve(f.coeffs, g.coeffs)[:n])
-
-
-def evaluate(f, z):
-    """Horner evaluation of the truncated polynomial, |z| <= 1."""
-    z = np.asarray(z, dtype=complex)
-    if np.any(np.abs(z) > 1.0 + 1e-12):
-        raise DomainError("series evaluation is only meaningful for |z| <= 1")
-    out = np.polyval(f.coeffs[::-1], z)
-    return out if out.shape else complex(out)
 
 
 def inner(f, g, w):

@@ -166,24 +166,10 @@ class WeightSequence:
 
     # -- accessors ---------------------------------------------------------
 
-    def w(self, k):
-        """Weight w_k, k >= 1."""
-        if k < 1:
-            raise ValueError("weight indices start at 1")
-        self._ensure(k)
-        return float(np.exp(self._logw[k - 1]))
-
     def weights(self, K):
         """Array [w_1, ..., w_K]."""
         self._ensure(K)
         return np.exp(self._logw[:K])
-
-    def beta(self, k):
-        """beta_k = prod_{i<=k} w_i with beta_0 = 1."""
-        if k < 0:
-            raise ValueError("beta indices start at 0")
-        self._ensure(k)
-        return float(np.exp(self._logbeta[k]))
 
     def betas(self, K):
         """Array [beta_0, ..., beta_K]."""

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from bundlelab.blaschke import (
     BlaschkeProduct,
+    _groups,
     MoebiusTransform,
     compose_blaschke,
     critical_points,
@@ -214,6 +215,24 @@ def test_fiber_roots_find_chosen_roots(case):
     for z in doubles:
         near = [w for w in grouped if abs(w - z) < 1e-5]
         assert len(near) == 2 and near[0] == near[1]
+
+
+def test_groups_join_a_chain_whose_ends_are_beyond_the_tolerance():
+    # 0 ~ 0.6e-8 ~ 1.2e-8, though |0 - 1.2e-8| > 1e-8
+    assert _groups([0.0, 0.6e-8, 1.2e-8], 1e-8) == [[0, 1, 2]]
+    assert _groups([0.0, 1.2e-8], 1e-8) == [[0], [1]]
+
+
+def test_groups_scale_the_tolerance_with_the_modulus():
+    # within 1e-8 max(1, |p_i|): 5e-7 apart is near at modulus 100, far at 0
+    assert _groups([100.0, 100.0 + 5e-7], 1e-8) == [[0, 1]]
+    assert _groups([0.0, 5e-7], 1e-8) == [[0], [1]]
+
+
+def test_groups_come_in_order_of_their_first_member():
+    assert _groups([1.0, 0.0, 1.0, 5.0, 0.0], 1e-8) == [[0, 2], [1, 4], [3]]
+    # a late point that links two groups joins them where the first one stood
+    assert _groups([0.0, 3.0, 1.6e-8, 0.8e-8], 1e-8) == [[0, 2, 3], [1]]
 
 
 @_PROPERTY

@@ -128,8 +128,7 @@ def test_moebius_match_identity_among_solutions():
     m = classify.moebius_match(PolySpec((0, 0, 1)), PolySpec((0, 0, 1)))
     assert m is not None
     # phi(z) = e^{i pi}(0 - z) is the identity; phi(z) = -z also matches z^2
-    ids = [c for c in m.candidates if abs(c["theta"] - np.pi) < 1e-6]
-    assert ids and abs(complex(*c["z0"]) if (c := ids[0])["z0"] else 0) < 1e-8
+    assert abs(m.transform.z0) < 1e-8 and m.residual < 1e-8
 
 
 def test_moebius_match_recovers_parameters():
@@ -159,7 +158,7 @@ def test_moebius_match_functional_identity():
 
 def test_jordan_trivial_for_indecomposable():
     j = classify.jordan(G, BERGMAN, attach_riesz=False)
-    assert j.m == 1
+    assert j.decomposition.m == 1
     assert j.certificate is None
     assert j.direct_residual == 0.0
 
@@ -167,7 +166,7 @@ def test_jordan_trivial_for_indecomposable():
 def test_jordan_composite():
     f = ComposeSpec(G, BlaschkeProduct((0, 0.4)))
     j = classify.jordan(f, BERGMAN, attach_riesz=False)
-    assert j.m == 2
+    assert j.decomposition.m == 2
     assert j.certificate.accepted
     assert j.direct_residual < 1e-8
     assert j.checked_columns > 0
@@ -177,9 +176,9 @@ def test_jordan_pure_blaschke_on_hardy():
     # an order-2 product decomposes fully: trivial (Moebius) outer part
     B = BlaschkeProduct((0, 0.4), np.pi)
     j = classify.jordan(B, HARDY, attach_riesz=False)
-    assert j.m == 2
-    assert j.outer.degree == 1  # Moebius outer
-    assert monodromy.outer_taylor(j.outer).size < 60
+    assert j.decomposition.m == 2
+    assert j.decomposition.outer.degree == 1  # Moebius outer
+    assert monodromy.outer_taylor(j.decomposition.outer).size < 60
     assert j.direct_residual < 1e-10
     assert j.certificate.accepted
 
@@ -300,12 +299,12 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
     monkeypatch.setattr(frames, "zherk", counting_zherk)
     monkeypatch.setattr(frames, "svdvals", counting_svdvals)
     res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.8))), BERGMAN)
-    assert res.m == 2 and res.certificate.accepted
+    assert res.decomposition.m == 2 and res.certificate.accepted
     assert len(built) == len(set(built)), f"a frame was built twice: {built}"
     # every frame built gets its extremes, from its Gram matrix, exactly once,
     # but for the intertwiner's first rung: its beta-tail is above the bar, so
     # it cannot end the ladder
-    first = build_frame(res.inner, BERGMAN, *built[0])
+    first = build_frame(res.decomposition.inner, BERGMAN, *built[0])
     assert first.tail() >= frames.TAIL_BAR
     assert len(grams) == len(built) - 1, (len(grams), built)
     assert len(grams) == len(set(grams)), "a frame's Gram matrix was formed twice"
@@ -316,7 +315,7 @@ def test_intertwiner_residuals_match_dense_formulas():
     # the README pair, against the K x K products the residuals stand for
     for spec in _pair((0, 0.4), (0.2, -0.5)):
         res = classify.jordan(spec, BERGMAN, attach_riesz=False)
-        F, m, n_max = res.certificate.frame, res.m, res.certificate.n_max
+        F, m, n_max = res.certificate.frame, res.decomposition.m, res.certificate.n_max
         X = F.matrix("beta")
         MB = operators.mult_matrix(
             series.taylor(F.product, F.K - 1), BERGMAN, F.K)
@@ -330,7 +329,8 @@ def test_intertwiner_residuals_match_dense_formulas():
         Mf = operators.mult_matrix(series.taylor(inner, F.K - 1), BERGMAN, F.K)
         impulse = np.eye(1, n_max + 1, dtype=complex)[0]
         Mh = operators.mult_matrix(series.PowerSeries(
-            series.rational(res.outer.P, res.outer.Q, impulse)), BERGMAN, n_max + 1)
+            series.rational(res.decomposition.outer.P, res.decomposition.outer.Q, impulse)),
+            BERGMAN, n_max + 1)
         R = Mf @ X - X @ np.kron(Mh, np.eye(m))
         direct = np.max(np.abs(R[:, : res.checked_columns]))
         assert res.certificate.residual == pytest.approx(douglas, abs=1e-12)
@@ -351,7 +351,7 @@ def test_intertwiners_form_no_matrix_beyond_the_outer_block(monkeypatch):
     )
     assert cert.accepted and sizes == []
     res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.4))), BERGMAN)
-    assert res.m == 2 and res.certificate.accepted
+    assert res.decomposition.m == 2 and res.certificate.accepted
     assert sizes and max(sizes) <= res.certificate.n_max + 1, sizes
 
 

@@ -40,7 +40,7 @@ def test_frame_column_against_series_oracle():
     b = series.taylor(B, 63)
     kernel = series.poly_series([1], 63)  # kernel direction at the zero 0
     col_ser = series.multiply(b, kernel)
-    expect = col_ser.coeffs * BERGMAN.betas(63) / BERGMAN.beta(1)
+    expect = col_ser.coeffs * BERGMAN.betas(63) / BERGMAN.betas(1)[1]
     got = F.matrix("beta")[:, 1 * 2 + 0]
     assert np.allclose(got, expect, atol=1e-13)
 
@@ -99,7 +99,7 @@ def test_extremes_match_svdvals(monkeypatch, w):
 def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
     calls = []
     monkeypatch.setattr(frames, "svdvals", lambda A: calls.append(1) or svdvals(A))
-    F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 60, 384, pad=0)
+    F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 60, 384)
     s = svdvals(F.matrix("beta"))
     assert s[0] / s[-1] > 1e4
     assert F.extremes() == (s[-1], s[0])

@@ -5,7 +5,13 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bundlelab import classify, funcspec, monodromy, schemas
-from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, compose_blaschke, eval_blaschke
+from bundlelab.blaschke import (
+    BlaschkeProduct,
+    MoebiusTransform,
+    compose_blaschke,
+    eval_blaschke,
+    solve_fiber,
+)
 from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
     ComposeSpec,
@@ -20,18 +26,18 @@ INNER = BlaschkeProduct((0, 0.4), np.pi)  # literally z * (0.4-z)/(1-0.4z)
 
 def test_base_fiber_square_roots():
     fib = monodromy.base_fiber(PolySpec((0, 0, 1)), 0.25)
-    assert fib.points == (-0.5, 0.5)
+    assert fib == (-0.5, 0.5)
 
 
 def test_base_fiber_constructed_roots():
     fib = monodromy.base_fiber(PolySpec((2, 1, 1)), 1.66)
-    assert np.allclose(fib.points, [-0.5 - 0.3j, -0.5 + 0.3j], atol=1e-12)
+    assert np.allclose(fib, [-0.5 - 0.3j, -0.5 + 0.3j], atol=1e-12)
 
 
 def test_base_fiber_composite_count():
     f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
-    assert fib.size == 6
+    assert len(fib) == 6
 
 
 def test_base_fiber_rejects_branch_value():
@@ -54,27 +60,36 @@ def test_block_systems_four_cycle():
     assert len(blocks) == 2
     # blocks must pair opposite fiber points {z, -z}
     for block in blocks:
-        a, b = (fib.points[i] for i in block)
+        a, b = (fib[i] for i in block)
         assert abs(a + b) < 1e-9
 
 
 def test_block_search_on_six_points():
     f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
-    assert fib.size == 6
+    assert len(fib) == 6
     assert _surviving(f, 0.05, 3) == []
     (partition,) = _surviving(f, 0.05, 2)
     # the surviving blocks are the level sets of the inner factor
     for block in partition:
-        a, b = (INNER(fib.points[i]) for i in block)
+        a, b = (INNER(fib[i]) for i in block)
         assert abs(a - b) < 1e-9
+
+
+def test_level_sets_are_those_of_the_inner_factor():
+    # the fiber of B over 0, 0.3i and -0.2+0.1i, interleaved; the block
+    # (0, 3) is B's zero set {0, 0.4}, so its inner factor is B itself
+    B = BlaschkeProduct((0, 0.4))
+    over = [solve_fiber(B, v) for v in (0.0, 0.3j, -0.2 + 0.1j)]
+    fiber = tuple(pts[k] for k in range(2) for pts in over)
+    assert monodromy._level_sets(fiber, (0, 3)) == ((0, 3), (1, 4), (2, 5))
 
 
 def test_block_system_trivial_group_single_point():
     from bundlelab.blaschke import MoebiusTransform
 
     spec = MoebiusTransform(0.4)
-    assert monodromy.base_fiber(spec, 0.1).size == 1
+    assert len(monodromy.base_fiber(spec, 0.1)) == 1
     dec = monodromy.decompose(spec, 0.1)
     assert dec.m == 1 and dec.candidates_tried == 0
 
@@ -88,7 +103,7 @@ def test_singleton_block_gives_moebius():
 
 def test_block_systems_primitive_cubic():
     fib = monodromy.base_fiber(G_CUBIC, 0.05)
-    assert fib.size == 3
+    assert len(fib) == 3
     assert _surviving(G_CUBIC, 0.05, 2) == []
 
 
@@ -117,9 +132,9 @@ def test_outer_factor_square_trivial():
 def test_outer_factor_solves_a_stack_like_single_blocks():
     f = ComposeSpec(G_CUBIC, INNER)
     fib = monodromy.base_fiber(f, 0.05)
-    zeros = np.array([[fib.points[0], fib.points[j]] for j in range(1, fib.size)])
+    zeros = np.array([[fib[0], fib[j]] for j in range(1, len(fib))])
     A, C, score = monodromy.outer_factor(f, zeros, 6)
-    assert A.shape == C.shape == (fib.size - 1, 4) and np.all(C[:, 0] == 1.0)
+    assert A.shape == C.shape == (len(fib) - 1, 4) and np.all(C[:, 0] == 1.0)
     for s, row in enumerate(zeros):
         a1, c1, s1 = monodromy.outer_factor(f, [row], 6)
         assert np.allclose(a1[0], A[s], atol=1e-12) and np.allclose(c1[0], C[s], atol=1e-12)
@@ -131,8 +146,8 @@ def test_block_scores_separate_the_level_set_block():
     # its score sits at roundoff and every other block's far above it
     f = RationalFunction.from_spec(ComposeSpec(G_CUBIC, INNER))
     fib = monodromy.base_fiber(f, 0.05)
-    pts = np.array(fib.points)
-    zeros = np.array([[pts[0], pts[j]] for j in range(1, fib.size)])
+    pts = np.array(fib)
+    zeros = np.array([[pts[0], pts[j]] for j in range(1, len(fib))])
     A, C, score = monodromy.outer_factor(f, zeros, 6)
     zs = monodromy._held_out_points(200)
     residual = monodromy._residuals(f.value(zs), zs, zeros, A, C)
@@ -147,7 +162,7 @@ def test_outer_factor_rejects_primitive():
     # degree-1 null vector of the solve does not reproduce f
     f = RationalFunction.from_spec(G_CUBIC)
     fib = monodromy.base_fiber(G_CUBIC, 0.05)
-    zeros = np.array([fib.points])
+    zeros = np.array([fib])
     A, C, score = monodromy.outer_factor(f, zeros, 3)
     zs = monodromy._held_out_points(200)
     assert monodromy._residuals(f.value(zs), zs, zeros, A, C)[0] > 1e-3
@@ -190,8 +205,7 @@ def test_decompose_composite_round_trip():
     dec = monodromy.decompose(f)
     assert dec.m == 2
     assert dec.residual < 1e-8
-    assert dec.outer_index == 3
-    assert dec.m * dec.outer_index == dec.fiber.size
+    assert len(dec.fiber) == 6 and dec.outer.degree == 3
 
 
 def test_decompose_order_bookkeeping_against_winding():
@@ -199,7 +213,8 @@ def test_decompose_order_bookkeeping_against_winding():
 
     f = ComposeSpec(G_CUBIC, INNER)
     dec = monodromy.decompose(f)
-    assert geometry.winding_index(f, dec.base_point) == dec.m * dec.outer_index
+    index = geometry.winding_index(f, dec.base_point)
+    assert index == dec.m * geometry.winding_index(dec.outer, dec.base_point)
 
 
 def test_decompose_indecomposable():
@@ -360,7 +375,7 @@ def test_decompose_finds_the_inner_factor_of_a_fiber_near_the_circle(a):
     # the base fiber of f(0) has a point within 0.003 of the circle
     f = ComposeSpec(ComposeSpec(G_CUBIC, INNER), MoebiusTransform(a))
     dec = monodromy.decompose(f)
-    assert max(abs(p) for p in dec.fiber.points) > 0.99
+    assert max(abs(p) for p in dec.fiber) > 0.99
     assert dec.m == 2 and dec.residual < 1e-8
 
 

@@ -6,7 +6,7 @@ from bundlelab import verify
 
 
 @pytest.mark.parametrize(
-    "name,fn", verify.all_checks(), ids=[n for n, _ in verify.all_checks()]
+    "name,fn", verify.ALL_CHECKS, ids=[n for n, _ in verify.ALL_CHECKS]
 )
 def test_invariant_check(name, fn):
     ok, info = fn()

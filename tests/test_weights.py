@@ -13,19 +13,19 @@ from bundlelab.weights import (
 
 
 def test_beta_hardy_trivial():
-    assert WeightSequence.hardy().beta(7) == 1.0
+    assert WeightSequence.hardy().betas(7)[7] == 1.0
 
 
 def test_beta_bergman_first_weight():
     # direct product of w_j = sqrt((j+1)/(j+2a+1)) at a=1, k=1
-    assert WeightSequence.bergman(1).beta(1) == pytest.approx(
+    assert WeightSequence.bergman(1).betas(1)[1] == pytest.approx(
         math.sqrt(2.0 / 4.0), rel=1e-14
     )
 
 
 def test_beta_nln_first_weight():
     expected = 1.5 * math.exp(math.log(4.0) ** 2 - math.log(3.0) ** 2)
-    assert WeightSequence.nln().beta(1) == pytest.approx(expected, rel=1e-13)
+    assert WeightSequence.nln().betas(1)[1] == pytest.approx(expected, rel=1e-13)
 
 
 def test_beta_multiplicative_per_step():
@@ -42,16 +42,16 @@ def test_beta_multiplicative_per_step():
 def test_beta_log_space_survives_large_indices():
     # intermediate growth exceeds any polynomial but must stay representable
     w = WeightSequence.nln()
-    big = w.beta(200_000)
+    big = w.betas(200_000)[200_000]
     assert np.isfinite(big) and big > 1e60
-    assert np.isfinite(w.dual().beta(200_000))
+    assert np.isfinite(w.dual().betas(200_000)[200_000])
 
 
 def test_explicit_list_validation_and_exhaustion():
     w = WeightSequence.explicit([2.0, 0.5, 1.25])
-    assert w.beta(3) == pytest.approx(2.0 * 0.5 * 1.25)
+    assert w.betas(3)[3] == pytest.approx(2.0 * 0.5 * 1.25)
     with pytest.raises(TruncationRangeError):
-        w.beta(4)
+        w.betas(4)
     with pytest.raises(ValueError):
         WeightSequence.explicit([1.0, -0.5])
 
@@ -76,7 +76,7 @@ def test_growth_classify_nln_intermediate():
     assert rep.classification == "intermediate"
     assert rep.certified
     k = 10**4
-    probe = (k + 1) * (w.w(k) - 1.0)
+    probe = (k + 1) * (w.weights(k)[k - 1] - 1.0)
     # the probe tracks log(k+3) + log(k+2) + 1
     assert probe == pytest.approx(math.log(k + 3) + math.log(k + 2) + 1.0, rel=2e-3)
     assert rep.tail_trend > 1.0
@@ -94,9 +94,9 @@ def test_growth_probe_requires_min_horizon():
 
 
 def test_dual_weights_examples():
-    assert WeightSequence.hardy().dual().w(5) == 1.0
+    assert WeightSequence.hardy().dual().weights(5)[4] == 1.0
     d = WeightSequence.bergman(1).dual()
-    assert d.w(1) == pytest.approx(math.sqrt(2.0), rel=1e-14)
+    assert d.weights(1)[0] == pytest.approx(math.sqrt(2.0), rel=1e-14)
 
 
 def test_dual_weights_involution():
