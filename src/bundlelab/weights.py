@@ -156,13 +156,12 @@ class WeightSequence:
                         f"explicit weight list has {self._values.size} entries, "
                         f"index {K} requested"
                     )
-            block = self._log_w_block(have + 1, target)
-            logw = np.concatenate([self._logw, block])
-            logbeta = np.concatenate(
-                [self._logbeta, self._logbeta[-1] + np.cumsum(block)]
-            )
+            logw = np.concatenate([self._logw, self._log_w_block(have + 1, target)])
+            # one cumsum over all of logw, so that no value depends on the
+            # chunks earlier calls asked for; _logw last, as readers outside
+            # the lock check only its size
+            self._logbeta = np.concatenate([[0.0], np.cumsum(logw)])
             self._logw = logw
-            self._logbeta = logbeta
 
     # -- accessors ---------------------------------------------------------
 

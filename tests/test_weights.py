@@ -190,3 +190,18 @@ def test_beta_sq_degree_is_the_degree_of_beta_square(wid, degree):
         b2 = w.betas(40) ** 2
         assert np.max(np.abs(np.diff(b2, degree + 1))) <= 1e-12 * np.max(b2)
         assert np.min(np.abs(np.diff(b2, degree))) > 1e-9 * np.max(b2)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: WeightSequence.bergman(1),
+    WeightSequence.nln,
+    lambda: WeightSequence.polygrowth(2),
+    lambda: WeightSequence.bergman(1).dual(),
+], ids=["bergman", "nln", "polygrowth", "reciprocal"])
+def test_cached_betas_do_not_depend_on_earlier_calls(make):
+    w = make()
+    for K in (10, 1500, 2100, 5000):
+        w.log_betas(K)
+    fresh = make()
+    assert np.array_equal(w.log_betas(5000), fresh.log_betas(5000))
+    assert np.array_equal(w.weights(5000), fresh.weights(5000))
