@@ -48,7 +48,8 @@ class SimilarityCertificate:
     interior columns (every power below n_max); ``cond`` comes from the
     extremal singular values of the truncated deformation X and must be
     stable under doubling the row truncation.  ``frame`` is the
-    beta-normalized frame X was taken from; it is not serialized.
+    beta-normalized frame X was taken from; of it only the zero of its
+    ``conjugator`` is serialized.
     """
 
     residual: float
@@ -73,6 +74,7 @@ class SimilarityCertificate:
             "order": self.order,
             "accepted": self.accepted,
             "riesz": self.riesz.to_dict() if self.riesz else None,
+            "conjugator": self.frame.conjugator_zero() if self.frame else None,
         }
 
 

@@ -196,6 +196,7 @@ def _cmd_gram(out, weights, blaschke, n_max, trunc, normalization, csv):
         "shape": list(G.matrix.shape),
         "hermitian_dev": herm,
         "max_tail": float(np.max(G.column_tails)) if G.column_tails.size else 0.0,
+        "conjugator": F.conjugator_zero(),
     }
     artifacts = []
     if csv == "yes":
@@ -212,8 +213,9 @@ def _cmd_gram(out, weights, blaschke, n_max, trunc, normalization, csv):
 def _cmd_riesz(out, weights, blaschke, n_max, trunc):
     _progress(f"building frame for {weights.id}, order {blaschke.order}, "
               f"n_max {n_max}, K {trunc}")
-    rep = frames.riesz_bounds(frames.build_frame(blaschke, weights, n_max, trunc))
-    return rep.to_dict(), 0, (
+    F = frames.build_frame(blaschke, weights, n_max, trunc)
+    rep = frames.riesz_bounds(F)
+    return {**rep.to_dict(), "conjugator": F.conjugator_zero()}, 0, (
         f"riesz {weights.id}: c1 {rep.c1:.6g}, c2 {rep.c2:.6g}, cond {rep.cond:.4g}, "
         f"verdict {rep.verdict}"
     ), ()

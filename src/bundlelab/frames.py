@@ -172,6 +172,13 @@ class FrameMatrix:
                 self._extremes = (s[-1], s[0])
         return self._extremes
 
+    def conjugator_zero(self):
+        """``[re, im]`` of the zero z_k whose swap psi_k laid the frame out, or None."""
+        if self.conjugator is None:
+            return None
+        z = self.conjugator.z0
+        return [z.real, z.imag]
+
     def rebuild(self, n_max, K):
         # build_frame keeps the laid-out ``product`` as it is
         return replace(build_frame(self.product, self.w, n_max, K), conjugator=self.conjugator)

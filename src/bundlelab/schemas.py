@@ -12,6 +12,8 @@ _COMPLEX_PAIR = {
     "minItems": 2,
     "maxItems": 2,
 }
+# the zero z_k whose swap psi_k laid a frame out, or null (see frames.build_frame)
+_CONJUGATOR = {"anyOf": [{"type": "null"}, _COMPLEX_PAIR]}
 
 GROWTH_REPORT = {
     "type": "object",
@@ -40,18 +42,20 @@ RIESZ_REPORT = {
         "tail": {"type": "number"},
         "stability": {"type": "object"},
         "verdict": {"enum": ["Riesz-consistent", "degenerating", "inconclusive"]},
+        "conjugator": _CONJUGATOR,  # the riesz command's, not a certificate's copy
     },
     "additionalProperties": False,
 }
 
 GRAM_RESULT = {
     "type": "object",
-    "required": ["normalization", "shape", "hermitian_dev", "max_tail"],
+    "required": ["normalization", "shape", "hermitian_dev", "max_tail", "conjugator"],
     "properties": {
         "normalization": {"enum": ["raw", "beta", "beta-inv"]},
         "shape": {"type": "array", "items": {"type": "integer"}},
         "hermitian_dev": {"type": "number"},
         "max_tail": {"type": "number"},
+        "conjugator": _CONJUGATOR,
         "csv": {"type": "string"},
     },
     "additionalProperties": False,
@@ -96,7 +100,7 @@ CERTIFICATE = {
     "type": "object",
     "required": [
         "residual", "cond", "cond_doubled", "cond_rel_change",
-        "K", "n_max", "order", "accepted",
+        "K", "n_max", "order", "accepted", "conjugator",
     ],
     "properties": {
         "residual": {"type": "number"},
@@ -108,6 +112,7 @@ CERTIFICATE = {
         "order": {"type": "integer"},
         "accepted": {"type": "boolean"},
         "riesz": {"anyOf": [{"type": "null"}, RIESZ_REPORT]},
+        "conjugator": _CONJUGATOR,
     },
     "additionalProperties": False,
 }

@@ -55,6 +55,24 @@ def test_gram_csv(tmp_path):
     assert env["result"]["hermitian_dev"] < 1e-12
 
 
+@pytest.mark.parametrize("blaschke,laid_out", [
+    ("blaschke(0; 0.2+0.1i, 0.3)", True),
+    ("blaschke(0; 0, 0.5)", False),
+])
+def test_riesz_and_gram_report_the_frame_conjugator(tmp_path, blaschke, laid_out):
+    for cmd in ("riesz", "gram"):
+        out = tmp_path / cmd
+        assert _run([cmd, "--weights", "bergman:alpha=1", "--blaschke", blaschke,
+                     "--n-max", "20", "--trunc", "128", "--csv", "no", "--out", str(out)]) == 0
+        env = _load(out)
+        _validate(env)
+        z = env["result"]["conjugator"]
+        if laid_out:
+            assert complex(*z) in (0.2 + 0.1j, 0.3)
+        else:
+            assert z is None
+
+
 def test_riesz_command(tmp_path):
     code = _run(["riesz", "--weights", "bergman:alpha=1",
                  "--blaschke", "blaschke(0;0,0.5)", "--n-max", "50",
