@@ -275,7 +275,8 @@ def build_frame(B, w, n_max, K):
         cols = slice(m * c, m * (c + powers.shape[0]))
         for j, zj in enumerate(Bn.zeros):
             X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
-    return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=_TAIL_PAD, conjugator=conj_psi)
+    return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=_TAIL_PAD,
+                       conjugator=conj_psi)
 
 
 @dataclass
