@@ -74,7 +74,7 @@ class SimilarityCertificate:
             "order": self.order,
             "accepted": self.accepted,
             "riesz": self.riesz.to_dict() if self.riesz else None,
-            "conjugator": self.frame.conjugator_zero() if self.frame else None,
+            "conjugator": self.frame.conjugator_zero(),
         }
 
 
