@@ -39,10 +39,13 @@ largest resolution (4 commands, the last ``INDEX_MAP_CAP``), and the
 and the Bergman Riesz ladders of order 1, 2 and 4, conjugated and at three
 alphas (5 commands, ``BERGMAN_RIESZ``), and the inputs whose frame layout
 depends on which disk automorphism precomposes the product (6 commands,
-``FRAME_LAYOUT``), appended so that the ``c<k>`` labels of the earlier
-commands stay put.  A ``null`` in a ``result.json`` is printed as ``nan`` (no
-output holds a NaN), so that a value that goes from ``null`` to a number is a
-move.  A whole run of the 112 commands took about 40 s on a 2-core machine.
+``FRAME_LAYOUT``), and the intertwiner certificates whose ladder stops at its
+row cap, one ``similar`` and one ``inconclusive``, and the README pair on the
+intermediate-growth preset (3 commands, ``CERTIFICATE_RUNGS``), appended so
+that the ``c<k>`` labels of the earlier commands stay put.  A ``null`` in a
+``result.json`` is printed as ``nan`` (no output holds a NaN), so that a value
+that goes from ``null`` to a number is a move.  A whole run of the 115
+commands took about 45 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -144,6 +147,17 @@ FRAME_LAYOUT = [
     ["similar", "--weights", "bergman:alpha=1", "--f1", NESTED, "--f2", NESTED],
 ]
 
+# the pair f o phi_a, f whose certificates climb to the row cap (K 2048) with
+# their columns not held: at the first a the cap's cond is stable under
+# doubling K, at the second it is not; then the README pair on nln weights
+CERTIFICATE_RUNGS = [
+    ["similar", "--weights", "bergman:alpha=1",
+     "--f1", f"compose({F1},moebius(0;0.04384472096353069+0.6629338069036286i))", "--f2", F1],
+    ["similar", "--weights", "bergman:alpha=1",
+     "--f1", f"compose({F1},moebius(0;0.044302833958292716+0.6746723632108435i))", "--f2", F1],
+    ["similar", "--weights", "nln", "--f1", F1, "--f2", F2],
+]
+
 
 def unequal_order3(workloads, angle):
     """g o B for the order-3 side of verdict-pairs' unequal pair, rotated by ``angle``.
@@ -172,7 +186,7 @@ def commands():
     rotated = [["jordan", "--weights", "bergman:alpha=1", "--fn", unequal_order3(workloads, angle)]
                for angle in (0.0, math.pi / 2)]
     return (cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
-            + BERGMAN_RIESZ + FRAME_LAYOUT + rotated)
+            + BERGMAN_RIESZ + FRAME_LAYOUT + rotated + CERTIFICATE_RUNGS)
 
 
 def numbers(value, path=""):
