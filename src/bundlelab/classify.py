@@ -85,7 +85,8 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     column, so the residual on the interior block (every power below n_max,
     hence n_max >= 1) is pure roundoff; the certificate is accepted when the
     residual is tiny, cond(X) is stable under doubling K, and the attached
-    Riesz report does not degenerate.  M_B X comes from the rational
+    Riesz report does not degenerate (with no report, when the weights are
+    certified polynomial growth).  M_B X comes from the rational
     recursion (:meth:`frames.FrameMatrix.times`) and X times the block shift
     is a column shift scaled by the weights, so no K x K matrix is formed.
     Zeros close to the circle slow the column decay, so the row truncation
@@ -119,10 +120,12 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
     residual = float(np.max(np.abs(R)))
     riesz = frames.riesz_bounds(F) if attach_riesz else None
+    # without a Riesz report only the growth class vouches for the frame
     accepted = (
         residual < 1e-8
         and rel < 0.05
-        and (riesz is None or riesz.verdict == "Riesz-consistent")
+        and (riesz.verdict == "Riesz-consistent" if riesz
+             else w.growth_certificate == POLYNOMIAL)
     )
     return SimilarityCertificate(
         residual=residual,
@@ -359,12 +362,13 @@ def similar(h1, h2, w, K=512):
         "certificate1": j1.certificate.to_dict() if j1.certificate else None,
         "certificate2": j2.certificate.to_dict() if j2.certificate else None,
     }
+    if w.growth_certificate == POLYNOMIAL:
+        why = "frame degeneration or unstable conditioning"
+    else:
+        why = f"weights {w.id} are of {w.growth_certificate or 'uncertified'} growth, not polynomial"
     for name, j in (("certificate1", j1), ("certificate2", j2)):
         if j.certificate is not None and not j.certificate.accepted:
-            return Verdict(
-                "inconclusive", f"{name} failed (frame degeneration or "
-                "unstable conditioning)", evidence,
-            )
+            return Verdict("inconclusive", f"{name} failed ({why})", evidence)
     if d1.m != d2.m:
         return Verdict("not_similar", "order mismatch", evidence)
     # an incomplete search in one direction still leaves the other to try

@@ -141,6 +141,22 @@ def test_similar_exit_codes(tmp_path):
     assert code2 == 1
 
 
+@pytest.mark.parametrize("wid", ["nln", "reciprocal:nln"])
+def test_similar_takes_no_certificate_on_intermediate_growth(tmp_path, wid):
+    # similar takes no Riesz report, so only the weights' growth class can
+    # vouch for a frame; here the certificates' cond is 1e6 and beyond
+    code = _run([
+        "similar", "--weights", wid,
+        "--f1", "compose(poly(0,1,0,2),blaschke(0;0,0.4))",
+        "--f2", "compose(poly(0,1,0,2),blaschke(0;0.2,-0.5))",
+        "--out", str(tmp_path),
+    ])
+    env = _load(tmp_path)
+    _validate(env)
+    assert code == 2, env["result"]
+    assert "intermediate growth" in env["result"]["reason"]
+
+
 def test_decompose_command(tmp_path):
     code = _run(["decompose", "--fn", "compose(poly(0,1,0,2),blaschke(0;0,0.4))",
                  "--out", str(tmp_path)])
