@@ -109,7 +109,7 @@ def default_base_point(f, curve, bvs):
                 continue
             if n >= 1 and (best is None or n > best[1]):
                 best = (cand, n)
-        if best is not None and delta > 0:
+        if best is not None:
             break
     if best is None:
         raise FiberError("no admissible base point found near f(0)")

@@ -217,6 +217,24 @@ def test_decompose_order_bookkeeping_against_winding():
     assert index == dec.m * geometry.winding_index(dec.outer, dec.base_point)
 
 
+def test_base_point_is_f0_when_it_is_admissible(monkeypatch):
+    # f(0) = 0 is clear of the curve and the branch values, so the base point
+    # takes its index once and base_fiber once more; no ring around f(0) is
+    # probed, as its points lie in f(0)'s component
+    from bundlelab import geometry
+
+    points = []
+    winding_index = geometry.winding_index
+
+    def counting(f, omega):
+        points.append(omega)
+        return winding_index(f, omega)
+
+    monkeypatch.setattr(geometry, "winding_index", counting)
+    dec = monodromy.decompose(G_CUBIC)
+    assert dec.base_point == 0 and points == [0, 0]
+
+
 def test_decompose_indecomposable():
     dec = monodromy.decompose(G_CUBIC)
     assert dec.m == 1
