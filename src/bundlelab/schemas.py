@@ -99,14 +99,14 @@ DECOMPOSITION = {
 CERTIFICATE = {
     "type": "object",
     "required": [
-        "residual", "cond", "cond_doubled", "cond_rel_change",
+        "residual", "cond", "cond_doubled", "tail",
         "K", "n_max", "order", "accepted", "conjugator",
     ],
     "properties": {
         "residual": {"type": "number"},
         "cond": {"type": "number"},
-        "cond_doubled": {"type": "number"},
-        "cond_rel_change": {"type": "number"},
+        "cond_doubled": {"type": ["number", "null"]},
+        "tail": {"type": "number", "minimum": 0},
         "K": {"type": "integer"},
         "n_max": {"type": "integer"},
         "order": {"type": "integer"},

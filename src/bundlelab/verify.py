@@ -356,10 +356,14 @@ def check_certificate_validity():
     cert = classify.douglas_intertwiner(
         BlaschkeProduct((0, 0.5)), w, K=256, n_max=40, attach_riesz=False
     )
-    ok = cert.accepted and cert.residual < 1e-10 and cert.cond_rel_change < 0.05
+    # the rung holds its columns, so cond must not move at 2K either
+    s_min, s_max = cert.frame.rebuild(cert.n_max, 2 * cert.K).extremes()
+    rel = abs(s_max / s_min - cert.cond) / (s_max / s_min)
+    ok = (cert.accepted and cert.residual < 1e-10 and cert.tail < frames.TAIL_BAR
+          and rel < 0.05)
     return ok, (
         f"residual {cert.residual:.2e}, cond {cert.cond:.3f} "
-        f"(rel change {cert.cond_rel_change:.2e})"
+        f"(rel change {rel:.2e}, tail {cert.tail:.1e})"
     )
 
 

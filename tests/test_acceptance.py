@@ -73,17 +73,20 @@ def test_criterion_03_douglas_intertwiner():
     cert = classify.douglas_intertwiner(
         BlaschkeProduct((0, 0.5)), BERGMAN1, K=512, n_max=100, attach_riesz=False
     )
+    s_min, s_max = cert.frame.rebuild(100, 1024).extremes()
+    rel = abs(s_max / s_min - cert.cond) / (s_max / s_min)
     elapsed = time.perf_counter() - t0
     ok = (
         cert.residual < 1e-10
         and cert.K == 512
-        and cert.cond_rel_change < 0.05
+        and cert.tail < frames.TAIL_BAR
+        and rel < 0.05
         and elapsed < 60.0
     )
     _report(
         3, ok,
         f"M_B X - X (sum M_z) residual {cert.residual:.2e}, cond {cert.cond:.3f} "
-        f"changes {cert.cond_rel_change * 100:.3g}% at K 512->1024, {elapsed:.1f}s",
+        f"changes {rel * 100:.3g}% at K 512->1024, {elapsed:.1f}s",
     )
 
 

@@ -223,7 +223,10 @@ def test_jordan_command(tmp_path):
     env = _load(tmp_path)
     _validate(env)
     assert env["result"]["m"] == 2
-    assert env["result"]["certificate"]["accepted"] is True
+    cert = env["result"]["certificate"]
+    assert cert["accepted"] is True
+    # K 512 holds its columns, so no frame at 2K is taken
+    assert cert["tail"] < frames.TAIL_BAR and cert["cond_doubled"] is None
 
 
 def test_douglas_command(tmp_path):
@@ -234,6 +237,7 @@ def test_douglas_command(tmp_path):
     env = _load(tmp_path)
     _validate(env)
     assert env["result"]["accepted"] is True
+    assert env["result"]["tail"] < frames.TAIL_BAR and env["result"]["cond_doubled"] is None
 
 
 def test_kaplansky_command(tmp_path):
