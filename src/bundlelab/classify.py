@@ -120,7 +120,6 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
     residual = float(np.max(np.abs(R)))
     riesz = frames.riesz_bounds(F) if attach_riesz else None
-    # without a Riesz report only the growth class vouches for the frame
     accepted = (
         residual < 1e-8
         and (cond_d is None or abs(cond_d - cond) / cond_d < 0.05)

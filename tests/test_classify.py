@@ -33,18 +33,7 @@ def test_douglas_identity_for_z():
     assert cert.accepted
 
 
-def test_douglas_key_regime():
-    cert = classify.douglas_intertwiner(
-        BlaschkeProduct((0, 0.5)), BERGMAN, K=512, n_max=100, attach_riesz=False
-    )
-    assert cert.residual < 1e-10
-    # the first rung holds its columns: no ladder climb, and no 2K frame
-    assert cert.K == 512 and cert.tail < frames.TAIL_BAR
-    assert cert.cond_doubled is None
-    assert cert.accepted
-
-
-def test_douglas_builds_one_frame_when_the_first_rung_holds_its_columns(monkeypatch):
+def test_douglas_key_regime(monkeypatch):
     built = []
     build_frame = frames.build_frame
 
@@ -56,7 +45,11 @@ def test_douglas_builds_one_frame_when_the_first_rung_holds_its_columns(monkeypa
     cert = classify.douglas_intertwiner(
         BlaschkeProduct((0, 0.5)), BERGMAN, K=512, n_max=100, attach_riesz=False
     )
-    assert cert.accepted and built == [(100, 512)]
+    assert cert.residual < 1e-10
+    # the first rung holds its columns: no ladder climb, and no 2K frame
+    assert cert.K == 512 and cert.tail < frames.TAIL_BAR
+    assert built == [(100, 512)] and cert.cond_doubled is None
+    assert cert.accepted
 
 
 def test_douglas_polygrowth_ladder_keeps_its_rungs_and_values():
