@@ -10,7 +10,7 @@ infinite-dimensional claim.  Exit-code mapping used by the CLI:
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -38,6 +38,9 @@ _Z0_LIMIT = 0.999  # phi(0) is sought only for |phi(0)| below this
 _SNAP = 1e-4  # a critical point of g1 this close to a preimage is a seed too
 _POLISH_STEPS = 3
 _K_CAP = 2048  # the intertwiner's doubling ladder stops at this row truncation
+# an intertwiner's cond is refused at cond*eps >= 1e-8, the residual's own bar
+# (about 4.5e7): past it the two extremes may both be roundoff
+_COND_BAR = 1e-8 / float(np.finfo(float).eps)
 
 
 @dataclass
@@ -92,9 +95,11 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     doubles (up to ``_K_CAP``) until the frame's beta-tail is below
     ``frames.TAIL_BAR``; more rows then add a Gram term of norm about
     ncols * TAIL_BAR**2, which cannot move cond.  Accepted when the residual
-    is tiny, the rung's tail is below the bar or its cond moves by less than
-    5% at 2K, and the Riesz report is consistent (with no report, when the
-    weights are certified polynomial growth): never on intermediate growth.
+    is tiny, cond (and the cond at 2K, where measured) times eps is below the
+    residual's bar 1e-8, the rung's tail is below the bar or its cond moves by
+    less than 5% at 2K, and the Riesz report is consistent (with no report,
+    when the weights are certified polynomial growth): never on intermediate
+    growth.
     """
     if n_max < 1:
         raise ValueError("the block-shift identity needs n_max >= 1")
@@ -122,6 +127,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     riesz = frames.riesz_bounds(F) if attach_riesz else None
     accepted = (
         residual < 1e-8
+        and max(cond, cond_d or 0.0) < _COND_BAR
         and (cond_d is None or abs(cond_d - cond) / cond_d < 0.05)
         and (riesz.verdict == "Riesz-consistent" if riesz
              else w.growth_certificate == POLYNOMIAL)
@@ -457,9 +463,13 @@ def counterexample_probe(t, w, n_max=400):
     growth_ratio = float(r[n_max] / np.min(r[lo:]))
     ladder = []
     conds = []
-    for N in (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max):
+    Ns = (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max)
+    # build_frame is row-causal and works column by column, so every rung is
+    # a leading block of the frame of the largest N and K
+    top = frames.build_frame(MoebiusTransform(t), w, max(Ns), max(512, 4 * max(Ns)))
+    for N in Ns:
         K = max(512, 4 * N)
-        F = frames.build_frame(MoebiusTransform(t), w, N, K)
+        F = replace(top, n_max=N, K=K, taylor=top.taylor[: K + top.pad, : top.m * (N + 1)])
         s_min, s_max = F.extremes()
         cond = float(s_max / s_min) if s_min > 0 else float("inf")
         conds.append(cond)

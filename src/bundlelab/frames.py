@@ -13,12 +13,14 @@ coefficient block are exposed:
 * ``beta-inv`` -- column (j, n) multiplied by beta_n, in the reciprocal space's
   orthonormal coordinates (the pairing partner of ``beta``).
 
-The extremal singular values come from the eigenvalues of the Gram matrix,
-which squares the condition number; a frame whose Gram matrix is too close
-to singular for that (cond > 1e4) falls back to a full SVD.  The eigenvalues
+The extremal singular values come from the two extreme eigenvalues of the
+Gram matrix, which squares the condition number; a frame whose Gram matrix is
+too close to singular for that (cond > 1e4) falls back to a full SVD.  They
 are those of the Gram band: offsets past b are dropped for the smallest b whose
 dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
-roundoff level (b = m - 1 for Hardy); a band b >= n/16 is solved dense.  When
+roundoff level (b = m - 1 for Hardy).  Each end is bisected with one banded
+Cholesky factorization per step (:func:`_band_ends`), O(n b^2) where all n
+eigenvalues would cost O(n^2 b); a band b >= n/16 is solved dense.  When
 beta_k**2 is a polynomial of degree d in k, the Riesz ladder needs no K-row
 frame: its rungs come from the exact Gram, block-banded with offsets <= d, whose
 blocks are fitted as polynomials in n from the first columns; when 1/beta_k**2
@@ -34,8 +36,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
-from scipy.linalg import eigvals_banded, eigvalsh, lu_factor, lu_solve, svd, svdvals
+from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import zherk
+from scipy.linalg.lapack import zpbtrf
 
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -71,8 +74,9 @@ _FLUSH = math.sqrt(np.finfo(float).tiny)
 # the Gram matrix gives s_min to about eps * cond^2 relative; below this
 # eigenvalue ratio (cond > 1e4) the extremes come from a full SVD instead
 _GRAM_RATIO = 1e-8
-# a Gram band b >= n/16 goes dense: with BLAS at one thread the two solvers
-# break even there for n = 150..1602 (n = 1602: b = 100 took 1.6 s, dense 1.7 s)
+# a Gram band b >= n/16 goes dense: with BLAS at one thread the two routes
+# break even there (_band_ends against eigvalsh, in ms: n 122, b 7: 2.6 vs 1.8;
+# n 401, b 25: 30 vs 41; n 1602, b 100: 504 vs 1410)
 _BAND_CROSSOVER = 16
 # build_frame makes this many powers at a time, so that its temporaries stay
 # at (K + _TAIL_PAD) x 64 entries next to the frame block
@@ -147,12 +151,12 @@ class FrameMatrix:
     def extremes(self):
         """``(s_min, s_max)`` of ``matrix("beta")`` as numpy floats, computed once.
 
-        Both come from the eigenvalues of the Gram matrix (``zherk`` fills one
-        triangle of the conjugate Gram, which has the same eigenvalues), taken
-        by ``eigvals_banded`` on the band of :func:`_gram_band`, or by the dense
-        ``eigvalsh`` for a band b >= n/16.  A Gram eigenvalue ratio at or below
-        ``_GRAM_RATIO`` takes ``svdvals`` instead; so does a wide matrix, whose
-        Gram matrix is singular.
+        Both come from the extreme eigenvalues of the Gram matrix (``zherk``
+        fills one triangle of the conjugate Gram, which has the same
+        eigenvalues), taken by :func:`_band_ends` on the band of
+        :func:`_gram_band`, or by the dense ``eigvalsh`` for a band b >= n/16.
+        A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
+        instead; so does a wide matrix, whose Gram matrix is singular.
         """
         if self._extremes is None:
             A = self.matrix("beta")
@@ -162,7 +166,7 @@ class FrameMatrix:
                 band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
                 for k in range(b + 1):
                     band[b - k, k:] = np.diagonal(G, k)
-                lam = eigvals_banded(band, overwrite_a_band=True)
+                lam = _band_ends(band)
             else:
                 lam = eigvalsh(G, lower=False, overwrite_a=True)
             if lam[0] > _GRAM_RATIO * lam[-1]:
@@ -202,6 +206,47 @@ def _gram_band(G):
         if dropped > tol2:
             return b
     return 0
+
+
+def _band_ends(band):
+    """``(lambda_min, lambda_max)`` of the Hermitian matrix in upper band storage.
+
+    ``band[b - k, k:]`` holds offset k and the entries left of it are 0.  Each
+    end is bisected in its Gershgorin bracket: lambda_min lies in
+    [min(diag - off), min(diag)] and lambda_max in [max(diag), max(diag + off)],
+    with ``off`` the row sums of the off-diagonal moduli.  A step is one banded
+    Cholesky (``zpbtrf``, O(n b^2)), which succeeds on band - sigma*I iff
+    sigma < lambda_min, and on sigma*I - band iff sigma > lambda_max.  The
+    bisection stops when the bracket is at most 2*eps times the largest row sum
+    (at most about 52 steps per end) and returns its midpoint.
+    """
+    band = np.asarray(band)
+    if not np.all(np.isfinite(band)):
+        raise ValueError("the band must contain only finite numbers")
+    n = band.shape[1]
+    band = band[max(band.shape[0] - n, 0):]  # offsets >= n hold no entry
+    b = band.shape[0] - 1
+    diag, mod = band[b].real, np.abs(band[:b])
+    off = np.zeros(n)
+    for k in range(1, b + 1):
+        off[k:] += mod[b - k, k:]  # G[j-k, j] in row j, as its conjugate G[j, j-k]
+        off[: n - k] += mod[b - k, k:]  # G[i, i+k] in row i
+    tol = 2.0 * np.finfo(float).eps * np.max(np.abs(diag) + off)
+    work = np.empty(band.shape, dtype=complex, order="F")
+
+    def end(lo, hi, sign):
+        while hi - lo > tol:
+            sigma = 0.5 * (lo + hi)
+            np.multiply(band, sign, out=work)
+            work[b] -= sign * sigma
+            # success proves sigma below lambda_min (sign 1) or above lambda_max (sign -1)
+            if (zpbtrf(work, overwrite_ab=1)[1] == 0) == (sign > 0):
+                lo = sigma
+            else:
+                hi = sigma
+        return 0.5 * (lo + hi)
+
+    return end(np.min(diag - off), np.min(diag), 1.0), end(np.max(diag), np.max(diag + off), -1.0)
 
 
 def _normalize_product(B):
@@ -445,7 +490,8 @@ def _band_extremal(fit, w, n_max, C=None):
     """(c1, c2, tail) of the beta-normalized Gram of columns n <= n_max from ``fit``.
 
     Column (n, j) has index n*m + j, so block G[n, n+s] fills the offsets
-    s*m + j - i of the scalar band, whose width b is m(d+1) - 1.  An entry
+    s*m + j - i of the scalar band, whose width b is m(d+1) - 1, and
+    :func:`_band_ends` gives the band's two extreme eigenvalues.  An entry
     error of at most e*sqrt(G_aa G_bb) <= e*lambda_max, with e the fit's error
     at n_max, moves each eigenvalue by at most (2b+1)*e*lambda_max (Weyl, by
     row sums).  With ``C`` the fit is that of the dual frame and each block is
@@ -470,18 +516,17 @@ def _band_extremal(fit, w, n_max, C=None):
     blocks = fit.blocks(n_max)
     error = (2 * b + 1) * fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
 
-    def eigenvalues(blocks, **select):
+    def ends(blocks):
         band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
         band[rows, cols] = blocks[n, s, i, j][inside] * scale
-        return eigvals_banded(band, overwrite_a_band=True, **select)
+        return _band_ends(band)
 
     if C is None:
-        lam = eigenvalues(blocks)
+        lam = ends(blocks)
         move = error * lam[-1]
     else:
-        top = m * (n_max + 1) - 1
-        move = error * np.linalg.norm(C, 2) ** 2 * eigenvalues(blocks, select="i", select_range=(top, top))[0]
-        lam = eigenvalues(C.conj().T @ blocks @ C)
+        move = error * np.linalg.norm(C, 2) ** 2 * ends(blocks)[1]
+        lam = ends(C.conj().T @ blocks @ C)
     if move * _GRAM_RATIO >= np.finfo(float).eps * lam[0]:
         return None
     if C is None:

@@ -96,6 +96,19 @@ def test_douglas_certifies_a_product_with_zeros_clustered_off_centre():
     assert (cert.K, cert.accepted) == (512, True)
 
 
+@pytest.mark.parametrize("cap", [512, 2048])
+def test_douglas_refuses_a_cond_at_roundoff(monkeypatch, cap):
+    # at cap 512 the K 512 rung of a zero at 0.8 does not hold its columns,
+    # so cond is measured at 2K too; both figures at 1e17 agree exactly
+    monkeypatch.setattr(classify, "_K_CAP", cap)
+    monkeypatch.setattr(frames.FrameMatrix, "extremes", lambda self: (np.float64(1e-17), np.float64(1.0)))
+    cert = classify.douglas_intertwiner(BlaschkeProduct((0, 0.8)), BERGMAN, K=512, n_max=60,
+                                        attach_riesz=False)
+    assert cert.residual < 1e-8 and cert.cond == 1e17
+    assert cert.cond_doubled == (1e17 if cap == 512 else None)
+    assert cert.accepted is False  # a bool, as the JSON output needs
+
+
 # f o phi_a for the README f at two a whose certificates reach the row cap
 # with their columns not held: the cap's cond is stable at 2K at the first a
 # and not at the second
@@ -276,6 +289,25 @@ def test_counterexample_probe_stable():
     assert rep.verdict == "similarity-consistent"
     assert rep.growth_ratio < 1.1
     assert rep.cond_ratio < 1.1
+
+
+@pytest.mark.parametrize("n_max", [200, 20])
+def test_counterexample_probe_builds_one_frame(monkeypatch, n_max):
+    built = []
+    build_frame = frames.build_frame
+
+    def counting_build(B, w, n_max, K):
+        built.append((n_max, K))
+        return build_frame(B, w, n_max, K)
+
+    monkeypatch.setattr(frames, "build_frame", counting_build)
+    rep = classify.counterexample_probe(0.5, BERGMAN, n_max=n_max)
+    # the largest rung, N 32 above n_max 20 too, gives every rung as its leading block
+    top = max(r["n_max"] for r in rep.ladder)
+    assert built == [(top, max(512, 4 * top))]
+    for rung in rep.ladder:
+        s_min, s_max = build_frame(MoebiusTransform(0.5), BERGMAN, rung["n_max"], rung["K"]).extremes()
+        assert rung["cond"] == float(s_max / s_min)
 
 
 def test_counterexample_probe_tiny_parameter():

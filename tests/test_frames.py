@@ -119,7 +119,7 @@ def _spy(monkeypatch, name):
 def test_banded_extremes_match_dense_eigvalsh(monkeypatch, wid, order):
     # at crossover 1 every band narrower than the matrix is solved banded
     monkeypatch.setattr(frames, "_BAND_CROSSOVER", 1)
-    banded = _spy(monkeypatch, "eigvals_banded")
+    banded = _spy(monkeypatch, "_band_ends")
     F = frames.build_frame(BlaschkeProduct(ZEROS[order]), parse_weight_id(wid), 100, 512)
     A = F.matrix("beta")
     lam = eigvalsh(A.conj().T @ A)
@@ -136,7 +136,7 @@ def test_hardy_gram_band_is_the_pick_block(order):
 
 
 def test_dense_gram_takes_the_dense_route(monkeypatch):
-    banded, dense = _spy(monkeypatch, "eigvals_banded"), _spy(monkeypatch, "eigvalsh")
+    banded, dense = _spy(monkeypatch, "_band_ends"), _spy(monkeypatch, "eigvalsh")
     rng = np.random.default_rng(9)
     X = rng.standard_normal((200, 60)) + 1j * rng.standard_normal((200, 60))
     F = frames.FrameMatrix(BlaschkeProduct((0, 0.5)), HARDY, 29, 200, X, pad=0)
@@ -146,6 +146,52 @@ def test_dense_gram_takes_the_dense_route(monkeypatch):
     assert (banded, dense) == ([], [1])
     assert s_min == pytest.approx(s[-1], rel=1e-12)
     assert s_max == pytest.approx(s[0], rel=1e-12)
+
+
+@st.composite
+def _hermitian_bands(draw):
+    """(G, band): a Hermitian G of band b in upper band storage; b may reach past n."""
+    n, b = draw(st.integers(1, 40)), draw(st.integers(0, 45))
+    kind = draw(st.sampled_from(["random", "singular", "definite", "integer", "zero"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    if kind == "integer":
+        G = np.round(4 * G)
+    G = np.triu(np.tril(G + G.conj().T, b), -b) * 10.0 ** draw(st.integers(-8, 8))
+    lam = eigvalsh(G)
+    if kind == "singular":  # lambda_min at 0, to roundoff
+        G -= lam[0] * np.eye(n)
+    elif kind == "definite":
+        G += (abs(lam[0]) + abs(lam[-1])) * np.eye(n)
+    elif kind == "zero":
+        G[:] = 0
+    band = np.zeros((b + 1, n), dtype=complex, order="F")
+    for k in range(min(b, n - 1) + 1):
+        band[b - k, k:] = np.diagonal(G, k)
+    return G, band
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(_hermitian_bands())
+@example((np.array([[2.0]]), np.array([[2.0 + 0j]])))  # n = 1, b = 0
+@example((np.array([[-1.0]]), np.array([[0j], [0j], [-1.0 + 0j]])))  # n = 1, b = 2
+@example((np.diag([3.0, -1.0, 0.0]), np.array([[3, -1, 0]], dtype=complex)))  # b = 0, indefinite
+def test_band_ends_match_dense_eigvalsh(case):
+    G, band = case
+    lam = eigvalsh(G)
+    lo, hi = frames._band_ends(band)
+    # ||G||_F, not ||G||_2: the dense reference itself was measured up to
+    # 14 eps*||G||_2 off (n 58, b 1, against 40-digit mpmath), the ends 1.3
+    bound = 4 * band.shape[0] * np.finfo(float).eps * np.linalg.norm(G)
+    assert abs(lo - lam[0]) <= bound and abs(hi - lam[-1]) <= bound
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_band_ends_refuse_non_finite_bands(bad):
+    band = np.ones((2, 5), dtype=complex, order="F")
+    band[1, 3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        frames._band_ends(band)
 
 
 def test_build_frame_rejects_repeated_zeros():
@@ -307,6 +353,7 @@ def _held_frame(zeros, w, n_max):
 @settings(max_examples=30, deadline=None, derandomize=True, database=None)
 @given(_frames(POLYNOMIAL_WEIGHTS))
 @example(((0.45 - 0.3j,), "polygrowth:M=2", 60))  # an order-1 frame with its kernel point
+@example(((0j,), "polygrowth:M=2", 1))  # a band of width 2 on 2 columns
 def test_band_extremes_match_the_truncated_frame(case):
     zeros, wid, n_max = case
     w = parse_weight_id(wid)

@@ -18,13 +18,14 @@ so that a change meant to move the numbers only by roundoff is checked with
 
     python3 tools/output_digest.py --compare values-parent.txt values-change.txt
 
-reads two ``--values`` outputs and fails (exit 1) when a command, an exit
-code, a file or the hash of a file other than ``result.json`` differs.
-Otherwise it prints, for each value path name (list indices collapsed to
-``[]``) whose value moved, the largest absolute move and the largest move
-relative to the parent value, and then each value path name found on one
-side only, with the number of outputs that have it; it fails when there is
-one.
+reads two ``--values`` outputs.  It lists each command whose exit code
+moved, with both codes, and each file line (command, file name, and the
+hash of a file other than ``result.json``) found on one side only.  Then it
+prints, for each value path name (list indices collapsed to ``[]``) whose
+value moved, the largest absolute move and the largest move relative to the
+parent value, and each value path name found on one side only, with the
+number of outputs that have it.  It fails (exit 1) when an exit code moved,
+a file line differs or a value path name is on one side only.
 
 The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
@@ -204,25 +205,32 @@ def numbers(value, path=""):
 
 
 def _read_values(path):
-    """The file lines (hash dropped for result.json) and the values of a --values output."""
-    files, values = [], {}
+    """The exit code of each command, the file lines with no exit code (and no
+    hash for result.json), and the values of a --values output."""
+    codes, files, values = {}, [], {}
     for line in Path(path).read_text().splitlines():
         if line.startswith("  "):
             out, key, value = line.split()
             values[out, key] = float(value)
         else:
-            rest = line.split(" ", 1)[1]
-            files.append(rest if rest.endswith("-> result.json") else line)
-    return files, values
+            digest, code, rest = line.split(" ", 2)
+            codes[rest.rsplit(" -> ", 1)[0]] = code
+            files.append(rest if rest.endswith("-> result.json") else f"{digest} {rest}")
+    return codes, files, values
 
 
 def compare(parent, change):
-    """Print the largest moves of each value path name, then the value path
-    names found on one side only; 1 when those exist or anything else differs."""
-    (files_p, values_p), (files_c, values_c) = _read_values(parent), _read_values(change)
-    if files_p != files_c:
+    """Print the commands whose exit code moved and the files that differ,
+    then the largest moves of each value path name and the value path names
+    found on one side only; 1 when any of these exist."""
+    (codes_p, files_p, values_p), (codes_c, files_c, values_c) = _read_values(parent), _read_values(change)
+    moved = [f"  {cmd}  exit {codes_p[cmd]} -> {codes_c[cmd]}"
+             for cmd in codes_p if codes_c.get(cmd, codes_p[cmd]) != codes_p[cmd]]
+    if moved:
+        print(f"{len(moved)} exit codes moved", *moved, sep="\n")
+    differ = files_p != files_c
+    if differ:
         print("outputs differ:", *sorted(set(files_p) ^ set(files_c))[:20], sep="\n  ")
-        return 1
     moves = {}
     for (out, key), a in values_p.items():
         b = values_c.get((out, key), a)
@@ -243,7 +251,7 @@ def compare(parent, change):
         one_side += [f"  {name}  only in {side}, {len(outs)} outputs" for name, outs in sorted(names.items())]
     if one_side:
         print(f"{len(one_side)} value path names on one side only", *one_side, sep="\n")
-    return 1 if one_side else 0
+    return 1 if moved or differ or one_side else 0
 
 
 def main(argv=None):
