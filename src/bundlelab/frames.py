@@ -220,7 +220,6 @@ def _band_ends(band):
     bisection stops when the bracket is at most 2*eps times the largest row sum
     (at most about 52 steps per end) and returns its midpoint.
     """
-    band = np.asarray(band)
     if not np.all(np.isfinite(band)):
         raise ValueError("the band must contain only finite numbers")
     n = band.shape[1]
