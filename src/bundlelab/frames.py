@@ -208,8 +208,9 @@ def _gram_band(G):
     return 0
 
 
-def _band_ends(band):
-    """``(lambda_min, lambda_max)`` of the Hermitian matrix in upper band storage.
+def _band_ends(band, which=("min", "max")):
+    """lambda_min ("min") and lambda_max ("max") of the Hermitian matrix in
+    upper band storage, each only when named in ``which``, in its order.
 
     ``band[b - k, k:]`` holds offset k and the entries left of it are 0.  Each
     end is bisected in its Gershgorin bracket: lambda_min lies in
@@ -245,7 +246,8 @@ def _band_ends(band):
                 hi = sigma
         return 0.5 * (lo + hi)
 
-    return end(np.min(diag - off), np.min(diag), 1.0), end(np.max(diag), np.max(diag + off), -1.0)
+    return tuple(end(np.min(diag - off), np.min(diag), 1.0) if name == "min"
+                 else end(np.max(diag), np.max(diag + off), -1.0) for name in which)
 
 
 def _normalize_product(B):
@@ -496,10 +498,11 @@ def _band_extremal(fit, w, n_max, C=None):
     row sums).  With ``C`` the fit is that of the dual frame and each block is
     mapped to C^H G C (see :func:`riesz_bounds`): the band solved is then the
     Gram of the biorthogonal family, whose extremes are (1/c2, 1/c1), and the
-    move grows by ||C||_2^2, lambda_max staying that of the band before the
-    map.  The Gram route accepts c1 to eps/_GRAM_RATIO relative (its error is
-    about eps*c2/c1, and it hands over at c1/c2 = _GRAM_RATIO), so the rung is
-    None when the move relative to the smallest eigenvalue solved is larger.
+    move grows by ||C||_2^2, lambda_max (its only end bisected) staying that
+    of the band before the map.  The Gram route accepts c1 to eps/_GRAM_RATIO
+    relative (its error is about eps*c2/c1, and it hands over at c1/c2 =
+    _GRAM_RATIO), so the rung is None when the move relative to the smallest
+    eigenvalue solved is larger.
     """
     d, m = fit.d, fit.m
     b = m * (d + 1) - 1
@@ -515,16 +518,16 @@ def _band_extremal(fit, w, n_max, C=None):
     blocks = fit.blocks(n_max)
     error = (2 * b + 1) * fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
 
-    def ends(blocks):
+    def ends(blocks, which=("min", "max")):
         band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
         band[rows, cols] = blocks[n, s, i, j][inside] * scale
-        return _band_ends(band)
+        return _band_ends(band, which)
 
     if C is None:
         lam = ends(blocks)
         move = error * lam[-1]
     else:
-        move = error * np.linalg.norm(C, 2) ** 2 * ends(blocks)[1]
+        move = error * np.linalg.norm(C, 2) ** 2 * ends(blocks, ("max",))[0]
         lam = ends(C.conj().T @ blocks @ C)
     if move * _GRAM_RATIO >= np.finfo(float).eps * lam[0]:
         return None

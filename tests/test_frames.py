@@ -418,6 +418,36 @@ def test_dual_band_extremes_interlace_the_truncated_frame(case):
     assert tail == fit.tail
 
 
+def test_a_dual_rung_bisects_three_ends(monkeypatch):
+    # of the band before the map only lambda_max, which sizes the bound, is bisected
+    F = _held_frame((0, 0.5), BERGMAN, 50)
+    fit = frames._fit_gram(replace(F, w=BERGMAN.dual()))
+    steps, bands = [], []
+    zpbtrf, band_ends = frames.zpbtrf, frames._band_ends
+
+    def recording(band, which=("min", "max")):
+        bands.append((band.copy(), which))
+        return band_ends(band, which)
+
+    monkeypatch.setattr(frames, "zpbtrf", lambda *a, **k: steps.append(1) or zpbtrf(*a, **k))
+    monkeypatch.setattr(frames, "_band_ends", recording)
+    c1, c2, _ = frames._band_extremal(fit, BERGMAN.dual(), 50, frames._dual_map(F.product.zeros))
+    (before, which_before), (after, which_after) = bands
+    assert (which_before, which_after) == (("max",), ("min", "max"))
+    rung_steps = len(steps)
+
+    def alone(band, name):
+        del steps[:]
+        return band_ends(band, (name,))[0], len(steps)
+
+    (top, n_top), (lo, n_lo), (hi, n_hi) = (alone(before, "max"), alone(after, "min"),
+                                            alone(after, "max"))
+    assert rung_steps == n_top + n_lo + n_hi
+    # each end is the one the two-end bisection gives, bit for bit
+    assert top == band_ends(before)[1]
+    assert (c1, c2) == (1.0 / hi, 1.0 / lo)
+
+
 def test_an_untrusted_dual_fit_falls_back():
     # at K = 256 the dual frame's columns n <= 17 leave a beta-tail of about 20
     F = frames.build_frame(BlaschkeProduct((0, 0.9)), BERGMAN, 40, 256)
