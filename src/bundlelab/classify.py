@@ -37,7 +37,7 @@ _MATCH_TOL = 1e-8
 _Z0_LIMIT = 0.999  # phi(0) is sought only for |phi(0)| below this
 _SNAP = 1e-4  # a critical point of g1 this close to a preimage is a seed too
 _POLISH_STEPS = 3
-_K_CAP = 2048  # the intertwiner's doubling ladder stops at this row truncation
+_K_CAP = 4096  # the intertwiner's doubling ladder stops at this row truncation
 # an intertwiner's cond is refused at cond*eps >= 1e-8, the residual's own bar
 # (about 4.5e7): past it the two extremes may both be roundoff
 _COND_BAR = 1e-8 / float(np.finfo(float).eps)
@@ -50,16 +50,16 @@ class SimilarityCertificate:
     ``residual`` is the max deviation of M_B X - X (block shift) over the
     interior columns (every power below n_max); ``cond`` comes from the
     extremal singular values of the truncated deformation X on the rung
-    ``K`` that ended the ladder, whose frame has beta-tail ``tail``.
-    ``cond_doubled``, cond at 2K, is taken only when ``tail`` is at least
-    ``frames.TAIL_BAR`` (the row cap ended the ladder), else it is None.
-    ``frame`` is the beta-normalized frame X was taken from; of it only the
-    zero of its ``conjugator`` is serialized.
+    ``K`` that ended the ladder, whose frame has beta-tail ``tail``.  The
+    evidence counts only when the frame holds its columns (``tail`` below
+    ``frames.TAIL_BAR``), the residual is below 1e-8 and cond is below
+    ``_COND_BAR`` (:meth:`failed_condition`).  ``frame`` is the
+    beta-normalized frame X was taken from; of it only the zero of its
+    ``conjugator`` is serialized.
     """
 
     residual: float
     cond: float
-    cond_doubled: float | None
     tail: float
     K: int
     n_max: int
@@ -72,7 +72,6 @@ class SimilarityCertificate:
         return {
             "residual": self.residual,
             "cond": self.cond,
-            "cond_doubled": self.cond_doubled,
             "tail": self.tail,
             "K": self.K,
             "n_max": self.n_max,
@@ -81,6 +80,15 @@ class SimilarityCertificate:
             "riesz": self.riesz.to_dict() if self.riesz else None,
             "conjugator": self.frame.conjugator_zero(),
         }
+
+    def failed_condition(self):
+        """The first of residual, tail and cond that fails its bar, as text, or ''."""
+        return next((text for ok, text in (
+            (self.residual < 1e-8, f"residual {self.residual:.3g} is not below 1e-8"),
+            (self.tail < frames.TAIL_BAR, f"the frame does not hold its columns at K {self.K}: "
+                                          f"tail {self.tail:.3g} is not below 1e-8"),
+            (self.cond < _COND_BAR, f"cond {self.cond:.3g} is at roundoff: cond*eps is not below 1e-8"),
+        ) if not ok), "")
 
 
 def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
@@ -94,12 +102,12 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     Zeros close to the circle slow the column decay, so the row truncation
     doubles (up to ``_K_CAP``) until the frame's beta-tail is below
     ``frames.TAIL_BAR``; more rows then add a Gram term of norm about
-    ncols * TAIL_BAR**2, which cannot move cond.  Accepted when the residual
-    is tiny, cond (and the cond at 2K, where measured) times eps is below the
-    residual's bar 1e-8, the rung's tail is below the bar or its cond moves by
-    less than 5% at 2K, and the Riesz report is consistent (with no report,
-    when the weights are certified polynomial growth): never on intermediate
-    growth.
+    ncols * TAIL_BAR**2, which cannot move cond.  One rule accepts: the
+    frame holds its columns (tail below the bar), the residual is below
+    1e-8, cond times eps is below that same bar 1e-8, and the Riesz report
+    is consistent (with no report, when the weights are certified polynomial
+    growth): never on intermediate growth.  A ladder that reaches the cap
+    with its tail still above the bar is refused.
     """
     if n_max < 1:
         raise ValueError("the block-shift identity needs n_max >= 1")
@@ -113,29 +121,19 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     m = F.m
     while F.tail() >= frames.TAIL_BAR and F.K < _K_CAP:
         F = F.rebuild(n_max, 2 * F.K)
-    tail = F.tail()
     s_min, s_max = F.extremes()
-    cond = float(s_max / s_min)
-    cond_d = None
-    if tail >= frames.TAIL_BAR:
-        sd_min, sd_max = F.rebuild(n_max, 2 * F.K).extremes()
-        cond_d = float(sd_max / sd_min)
     # column (n, j) of X times the block shift is column (n+1, j) times w_{n+1}
     R = F.times(*funcspec.to_rational(F.product))[:, : m * n_max]
     R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
     residual = float(np.max(np.abs(R)))
     riesz = frames.riesz_bounds(F) if attach_riesz else None
-    accepted = (
-        residual < 1e-8
-        and max(cond, cond_d or 0.0) < _COND_BAR
-        and (cond_d is None or abs(cond_d - cond) / cond_d < 0.05)
-        and (riesz.verdict == "Riesz-consistent" if riesz
-             else w.growth_certificate == POLYNOMIAL)
+    cert = SimilarityCertificate(
+        residual=residual, cond=float(s_max / s_min), tail=F.tail(), K=F.K, n_max=n_max,
+        order=m, accepted=False, riesz=riesz, frame=F,
     )
-    return SimilarityCertificate(
-        residual=residual, cond=cond, cond_doubled=cond_d, tail=tail, K=F.K, n_max=n_max,
-        order=m, accepted=accepted, riesz=riesz, frame=F,
-    )
+    cert.accepted = not cert.failed_condition() and (
+        riesz.verdict == "Riesz-consistent" if riesz else w.growth_certificate == POLYNOMIAL)
+    return cert
 
 
 @dataclass
@@ -359,10 +357,10 @@ def similar(h1, h2, w, K=512):
         "certificate1": j1.certificate.to_dict() if j1.certificate else None,
         "certificate2": j2.certificate.to_dict() if j2.certificate else None,
     }
-    why = ("frame degeneration or unstable conditioning" if w.growth_certificate == POLYNOMIAL
-           else f"weights {w.id} are of {w.growth_certificate or 'uncertified'} growth")
     for name, j in (("certificate1", j1), ("certificate2", j2)):
         if j.certificate is not None and not j.certificate.accepted:
+            why = (j.certificate.failed_condition() if w.growth_certificate == POLYNOMIAL
+                   else f"weights {w.id} are of {w.growth_certificate or 'uncertified'} growth")
             return Verdict("inconclusive", f"{name} failed ({why})", evidence)
     if d1.m != d2.m:
         return Verdict("not_similar", "order mismatch", evidence)

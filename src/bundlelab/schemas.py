@@ -99,13 +99,11 @@ DECOMPOSITION = {
 CERTIFICATE = {
     "type": "object",
     "required": [
-        "residual", "cond", "cond_doubled", "tail",
-        "K", "n_max", "order", "accepted", "conjugator",
+        "residual", "cond", "tail", "K", "n_max", "order", "accepted", "conjugator",
     ],
     "properties": {
         "residual": {"type": "number"},
         "cond": {"type": "number"},
-        "cond_doubled": {"type": ["number", "null"]},
         "tail": {"type": "number", "minimum": 0},
         "K": {"type": "integer"},
         "n_max": {"type": "integer"},

@@ -200,19 +200,36 @@ def test_fiber_near_the_circle_is_decomposed(tmp_path):
     assert env["result"]["m"] == 2 and env["result"]["residual"] < 1e-8
 
 
+@pytest.fixture(scope="module")
+def near_circle_similar(tmp_path_factory):
+    """(exit code, result envelope) of similar on f o phi_0.96 and f, run once."""
+    out = tmp_path_factory.mktemp("near-circle")
+    code = _run(["similar", "--weights", "bergman:alpha=1", "--f1", NEAR_CIRCLE_F_PHI,
+                 "--f2", NEAR_CIRCLE_F, "--out", str(out)])
+    return code, _load(out)
+
+
 @pytest.mark.xfail(
     raises=AssertionError, strict=True,
-    reason="the Douglas certificate of the inner factor with zeros 0 and 0.998 "
-           "does not stabilize by its K cap 2048, so the verdict is inconclusive",
+    reason="the Douglas frame of the inner factor with zeros 0 and 0.998 "
+           "does not hold its columns by its K cap 4096, so the verdict is inconclusive",
 )
-def test_similar_pair_with_a_fiber_near_the_circle_is_similar(tmp_path):
-    code = _run(["similar", "--weights", "bergman:alpha=1", "--f1", NEAR_CIRCLE_F_PHI,
-                 "--f2", NEAR_CIRCLE_F, "--out", str(tmp_path)])
-    env = _load(tmp_path)
+def test_similar_pair_with_a_fiber_near_the_circle_is_similar(near_circle_similar):
+    code, env = near_circle_similar
     _validate(env)
     if env["result"]["status"] == "not_similar":
         pytest.fail("a pair similar by construction is certified not similar")
     assert code == 0 and env["result"]["status"] == "similar"
+
+
+def test_near_circle_verdict_names_the_frame_that_does_not_hold_its_columns(near_circle_similar):
+    code, env = near_circle_similar
+    result = env["result"]
+    cert = result["evidence"]["certificate1"]
+    assert code == 2 and result["status"] == "inconclusive"
+    assert cert["K"] == 4096 and cert["tail"] >= frames.TAIL_BAR
+    assert result["reason"] == ("certificate1 failed (the frame does not hold its columns at "
+                                f"K 4096: tail {cert['tail']:.3g} is not below 1e-8)")
 
 
 def test_jordan_command(tmp_path):
@@ -225,8 +242,8 @@ def test_jordan_command(tmp_path):
     assert env["result"]["m"] == 2
     cert = env["result"]["certificate"]
     assert cert["accepted"] is True
-    # K 512 holds its columns, so no frame at 2K is taken
-    assert cert["tail"] < frames.TAIL_BAR and cert["cond_doubled"] is None
+    # K 512 holds its columns
+    assert cert["tail"] < frames.TAIL_BAR
 
 
 def test_douglas_command(tmp_path):
@@ -237,7 +254,7 @@ def test_douglas_command(tmp_path):
     env = _load(tmp_path)
     _validate(env)
     assert env["result"]["accepted"] is True
-    assert env["result"]["tail"] < frames.TAIL_BAR and env["result"]["cond_doubled"] is None
+    assert env["result"]["tail"] < frames.TAIL_BAR
 
 
 def test_kaplansky_command(tmp_path):
