@@ -48,7 +48,7 @@ no Gram band, that climb to the row cap (2 commands, ``DOUGLAS_CAP``), each
 group appended so that the ``c<k>`` labels of the earlier commands stay put.
 A ``null`` in a ``result.json`` is printed as ``nan`` (no output holds a NaN),
 so that a value that goes from ``null`` to a number is a move.  A whole run of
-the 117 commands took about 45 s on a 2-core machine.
+the 117 commands took about 35 s on a 2-core machine.
 """
 
 from __future__ import annotations
