@@ -146,15 +146,27 @@ class JordanResult:
     checked_columns: int
 
 
-def jordan(spec, w, K=512, attach_riesz=True):
+def _inner_certificate(dec, w, K, attach_riesz):
+    """The intertwiner of dec's inner factor and the length L of its outer
+    expansion (:func:`monodromy.outer_taylor`): n_max = min(max(60, L + 30),
+    160) leaves the direct identity L columns of h and 30 beyond them."""
+    L = monodromy.outer_taylor(dec.outer).size
+    n_max = min(max(60, L + 30), 160)
+    return douglas_intertwiner(dec.inner, w, K=K, n_max=n_max, attach_riesz=attach_riesz), L
+
+
+def jordan(spec, w, K=512):
     """Jordan data of f: multiplicity m, indecomposable outer part, inner B.
 
-    The deformation is reused from the inner product's intertwiner through
-    the direct identity  M_{f o psi} X = X (direct sum of M_h), compared on
-    the columns whose outer expansion fits under n_max.  The left side is the
-    rational recursion of f o psi on the frame (:meth:`frames.FrameMatrix.times`);
+    The certificate is the inner product's intertwiner with its Riesz report
+    attached.  Its deformation is reused through the direct identity
+    M_{f o psi} X = X (direct sum of M_h), compared on the columns whose
+    outer expansion fits under n_max.  The left side is the rational
+    recursion of f o psi on the frame (:meth:`frames.FrameMatrix.times`);
     the right side is one product of X, its powers laid next to its rows,
     with the (n_max+1)-square M_h of the exact Taylor coefficients of h.
+    Only the ``jordan`` command reports that identity; :func:`similar` does
+    not form it.
     """
     dec = monodromy.decompose(spec)
     if dec.m == 1:
@@ -162,12 +174,9 @@ def jordan(spec, w, K=512, attach_riesz=True):
             decomposition=dec, certificate=None, direct_residual=0.0, checked_columns=0,
         )
     h = dec.outer
-    L = monodromy.outer_taylor(h).size
-    n_max = min(max(60, L + 30), 160)
-    cert = douglas_intertwiner(dec.inner, w, K=K, n_max=n_max,
-                               attach_riesz=attach_riesz)
+    cert, L = _inner_certificate(dec, w, K, attach_riesz=True)
     F = cert.frame
-    K, m = F.K, F.m
+    K, m, n_max = F.K, F.m, cert.n_max
     inner_spec = spec
     if F.conjugator is not None:
         inner_spec = ComposeSpec(spec, F.conjugator)
@@ -336,17 +345,22 @@ class Verdict:
 def similar(h1, h2, w, K=512):
     """Similarity verdict for the bundles induced by two analytic functions.
 
-    Both functions are put in Jordan form; the verdict is similar exactly
-    when the multiplicities agree and the indecomposable outer parts match
-    up to a disk automorphism.  Any pipeline failure yields inconclusive
-    with diagnostics attached.
+    Each function is decomposed (:func:`monodromy.decompose`) and, when its
+    inner order exceeds 1, its inner factor certified by the intertwiner of
+    :func:`jordan`, at the same n_max but with no Riesz report and no direct
+    identity, which the verdict does not read.  The verdict is similar
+    exactly when both certificates are accepted, the multiplicities agree
+    and the indecomposable outer parts match up to a disk automorphism.
+    Any pipeline failure yields inconclusive with diagnostics attached.
     """
+    def side(h):
+        dec = monodromy.decompose(h)
+        return dec, None if dec.m == 1 else _inner_certificate(dec, w, K, attach_riesz=False)[0]
+
     try:
-        j1 = jordan(h1, w, K=K, attach_riesz=False)
-        j2 = jordan(h2, w, K=K, attach_riesz=False)
+        (d1, c1), (d2, c2) = side(h1), side(h2)
     except BundleLabError as exc:
         return Verdict("inconclusive", f"jordan pipeline failed: {exc}")
-    d1, d2 = j1.decomposition, j2.decomposition
     evidence = {
         "m1": d1.m,
         "m2": d2.m,
@@ -354,12 +368,12 @@ def similar(h1, h2, w, K=512):
         "outer2": d2.outer_dict(),
         "residual1": d1.residual,
         "residual2": d2.residual,
-        "certificate1": j1.certificate.to_dict() if j1.certificate else None,
-        "certificate2": j2.certificate.to_dict() if j2.certificate else None,
+        "certificate1": c1.to_dict() if c1 else None,
+        "certificate2": c2.to_dict() if c2 else None,
     }
-    for name, j in (("certificate1", j1), ("certificate2", j2)):
-        if j.certificate is not None and not j.certificate.accepted:
-            why = (j.certificate.failed_condition() if w.growth_certificate == POLYNOMIAL
+    for name, cert in (("certificate1", c1), ("certificate2", c2)):
+        if cert is not None and not cert.accepted:
+            why = (cert.failed_condition() if w.growth_certificate == POLYNOMIAL
                    else f"weights {w.id} are of {w.growth_certificate or 'uncertified'} growth")
             return Verdict("inconclusive", f"{name} failed ({why})", evidence)
     if d1.m != d2.m:

@@ -540,7 +540,9 @@ def _climb(F, extremal, max_doublings):
     """The :class:`RieszReport` of the doubling ladder from F's (K, n_max).
 
     ``extremal(K, n_max)`` gives a rung's (c1, c2, tail), or None to abandon
-    the climb, which then returns None.
+    the climb, which then returns None.  A verdict other than inconclusive
+    is drawn only on a rung whose tail is at most ``TAIL_BAR``: a rung that
+    does not hold its columns shows neither stable nor collapsing bounds.
     """
     K, n_max = F.K, F.n_max
     first = extremal(K, n_max)
@@ -565,7 +567,7 @@ def _climb(F, extremal, max_doublings):
             verdict = "degenerating" if tail <= TAIL_BAR else "inconclusive"
             break
         if rel1 <= _STABILITY_TARGET and rel2 <= _STABILITY_TARGET:
-            verdict = "Riesz-consistent" if c1 > 1e-10 else "inconclusive"
+            verdict = "Riesz-consistent" if c1 > 1e-10 and tail <= TAIL_BAR else "inconclusive"
             break
     stability = {
         "c1_rel_change": rel1,
@@ -594,11 +596,12 @@ def riesz_bounds(F, max_doublings=4):
     sections converge like 1/n_max, so a fixed base may need a rung or two).
     The report carries the converged values, the full ladder, and a verdict:
 
-    * ``"Riesz-consistent"`` -- both bounds stable, c1 bounded away from 0;
+    * ``"Riesz-consistent"`` -- both bounds stable, c1 bounded away from 0,
+      on a rung whose beta-tail is at most ``TAIL_BAR``;
     * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling,
       on a rung whose beta-tail is at most ``TAIL_BAR``;
     * ``"inconclusive"``     -- the ladder budget ran out before stability, or
-      the rung that collapsed does not hold its columns (tail above the bar).
+      the rung that ended it does not hold its columns (tail above the bar).
 
     When beta_k**2 is a polynomial in k and :func:`_fit_gram` trusts its fit,
     every rung is the exact (untruncated) Gram band of its n_max columns

@@ -242,7 +242,7 @@ def test_moebius_match_functional_identity():
 
 
 def test_jordan_trivial_for_indecomposable():
-    j = classify.jordan(G, BERGMAN, attach_riesz=False)
+    j = classify.jordan(G, BERGMAN)
     assert j.decomposition.m == 1
     assert j.certificate is None
     assert j.direct_residual == 0.0
@@ -250,7 +250,7 @@ def test_jordan_trivial_for_indecomposable():
 
 def test_jordan_composite():
     f = ComposeSpec(G, BlaschkeProduct((0, 0.4)))
-    j = classify.jordan(f, BERGMAN, attach_riesz=False)
+    j = classify.jordan(f, BERGMAN)
     assert j.decomposition.m == 2
     assert j.certificate.accepted
     assert j.direct_residual < 1e-8
@@ -260,7 +260,7 @@ def test_jordan_composite():
 def test_jordan_pure_blaschke_on_hardy():
     # an order-2 product decomposes fully: trivial (Moebius) outer part
     B = BlaschkeProduct((0, 0.4), np.pi)
-    j = classify.jordan(B, HARDY, attach_riesz=False)
+    j = classify.jordan(B, HARDY)
     assert j.decomposition.m == 2
     assert j.decomposition.outer.degree == 1  # Moebius outer
     assert monodromy.outer_taylor(j.decomposition.outer).size < 60
@@ -418,7 +418,7 @@ def test_jordan_builds_each_frame_and_svd_once(monkeypatch):
 def test_intertwiner_residuals_match_dense_formulas():
     # the README pair, against the K x K products the residuals stand for
     for spec in _pair((0, 0.4), (0.2, -0.5)):
-        res = classify.jordan(spec, BERGMAN, attach_riesz=False)
+        res = classify.jordan(spec, BERGMAN)
         F, m, n_max = res.certificate.frame, res.decomposition.m, res.certificate.n_max
         X = F.matrix("beta")
         MB = operators.mult_matrix(
@@ -457,6 +457,40 @@ def test_intertwiners_form_no_matrix_beyond_the_outer_block(monkeypatch):
     res = classify.jordan(ComposeSpec(G, BlaschkeProduct((0, 0.4))), BERGMAN)
     assert res.decomposition.m == 2 and res.certificate.accepted
     assert sizes and max(sizes) <= res.certificate.n_max + 1, sizes
+
+
+def test_similar_forms_no_direct_identity(monkeypatch):
+    # one rational recursion per side (the certificate's M_B X) and no M_h:
+    # the direct identity of jordan is not part of a verdict's evidence
+    times, mults = [], []
+    frame_times, mult_matrix = frames.FrameMatrix.times, operators.mult_matrix
+
+    def counting_times(self, *args, **kw):
+        times.append(self.product.zeros)
+        return frame_times(self, *args, **kw)
+
+    def counting_mult_matrix(*args, **kw):
+        mults.append(args)
+        return mult_matrix(*args, **kw)
+
+    monkeypatch.setattr(frames.FrameMatrix, "times", counting_times)
+    monkeypatch.setattr(operators, "mult_matrix", counting_mult_matrix)
+    h1, h2 = _pair((0, 0.4), (0.2, -0.5))
+    assert classify.similar(h1, h2, BERGMAN).status == "similar"
+    assert len(times) == 2 and mults == []
+
+
+@pytest.mark.parametrize("pair", [
+    _pair((0, 0.4), (0.2, -0.5)),
+    _pair(VERDICT_ORDER3, (0.2, -0.5, 0.1)),
+], ids=["readme", "order3"])
+def test_similar_writes_the_certificate_of_jordan(pair):
+    # one n_max rule for both: jordan's certificate less its Riesz report
+    evidence = classify.similar(*pair, BERGMAN).evidence
+    for name, spec in zip(("certificate1", "certificate2"), pair):
+        expected = classify.jordan(spec, BERGMAN).certificate.to_dict()
+        assert expected["riesz"] is not None
+        assert evidence[name] == {**expected, "riesz": None}, name
 
 
 def test_douglas_needs_an_interior_column():

@@ -507,6 +507,16 @@ def test_an_ill_conditioned_band_rung_falls_back(monkeypatch):
     assert rep.stability["path"] == "truncated"
 
 
+@pytest.mark.parametrize("tail, verdict", [(0.03, "inconclusive"), (1e-12, "Riesz-consistent")])
+def test_stable_bounds_are_riesz_consistent_only_on_a_held_frame(tail, verdict):
+    # every rung gives the same (c1, c2): stable at once, so only the tail decides
+    F = frames.build_frame(BlaschkeProduct((0, 0.5)), BERGMAN, 8, 64)
+    rep = frames._climb(F, lambda K, n_max: (0.5, 2.0, tail), max_doublings=4)
+    assert rep.stability["c1_rel_change"] == rep.stability["c2_rel_change"] == 0.0
+    assert len(rep.stability["ladder"]) == 2 and rep.tail == tail
+    assert rep.verdict == verdict
+
+
 def test_riesz_degenerating_on_intermediate_growth():
     recip_nln = WeightSequence.nln().dual()
     F = frames.build_frame(MoebiusTransform(0.5), recip_nln, 60, 384)
