@@ -468,17 +468,21 @@ def counterexample_probe(t, w, n_max=400):
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
-    r = frames.column_norm_profile(t, w, n_max)
+    Ns = (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max)
+    # build_frame is row-causal and works column by column, so every rung is
+    # a leading block of the frame of the largest N and K; that K is the
+    # profile's first, so the profile reads the powers of phi the build made
+    K = max(512, 4 * max(Ns))
+    powers = np.empty((max(Ns) + 1, K + 1), dtype=complex)
+    top = frames.build_frame(MoebiusTransform(t), w, max(Ns), K, powers)
+    r = frames.column_norm_profile(t, w, n_max, powers)
+    del powers  # no longer held while the rungs take their extremes
     lo = max(2, n_max // 2)
     ns = np.arange(lo, n_max + 1, dtype=float)
     slope = float(np.polyfit(np.log(ns), np.log(r[lo:]), 1)[0])
     growth_ratio = float(r[n_max] / np.min(r[lo:]))
     ladder = []
     conds = []
-    Ns = (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max)
-    # build_frame is row-causal and works column by column, so every rung is
-    # a leading block of the frame of the largest N and K
-    top = frames.build_frame(MoebiusTransform(t), w, max(Ns), max(512, 4 * max(Ns)))
     for N in Ns:
         K = max(512, 4 * N)
         F = replace(top, n_max=N, K=K, taylor=top.taylor[: K + top.pad, : top.m * (N + 1)])

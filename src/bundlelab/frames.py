@@ -38,7 +38,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpbtrf
+from scipy.linalg.lapack import zpbtrf, zpotrf
 
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -156,20 +156,26 @@ class FrameMatrix:
         eigenvalues), taken by :func:`_band_ends` on the band of
         :func:`_gram_band`, or by the dense ``eigvalsh`` for a band b >= n/16.
         A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
-        instead; so does a wide matrix, whose Gram matrix is singular.
+        instead; so does a wide matrix, whose Gram matrix is singular.  The
+        route is read first from one Cholesky factorization of G - sigma*I,
+        sigma = 0.1 * _GRAM_RATIO * max diag G: when it fails, lambda_min <=
+        sigma <= 0.1 * _GRAM_RATIO * lambda_max, ten times inside the bar, so
+        ``svdvals`` is taken with no eigenvalue solve.
         """
         if self._extremes is None:
             A = self.matrix("beta")
             G = zherk(1.0, A.T)
-            b = _gram_band(G)
-            if _BAND_CROSSOVER * b < G.shape[0]:
-                band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
-                for k in range(b + 1):
-                    band[b - k, k:] = np.diagonal(G, k)
-                lam = _band_ends(band)
-            else:
-                lam = eigvalsh(G, lower=False, overwrite_a=True)
-            if lam[0] > _GRAM_RATIO * lam[-1]:
+            lam = None
+            if _shift_factors(G, 0.1 * _GRAM_RATIO):
+                b = _gram_band(G)
+                if _BAND_CROSSOVER * b < G.shape[0]:
+                    band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
+                    for k in range(b + 1):
+                        band[b - k, k:] = np.diagonal(G, k)
+                    lam = _band_ends(band)
+                else:
+                    lam = eigvalsh(G, lower=False, overwrite_a=True)
+            if lam is not None and lam[0] > _GRAM_RATIO * lam[-1]:
                 self._extremes = (np.sqrt(lam[0]), np.sqrt(lam[-1]))
             else:
                 s = svdvals(A)
@@ -186,6 +192,17 @@ class FrameMatrix:
     def rebuild(self, n_max, K):
         # build_frame keeps the laid-out ``product`` as it is
         return replace(build_frame(self.product, self.w, n_max, K), conjugator=self.conjugator)
+
+
+def _shift_factors(G, ratio):
+    """Whether G - sigma*I, sigma = ``ratio`` * max diag G, has a Cholesky factor.
+
+    One dense ``zpotrf`` on a copy, reading the upper triangle (as ``zherk``
+    leaves it): it succeeds iff sigma is below lambda_min, to roundoff.
+    """
+    shifted = G.copy(order="F")
+    shifted[np.diag_indices(G.shape[0])] -= ratio * np.max(np.diagonal(G).real)
+    return zpotrf(shifted, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
 def _gram_band(G):
@@ -290,16 +307,35 @@ def _flush(a):
     return a
 
 
-def build_frame(B, w, n_max, K):
+def _powers(B, rows):
+    """B^0, B^1, ... on ``rows`` coefficients, as long as they are drawn.
+
+    Each step is ``B^{n+1} = (P/Q) B^n`` by :func:`series.rational_banded` on
+    Q's band, formed once, and its entries below ``_FLUSH`` are set to 0.  A
+    power is computed only when it is drawn, so n draws make n - 1 steps.
+    """
+    P, Q = funcspec.to_rational(B)
+    band = series.toeplitz_band(Q, rows)
+    power = np.zeros(rows, dtype=complex)
+    power[0] = 1.0
+    while True:
+        yield power
+        power = _flush(series.rational_banded(P, band, power))
+
+
+def build_frame(B, w, n_max, K, powers=None):
     """Frame columns B^n(z)/(1 - conj(z_j) z) by exact rational recursion.
 
-    With B = P/Q, each power is ``B^{n+1} = rational(P, Q, B^n)`` on ``K +
-    _TAIL_PAD`` coefficients.  The powers are made ``_BUILD_CHUNK`` at a time, and
-    each kernel factor 1/(1 - conj(z_j) z) is one banded solve over a chunk,
-    written straight into the frame block.  Entries below ``_FLUSH`` in the
-    powers and the columns are set to 0.  Zeros must be distinct.  The
-    product is laid out by :func:`_normalize_product` (its precomposition,
-    if any, recorded in ``conjugator``).
+    The powers B^n come from :func:`_powers` on ``K + _TAIL_PAD``
+    coefficients, ``_BUILD_CHUNK`` at a time, and each kernel factor 1/(1 -
+    conj(z_j) z) is one banded solve over a chunk, written straight into the
+    frame block.  Entries below ``_FLUSH`` in the columns are set to 0.
+    Zeros must be distinct.  The product is laid out by
+    :func:`_normalize_product` (its precomposition, if any, recorded in
+    ``conjugator``).  ``powers``, an array of n_max + 1 rows and at most ``K
+    + _TAIL_PAD`` columns, receives the leading coefficients of the powers of
+    the laid-out product, B^n in row n, so that a caller that reads them runs
+    no recursion of its own.
     """
     if n_max < 0 or K < 8:
         raise ValueError("need n_max >= 0 and K >= 8")
@@ -308,19 +344,17 @@ def build_frame(B, w, n_max, K):
     Bn, conj_psi = _normalize_product(B)
     rows = K + _TAIL_PAD
     m = Bn.order
-    P, Q = funcspec.to_rational(Bn)
     X = np.empty((rows, m * (n_max + 1)), dtype=complex)
-    power = np.zeros(rows, dtype=complex)
-    power[0] = 1.0
+    source = _powers(Bn, rows)
     for c in range(0, n_max + 1, _BUILD_CHUNK):
-        powers = np.empty((min(_BUILD_CHUNK, n_max + 1 - c), rows), dtype=complex)
-        for k in range(powers.shape[0]):
-            if c + k > 0:
-                power = _flush(series.rational(P, Q, power))
-            powers[k] = power
-        cols = slice(m * c, m * (c + powers.shape[0]))
+        chunk = np.empty((min(_BUILD_CHUNK, n_max + 1 - c), rows), dtype=complex)
+        for k in range(chunk.shape[0]):
+            chunk[k] = next(source)
+        if powers is not None:
+            powers[c : c + chunk.shape[0]] = chunk[:, : powers.shape[1]]
+        cols = slice(m * c, m * (c + chunk.shape[0]))
         for j, zj in enumerate(Bn.zeros):
-            X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], powers.T))
+            X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], chunk.T))
     return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=_TAIL_PAD,
                        conjugator=conj_psi)
 
@@ -718,37 +752,36 @@ def moebius_duality_check(z0, w, n_max, K):
     return IdentityCheckReport(float(np.max(dev)), scale=scale)
 
 
-def column_norm_profile(z0, w, n_max):
+def column_norm_profile(z0, w, n_max, powers=None):
     """Normalized power norms r_n = ||phi^n|| / beta_n for n <= n_max.
 
     The truncation K is doubled until the tail (last eighth of the rows)
     contributes less than 1e-6 of every power's squared norm, from K = 512
-    (or 4 n_max) up to 2**17.
+    (or 4 n_max) up to 2**17.  The powers come from :func:`_powers` on K + 1
+    coefficients, or, for the first K, from ``powers`` when given: phi^n in
+    row n for n <= n_max at least, on those K + 1 coefficients, as
+    :func:`build_frame` writes them for the frame of phi at that K.
     """
-    P, Q = funcspec.to_rational(MoebiusTransform(z0))
+    lb = w.log_betas(n_max)
     K = max(512, 4 * n_max)
     while True:
         betas2 = w.betas(K) ** 2
-        lb = w.log_betas(n_max)
         cut = K - K // 8
-        cur = np.zeros(K + 1, dtype=complex)
-        cur[0] = 1.0
+        source = iter(powers) if powers is not None else _powers(MoebiusTransform(z0), K + 1)
+        next(source)  # phi^0 = 1
         r = np.empty(n_max + 1)
         r[0] = 1.0
-        ok = True
         for n in range(1, n_max + 1):
-            cur = series.rational(P, Q, cur)
-            terms = betas2 * np.abs(cur) ** 2
+            terms = betas2 * np.abs(next(source)) ** 2
             total = float(np.sum(terms))
             if total <= 0:
                 raise DomainError("power norms underflowed; weights decay too fast")
             if float(np.sum(terms[cut:])) > 1e-6 * total:
-                ok = False
                 break
             r[n] = math.exp(0.5 * math.log(total) - lb[n])
-        if ok:
+        else:
             return r
-        K *= 2
+        K, powers = 2 * K, None
         if K > 1 << 17:
             raise DomainError("truncation budget exceeded in column_norm_profile")
 

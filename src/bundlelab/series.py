@@ -22,6 +22,8 @@ from .funcspec import PolySpec, to_rational
 __all__ = [
     "PowerSeries",
     "rational",
+    "rational_banded",
+    "toeplitz_band",
     "taylor",
     "multiply",
     "inner",
@@ -66,21 +68,32 @@ def rational(P, Q, X):
     coefficient vector or a 2-d array of columns, and the result has its
     shape.  The numerator P*x is a sum of shifted copies of X; the division by
     Q is one lower-triangular banded solve with the Toeplitz band of Q (the
-    recursion Q*y = P*x, no pivoting, no truncation error).
+    recursion Q*y = P*x, no pivoting, no truncation error).  A recursion that
+    divides by the same Q on every step forms the band once with
+    :func:`toeplitz_band` and calls :func:`rational_banded`, as this does.
     """
+    X = np.asarray(X, dtype=complex)
+    return rational_banded(P, toeplitz_band(Q, X.shape[0]), X)
+
+
+def toeplitz_band(Q, n):
+    """The lower Toeplitz band of Q for n coefficients, in ``ztbtrs`` storage."""
+    Q = np.asarray(Q, dtype=complex)[:n]
+    return np.asfortranarray(np.broadcast_to(Q[:, None], (Q.size, n)))
+
+
+def rational_banded(P, band, X):
+    """:func:`rational` with Q's band prepared by :func:`toeplitz_band` for len(X) rows."""
     P = np.asarray(P, dtype=complex)
-    Q = np.asarray(Q, dtype=complex)
     X = np.asarray(X, dtype=complex)
     cols = X[:, None] if X.ndim == 1 else X
     n = cols.shape[0]
     Y = np.asfortranarray(P[0] * cols)
     for k in range(1, min(P.size, n)):
         Y[k:] += P[k] * cols[: n - k]
-    Q = Q[:n]
-    ab = np.asfortranarray(np.broadcast_to(Q[:, None], (Q.size, n)))
-    Y, info = ztbtrs(ab, Y, uplo="L", overwrite_b=1)
+    Y, info = ztbtrs(band, Y, uplo="L", overwrite_b=1)
     if info != 0:  # info > 0 is a zero diagonal: Q[0] = 0, a pole at the origin
-        raise DomainError(f"P/Q has no Taylor series: Q[0] = {Q[0]} (info {info})")
+        raise DomainError(f"P/Q has no Taylor series: Q[0] = {band[0, 0]} (info {info})")
     return Y[:, 0] if X.ndim == 1 else Y
 
 

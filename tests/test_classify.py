@@ -37,9 +37,9 @@ def test_douglas_key_regime(monkeypatch):
     built = []
     build_frame = frames.build_frame
 
-    def counting_build(B, w, n_max, K):
+    def counting_build(B, w, n_max, K, *powers):
         built.append((n_max, K))
-        return build_frame(B, w, n_max, K)
+        return build_frame(B, w, n_max, K, *powers)
 
     monkeypatch.setattr(frames, "build_frame", counting_build)
     cert = classify.douglas_intertwiner(
@@ -339,9 +339,9 @@ def test_counterexample_probe_builds_one_frame(monkeypatch, n_max):
     built = []
     build_frame = frames.build_frame
 
-    def counting_build(B, w, n_max, K):
+    def counting_build(B, w, n_max, K, *powers):
         built.append((n_max, K))
-        return build_frame(B, w, n_max, K)
+        return build_frame(B, w, n_max, K, *powers)
 
     monkeypatch.setattr(frames, "build_frame", counting_build)
     rep = classify.counterexample_probe(0.5, BERGMAN, n_max=n_max)
@@ -351,6 +351,22 @@ def test_counterexample_probe_builds_one_frame(monkeypatch, n_max):
     for rung in rep.ladder:
         s_min, s_max = build_frame(MoebiusTransform(0.5), BERGMAN, rung["n_max"], rung["K"]).extremes()
         assert rung["cond"] == float(s_max / s_min)
+
+
+def test_counterexample_probe_runs_one_power_recursion(monkeypatch):
+    # a step of a power recursion divides one coefficient vector; the frame's
+    # kernel solves divide blocks of columns
+    steps = []
+    rational_banded = series.rational_banded
+
+    def counting(P, band, X):
+        steps.append(np.ndim(X) == 1)
+        return rational_banded(P, band, X)
+
+    monkeypatch.setattr(series, "rational_banded", counting)
+    classify.counterexample_probe(0.5, BERGMAN, n_max=200)
+    # the profile reads the powers of the frame build: n_max steps, not 2 * n_max
+    assert sum(steps) == 200
 
 
 def test_counterexample_probe_tiny_parameter():

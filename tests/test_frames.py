@@ -107,6 +107,32 @@ def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
     assert calls == [1]
 
 
+def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
+    banded, dense = _spy(monkeypatch, "_band_ends"), _spy(monkeypatch, "eigvalsh")
+    F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 200, 800)
+    A = F.matrix("beta")
+    G = zherk(1.0, A.T)
+    assert not frames._shift_factors(G, 0.1 * frames._GRAM_RATIO)
+    # the Gram route, had it run, would have refused these extremes as well
+    lam = eigvalsh(G, lower=False)
+    assert lam[0] <= frames._GRAM_RATIO * lam[-1]
+    s = svdvals(A)
+    assert F.extremes() == (s[-1], s[0])
+    assert (banded, dense) == ([], [])
+
+
+@pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
+@pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "nln", "reciprocal:nln", "polygrowth:M=2"])
+def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):
+    F = frames.build_frame(MoebiusTransform(t), parse_weight_id(wid), 100, 512)
+    G = zherk(1.0, F.matrix("beta").T)
+    factors = frames._shift_factors(G, 0.1 * frames._GRAM_RATIO)
+    lam = eigvalsh(G, lower=False)
+    assert factors == (lam[0] > 0.1 * frames._GRAM_RATIO * lam[-1])
+    if not factors:
+        assert lam[0] <= frames._GRAM_RATIO * lam[-1]
+
+
 def _spy(monkeypatch, name):
     """Record each call of the module-level ``frames.<name>``."""
     calls, f = [], getattr(frames, name)
@@ -585,6 +611,23 @@ def test_column_norm_profile_regimes():
     r_n = frames.column_norm_profile(0.5, recip_nln, 120)
     assert np.all(np.diff(r_n[20:]) > 0)
     assert r_n[120] > 2 * r_n[20]
+
+
+@pytest.mark.parametrize(("wid", "t", "recursions"), [
+    ("reciprocal:nln", 0.5, []),
+    # the tail test fails at K 512, so the profile's own recursion doubles K
+    ("hardy", 0.9, [1025, 2049, 4097]),
+])
+def test_column_norm_profile_reads_the_powers_of_the_frame_build(monkeypatch, wid, t, recursions):
+    w = parse_weight_id(wid)
+    powers = np.empty((121, 513), dtype=complex)
+    frames.build_frame(MoebiusTransform(t), w, 120, 512, powers)
+    rows = []
+    source = frames._powers
+    monkeypatch.setattr(frames, "_powers", lambda B, n: rows.append(n) or source(B, n))
+    r = frames.column_norm_profile(t, w, 120, powers)
+    assert rows == recursions
+    assert np.array_equal(r, frames.column_norm_profile(t, w, 120))
 
 
 def test_derivative_power_norms_dominate_bound():
