@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy import ndimage
-from scipy.spatial import cKDTree
 
 from .blaschke import fiber_roots
 from .errors import WindingError
@@ -179,6 +177,8 @@ def index_map(spec, bounds, resolution):
     the probes must agree with each other (region constancy) and each probe
     runs both index computations internally.
     """
+    from scipy import ndimage  # imported here: no other command needs it
+
     if resolution > 2048:
         raise ValueError("resolution capped at 2048 cells per axis")
     re_min, re_max, im_min, im_max = (float(b) for b in bounds)
@@ -234,6 +234,8 @@ def _band(curve, xs, ys, cells, width):
     by 64 ulps of the largest coordinate so that they also cover cells too
     small for the coordinates to resolve.
     """
+    from scipy.spatial import cKDTree  # imported here: no other command needs it
+
     tree = cKDTree(np.column_stack([curve.real, curve.imag]))
     res = xs.size
     re_min, im_min, cell_w, cell_h = cells

@@ -56,16 +56,17 @@ def identity_blaschke():
     return BlaschkeProduct((0.0,), np.pi)
 
 
-def base_fiber(spec, omega0):
+def base_fiber(spec, omega0, index=None):
     """Tuple of the distinct fiber points over omega0, checked against the index.
 
-    The count must match the argument-principle/root-count index, and the
-    points must be separated by more than 1e-6 (otherwise omega0 sits too
-    close to a branch value and must be re-chosen).
+    The count must match the argument-principle/root-count index (``index``
+    when the caller has it already), and the points must be separated by more
+    than 1e-6 (otherwise omega0 sits too close to a branch value and must be
+    re-chosen).
     """
     f = RationalFunction.from_spec(spec)
     pts = with_multiplicity(fiber_roots(f.fiber_poly(omega0), geometry.COUNT_RADIUS))
-    n = geometry.winding_index(f, omega0)
+    n = geometry.winding_index(f, omega0) if index is None else index
     if len(pts) != n:
         raise FiberError(
             f"fiber count {len(pts)} does not match index {n} at {omega0}"
@@ -91,6 +92,7 @@ def default_base_point(f, curve, bvs):
     Candidates spiral outward from f(0); among admissible ones (clear of the
     branch values and the curve) the one with the largest index is taken, so
     the decomposition runs over the maximal-index component when possible.
+    Returns the point and its index.
     """
     scale = geometry._bbox_diag(curve)
     center = f.value(0.0)
@@ -113,7 +115,7 @@ def default_base_point(f, curve, bvs):
             break
     if best is None:
         raise FiberError("no admissible base point found near f(0)")
-    return complex(best[0])
+    return complex(best[0]), best[1]
 
 
 def inner_factor_from_block(fiber, block):
@@ -344,8 +346,9 @@ def decompose(spec, omega0=None):
     f = RationalFunction.from_spec(spec)
     curve = geometry.boundary_curve(f, 1024)
     bvs = _clustered_branch_values(f)
+    index = None  # base_fiber takes the index of a supplied base point
     if omega0 is None:
-        omega0 = default_base_point(f, curve, bvs)
+        omega0, index = default_base_point(f, curve, bvs)
     else:
         omega0 = complex(omega0)
         d_curve = float(np.min(np.abs(curve - omega0)))
@@ -355,7 +358,7 @@ def decompose(spec, omega0=None):
                 f"base point {omega0} is within 1e-3 of the branch set or boundary"
             )
     cert = _certificate_id(spec, omega0)
-    fiber = base_fiber(f, omega0)
+    fiber = base_fiber(f, omega0, index)
     n = len(fiber)
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")

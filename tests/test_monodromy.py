@@ -219,8 +219,8 @@ def test_decompose_order_bookkeeping_against_winding():
 
 def test_base_point_is_f0_when_it_is_admissible(monkeypatch):
     # f(0) = 0 is clear of the curve and the branch values, so the base point
-    # takes its index once and base_fiber once more; no ring around f(0) is
-    # probed, as its points lie in f(0)'s component
+    # takes its index once, and base_fiber checks the fiber against it; no
+    # ring around f(0) is probed, as its points lie in f(0)'s component
     from bundlelab import geometry
 
     points = []
@@ -232,7 +232,22 @@ def test_base_point_is_f0_when_it_is_admissible(monkeypatch):
 
     monkeypatch.setattr(geometry, "winding_index", counting)
     dec = monodromy.decompose(G_CUBIC)
-    assert dec.base_point == 0 and points == [0, 0]
+    assert dec.base_point == 0 and points == [0]
+
+
+def test_a_supplied_base_point_takes_its_index_once(monkeypatch):
+    from bundlelab import geometry
+
+    points = []
+    winding_index = geometry.winding_index
+
+    def counting(f, omega):
+        points.append(omega)
+        return winding_index(f, omega)
+
+    monkeypatch.setattr(geometry, "winding_index", counting)
+    dec = monodromy.decompose(ComposeSpec(G_CUBIC, INNER), 0.05)
+    assert dec.base_point == 0.05 and points == [0.05]
 
 
 def test_decompose_indecomposable():
