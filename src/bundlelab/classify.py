@@ -41,6 +41,9 @@ _K_CAP = 4096  # the intertwiner's doubling ladder stops at this row truncation
 # an intertwiner's cond is refused at cond*eps >= 1e-8, the residual's own bar
 # (about 4.5e7): past it the two extremes may both be roundoff
 _COND_BAR = 1e-8 / float(np.finfo(float).eps)
+# a counterexample rung's cond is unresolved at cond*eps >= 1e-3: past it the
+# roundoff in s_min is no longer 100 times below the 10% the ratio tests read
+_PROBE_COND_BAR = 1e-3 / float(np.finfo(float).eps)
 
 
 @dataclass
@@ -441,6 +444,7 @@ class CounterexampleReport:
     ladder: list
     cond_ratio: float
     verdict: str
+    reason: str
 
     def to_dict(self):
         return {
@@ -454,6 +458,7 @@ class CounterexampleReport:
             "ladder": self.ladder,
             "cond_ratio": self.cond_ratio,
             "verdict": self.verdict,
+            "reason": self.reason,
         }
 
 
@@ -464,7 +469,11 @@ def counterexample_probe(t, w, n_max=400):
     upper half, and the condition numbers of the truncated deformation for a
     doubling ladder of column counts.  Divergence of both is the numerical
     signature of "no bounded similarity at probed scales"; joint
-    stabilization is reported as "similarity-consistent".
+    stabilization is reported as "similarity-consistent".  Either is drawn
+    only when every rung is resolved: its frame holds its columns (beta-tail
+    below ``frames.TAIL_BAR``) and its cond is below ``_PROBE_COND_BAR``.
+    Otherwise the verdict is "inconclusive" and ``reason`` names the first
+    rung that is not.
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
@@ -483,13 +492,19 @@ def counterexample_probe(t, w, n_max=400):
     growth_ratio = float(r[n_max] / np.min(r[lo:]))
     ladder = []
     conds = []
+    reason = ""
     for N in Ns:
         K = max(512, 4 * N)
         F = replace(top, n_max=N, K=K, taylor=top.taylor[: K + top.pad, : top.m * (N + 1)])
         s_min, s_max = F.extremes()
         cond = float(s_max / s_min) if s_min > 0 else float("inf")
+        tail = F.tail()
         conds.append(cond)
-        ladder.append({"n_max": N, "K": K, "cond": cond})
+        ladder.append({"n_max": N, "K": K, "cond": cond, "tail": tail})
+        if not reason and tail >= frames.TAIL_BAR:
+            reason = f"rung n_max {N}, K {K}: tail {tail:.3g} >= {frames.TAIL_BAR:g}"
+        elif not reason and not cond < _PROBE_COND_BAR:
+            reason = f"rung n_max {N}, K {K}: cond {cond:.3g} >= {_PROBE_COND_BAR:.3g}"
     cond_ratio = conds[-1] / conds[-2] if conds[-2] > 0 else float("inf")
     # bounded profiles still drift like 1/n toward their limit, so "stable"
     # tolerates a small positive slope; divergence shows up orders of
@@ -498,7 +513,9 @@ def counterexample_probe(t, w, n_max=400):
     r_stable = growth_ratio < 1.1 and slope < 0.05
     c_diverging = cond_ratio > 1.5
     c_stable = cond_ratio < 1.1
-    if r_diverging and c_diverging:
+    if reason:
+        verdict = "inconclusive"
+    elif r_diverging and c_diverging:
         verdict = "no bounded similarity at probed scales"
     elif r_stable and c_stable:
         verdict = "similarity-consistent"
@@ -507,5 +524,5 @@ def counterexample_probe(t, w, n_max=400):
     return CounterexampleReport(
         t=float(t), weights_id=w.id, n_max=n_max, profile=r, slope=slope,
         growth_ratio=growth_ratio, ladder=ladder, cond_ratio=cond_ratio,
-        verdict=verdict,
+        verdict=verdict, reason=reason,
     )

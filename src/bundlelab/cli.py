@@ -316,7 +316,8 @@ def _cmd_counterexample(out, weights, t, n_max, csv):
         result["csv"] = "profile.csv"
         artifacts.append(path)
     return result, 0, (
-        f"counterexample {weights.id} t={t}: {rep.verdict} (slope {rep.slope:+.4f})"
+        f"counterexample {weights.id} t={t}: {rep.verdict} "
+        f"({rep.reason + '; ' if rep.reason else ''}slope {rep.slope:+.4f})"
     ), artifacts
 
 

@@ -170,16 +170,30 @@ INDEX_MAP_RESULT = {
 COUNTEREXAMPLE_RESULT = {
     "type": "object",
     "required": ["t", "weights", "n_max", "slope", "growth_ratio",
-                 "ladder", "cond_ratio", "verdict", "profile_head", "profile_last"],
+                 "ladder", "cond_ratio", "verdict", "reason", "profile_head", "profile_last"],
     "properties": {
         "t": {"type": "number"},
         "weights": {"type": "string"},
         "n_max": {"type": "integer"},
         "slope": {"type": "number"},
         "growth_ratio": {"type": "number"},
-        "ladder": {"type": "array"},
+        "ladder": {
+            "type": "array",
+            "items": {
+                "type": "object",
+                "required": ["n_max", "K", "cond", "tail"],
+                "properties": {
+                    "n_max": {"type": "integer"},
+                    "K": {"type": "integer"},
+                    "cond": {"type": "number"},
+                    "tail": {"type": "number"},
+                },
+                "additionalProperties": False,
+            },
+        },
         "cond_ratio": {"type": "number"},
         "verdict": {"type": "string"},
+        "reason": {"type": "string"},
         "profile_head": {"type": "array", "items": {"type": "number"}},
         "profile_last": {"type": "number"},
         "csv": {"type": "string"},

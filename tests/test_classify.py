@@ -369,6 +369,29 @@ def test_counterexample_probe_runs_one_power_recursion(monkeypatch):
     assert sum(steps) == 200
 
 
+@pytest.mark.parametrize(("wid", "verdict", "reason"), [
+    # t 0.5, the benchmark's inputs: every rung resolved, the verdicts kept
+    ("reciprocal:nln", "no bounded similarity at probed scales", ""),
+    ("bergman:alpha=1", "similarity-consistent", ""),
+])
+def test_counterexample_probe_keeps_its_verdicts_on_resolved_rungs(wid, verdict, reason):
+    rep = classify.counterexample_probe(0.5, parse_weight_id(wid), n_max=400)
+    assert (rep.verdict, rep.reason) == (verdict, reason)
+    assert max(rung["tail"] for rung in rep.ladder) < frames.TAIL_BAR
+    assert max(rung["cond"] for rung in rep.ladder) < classify._PROBE_COND_BAR
+
+
+@pytest.mark.parametrize(("wid", "reason"), [
+    # conds of 8e18 to 7e21, which roundoff alone can make: once "no bounded similarity"
+    ("reciprocal:nln", "rung n_max 50, K 512: cond 8.14e+18 >= 4.5e+12"),
+    # conds of 1e8 to 3e20 on frames that do not hold their columns
+    ("hardy", "rung n_max 50, K 512: tail 1.03 >= 1e-08"),
+])
+def test_counterexample_probe_draws_no_verdict_from_unresolved_rungs(wid, reason):
+    rep = classify.counterexample_probe(0.9, parse_weight_id(wid), n_max=400)
+    assert (rep.verdict, rep.reason) == ("inconclusive", reason)
+
+
 def test_counterexample_probe_tiny_parameter():
     rep = classify.counterexample_probe(1e-6, HARDY, n_max=40)
     assert np.max(np.abs(rep.profile - 1.0)) < 1e-4

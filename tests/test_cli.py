@@ -281,6 +281,17 @@ def test_counterexample_command(tmp_path):
     assert len(profile) == 122
 
 
+def test_counterexample_summary_names_an_unresolved_rung(tmp_path, capsys):
+    code = _run(["counterexample", "--weights", "hardy", "--t", "0.9",
+                 "--n-max", "200", "--csv", "no", "--out", str(tmp_path)])
+    assert code == 0
+    env = _load(tmp_path)
+    _validate(env)
+    assert env["result"]["verdict"] == "inconclusive"
+    assert env["result"]["reason"] == "rung n_max 25, K 512: tail 0.186 >= 1e-08"
+    assert "inconclusive (rung n_max 25, K 512: tail 0.186 >= 1e-08; slope" in capsys.readouterr().out
+
+
 def test_equivalent_command(tmp_path):
     code = _run(["equivalent", "--weights", "bergman:alpha=1",
                  "--weights2", "reciprocal:polygrowth:M=1", "--probe", "20000",
