@@ -74,6 +74,10 @@ _FLUSH = math.sqrt(np.finfo(float).tiny)
 # the Gram matrix gives s_min to about eps * cond^2 relative; below this
 # eigenvalue ratio (cond > 1e4) the extremes come from a full SVD instead
 _GRAM_RATIO = 1e-8
+# extremes first tries one Cholesky factorization of G - sigma*I, sigma this
+# times max diag G; ten times inside _GRAM_RATIO, its failure is a refusal of
+# the Gram route with room for roundoff
+_ROUTE_SHIFT = 0.1 * _GRAM_RATIO
 # a Gram band b >= n/16 goes dense: with BLAS at one thread the two routes
 # break even there (_band_ends against eigvalsh, in ms: n 122, b 7: 2.6 vs 1.8;
 # n 401, b 25: 30 vs 41; n 1602, b 100: 504 vs 1410)
@@ -158,15 +162,15 @@ class FrameMatrix:
         A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
         instead; so does a wide matrix, whose Gram matrix is singular.  The
         route is read first from one Cholesky factorization of G - sigma*I,
-        sigma = 0.1 * _GRAM_RATIO * max diag G: when it fails, lambda_min <=
-        sigma <= 0.1 * _GRAM_RATIO * lambda_max, ten times inside the bar, so
-        ``svdvals`` is taken with no eigenvalue solve.
+        sigma = _ROUTE_SHIFT * max diag G (:func:`_shift_factors`): when it
+        fails, lambda_min <= sigma <= 0.1 * _GRAM_RATIO * lambda_max, ten times
+        inside the bar, so ``svdvals`` is taken with no eigenvalue solve.
         """
         if self._extremes is None:
             A = self.matrix("beta")
             G = zherk(1.0, A.T)
             lam = None
-            if _shift_factors(G, 0.1 * _GRAM_RATIO):
+            if _shift_factors(G):
                 b = _gram_band(G)
                 if _BAND_CROSSOVER * b < G.shape[0]:
                     band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
@@ -194,14 +198,14 @@ class FrameMatrix:
         return replace(build_frame(self.product, self.w, n_max, K), conjugator=self.conjugator)
 
 
-def _shift_factors(G, ratio):
-    """Whether G - sigma*I, sigma = ``ratio`` * max diag G, has a Cholesky factor.
+def _shift_factors(G):
+    """Whether G - sigma*I, sigma = ``_ROUTE_SHIFT`` * max diag G, has a Cholesky factor.
 
     One dense ``zpotrf`` on a copy, reading the upper triangle (as ``zherk``
     leaves it): it succeeds iff sigma is below lambda_min, to roundoff.
     """
     shifted = G.copy(order="F")
-    shifted[np.diag_indices(G.shape[0])] -= ratio * np.max(np.diagonal(G).real)
+    shifted[np.diag_indices(G.shape[0])] -= _ROUTE_SHIFT * np.max(np.diagonal(G).real)
     return zpotrf(shifted, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 

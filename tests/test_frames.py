@@ -112,7 +112,7 @@ def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
     F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 200, 800)
     A = F.matrix("beta")
     G = zherk(1.0, A.T)
-    assert not frames._shift_factors(G, 0.1 * frames._GRAM_RATIO)
+    assert not frames._shift_factors(G)
     # the Gram route, had it run, would have refused these extremes as well
     lam = eigvalsh(G, lower=False)
     assert lam[0] <= frames._GRAM_RATIO * lam[-1]
@@ -126,9 +126,9 @@ def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
 def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):
     F = frames.build_frame(MoebiusTransform(t), parse_weight_id(wid), 100, 512)
     G = zherk(1.0, F.matrix("beta").T)
-    factors = frames._shift_factors(G, 0.1 * frames._GRAM_RATIO)
+    factors = frames._shift_factors(G)
     lam = eigvalsh(G, lower=False)
-    assert factors == (lam[0] > 0.1 * frames._GRAM_RATIO * lam[-1])
+    assert factors == (lam[0] > frames._ROUTE_SHIFT * lam[-1])
     if not factors:
         assert lam[0] <= frames._GRAM_RATIO * lam[-1]
 
