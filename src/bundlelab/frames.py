@@ -5,8 +5,13 @@ a precomposition that brings them nearer 0, :func:`_normalize_product`), the
 frame columns are the vectors ``B^n(z) / (1 - conj(z_j) z)`` laid out with
 column index ``n*m + j``.  The coefficients come from the exact rational
 recursion ``B^{n+1} = (P/Q) B^n`` and one banded solve per kernel factor
-(:func:`series.rational`).  Three normalizations of the same Taylor
-coefficient block are exposed:
+(:func:`series.rational`).  The recursion is written once, :func:`_powers`,
+which forms Q's Toeplitz band once and steps with
+:func:`series.rational_banded`; :func:`build_frame` and
+:func:`column_norm_profile` both draw from it, and the profile reads the
+powers that a frame build of the same automorphism hands it, so that the
+counterexample probe computes each power once.  Three normalizations of the
+same Taylor coefficient block are exposed:
 
 * ``raw``      -- the vectors themselves in orthonormal coordinates,
 * ``beta``     -- column (j, n) divided by beta_n (Riesz-base candidate),
@@ -15,9 +20,12 @@ coefficient block are exposed:
 
 The extremal singular values come from the two extreme eigenvalues of the
 Gram matrix, which squares the condition number; a frame whose Gram matrix is
-too close to singular for that (cond > 1e4) falls back to a full SVD.  They
-are those of the Gram band: offsets past b are dropped for the smallest b whose
-dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
+too close to singular for that (cond > 1e4) falls back to a full SVD.  The
+route is decided first by one Cholesky factorization of G - sigma*I, sigma
+1e-9 times the largest diagonal entry: when it fails, the SVD is taken with
+no eigenvalue solve, as the Gram route would refuse that frame too.  The
+two eigenvalues are those of the Gram band: offsets past b are dropped for the
+smallest b whose dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
 roundoff level (b = m - 1 for Hardy).  Each end is bisected with one banded
 Cholesky factorization per step (:func:`_band_ends`), O(n b^2) where all n
 eigenvalues would cost O(n^2 b); a band b >= n/16 is solved dense.  When

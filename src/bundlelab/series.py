@@ -83,7 +83,12 @@ def toeplitz_band(Q, n):
 
 
 def rational_banded(P, band, X):
-    """:func:`rational` with Q's band prepared by :func:`toeplitz_band` for len(X) rows."""
+    """:func:`rational` with Q's band prepared by :func:`toeplitz_band` for len(X) rows.
+
+    With Q[0] = 1 (every Blaschke product's denominator, every kernel factor)
+    the solve takes the unit diagonal as given: it skips a division by 1,
+    which is exact, so the result does not change.
+    """
     P = np.asarray(P, dtype=complex)
     X = np.asarray(X, dtype=complex)
     cols = X[:, None] if X.ndim == 1 else X
@@ -91,7 +96,7 @@ def rational_banded(P, band, X):
     Y = np.asfortranarray(P[0] * cols)
     for k in range(1, min(P.size, n)):
         Y[k:] += P[k] * cols[: n - k]
-    Y, info = ztbtrs(band, Y, uplo="L", overwrite_b=1)
+    Y, info = ztbtrs(band, Y, uplo="L", diag="U" if band[0, 0] == 1 else "N", overwrite_b=1)
     if info != 0:  # info > 0 is a zero diagonal: Q[0] = 0, a pole at the origin
         raise DomainError(f"P/Q has no Taylor series: Q[0] = {band[0, 0]} (info {info})")
     return Y[:, 0] if X.ndim == 1 else Y

@@ -112,3 +112,20 @@ def test_rational_solves_q_times_y_equals_p_times_x():
         assert np.array_equal(series.rational(P, Q, X[:, c]), Y[:, c])
     with pytest.raises(DomainError):
         series.rational(P, [0.0, 1.0], X)
+
+
+def test_a_unit_constant_term_skips_only_an_exact_division():
+    # Q[0] = 1 takes the unit-diagonal solve; the general one gives the same values
+    from scipy.linalg.lapack import ztbtrs
+
+    rng = np.random.default_rng(11)
+    P = np.array([0.3 - 0.1j, -1.0])
+    Q = np.array([1.0, -0.5 + 0.2j, 0.1j])
+    X = rng.standard_normal((200, 3)) + 1j * rng.standard_normal((200, 3))
+    band = series.toeplitz_band(Q, 200)
+    numerator = np.asfortranarray(P[0] * X)
+    numerator[1:] += P[1] * X[:-1]
+    general, info = ztbtrs(band, numerator, uplo="L", diag="N")
+    assert info == 0
+    assert np.array_equal(series.rational_banded(P, band, X), general)
+    assert np.array_equal(series.rational(P, Q, X), general)
