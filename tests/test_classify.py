@@ -37,9 +37,9 @@ def test_douglas_key_regime(monkeypatch):
     built = []
     build_frame = frames.build_frame
 
-    def counting_build(B, w, n_max, K, *powers):
+    def counting_build(B, w, n_max, K):
         built.append((n_max, K))
-        return build_frame(B, w, n_max, K, *powers)
+        return build_frame(B, w, n_max, K)
 
     monkeypatch.setattr(frames, "build_frame", counting_build)
     cert = classify.douglas_intertwiner(
