@@ -37,6 +37,8 @@ _INTERIOR = 1.0 - 1e-9
 _BOUNDARY_BAND = 1e-6
 _CLUSTER_TOL = 1e-8
 _POLISH_TOL = 1e-12
+# a zero's real or imaginary part below this becomes 0 (sign kept): subnormals are slow
+_TINY_PART = float(np.sqrt(np.finfo(float).tiny))
 
 
 @dataclass(frozen=True)
@@ -47,7 +49,8 @@ class BlaschkeProduct:
     theta: float = 0.0
 
     def __post_init__(self):
-        zs = tuple(complex(z) for z in self.zeros)
+        zs = tuple(complex(*(0.0 * p if abs(p) < _TINY_PART else p for p in (z.real, z.imag)))
+                   for z in map(complex, self.zeros))
         object.__setattr__(self, "zeros", zs)
         object.__setattr__(self, "theta", float(self.theta) % (2.0 * np.pi))
         for z in zs:

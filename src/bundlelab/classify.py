@@ -3,8 +3,8 @@
 A verdict is always a finite-truncation statement: the artifact exhibits the
 evidence (intertwiner residuals, condition numbers, Riesz reports,
 decomposition certificates, Moebius matches) rather than asserting any
-infinite-dimensional claim.  Exit-code mapping used by the CLI:
-0 similar, 1 not similar, 2 inconclusive.
+infinite-dimensional claim.  ``EXIT_CODES`` maps every verdict to its CLI
+exit code: 0 resolved and positive, 1 not similar or degenerating, 2 inconclusive.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ __all__ = [
     "similar",
     "kaplansky",
     "counterexample_probe",
+    "EXIT_CODES",
 ]
 
 _MATCH_TOL = 1e-8
@@ -42,8 +43,13 @@ _K_CAP = 4096  # the intertwiner's doubling ladder stops at this row truncation
 # (about 4.5e7): past it the two extremes may both be roundoff
 _COND_BAR = 1e-8 / float(np.finfo(float).eps)
 # a counterexample rung's cond is unresolved at cond*eps >= 1e-3: past it the
-# roundoff in s_min is no longer 100 times below the 10% the ratio tests read
+# relative roundoff in s_min, about cond*eps, is no longer 10 times below the
+# 1% step that frames.ladder_trend reads as flat
 _PROBE_COND_BAR = 1e-3 / float(np.finfo(float).eps)
+# both resolved counterexample verdicts are findings of the probe: exit 0
+EXIT_CODES = {"similar": 0, "Riesz-consistent": 0, "similarity-consistent": 0,
+              "no bounded similarity at probed scales": 0, "not_similar": 1,
+              "degenerating": 1, "inconclusive": 2}
 
 
 @dataclass
@@ -110,7 +116,7 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     1e-8, cond times eps is below that same bar 1e-8, and the Riesz report
     is consistent (with no report, when the weights are certified polynomial
     growth): never on intermediate growth.  A ladder that reaches the cap
-    with its tail still above the bar is refused.
+    with its tail still above the bar is refused, with no Riesz report.
     """
     if n_max < 1:
         raise ValueError("the block-shift identity needs n_max >= 1")
@@ -129,9 +135,11 @@ def douglas_intertwiner(B, w, K=512, n_max=100, attach_riesz=True):
     R = F.times(*funcspec.to_rational(F.product))[:, : m * n_max]
     R -= F.matrix("beta")[:, m:] * np.repeat(w.weights(n_max + 1)[:n_max], m)
     residual = float(np.max(np.abs(R)))
-    riesz = frames.riesz_bounds(F) if attach_riesz else None
+    tail = F.tail()
+    # a certificate refused for its tail takes no Riesz ladder, which would climb from the cap
+    riesz = frames.riesz_bounds(F) if attach_riesz and tail < frames.TAIL_BAR else None
     cert = SimilarityCertificate(
-        residual=residual, cond=float(s_max / s_min), tail=F.tail(), K=F.K, n_max=n_max,
+        residual=residual, cond=float(s_max / s_min), tail=tail, K=F.K, n_max=n_max,
         order=m, accepted=False, riesz=riesz, frame=F,
     )
     cert.accepted = not cert.failed_condition() and (
@@ -339,7 +347,7 @@ class Verdict:
 
     @property
     def exit_code(self):
-        return {"similar": 0, "not_similar": 1, "inconclusive": 2}[self.status]
+        return EXIT_CODES[self.status]
 
     def to_dict(self):
         return {"status": self.status, "reason": self.reason, "evidence": self.evidence}
@@ -439,10 +447,9 @@ class CounterexampleReport:
     weights_id: str
     n_max: int
     profile: np.ndarray
-    slope: float
-    growth_ratio: float
     ladder: list
-    cond_ratio: float
+    cond_trend: str
+    profile_trend: str
     verdict: str
     reason: str
 
@@ -453,10 +460,9 @@ class CounterexampleReport:
             "n_max": self.n_max,
             "profile_head": [float(x) for x in self.profile[:8]],
             "profile_last": float(self.profile[-1]),
-            "slope": self.slope,
-            "growth_ratio": self.growth_ratio,
             "ladder": self.ladder,
-            "cond_ratio": self.cond_ratio,
+            "cond_trend": self.cond_trend,
+            "profile_trend": self.profile_trend,
             "verdict": self.verdict,
             "reason": self.reason,
         }
@@ -465,64 +471,45 @@ class CounterexampleReport:
 def counterexample_probe(t, w, n_max=400):
     """Profile the automorphism frame on one weight sequence.
 
-    Reports the normalized power norms r_n, a log-log slope fit over the
-    upper half, and the condition numbers of the truncated deformation for a
-    doubling ladder of column counts.  Divergence of both is the numerical
-    signature of "no bounded similarity at probed scales"; joint
-    stabilization is reported as "similarity-consistent".  Either is drawn
-    only when every rung is resolved: its frame holds its columns (beta-tail
-    below ``frames.TAIL_BAR``) and its cond is below ``_PROBE_COND_BAR``.
+    Reports the normalized power norms r_n for n <= n_max and a doubling
+    ladder of four column counts N up to max(n_max, 64), each rung with the
+    cond of the truncated deformation and r_N.  :func:`frames.ladder_trend`
+    reads the cond and r_N ladders: both diverging is the numerical signature
+    of "no bounded similarity at probed scales", both converging is reported
+    as "similarity-consistent".  Either is drawn only when every rung is
+    resolved: its frame holds its columns (beta-tail below
+    ``frames.TAIL_BAR``) and its cond is below ``_PROBE_COND_BAR``.
     Otherwise the verdict is "inconclusive" and ``reason`` names the first
     rung that is not.
     """
     if not (0.0 < t < 1.0):
         raise DomainError("t must lie in (0, 1)")
-    Ns = (max(8, n_max // 8), max(16, n_max // 4), max(32, n_max // 2), n_max)
+    Ns = [max(8 << k, n_max >> (3 - k)) for k in range(4)]
     # build_frame is row-causal and works column by column, so every rung is
     # a leading block of the frame of the largest N and K; that K is the
     # profile's first, so the profile reads the powers of phi the build made
-    K = max(512, 4 * max(Ns))
-    powers = np.empty((max(Ns) + 1, K + 1), dtype=complex)
-    top = frames.build_frame(MoebiusTransform(t), w, max(Ns), K, powers)
-    r = frames.column_norm_profile(t, w, n_max, powers)
+    K = max(512, 4 * Ns[-1])
+    powers = np.empty((Ns[-1] + 1, K + 1), dtype=complex)
+    top = frames.build_frame(MoebiusTransform(t), w, Ns[-1], K, powers)
+    r = frames.column_norm_profile(t, w, Ns[-1], powers)
     del powers  # no longer held while the rungs take their extremes
-    lo = max(2, n_max // 2)
-    ns = np.arange(lo, n_max + 1, dtype=float)
-    slope = float(np.polyfit(np.log(ns), np.log(r[lo:]), 1)[0])
-    growth_ratio = float(r[n_max] / np.min(r[lo:]))
-    ladder = []
-    conds = []
-    reason = ""
+    ladder, reason = [], ""
     for N in Ns:
         K = max(512, 4 * N)
         F = replace(top, n_max=N, K=K, taylor=top.taylor[: K + top.pad, : top.m * (N + 1)])
         s_min, s_max = F.extremes()
         cond = float(s_max / s_min) if s_min > 0 else float("inf")
         tail = F.tail()
-        conds.append(cond)
-        ladder.append({"n_max": N, "K": K, "cond": cond, "tail": tail})
+        ladder.append({"n_max": N, "K": K, "cond": cond, "r": float(r[N]), "tail": tail})
         if not reason and tail >= frames.TAIL_BAR:
             reason = f"rung n_max {N}, K {K}: tail {tail:.3g} >= {frames.TAIL_BAR:g}"
         elif not reason and not cond < _PROBE_COND_BAR:
             reason = f"rung n_max {N}, K {K}: cond {cond:.3g} >= {_PROBE_COND_BAR:.3g}"
-    cond_ratio = conds[-1] / conds[-2] if conds[-2] > 0 else float("inf")
-    # bounded profiles still drift like 1/n toward their limit, so "stable"
-    # tolerates a small positive slope; divergence shows up orders of
-    # magnitude beyond these bands
-    r_diverging = growth_ratio > 1.3 and slope > 0.05
-    r_stable = growth_ratio < 1.1 and slope < 0.05
-    c_diverging = cond_ratio > 1.5
-    c_stable = cond_ratio < 1.1
-    if reason:
-        verdict = "inconclusive"
-    elif r_diverging and c_diverging:
-        verdict = "no bounded similarity at probed scales"
-    elif r_stable and c_stable:
-        verdict = "similarity-consistent"
-    else:
-        verdict = "inconclusive"
+    cond_trend, profile_trend = (frames.ladder_trend([rung[k] for rung in ladder]) for k in ("cond", "r"))
+    both = cond_trend if cond_trend == profile_trend and not reason else "open"
+    verdict = {"diverging": "no bounded similarity at probed scales",
+               "converging": "similarity-consistent"}.get(both, "inconclusive")
     return CounterexampleReport(
-        t=float(t), weights_id=w.id, n_max=n_max, profile=r, slope=slope,
-        growth_ratio=growth_ratio, ladder=ladder, cond_ratio=cond_ratio,
-        verdict=verdict, reason=reason,
+        t=float(t), weights_id=w.id, n_max=n_max, profile=r[: n_max + 1], ladder=ladder,
+        cond_trend=cond_trend, profile_trend=profile_trend, verdict=verdict, reason=reason,
     )

@@ -3,9 +3,10 @@
 Every run writes ``result.json`` (an envelope with the command, the full
 effective parameter set, and the result) into the output directory, plus
 optional CSV/SVG artifacts.  Standard output carries a one-line summary;
-progress and warnings go to standard error.  Exit codes: 0 success (and
-"similar"), 1 "not similar", 2 "inconclusive", 64 config errors, 70
-computation errors.
+progress and warnings go to standard error.  Exit codes, by the verdict
+(``classify.EXIT_CODES``): 0 resolved and positive, 1 not similar,
+degenerating or refused, 2 inconclusive; 64 config errors, 70 computation
+errors.
 
 Config files are flat ``key = value`` text with optional ``[section]``
 headers; keys match the long flag names and flags override the file.
@@ -215,7 +216,8 @@ def _cmd_riesz(out, weights, blaschke, n_max, trunc):
               f"n_max {n_max}, K {trunc}")
     F = frames.build_frame(blaschke, weights, n_max, trunc)
     rep = frames.riesz_bounds(F)
-    return {**rep.to_dict(), "conjugator": F.conjugator_zero()}, 0, (
+    result = {**rep.to_dict(), "conjugator": F.conjugator_zero()}
+    return result, classify.EXIT_CODES[rep.verdict], (
         f"riesz {weights.id}: c1 {rep.c1:.6g}, c2 {rep.c2:.6g}, cond {rep.cond:.4g}, "
         f"verdict {rep.verdict}"
     ), ()
@@ -261,6 +263,7 @@ def _cmd_decompose(out, fn):
 def _cmd_jordan(out, weights, fn, trunc):
     j = classify.jordan(fn, weights, K=trunc)
     m = j.decomposition.m
+    failed = j.certificate is not None and not j.certificate.accepted
     result = {
         "m": m,
         "direct_residual": None if np.isnan(j.direct_residual) else j.direct_residual,
@@ -268,10 +271,10 @@ def _cmd_jordan(out, weights, fn, trunc):
         "decomposition": j.decomposition.to_dict(),
         "certificate": j.certificate.to_dict() if j.certificate else None,
     }
-    return result, 0, (
+    return result, int(failed), (
         f"jordan: m = {m}, direct residual "
         f"{j.direct_residual if j.checked_columns else 0.0:.3e}, "
-        f"certificate {'accepted' if j.certificate and j.certificate.accepted else 'trivial' if m == 1 else 'failed'}"
+        f"certificate {'failed' if failed else 'trivial' if m == 1 else 'accepted'}"
     ), ()
 
 
@@ -288,7 +291,8 @@ def _cmd_kaplansky(out, weights, f1, f2, trunc):
         "single": single.to_dict(),
         "consistent": bool(consistent),
     }
-    return result, 0 if consistent else 1, (
+    code = single.exit_code if single.status == "inconclusive" else int(not consistent)
+    return result, code, (
         f"kaplansky: double {double.status}, single {single.status}, "
         f"consistent {consistent}"
     ), ()
@@ -315,9 +319,9 @@ def _cmd_counterexample(out, weights, t, n_max, csv):
                 writer.writerow([n, f"{r:.17g}"])
         result["csv"] = "profile.csv"
         artifacts.append(path)
-    return result, 0, (
+    return result, classify.EXIT_CODES[rep.verdict], (
         f"counterexample {weights.id} t={t}: {rep.verdict} "
-        f"({rep.reason + '; ' if rep.reason else ''}slope {rep.slope:+.4f})"
+        f"({rep.reason + '; ' if rep.reason else ''}cond {rep.cond_trend}, r_n {rep.profile_trend})"
     ), artifacts
 
 

@@ -33,14 +33,15 @@ beta_k**2 is a polynomial of degree d in k, the Riesz ladder needs no K-row
 frame: its rungs come from the exact Gram, block-banded with offsets <= d, whose
 blocks are fitted as polynomials in n from the first columns; when 1/beta_k**2
 is one, they come from the same band of the dual frame.  Riesz verdicts
-are finite-section statements: every report carries stability-under-doubling
-evidence and never an infinite-dimensional claim.
+are finite-section statements: every report carries its doubling ladder,
+whose trend one classifier reads (:func:`ladder_trend`, shared with the
+counterexample probe), and never an infinite-dimensional claim.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
@@ -58,6 +59,7 @@ __all__ = [
     "build_frame",
     "gram",
     "riesz_bounds",
+    "ladder_trend",
     "kernel_matrix",
     "cpb_check",
     "moebius_duality_check",
@@ -411,16 +413,7 @@ class RieszReport:
     verdict: str
 
     def to_dict(self):
-        return {
-            "c1": self.c1,
-            "c2": self.c2,
-            "cond": self.cond,
-            "K": self.K,
-            "n_max": self.n_max,
-            "tail": self.tail,
-            "stability": self.stability,
-            "verdict": self.verdict,
-        }
+        return asdict(self)
 
 
 def _truncated_extremal(F, K, n_max):
@@ -582,45 +575,56 @@ def _band_extremal(fit, w, n_max, C=None):
     return float(1.0 / lam[-1]), float(1.0 / lam[0]), fit.tail
 
 
+def ladder_trend(values):
+    """``"converging"``, ``"diverging"`` or ``"open"``: the trend of a doubling
+    ladder of positive values, read from its log-steps s_k = log(v_{k+1}/v_k).
+
+    Finite sections of a bounded operator drift like 1/n toward their limit,
+    so each doubling about halves the step, while a power or geometric
+    divergence keeps the log-steps about constant (the raw differences of a
+    collapsing value shrink too).  Converging: the last rung moved by at most
+    ``_STABILITY_TARGET`` relative to itself (|expm1(-s)|, the 1% stop), or
+    each of the last two steps is 0.3 to 0.7 times the one before.
+    Diverging: each is at least 0.8 times the one before.  Open otherwise.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.diff(np.log(np.asarray(values, dtype=float)))
+        if s.size and abs(np.expm1(-s[-1])) <= _STABILITY_TARGET:
+            return "converging"
+        ratios = s[-2:] / s[-3:-1] if s.size >= 3 else np.array([np.nan])
+    if np.all((0.3 <= ratios) & (ratios <= 0.7)):
+        return "converging"
+    return "diverging" if np.all(ratios >= 0.8) else "open"
+
+
 def _climb(F, extremal, max_doublings):
     """The :class:`RieszReport` of the doubling ladder from F's (K, n_max).
 
     ``extremal(K, n_max)`` gives a rung's (c1, c2, tail), or None to abandon
-    the climb, which then returns None.  A verdict other than inconclusive
-    is drawn only on a rung whose tail is at most ``TAIL_BAR``: a rung that
-    does not hold its columns shows neither stable nor collapsing bounds.
+    the climb, which then returns None.  After each rung :func:`ladder_trend`
+    reads the ladders of c1 and c2: either diverging ends the climb
+    ``degenerating``, both converging ``Riesz-consistent``, each only on a
+    rung whose tail is at most ``TAIL_BAR`` (else inconclusive).
     """
-    K, n_max = F.K, F.n_max
-    first = extremal(K, n_max)
-    if first is None:
-        return None
-    c1, c2, tail = first
-    ladder = [{"K": K, "n_max": n_max, "c1": c1, "c2": c2}]
-    verdict = "inconclusive"
-    rel1 = rel2 = math.inf
-    for _ in range(max_doublings):
-        K, n_max = 2 * K, 2 * n_max
+    ladder, verdict, trend = [], "inconclusive", {"c1": "open", "c2": "open"}
+    for k in range(max_doublings + 1):
+        K, n_max = F.K << k, F.n_max << k
         rung = extremal(K, n_max)
         if rung is None:
             return None
-        c1d, c2d, tail = rung
-        ladder.append({"K": K, "n_max": n_max, "c1": c1d, "c2": c2d})
-        rel1 = abs(c1d - c1) / max(c1d, 1e-300)
-        rel2 = abs(c2d - c2) / max(c2d, 1e-300)
-        degenerating = c1d < 0.9 * c1 or c2d > 1.1 * c2
-        c1, c2 = c1d, c2d
-        if degenerating:
+        c1, c2, tail = rung
+        ladder.append({"K": K, "n_max": n_max, "c1": c1, "c2": c2})
+        trend = {key: ladder_trend([r[key] for r in ladder]) for key in trend}
+        if "diverging" in trend.values():
             verdict = "degenerating" if tail <= TAIL_BAR else "inconclusive"
             break
-        if rel1 <= _STABILITY_TARGET and rel2 <= _STABILITY_TARGET:
+        if set(trend.values()) == {"converging"}:
             verdict = "Riesz-consistent" if c1 > 1e-10 and tail <= TAIL_BAR else "inconclusive"
             break
-    stability = {
-        "c1_rel_change": rel1,
-        "c2_rel_change": rel2,
-        "target": _STABILITY_TARGET,
-        "ladder": ladder,
-    }
+    rel = {key: abs(ladder[-1][key] - ladder[-2][key]) / max(ladder[-1][key], 1e-300)
+           if len(ladder) > 1 else math.inf for key in trend}
+    stability = {"c1_rel_change": rel["c1"], "c2_rel_change": rel["c2"],
+                 "target": _STABILITY_TARGET, "trend": trend, "ladder": ladder}
     return RieszReport(
         c1=c1, c2=c2, cond=math.sqrt(c2 / c1) if c1 > 0 else math.inf,
         K=K, n_max=n_max, tail=tail, stability=stability, verdict=verdict,
@@ -637,16 +641,16 @@ def _dual_map(zeros):
 def riesz_bounds(F, max_doublings=4):
     """Riesz bound estimates with stability-under-doubling evidence.
 
-    Both K and n_max are doubled from the frame's base scale until the
-    relative drift of (c1, c2) falls below ``_STABILITY_TARGET`` (finite
-    sections converge like 1/n_max, so a fixed base may need a rung or two).
-    The report carries the converged values, the full ladder, and a verdict:
+    Both K and n_max are doubled, at most ``max_doublings`` times, until
+    :func:`ladder_trend` reads the ladders of c1 and c2 as both converging
+    or either diverging.  The report carries the last rung's values, the
+    full ladder, the two trends (``stability["trend"]``) and a verdict:
 
-    * ``"Riesz-consistent"`` -- both bounds stable, c1 bounded away from 0,
-      on a rung whose beta-tail is at most ``TAIL_BAR``;
-    * ``"degenerating"``     -- c1 collapsing or c2 inflating under doubling,
-      on a rung whose beta-tail is at most ``TAIL_BAR``;
-    * ``"inconclusive"``     -- the ladder budget ran out before stability, or
+    * ``"Riesz-consistent"`` -- both bounds converging, c1 bounded away from
+      0, on a rung whose beta-tail is at most ``TAIL_BAR``;
+    * ``"degenerating"``     -- c1 or c2 diverging under doubling (log-steps
+      that do not shrink), on a rung whose beta-tail is at most ``TAIL_BAR``;
+    * ``"inconclusive"``     -- the ladder budget ran out before either, or
       the rung that ended it does not hold its columns (tail above the bar).
 
     When beta_k**2 is a polynomial in k and :func:`_fit_gram` trusts its fit,

@@ -167,31 +167,33 @@ INDEX_MAP_RESULT = {
     "additionalProperties": False,
 }
 
+_TREND = {"enum": ["converging", "diverging", "open"]}  # frames.ladder_trend
+
 COUNTEREXAMPLE_RESULT = {
     "type": "object",
-    "required": ["t", "weights", "n_max", "slope", "growth_ratio",
-                 "ladder", "cond_ratio", "verdict", "reason", "profile_head", "profile_last"],
+    "required": ["t", "weights", "n_max", "ladder", "cond_trend", "profile_trend",
+                 "verdict", "reason", "profile_head", "profile_last"],
     "properties": {
         "t": {"type": "number"},
         "weights": {"type": "string"},
         "n_max": {"type": "integer"},
-        "slope": {"type": "number"},
-        "growth_ratio": {"type": "number"},
         "ladder": {
             "type": "array",
             "items": {
                 "type": "object",
-                "required": ["n_max", "K", "cond", "tail"],
+                "required": ["n_max", "K", "cond", "r", "tail"],
                 "properties": {
                     "n_max": {"type": "integer"},
                     "K": {"type": "integer"},
                     "cond": {"type": "number"},
+                    "r": {"type": "number"},
                     "tail": {"type": "number"},
                 },
                 "additionalProperties": False,
             },
         },
-        "cond_ratio": {"type": "number"},
+        "cond_trend": _TREND,
+        "profile_trend": _TREND,
         "verdict": {"type": "string"},
         "reason": {"type": "string"},
         "profile_head": {"type": "array", "items": {"type": "number"}},

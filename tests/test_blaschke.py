@@ -43,6 +43,14 @@ def test_zero_validation():
         BlaschkeProduct((0.3, 1.0 - 1e-13))
 
 
+def test_zero_parts_below_sqrt_tiny_are_set_to_0_with_their_sign():
+    # a part of 1e-160 is a normal number, but its products are subnormal:
+    # kept, it made the extremes of a K-4096 frame 40 times slower
+    B = BlaschkeProduct((0.998 + 1e-160j, -8.77e-319 - 0.5j, 1e-150 + 0.3j))
+    assert [(z.real, z.imag) for z in B.zeros] == [(0.998, 0.0), (0.0, -0.5), (1e-150, 0.3)]
+    assert math.copysign(1.0, B.zeros[1].real) == -1.0
+
+
 def test_star_is_blaschke_of_same_order():
     B = BlaschkeProduct((0.3, -0.2 + 0.4j), 1.1)
     S = B.star()

@@ -84,15 +84,40 @@ def test_riesz_command(tmp_path):
 
 
 def test_riesz_from_a_frame_that_cannot_hold_its_columns_is_inconclusive(tmp_path):
-    # c1 collapses from 9.0e-33 to 1.06e-33 on a rung whose beta-tail is 0.069:
-    # the truncation, not the weights, made it fall
+    # c1 falls from 5.1e-33 to 3.8e-37 beside c2 3.3, at roundoff, on rungs
+    # whose beta-tail is above the bar: the truncation, not the weights, made it fall
     code = _run(["riesz", "--weights", "bergman:alpha=1",
                  "--blaschke", "blaschke(0; 0, 0.9)", "--n-max", "50",
                  "--trunc", "256", "--out", str(tmp_path)])
-    assert code == 0
+    assert code == 2
     result = _load(tmp_path)["result"]
     assert result["tail"] > frames.TAIL_BAR
     assert result["verdict"] == "inconclusive"
+
+
+def test_douglas_accepts_a_riesz_ladder_that_drifts_like_one_over_n(tmp_path):
+    # c2 goes 9.52, 10.73, 11.38, 11.70 from n_max 50: each step about half the
+    # one before, a bounded ladder on its way to about 12.0
+    code = _run(["douglas", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.5)",
+                 "--n-max", "50", "--out", str(tmp_path)])
+    env = _load(tmp_path)
+    _validate(env)
+    assert code == 0 and env["result"]["accepted"] is True
+    assert env["result"]["riesz"]["stability"]["trend"] == {"c1": "converging", "c2": "converging"}
+
+
+@pytest.mark.parametrize("argv, code, verdict", [
+    (["riesz", "--weights", "reciprocal:nln", "--blaschke", "blaschke(0; 0.5)",
+      "--n-max", "60", "--trunc", "384"], 1, lambda r: r["verdict"] == "degenerating"),
+    (["kaplansky", "--weights", "nln", "--f1", "compose(poly(0,1,0,2),blaschke(0;0,0.4))",
+      "--f2", "compose(poly(0,1,0,2),blaschke(0;0.2,-0.5))"], 2,
+     lambda r: r["single"]["status"] == "inconclusive" and r["consistent"] is True),
+])
+def test_the_exit_code_follows_the_verdict(tmp_path, argv, code, verdict):
+    assert _run(argv + ["--out", str(tmp_path)]) == code
+    env = _load(tmp_path)
+    _validate(env)
+    assert verdict(env["result"])
 
 
 def test_index_map_outputs(tmp_path):
@@ -232,6 +257,16 @@ def test_near_circle_verdict_names_the_frame_that_does_not_hold_its_columns(near
                                 f"K 4096: tail {cert['tail']:.3g} is not below 1e-8)")
 
 
+def test_jordan_exits_1_on_a_certificate_refused_for_its_tail(tmp_path):
+    code = _run(["jordan", "--weights", "bergman:alpha=1", "--fn", NEAR_CIRCLE_F_PHI,
+                 "--out", str(tmp_path)])
+    env = _load(tmp_path)
+    _validate(env)
+    cert = env["result"]["certificate"]
+    assert code == 1 and cert["accepted"] is False
+    assert cert["K"] == 4096 and cert["tail"] >= frames.TAIL_BAR and cert["riesz"] is None
+
+
 def test_jordan_command(tmp_path):
     code = _run(["jordan", "--weights", "bergman:alpha=1",
                  "--fn", "compose(poly(0,1,0,2),blaschke(0;0,0.4))",
@@ -284,12 +319,12 @@ def test_counterexample_command(tmp_path):
 def test_counterexample_summary_names_an_unresolved_rung(tmp_path, capsys):
     code = _run(["counterexample", "--weights", "hardy", "--t", "0.9",
                  "--n-max", "200", "--csv", "no", "--out", str(tmp_path)])
-    assert code == 0
+    assert code == 2
     env = _load(tmp_path)
     _validate(env)
     assert env["result"]["verdict"] == "inconclusive"
     assert env["result"]["reason"] == "rung n_max 25, K 512: tail 0.186 >= 1e-08"
-    assert "inconclusive (rung n_max 25, K 512: tail 0.186 >= 1e-08; slope" in capsys.readouterr().out
+    assert "inconclusive (rung n_max 25, K 512: tail 0.186 >= 1e-08; cond" in capsys.readouterr().out
 
 
 def test_equivalent_command(tmp_path):

@@ -146,8 +146,10 @@ def test_fiber_poly():
 
 
 def test_composition_with_a_tiny_blaschke_zero_is_analytic():
-    # the squared denominator's top coefficient, about 1e-169, once made
-    # numpy.roots report a spurious zero of the denominator at 0
-    inner = BlaschkeProduct((0.5, 9.4e-169))
+    # the squared denominator's top coefficient, about 2.5e-301, once made
+    # numpy.roots report a spurious zero of the denominator at 0; a zero part
+    # below sqrt(tiny), such as 9.4e-169, is set to 0 itself
+    assert BlaschkeProduct((0.5, 9.4e-169)).zeros[1] == 0
+    inner = BlaschkeProduct((0.5, 1e-150))
     P, Q = to_rational(ComposeSpec(PolySpec((0, 0, 1j)), inner))
     assert np.abs(Q[-1]) < 1e-160

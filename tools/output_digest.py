@@ -44,11 +44,13 @@ depends on which disk automorphism precomposes the product (6 commands,
 K 2048 before their frames hold their columns, and the README pair on the
 intermediate-growth preset (3 commands, ``CERTIFICATE_RUNGS``), and two
 ``douglas`` certificates on ``bergman:alpha=0.3`` weights, whose frames have
-no Gram band, that climb to the row cap (2 commands, ``DOUGLAS_CAP``), each
-group appended so that the ``c<k>`` labels of the earlier commands stay put.
-A ``null`` in a ``result.json`` is printed as ``nan`` (no output holds a NaN),
-so that a value that goes from ``null`` to a number is a move.  A whole run of
-the 117 commands took about 35 s on a 2-core machine.
+no Gram band, that climb to the row cap (2 commands, ``DOUGLAS_CAP``), and
+a Riesz ladder that drifts like 1/n and a ``jordan`` certificate refused for
+its tail (2 commands, ``LADDER_TREND``), each group appended so that the
+``c<k>`` labels of the earlier commands stay put.  A ``null`` in a
+``result.json`` is printed as ``nan`` (no output holds a NaN), so that a
+value that goes from ``null`` to a number is a move.  A whole run of the 119
+commands took about 20 s on a 2-core machine.
 """
 
 from __future__ import annotations
@@ -172,6 +174,15 @@ DOUGLAS_CAP = [
 ]
 
 
+# a bounded Riesz ladder that drifts like 1/n (c2 9.52, 10.73, 11.38, 11.70
+# from n_max 50), and jordan on f o phi_0.96, whose certificate is refused for
+# its tail at the row cap
+LADDER_TREND = [
+    ["douglas", "--weights", "bergman:alpha=1", "--blaschke", "blaschke(0; 0.5)", "--n-max", "50"],
+    ["jordan", "--weights", "bergman:alpha=1", "--fn", F1_PHI],
+]
+
+
 def unequal_order3(workloads, angle):
     """g o B for the order-3 side of verdict-pairs' unequal pair, rotated by ``angle``.
 
@@ -199,7 +210,8 @@ def commands():
     rotated = [["jordan", "--weights", "bergman:alpha=1", "--fn", unequal_order3(workloads, angle)]
                for angle in (0.0, math.pi / 2)]
     return (cmds + NEAR_CIRCLE + CRITICAL_SEED + OPTION_COVER + index_maps + SPEC_FORMS
-            + BERGMAN_RIESZ + FRAME_LAYOUT + rotated + CERTIFICATE_RUNGS + DOUGLAS_CAP)
+            + BERGMAN_RIESZ + FRAME_LAYOUT + rotated + CERTIFICATE_RUNGS + DOUGLAS_CAP
+            + LADDER_TREND)
 
 
 def numbers(value, path=""):
