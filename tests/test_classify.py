@@ -363,12 +363,21 @@ def test_counterexample_probe_builds_one_frame(monkeypatch, n_max):
 
     monkeypatch.setattr(frames, "build_frame", counting_build)
     rep = classify.counterexample_probe(0.5, BERGMAN, n_max=n_max)
-    # the largest rung, N 32 above n_max 20 too, gives every rung as its leading block
+    # the largest rung, N 64 above n_max 20 too, gives every rung as its leading block
     top = max(r["n_max"] for r in rep.ladder)
     assert built == [(top, max(512, 4 * top))]
     for rung in rep.ladder:
         s_min, s_max = build_frame(MoebiusTransform(0.5), BERGMAN, rung["n_max"], rung["K"]).extremes()
         assert rung["cond"] == float(s_max / s_min)
+
+
+@pytest.mark.parametrize("n_max, Ns", [(20, [8, 16, 32, 64]), (400, [50, 100, 200, 400])])
+def test_counterexample_ladder_doubles_and_its_profile_ends_at_n_max(n_max, Ns):
+    # the trends read a doubling ladder, so below n_max 64 the rungs go past n_max
+    rep = classify.counterexample_probe(0.5, BERGMAN, n_max=n_max)
+    assert [rung["n_max"] for rung in rep.ladder] == Ns
+    assert rep.profile.size == n_max + 1
+    assert [rung["r"] for rung in rep.ladder if rung["n_max"] <= n_max] == [rep.profile[N] for N in Ns if N <= n_max]
 
 
 def test_counterexample_probe_runs_one_power_recursion(monkeypatch):
