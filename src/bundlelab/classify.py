@@ -487,9 +487,10 @@ def counterexample_probe(t, w, n_max=400):
     Ns = [max(8 << k, n_max >> (3 - k)) for k in range(4)]
     # build_frame is row-causal and works column by column, so every rung is
     # a leading block of the frame of the largest N and K; that K is the
-    # profile's first, so the profile reads the powers of phi the build made
+    # profile's first, so the profile reads the powers of phi the build made;
+    # phi_t has real coefficients, so they are float64, as is the frame
     K = max(512, 4 * Ns[-1])
-    powers = np.empty((Ns[-1] + 1, K + 1), dtype=complex)
+    powers = np.empty((Ns[-1] + 1, K + 1))
     top = frames.build_frame(MoebiusTransform(t), w, Ns[-1], K, powers)
     r = frames.column_norm_profile(t, w, Ns[-1], powers)
     del powers  # no longer held while the rungs take their extremes

@@ -10,8 +10,13 @@ which forms Q's Toeplitz band once and steps with
 :func:`series.rational_banded`; :func:`build_frame` and
 :func:`column_norm_profile` both draw from it, and the profile reads the
 powers that a frame build of the same automorphism hands it, so that the
-counterexample probe computes each power once.  Three normalizations of the
-same Taylor coefficient block are exposed:
+counterexample probe computes each power once.  Real products get real
+frames: when the product's zeros and phase are real (every
+automorphism phi_t of the counterexample), the powers, the block, its Gram
+matrix and its SVD are float64 (``dtbtrs``, ``dsyrk``, ``dpotrf``,
+``dpbtrf``), a quarter of the complex flops in half the memory; every other
+product is complex128.  Three normalizations of the same Taylor coefficient
+block are exposed:
 
 * ``raw``      -- the vectors themselves in orthonormal coordinates,
 * ``beta``     -- column (j, n) divided by beta_n (Riesz-base candidate),
@@ -23,7 +28,8 @@ Gram matrix, which squares the condition number; a frame whose Gram matrix is
 too close to singular for that (cond > 1e4) falls back to a full SVD.  The
 route is decided first by one Cholesky factorization of G - sigma*I, sigma
 1e-9 times the largest diagonal entry: when it fails, the SVD is taken with
-no eigenvalue solve, as the Gram route would refuse that frame too.  The
+no eigenvalue solve, as the Gram route would refuse that frame too, and when
+the column norms alone show that it must fail, with no Gram product.  The
 two eigenvalues are those of the Gram band: offsets past b are dropped for the
 smallest b whose dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
 roundoff level (b = m - 1 for Hardy).  Each end is bisected with one banded
@@ -46,8 +52,8 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
-from scipy.linalg.blas import zherk
-from scipy.linalg.lapack import zpbtrf, zpotrf
+from scipy.linalg.blas import dsyrk, zherk
+from scipy.linalg.lapack import dpbtrf, dpotrf, zpbtrf, zpotrf
 
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -88,6 +94,9 @@ _GRAM_RATIO = 1e-8
 # times max diag G; ten times inside _GRAM_RATIO, its failure is a refusal of
 # the Gram route with room for roundoff
 _ROUTE_SHIFT = 0.1 * _GRAM_RATIO
+# a squared column-norm ratio above 1/_ROUTE_SHIFT puts a diagonal entry of G
+# below sigma; the margin covers the roundoff of the norms against diag G
+_COLUMN_SPREAD = (1.0 + 1e-6) / _ROUTE_SHIFT
 # a Gram band b >= n/16 goes dense: with BLAS at one thread the two routes
 # break even there (_band_ends against eigvalsh, in ms: n 122, b 7: 2.6 vs 1.8;
 # n 401, b 25: 30 vs 41; n 1602, b 100: 504 vs 1410)
@@ -165,30 +174,24 @@ class FrameMatrix:
     def extremes(self):
         """``(s_min, s_max)`` of ``matrix("beta")`` as numpy floats, computed once.
 
-        Both come from the extreme eigenvalues of the Gram matrix (``zherk``
-        fills one triangle of the conjugate Gram, which has the same
-        eigenvalues), taken by :func:`_band_ends` on the band of
-        :func:`_gram_band`, or by the dense ``eigvalsh`` for a band b >= n/16.
-        A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes ``svdvals``
-        instead; so does a wide matrix, whose Gram matrix is singular.  The
-        route is read first from one Cholesky factorization of G - sigma*I,
-        sigma = _ROUTE_SHIFT * max diag G (:func:`_shift_factors`): when it
-        fails, lambda_min <= sigma <= 0.1 * _GRAM_RATIO * lambda_max, ten times
-        inside the bar, so ``svdvals`` is taken with no eigenvalue solve.
+        Both come from the extreme eigenvalues of the Gram matrix
+        (:func:`_gram_product` fills one triangle of it, or of its conjugate,
+        which has the same eigenvalues), taken by :func:`_band_ends` on the
+        band of :func:`_gram_band`, or by the dense ``eigvalsh`` for a band b
+        >= n/16.  A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes
+        ``svdvals`` instead; so does a wide matrix, whose Gram matrix is
+        singular.  The route is read first from one Cholesky factorization of
+        G - sigma*I, sigma = _ROUTE_SHIFT * max diag G (:func:`_shift_factors`):
+        when it fails, lambda_min <= sigma <= 0.1 * _GRAM_RATIO * lambda_max,
+        ten times inside the bar, so ``svdvals`` is taken with no eigenvalue
+        solve.  The diagonal of G holds the squared column norms, so when
+        their spread exceeds ``_COLUMN_SPREAD`` some diagonal entry is below
+        sigma, that factorization must fail, and ``svdvals`` is taken with no
+        Gram product either.
         """
         if self._extremes is None:
             A = self.matrix("beta")
-            G = zherk(1.0, A.T)
-            lam = None
-            if _shift_factors(G):
-                b = _gram_band(G)
-                if _BAND_CROSSOVER * b < G.shape[0]:
-                    band = np.zeros((b + 1, G.shape[0]), dtype=complex, order="F")
-                    for k in range(b + 1):
-                        band[b - k, k:] = np.diagonal(G, k)
-                    lam = _band_ends(band)
-                else:
-                    lam = eigvalsh(G, lower=False, overwrite_a=True)
+            lam = _gram_ends(A)
             if lam is not None and lam[0] > _GRAM_RATIO * lam[-1]:
                 self._extremes = (np.sqrt(lam[0]), np.sqrt(lam[-1]))
             else:
@@ -208,22 +211,61 @@ class FrameMatrix:
         return replace(build_frame(self.product, self.w, n_max, K), conjugator=self.conjugator)
 
 
+def _gram_ends(A):
+    """The extreme eigenvalues of A's Gram matrix, or None where ``extremes`` takes ``svdvals``.
+
+    None when the column norms spread past ``_COLUMN_SPREAD`` (no Gram
+    product is formed) or the shifted Cholesky of :func:`_shift_factors` fails.
+    """
+    norms2 = _column_norms2(A)
+    if np.max(norms2) > _COLUMN_SPREAD * np.min(norms2):
+        return None
+    G = _gram_product(A)
+    if not _shift_factors(G):
+        return None
+    b = _gram_band(G)
+    if _BAND_CROSSOVER * b >= G.shape[0]:
+        return eigvalsh(G, lower=False, overwrite_a=True)
+    band = np.zeros((b + 1, G.shape[0]), dtype=G.dtype, order="F")
+    for k in range(b + 1):
+        band[b - k, k:] = np.diagonal(G, k)
+    return _band_ends(band)
+
+
+def _column_norms2(A):
+    """The squared column norms of A, summed over views of its real and imaginary parts."""
+    parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)
+    return sum(np.einsum("ij,ij->j", part, part) for part in parts)
+
+
+def _gram_product(A):
+    """The upper triangle of the Gram matrix of A's columns, conjugated when complex.
+
+    ``dsyrk`` or ``zherk`` on the F-ordered view A.T, with no copy of A: a
+    real A takes a quarter of the complex flops.
+    """
+    return (zherk if np.iscomplexobj(A) else dsyrk)(1.0, A.T)
+
+
 def _shift_factors(G):
     """Whether G - sigma*I, sigma = ``_ROUTE_SHIFT`` * max diag G, has a Cholesky factor.
 
-    One dense ``zpotrf`` on a copy, reading the upper triangle (as ``zherk``
-    leaves it): it succeeds iff sigma is below lambda_min, to roundoff.
+    One dense ``dpotrf`` or ``zpotrf`` on a copy, reading the upper triangle
+    (as :func:`_gram_product` leaves it): it succeeds iff sigma is below
+    lambda_min, to roundoff.
     """
     shifted = G.copy(order="F")
     shifted[np.diag_indices(G.shape[0])] -= _ROUTE_SHIFT * np.max(np.diagonal(G).real)
-    return zpotrf(shifted, lower=0, clean=0, overwrite_a=1)[1] == 0
+    potrf = zpotrf if np.iscomplexobj(G) else dpotrf
+    return potrf(shifted, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
 def _gram_band(G):
     """Smallest b whose offsets past b have Frobenius mass <= sqrt(n)*eps*||G||_F.
 
-    ``G`` is upper triangular, as ``zherk`` leaves it.  The dropped mass is
-    summed from the outermost offset inwards, so that roundoff meets roundoff.
+    ``G`` is upper triangular, as :func:`_gram_product` leaves it.  The
+    dropped mass is summed from the outermost offset inwards, so that
+    roundoff meets roundoff.
     The product's roundoff in the outer half of frame Grams measured 0.1-1.7
     eps*||G||_F; a bound of n*eps*||G||_F moved Bergman c1 by up to 3.2e-12."""
     n = G.shape[0]
@@ -247,8 +289,9 @@ def _band_ends(band, which=("min", "max")):
     end is bisected in its Gershgorin bracket: lambda_min lies in
     [min(diag - off), min(diag)] and lambda_max in [max(diag), max(diag + off)],
     with ``off`` the row sums of the off-diagonal moduli.  A step is one banded
-    Cholesky (``zpbtrf``, O(n b^2)), which succeeds on band - sigma*I iff
-    sigma < lambda_min, and on sigma*I - band iff sigma > lambda_max.  The
+    Cholesky (``dpbtrf`` on a real band, ``zpbtrf`` on a complex one, O(n
+    b^2)), which succeeds on band - sigma*I iff sigma < lambda_min, and on
+    sigma*I - band iff sigma > lambda_max.  The
     bisection stops when the bracket is at most 2*eps times the largest row sum
     (at most about 52 steps per end) and returns its midpoint.
     """
@@ -263,7 +306,8 @@ def _band_ends(band, which=("min", "max")):
         off[k:] += mod[b - k, k:]  # G[j-k, j] in row j, as its conjugate G[j, j-k]
         off[: n - k] += mod[b - k, k:]  # G[i, i+k] in row i
     tol = 2.0 * np.finfo(float).eps * np.max(np.abs(diag) + off)
-    work = np.empty(band.shape, dtype=complex, order="F")
+    work = np.empty(band.shape, dtype=band.dtype, order="F")
+    pbtrf = zpbtrf if np.iscomplexobj(band) else dpbtrf
 
     def end(lo, hi, sign):
         while hi - lo > tol:
@@ -271,7 +315,7 @@ def _band_ends(band, which=("min", "max")):
             np.multiply(band, sign, out=work)
             work[b] -= sign * sigma
             # success proves sigma below lambda_min (sign 1) or above lambda_max (sign -1)
-            if (zpbtrf(work, overwrite_ab=1)[1] == 0) == (sign > 0):
+            if (pbtrf(work, overwrite_ab=1)[1] == 0) == (sign > 0):
                 lo = sigma
             else:
                 hi = sigma
@@ -316,8 +360,10 @@ def _normalize_product(B):
 
 
 def _flush(a):
-    """Set the entries of ``a`` below ``_FLUSH`` in modulus to 0, in place."""
-    a[np.abs(a) < _FLUSH] = 0
+    """Set the entries of ``a`` below ``_FLUSH`` in modulus to 0, in place.
+
+    A real ``a`` is compared as it is, with no array of moduli beside it."""
+    a[np.abs(a) < _FLUSH if np.iscomplexobj(a) else (-_FLUSH < a) & (a < _FLUSH)] = 0
     return a
 
 
@@ -327,10 +373,13 @@ def _powers(B, rows):
     Each step is ``B^{n+1} = (P/Q) B^n`` by :func:`series.rational_banded` on
     Q's band, formed once, and its entries below ``_FLUSH`` are set to 0.  A
     power is computed only when it is drawn, so n draws make n - 1 steps.
+    The powers are float64 when the imaginary parts of P and Q are exactly 0.
     """
     P, Q = funcspec.to_rational(B)
+    if not (np.any(P.imag) or np.any(Q.imag)):
+        P, Q = P.real, Q.real
     band = series.toeplitz_band(Q, rows)
-    power = np.zeros(rows, dtype=complex)
+    power = np.zeros(rows, dtype=band.dtype)
     power[0] = 1.0
     while True:
         yield power
@@ -346,10 +395,13 @@ def build_frame(B, w, n_max, K, powers=None):
     frame block.  Entries below ``_FLUSH`` in the columns are set to 0.
     Zeros must be distinct.  The product is laid out by
     :func:`_normalize_product` (its precomposition, if any, recorded in
-    ``conjugator``).  ``powers``, an array of n_max + 1 rows and at most ``K
-    + _TAIL_PAD`` columns, receives the leading coefficients of the powers of
-    the laid-out product, B^n in row n, so that a caller that reads them runs
-    no recursion of its own.
+    ``conjugator``).  Real products get real frames: when the laid-out
+    product's zeros and phase are real (so are its P and Q), the powers, the
+    kernel factors and the block are float64, else complex128.  ``powers``,
+    an array of n_max + 1 rows and at most ``K + _TAIL_PAD`` columns,
+    receives the leading coefficients of the powers of the laid-out product,
+    B^n in row n, so that a caller that reads them runs no recursion of its
+    own.
     """
     if n_max < 0 or K < 8:
         raise ValueError("need n_max >= 0 and K >= 8")
@@ -358,16 +410,19 @@ def build_frame(B, w, n_max, K, powers=None):
     Bn, conj_psi = _normalize_product(B)
     rows = K + _TAIL_PAD
     m = Bn.order
-    X = np.empty((rows, m * (n_max + 1)), dtype=complex)
+    zeros = np.array(Bn.zeros)
+    if not (np.any(zeros.imag) or Bn.phase.imag):
+        zeros = zeros.real  # then P and Q are real too, and _powers draws float64
+    X = np.empty((rows, m * (n_max + 1)), dtype=zeros.dtype)
     source = _powers(Bn, rows)
     for c in range(0, n_max + 1, _BUILD_CHUNK):
-        chunk = np.empty((min(_BUILD_CHUNK, n_max + 1 - c), rows), dtype=complex)
+        chunk = np.empty((min(_BUILD_CHUNK, n_max + 1 - c), rows), dtype=X.dtype)
         for k in range(chunk.shape[0]):
             chunk[k] = next(source)
         if powers is not None:
             powers[c : c + chunk.shape[0]] = chunk[:, : powers.shape[1]]
         cols = slice(m * c, m * (c + chunk.shape[0]))
-        for j, zj in enumerate(Bn.zeros):
+        for j, zj in enumerate(zeros):
             X[:, cols][:, j::m] = _flush(series.rational([1.0], [1.0, -np.conj(zj)], chunk.T))
     return FrameMatrix(product=Bn, w=w, n_max=n_max, K=K, taylor=X, pad=_TAIL_PAD,
                        conjugator=conj_psi)
@@ -382,16 +437,17 @@ class GramResult:
 def gram(F, normalization="raw"):
     """Conjugate-transpose(A) @ A with per-column tail diagnostics.
 
-    ``zherk`` on the F-ordered view A.T fills the upper triangle of conj(A^H
-    A) with no conjugate copy of A; conjugating that triangle in place and
-    mirroring it column by column gives the Hermitian Gram matrix.
+    :func:`_gram_product` fills the upper triangle of conj(A^H A) (of A^T A
+    for a real frame) with no conjugate copy of A; conjugating that triangle
+    in place and mirroring it column by column gives the Hermitian Gram
+    matrix, real for a real frame.
     """
     rows = F.K + F.pad
     rscale, cscale = F._scales(normalization, rows)
     full = F.taylor * rscale[:, None]
     full *= cscale  # in place, as in FrameMatrix.matrix
     tails = np.linalg.norm(full[F.K :], axis=0)
-    G = zherk(1.0, full[: F.K].T)
+    G = _gram_product(full[: F.K])
     np.conjugate(G, out=G)
     for k in range(G.shape[0] - 1):
         G[k + 1 :, k] = G[k, k + 1 :].conj()

@@ -1,12 +1,15 @@
-"""Truncated complex power series and weighted inner products.
+"""Truncated power series and weighted inner products.
 
-A :class:`PowerSeries` holds Taylor coefficients through a truncation order K.
-Arithmetic never reads beyond K and results carry the minimum of the operand
-truncations.  Multiplication by a rational function P/Q is one primitive,
-:func:`rational`: shifted sums for P, then one banded forward substitution
-for Q, exact on the truncated coefficients.  Inner products against a weight
-sequence use exact (fsum) summation in a fixed ascending-index order so
-results are independent of any scheduling.
+A :class:`PowerSeries` holds complex Taylor coefficients through a truncation
+order K.  Arithmetic never reads beyond K and results carry the minimum of the
+operand truncations.  Multiplication by a rational function P/Q is one
+primitive, :func:`rational`: shifted sums for P, then one banded forward
+substitution for Q, exact on the truncated coefficients.  Real products get
+real frames: when P, Q and the columns are all real the product is taken in
+float64 (``dtbtrs``), otherwise in complex128 (``ztbtrs``), so a real
+recursion costs a quarter of the complex flops.  Inner products against a
+weight sequence use exact (fsum) summation in a fixed ascending-index order
+so results are independent of any scheduling.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg.lapack import ztbtrs
+from scipy.linalg.lapack import dtbtrs, ztbtrs
 
 from .errors import DomainError
 from .funcspec import PolySpec, to_rational
@@ -29,6 +32,9 @@ __all__ = [
     "inner",
     "norm",
 ]
+
+# the banded triangular solve of each element type rational_banded computes in
+_TBTRS = {np.dtype(float): dtbtrs, np.dtype(complex): ztbtrs}
 
 
 class PowerSeries:
@@ -66,19 +72,23 @@ def rational(P, Q, X):
 
     P and Q are constant-first coefficient vectors with Q[0] != 0; X is one
     coefficient vector or a 2-d array of columns, and the result has its
-    shape.  The numerator P*x is a sum of shifted copies of X; the division by
+    shape, float64 when P, Q and X are all real and complex128 otherwise.
+    The numerator P*x is a sum of shifted copies of X; the division by
     Q is one lower-triangular banded solve with the Toeplitz band of Q (the
     recursion Q*y = P*x, no pivoting, no truncation error).  A recursion that
     divides by the same Q on every step forms the band once with
     :func:`toeplitz_band` and calls :func:`rational_banded`, as this does.
     """
-    X = np.asarray(X, dtype=complex)
+    X = np.asarray(X)
     return rational_banded(P, toeplitz_band(Q, X.shape[0]), X)
 
 
 def toeplitz_band(Q, n):
-    """The lower Toeplitz band of Q for n coefficients, in ``ztbtrs`` storage."""
-    Q = np.asarray(Q, dtype=complex)[:n]
+    """The lower Toeplitz band of Q for n coefficients, in ``?tbtrs`` storage.
+
+    A real Q gives a float64 band, any other a complex128 one."""
+    Q = np.asarray(Q)
+    Q = Q.astype(np.result_type(Q, float), copy=False)[:n]
     return np.asfortranarray(np.broadcast_to(Q[:, None], (Q.size, n)))
 
 
@@ -87,16 +97,20 @@ def rational_banded(P, band, X):
 
     With Q[0] = 1 (every Blaschke product's denominator, every kernel factor)
     the solve takes the unit diagonal as given: it skips a division by 1,
-    which is exact, so the result does not change.
+    which is exact, so the result does not change.  The product is computed
+    in the common type of P, the band and X (see :func:`rational`); each is
+    cast to it, so a complex product gives the same bits whatever is real.
     """
-    P = np.asarray(P, dtype=complex)
-    X = np.asarray(X, dtype=complex)
+    P, X = np.asarray(P), np.asarray(X)
+    dtype = np.result_type(P, band, X, float)
+    P, X = P.astype(dtype, copy=False), X.astype(dtype, copy=False)
+    band = np.asfortranarray(band, dtype=dtype)
     cols = X[:, None] if X.ndim == 1 else X
     n = cols.shape[0]
     Y = np.asfortranarray(P[0] * cols)
     for k in range(1, min(P.size, n)):
         Y[k:] += P[k] * cols[: n - k]
-    Y, info = ztbtrs(band, Y, uplo="L", diag="U" if band[0, 0] == 1 else "N", overwrite_b=1)
+    Y, info = _TBTRS[dtype](band, Y, uplo="L", diag="U" if band[0, 0] == 1 else "N", overwrite_b=1)
     if info != 0:  # info > 0 is a zero diagonal: Q[0] = 0, a pole at the origin
         raise DomainError(f"P/Q has no Taylor series: Q[0] = {band[0, 0]} (info {info})")
     return Y[:, 0] if X.ndim == 1 else Y

@@ -121,6 +121,45 @@ def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
     assert (banded, dense) == ([], [])
 
 
+def test_a_frame_whose_column_norms_spread_past_the_route_shift_forms_no_gram_product(monkeypatch):
+    # the top rung of the reciprocal:nln probe at t 0.5: its column norms spread by about 1e5
+    grams = _spy(monkeypatch, "dsyrk") + _spy(monkeypatch, "zherk")
+    F = frames.build_frame(MoebiusTransform(0.5), parse_weight_id("reciprocal:nln"), 400, 1600)
+    A = F.matrix("beta")
+    norms2 = np.sum(A * A, axis=0)
+    assert np.max(norms2) > frames._COLUMN_SPREAD * np.min(norms2)
+    s = svdvals(A)
+    assert F.extremes() == (s[-1], s[0])
+    assert grams == []
+
+
+@pytest.mark.parametrize(("B", "dtype"), [
+    (MoebiusTransform(0.5), np.float64),
+    (BlaschkeProduct(ZEROS[2]), np.float64),
+    (BlaschkeProduct(ZEROS[3]), np.complex128),
+    # e^{i pi} is -1 + 1.2e-16i, so this P is not real
+    (BlaschkeProduct(ZEROS[2], np.pi), np.complex128),
+    # P and Q are real, but the kernel factors at 0.5i and -0.5i are not
+    (BlaschkeProduct((0.5j, -0.5j)), np.complex128),
+], ids=["order-1", "order-2", "order-3", "theta-pi", "conjugate-zeros"])
+def test_real_products_get_real_frames(B, dtype):
+    F = frames.build_frame(B, BERGMAN, 40, 256)
+    assert F.taylor.dtype == dtype
+    assert frames.gram(F, "beta").matrix.dtype == dtype
+
+
+@pytest.mark.parametrize("w", [HARDY, BERGMAN], ids=["hardy", "bergman"])
+def test_a_real_frame_has_the_extremes_of_its_complex_cast(monkeypatch, w):
+    # the Hardy Pick band is bisected by dpbtrf against zpbtrf; the Bergman band goes dense
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), w, 100, 512)
+    assert F.taylor.dtype == np.float64
+    complex_steps = _spy(monkeypatch, "zpbtrf")
+    real = F.extremes()
+    assert complex_steps == []
+    cast = replace(F, taylor=F.taylor.astype(complex)).extremes()
+    assert np.allclose(real, cast, rtol=1e-13, atol=0)
+
+
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "nln", "reciprocal:nln", "polygrowth:M=2"])
 def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):

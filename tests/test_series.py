@@ -129,3 +129,16 @@ def test_a_unit_constant_term_skips_only_an_exact_division():
     assert info == 0
     assert np.array_equal(series.rational_banded(P, band, X), general)
     assert np.array_equal(series.rational(P, Q, X), general)
+
+
+def test_real_inputs_stay_real():
+    # a real product is solved by dtbtrs; cast to complex, ztbtrs gives it a zero imaginary part
+    rng = np.random.default_rng(12)
+    P, Q = np.array([0.3, -1.0]), np.array([1.0, -0.5, 0.1])
+    X = rng.standard_normal((200, 3))
+    real = series.rational(P, Q, X)
+    cast = series.rational(P.astype(complex), Q, X)
+    assert (real.dtype, cast.dtype) == (np.float64, np.complex128)
+    assert series.toeplitz_band(Q, 200).dtype == np.float64
+    assert not np.any(cast.imag)
+    assert np.allclose(real, cast.real, rtol=0, atol=1e-13 * np.max(np.abs(real)))

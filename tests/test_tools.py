@@ -41,3 +41,30 @@ def test_compare_passes_value_moves_alone(digest, tmp_path, capsys):
     parent, change = _values(tmp_path, "p.txt", 0, 1.0), _values(tmp_path, "c.txt", 0, 1.0 + 1e-15)
     assert digest.compare(parent, change) == 0
     assert "exit codes moved" not in capsys.readouterr().out
+
+
+def test_compare_lists_moved_strings_without_failing(digest, tmp_path, capsys):
+    def values(name, verdict, trend):
+        path = tmp_path / name
+        path.write_text(
+            "aa 0 riesz --fn f -> result.json\n"
+            f"  c00 result.verdict {verdict}\n"
+            f"  c00 result.accepted true\n"
+            f"  c00 result.trend[0] {trend}\n"
+            f"  c00 result.trend[1] {trend}\n"
+            "  c00 c1 1.0\n"
+        )
+        return path
+
+    parent = values("p.txt", '"similar"', '"open"')
+    change = values("c.txt", '"similar"', '"converging"')
+    assert digest.compare(parent, change) == 0
+    out = capsys.readouterr().out
+    assert "4 strings and booleans; 1 path names moved" in out
+    assert 'result.trend[]  2 moved, e.g. c00 "open" -> "converging"' in out
+    assert "1 values; 0 value path names moved" in out
+
+
+def test_values_print_every_leaf(digest):
+    leaves = dict(digest.leaves({"a": [1, None], "b": {"ok": True, "why": "a b"}}))
+    assert leaves == {"a[0]": "1", "a[1]": "nan", "b.ok": "true", "b.why": '"a b"'}

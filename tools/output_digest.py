@@ -11,10 +11,11 @@ pinned to one thread.  For every file a command writes it prints one line
     <sha256> <exit code> <command> -> <file name>
 
 so that two checkouts are compared for byte identity with ``diff``.  With
-``--values`` each ``result.json`` line is followed by one line per number in
-it, ``  c<k> <path> <value>`` (``c<k>`` is the command's output directory),
-so that a change meant to move the numbers only by roundoff is checked with
-``diff`` too.
+``--values`` each ``result.json`` line is followed by one line per leaf in
+it, ``  c<k> <path> <value>`` (``c<k>`` is the command's output directory; a
+number as Python prints it, a string or boolean as JSON writes it), so that a
+change meant to move the numbers only by roundoff is checked with ``diff``
+too.
 
     python3 tools/output_digest.py --compare values-parent.txt values-change.txt
 
@@ -24,8 +25,11 @@ hash of a file other than ``result.json``) found on one side only.  Then it
 prints, for each value path name (list indices collapsed to ``[]``) whose
 value moved, the largest absolute move and the largest move relative to the
 parent value, and each value path name found on one side only, with the
-number of outputs that have it.  It fails (exit 1) when an exit code moved,
-a file line differs or a value path name is on one side only.
+number of outputs that have it.  Last it lists each path name of a string
+or boolean (a verdict, a status, a trend) whose value moved, with the number
+of values that moved and one of them, before -> after; this is information
+only.  It fails (exit 1) when an exit code moved, a file line differs or a
+value path name is on one side only.
 
 The list is the README examples and the paper's named inputs (18 commands)
 plus every ``decompose-fuzz``, ``verdict-pairs`` and ``riesz-ladder`` input
@@ -214,28 +218,32 @@ def commands():
             + LADDER_TREND)
 
 
-def numbers(value, path=""):
-    """``(path, number)`` for every int or float leaf of a JSON value, nan for null."""
+def leaves(value, path=""):
+    """``(path, text)`` for every leaf of a JSON value: a number as ``repr``
+    prints it (nan for null), a string or boolean as JSON writes it."""
     if isinstance(value, dict):
         for key, item in value.items():
-            yield from numbers(item, f"{path}.{key}" if path else key)
+            yield from leaves(item, f"{path}.{key}" if path else key)
     elif isinstance(value, list):
         for i, item in enumerate(value):
-            yield from numbers(item, f"{path}[{i}]")
+            yield from leaves(item, f"{path}[{i}]")
     elif value is None:
-        yield path, math.nan
+        yield path, repr(math.nan)
     elif isinstance(value, (int, float)) and not isinstance(value, bool):
-        yield path, value
+        yield path, repr(value)
+    else:
+        yield path, json.dumps(value)
 
 
 def _read_values(path):
     """The exit code of each command, the file lines with no exit code (and no
-    hash for result.json), and the values of a --values output."""
+    hash for result.json), and the values of a --values output: a float for a
+    number, the JSON text for a string or boolean."""
     codes, files, values = {}, [], {}
     for line in Path(path).read_text().splitlines():
         if line.startswith("  "):
-            out, key, value = line.split()
-            values[out, key] = float(value)
+            out, key, value = line[2:].split(" ", 2)
+            values[out, key] = value if value[0] in '"tf' else float(value)
         else:
             digest, code, rest = line.split(" ", 2)
             codes[rest.rsplit(" -> ", 1)[0]] = code
@@ -255,15 +263,19 @@ def compare(parent, change):
     differ = files_p != files_c
     if differ:
         print("outputs differ:", *sorted(set(files_p) ^ set(files_c))[:20], sep="\n  ")
-    moves = {}
+    moves, texts = {}, {}
     for (out, key), a in values_p.items():
         b = values_c.get((out, key), a)
-        if a != b and not (math.isnan(a) and math.isnan(b)):
+        if isinstance(a, str) or isinstance(b, str):
+            if a != b:
+                texts.setdefault(re.sub(r"\[\d+\]", "[]", key), []).append(f"{out} {a} -> {b}")
+        elif a != b and not (math.isnan(a) and math.isnan(b)):
             worst = moves.setdefault(re.sub(r"\[\d+\]", "[]", key), [0.0, 0.0])
             move = math.inf if math.isnan(b - a) else abs(b - a)  # to or from nan
             worst[0] = max(worst[0], move)
             worst[1] = max(worst[1], move / abs(a) if a else math.inf)
-    print(f"{len(values_p)} values; {len(moves)} value path names moved")
+    print(f"{sum(not isinstance(a, str) for a in values_p.values())} values; "
+          f"{len(moves)} value path names moved")
     for key, (absolute, relative) in sorted(moves.items()):
         print(f"  {key}  max abs {absolute:.3g}  max rel {relative:.3g}")
     one_side = []
@@ -275,13 +287,17 @@ def compare(parent, change):
         one_side += [f"  {name}  only in {side}, {len(outs)} outputs" for name, outs in sorted(names.items())]
     if one_side:
         print(f"{len(one_side)} value path names on one side only", *one_side, sep="\n")
+    print(f"{sum(isinstance(a, str) for a in values_p.values())} strings and booleans; "
+          f"{len(texts)} path names moved")
+    for key, moved_texts in sorted(texts.items()):
+        print(f"  {key}  {len(moved_texts)} moved, e.g. {moved_texts[0]}")
     return 1 if moved or differ or one_side else 0
 
 
 def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--work", help="directory for the outputs (default: a fresh temporary one)")
-    p.add_argument("--values", action="store_true", help="also print every number of each result.json")
+    p.add_argument("--values", action="store_true", help="also print every leaf of each result.json")
     p.add_argument("--compare", nargs=2, metavar=("PARENT", "CHANGE"),
                    help="compare two --values outputs instead of running the commands")
     args = p.parse_args(argv)
@@ -301,8 +317,8 @@ def main(argv=None):
             digest = hashlib.sha256(path.read_bytes()).hexdigest()
             print(f"{digest} {code} {text} -> {path.name}", flush=True)
             if args.values and path.name == "result.json":
-                for key, value in numbers(json.loads(path.read_text())):
-                    print(f"  {out.name} {key} {value!r}")
+                for key, value in leaves(json.loads(path.read_text())):
+                    print(f"  {out.name} {key} {value}")
         if not files:
             print(f"- {code} {text} -> (no file)", flush=True)
     return 0
