@@ -49,7 +49,7 @@ def test_compare_lists_moved_strings_without_failing(digest, tmp_path, capsys):
         path.write_text(
             "aa 0 riesz --fn f -> result.json\n"
             f"  c00 result.verdict {verdict}\n"
-            f"  c00 result.accepted true\n"
+            "  c00 result.accepted true\n"
             f"  c00 result.trend[0] {trend}\n"
             f"  c00 result.trend[1] {trend}\n"
             "  c00 c1 1.0\n"
