@@ -217,7 +217,8 @@ def _gram_ends(A):
     None when the column norms spread past ``_COLUMN_SPREAD`` (no Gram
     product is formed) or the shifted Cholesky of :func:`_shift_factors` fails.
     """
-    norms2 = _column_norms2(A)
+    parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)  # views: no block-sized temporary
+    norms2 = sum(np.einsum("ij,ij->j", part, part) for part in parts)
     if np.max(norms2) > _COLUMN_SPREAD * np.min(norms2):
         return None
     G = _gram_product(A)
@@ -230,12 +231,6 @@ def _gram_ends(A):
     for k in range(b + 1):
         band[b - k, k:] = np.diagonal(G, k)
     return _band_ends(band)
-
-
-def _column_norms2(A):
-    """The squared column norms of A, summed over views of its real and imaginary parts."""
-    parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)
-    return sum(np.einsum("ij,ij->j", part, part) for part in parts)
 
 
 def _gram_product(A):

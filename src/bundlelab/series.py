@@ -33,9 +33,6 @@ __all__ = [
     "norm",
 ]
 
-# the banded triangular solve of each element type rational_banded computes in
-_TBTRS = {np.dtype(float): dtbtrs, np.dtype(complex): ztbtrs}
-
 
 class PowerSeries:
     """Coefficient vector c[k] of z^k for k = 0..K."""
@@ -110,7 +107,8 @@ def rational_banded(P, band, X):
     Y = np.asfortranarray(P[0] * cols)
     for k in range(1, min(P.size, n)):
         Y[k:] += P[k] * cols[: n - k]
-    Y, info = _TBTRS[dtype](band, Y, uplo="L", diag="U" if band[0, 0] == 1 else "N", overwrite_b=1)
+    tbtrs = ztbtrs if dtype.kind == "c" else dtbtrs
+    Y, info = tbtrs(band, Y, uplo="L", diag="U" if band[0, 0] == 1 else "N", overwrite_b=1)
     if info != 0:  # info > 0 is a zero diagonal: Q[0] = 0, a pole at the origin
         raise DomainError(f"P/Q has no Taylor series: Q[0] = {band[0, 0]} (info {info})")
     return Y[:, 0] if X.ndim == 1 else Y
