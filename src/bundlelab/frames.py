@@ -32,9 +32,11 @@ no eigenvalue solve, as the Gram route would refuse that frame too, and when
 the column norms alone show that it must fail, with no Gram product.  The
 two eigenvalues are those of the Gram band: offsets past b are dropped for the
 smallest b whose dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
-roundoff level (b = m - 1 for Hardy).  Each end is bisected with one banded
-Cholesky factorization per step (:func:`_band_ends`), O(n b^2) where all n
-eigenvalues would cost O(n^2 b); a band b >= n/16 is solved dense.  When
+roundoff level (b = m - 1 for Hardy).  Each end is bracketed by banded
+Cholesky factorizations alone (:func:`_band_ends`), O(n b^2) each where all n
+eigenvalues would cost O(n^2 b), and inverse iteration with each factor
+that succeeds places the next shifts, about a quarter as many as plain
+bisection takes; a band b >= n/16 is solved dense.  When
 beta_k**2 is a polynomial of degree d in k, the Riesz ladder needs no K-row
 frame: its rungs come from the exact Gram, block-banded with offsets <= d, whose
 blocks are fitted as polynomials in n from the first columns; when 1/beta_k**2
@@ -53,7 +55,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import dsyrk, zherk
-from scipy.linalg.lapack import dpbtrf, dpotrf, zpbtrf, zpotrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, zpbtrf, zpbtrs, zpotrf
 
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -97,9 +99,13 @@ _ROUTE_SHIFT = 0.1 * _GRAM_RATIO
 # a squared column-norm ratio above 1/_ROUTE_SHIFT puts a diagonal entry of G
 # below sigma; the margin covers the roundoff of the norms against diag G
 _COLUMN_SPREAD = (1.0 + 1e-6) / _ROUTE_SHIFT
-# a Gram band b >= n/16 goes dense: with BLAS at one thread the two routes
-# break even there (_band_ends against eigvalsh, in ms: n 122, b 7: 2.6 vs 1.8;
-# n 401, b 25: 30 vs 41; n 1602, b 100: 504 vs 1410)
+# a Gram band b >= n/16 goes dense: with BLAS at one thread a real band
+# breaks even there at n 122, while larger or complex bands would stay banded
+# up to about n/8 (n 122) or past n/4 (n 401 on).  _band_ends against
+# eigvalsh on random positive definite bands, min of 7 runs, in ms, complex
+# then real: n 122, b 7: 0.68 vs 1.10, 0.55 vs 0.59; b 15: 1.09 vs 1.11,
+# 1.11 vs 0.61; n 401, b 25: 4.5 vs 22, 2.3 vs 8.4; b 100: 20 vs 22, 9.0 vs
+# 8.3; n 1602, b 100: 94 vs 1061, 38 vs 380
 _BAND_CROSSOVER = 16
 # build_frame makes this many powers at a time, so that its temporaries stay
 # at (K + _TAIL_PAD) x 64 entries next to the frame block
@@ -280,15 +286,23 @@ def _band_ends(band, which=("min", "max")):
     """lambda_min ("min") and lambda_max ("max") of the Hermitian matrix in
     upper band storage, each only when named in ``which``, in its order.
 
-    ``band[b - k, k:]`` holds offset k and the entries left of it are 0.  Each
-    end is bisected in its Gershgorin bracket: lambda_min lies in
-    [min(diag - off), min(diag)] and lambda_max in [max(diag), max(diag + off)],
-    with ``off`` the row sums of the off-diagonal moduli.  A step is one banded
-    Cholesky (``dpbtrf`` on a real band, ``zpbtrf`` on a complex one, O(n
-    b^2)), which succeeds on band - sigma*I iff sigma < lambda_min, and on
-    sigma*I - band iff sigma > lambda_max.  The
-    bisection stops when the bracket is at most 2*eps times the largest row sum
-    (at most about 52 steps per end) and returns its midpoint.
+    ``band[b - k, k:]`` holds offset k and the entries left of it are 0.  The
+    max end is the min end of -band.  lambda_min starts in its Gershgorin
+    bracket [min(diag - off), min(diag)], with ``off`` the row sums of the
+    off-diagonal moduli, and the bracket is certified by banded Cholesky
+    alone (``dpbtrf`` on a real band, ``zpbtrf`` on a complex one, O(n b^2)):
+    band - sigma*I factors iff sigma < lambda_min, so ``lo`` only moves to a
+    shift that factored and ``hi`` only to one that did not.  The search
+    stops when the bracket is at most tol = 2*eps times the largest row sum
+    and returns its midpoint.  Inverse iteration places the shifts: a factor
+    that succeeds at sigma serves three solves (``dpbtrs`` or ``zpbtrs``, O(n
+    b)) of an iterate carried from a fixed seeded vector, whose Rayleigh
+    quotient mu is at least lambda_min.  The next shifts are mu + tol/4, which
+    should fail, then mu - max(tol/2, 4|dmu|), dmu the last solve's change of
+    mu, which should succeed; while it fails the step doubles.  With no such
+    shift inside the bracket the midpoint is taken, and so is every shift
+    after as many steps as plain bisection needs, so that an end takes at
+    most twice its factorizations.
     """
     if not np.all(np.isfinite(band)):
         raise ValueError("the band must contain only finite numbers")
@@ -302,22 +316,44 @@ def _band_ends(band, which=("min", "max")):
         off[: n - k] += mod[b - k, k:]  # G[i, i+k] in row i
     tol = 2.0 * np.finfo(float).eps * np.max(np.abs(diag) + off)
     work = np.empty(band.shape, dtype=band.dtype, order="F")
-    pbtrf = zpbtrf if np.iscomplexobj(band) else dpbtrf
+    pbtrf, pbtrs = (zpbtrf, zpbtrs) if np.iscomplexobj(band) else (dpbtrf, dpbtrs)
+    start = np.random.default_rng(0).standard_normal(n)
+    start /= np.linalg.norm(start)
 
-    def end(lo, hi, sign):
+    def shifts(mu, step, lo):
+        yield mu + 0.25 * tol
+        while mu - step > lo:
+            yield mu - step
+            step *= 2.0
+
+    def end(sign):
+        lo, hi = np.min(sign * diag - off), np.min(sign * diag)
+        budget = math.ceil(math.log2((hi - lo) / tol)) if hi - lo > tol else 0
+        x, guide = start, iter(())
         while hi - lo > tol:
-            sigma = 0.5 * (lo + hi)
+            if budget == 0:  # midpoints only from here
+                guide = iter(())
+            budget -= 1
+            sigma = next((s for s in guide if lo < s < hi), 0.5 * (lo + hi))
             np.multiply(band, sign, out=work)
-            work[b] -= sign * sigma
-            # success proves sigma below lambda_min (sign 1) or above lambda_max (sign -1)
-            if (pbtrf(work, overwrite_ab=1)[1] == 0) == (sign > 0):
-                lo = sigma
-            else:
+            work[b] -= sigma
+            factor, info = pbtrf(work, overwrite_ab=1)
+            if info:
                 hi = sigma
-        return 0.5 * (lo + hi)
+                continue
+            lo = sigma
+            if budget >= 0:
+                mu = []
+                for _ in range(3):
+                    y = pbtrs(factor, x)[0]
+                    # (sign*band - sigma) y = x with |x| = 1, so y^H x / y^H y
+                    # is y's Rayleigh quotient less sigma
+                    mu.append(sigma + np.vdot(y, x).real / np.vdot(y, y).real)
+                    x = y / np.linalg.norm(y)
+                guide = shifts(mu[-1], max(0.5 * tol, 4.0 * abs(mu[-1] - mu[-2])), lo)
+        return sign * 0.5 * (lo + hi)
 
-    return tuple(end(np.min(diag - off), np.min(diag), 1.0) if name == "min"
-                 else end(np.max(diag), np.max(diag + off), -1.0) for name in which)
+    return tuple(end(1.0 if name == "min" else -1.0) for name in which)
 
 
 def _normalize_product(B):
@@ -609,7 +645,7 @@ def _band_extremal(fit, w, n_max, C=None):
     error = (2 * b + 1) * fit.error(n_max, np.max(np.diagonal(blocks[n_max, 0]).real))
 
     def ends(blocks, which=("min", "max")):
-        band = np.zeros((b + 1, m * (n_max + 1)), dtype=complex, order="F")
+        band = np.zeros((b + 1, m * (n_max + 1)), dtype=blocks.dtype, order="F")
         band[rows, cols] = blocks[n, s, i, j][inside] * scale
         return _band_ends(band, which)
 
@@ -637,9 +673,12 @@ def ladder_trend(values):
     ``_STABILITY_TARGET`` relative to itself (|expm1(-s)|, the 1% stop), or
     each of the last two steps is 0.3 to 0.7 times the one before.
     Diverging: each is at least 0.8 times the one before.  Open otherwise.
+    A log-step at roundoff, at most 1e3*eps, is 0: two such steps have no
+    ratio, whatever their last bits.
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         s = np.diff(np.log(np.asarray(values, dtype=float)))
+        s[np.abs(s) <= 1e3 * np.finfo(float).eps] = 0.0
         if s.size and abs(np.expm1(-s[-1])) <= _STABILITY_TARGET:
             return "converging"
         ratios = s[-2:] / s[-3:-1] if s.size >= 3 else np.array([np.nan])
@@ -684,8 +723,11 @@ def _climb(F, extremal, max_doublings):
 
 def _dual_map(zeros):
     """C = Gr^-1, Gr[i, j] = 1/(1 - z_i conj(z_j)) = <k_j, k_i>_{H^2}: the
-    functions g_j = sum_i k_i C[i, j] pair with the kernels k_i to the identity."""
+    functions g_j = sum_i k_i C[i, j] pair with the kernels k_i to the identity;
+    real when the zeros are."""
     z = np.asarray(zeros, dtype=complex)
+    if not np.any(z.imag):
+        z = z.real
     return np.linalg.inv(1.0 / (1.0 - z[:, None] * z.conj()[None, :]))
 
 

@@ -1,4 +1,5 @@
 
+import math
 import tracemalloc
 from dataclasses import replace
 
@@ -123,7 +124,7 @@ def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
 
 def test_a_frame_whose_column_norms_spread_past_the_route_shift_forms_no_gram_product(monkeypatch):
     # the top rung of the reciprocal:nln probe at t 0.5: its column norms spread by about 1e5
-    grams = _spy(monkeypatch, "dsyrk") + _spy(monkeypatch, "zherk")
+    grams = _spy(monkeypatch, "dsyrk", "zherk")
     F = frames.build_frame(MoebiusTransform(0.5), parse_weight_id("reciprocal:nln"), 400, 1600)
     A = F.matrix("beta")
     norms2 = np.sum(A * A, axis=0)
@@ -160,6 +161,14 @@ def test_a_real_frame_has_the_extremes_of_its_complex_cast(monkeypatch, w):
     assert np.allclose(real, cast, rtol=1e-13, atol=0)
 
 
+def test_a_real_product_has_real_dual_bands(monkeypatch):
+    # the Riesz ladder of a real frame on bergman:alpha=1 runs on the dual band
+    F = frames.build_frame(BlaschkeProduct(ZEROS[2]), BERGMAN, 100, 512)
+    real, complex_ = _spy(monkeypatch, "dpbtrf"), _spy(monkeypatch, "zpbtrf")
+    assert frames.riesz_bounds(F).stability["path"] == "band"
+    assert complex_ == [] and real
+
+
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "nln", "reciprocal:nln", "polygrowth:M=2"])
 def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):
@@ -170,10 +179,12 @@ def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):
     assert frames._shift_factors(G) == (lam[0] > frames._ROUTE_SHIFT * lam[-1])
 
 
-def _spy(monkeypatch, name):
-    """Record each call of the module-level ``frames.<name>``."""
-    calls, f = [], getattr(frames, name)
-    monkeypatch.setattr(frames, name, lambda *a, **k: calls.append(1) or f(*a, **k))
+def _spy(monkeypatch, *names):
+    """Record each call of the module-level ``frames.<name>`` of each name, in one list."""
+    calls = []
+    for name in names:
+        f = getattr(frames, name)
+        monkeypatch.setattr(frames, name, lambda *a, f=f, **k: calls.append(1) or f(*a, **k))
     return calls
 
 
@@ -247,6 +258,41 @@ def test_band_ends_match_dense_eigvalsh(case):
     # 14 eps*||G||_2 off (n 58, b 1, against 40-digit mpmath), the ends 1.3
     bound = 4 * band.shape[0] * np.finfo(float).eps * np.linalg.norm(G)
     assert abs(lo - lam[0]) <= bound and abs(hi - lam[-1]) <= bound
+    widths, tol = _gershgorin(G)
+    for name, end in (("min", lo), ("max", hi)):
+        with pytest.MonkeyPatch.context() as mp:
+            steps = _spy(mp, "zpbtrf")
+            assert frames._band_ends(band, (name,)) == (end,)
+        # the safeguard: at most twice the factorizations of plain bisection
+        assert len(steps) <= 2 * (math.ceil(math.log2(widths[name] / tol)) if widths[name] > tol else 0)
+
+
+def _gershgorin(G):
+    """The widths of the Gershgorin brackets of G's two ends, and the stop
+    tolerance of :func:`frames._band_ends`, 2*eps times the largest row sum."""
+    d = np.diagonal(G).real
+    off = np.sum(np.abs(G), axis=1) - np.abs(d)
+    widths = {"min": np.min(d) - np.min(d - off), "max": np.max(d + off) - np.max(d)}
+    return widths, 2 * np.finfo(float).eps * np.max(np.abs(d) + off)
+
+
+def test_guided_shifts_factor_a_polygrowth_rung_under_40_times(monkeypatch):
+    # the n_max 800 rung of this ladder is a real band of width 9 over 1602
+    # columns; plain bisection takes 101 factorizations on its two ends and
+    # gives these values
+    bisected = (0.4996468108980588, 319.6480589028741)
+    bands, band_ends = [], frames._band_ends
+    monkeypatch.setattr(frames, "_band_ends", lambda band, which: bands.append(band) or band_ends(band, which))
+    F = frames.build_frame(BlaschkeProduct((0, 0.5)), parse_weight_id("polygrowth:M=2"), 100, 512)
+    assert frames.riesz_bounds(F).stability["ladder"][-1]["n_max"] == 800
+    band = bands[-1]
+    assert band.shape == (10, 1602) and band.dtype == np.float64
+    steps = _spy(monkeypatch, "dpbtrf", "zpbtrf")
+    ends = band_ends(band)
+    G = sum(np.diag(band[9 - k, k:], k) for k in range(10))
+    _, tol = _gershgorin(G + np.triu(G, 1).T)
+    assert len(steps) <= 40
+    assert all(abs(end - want) <= tol for end, want in zip(ends, bisected))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -485,14 +531,14 @@ def test_a_dual_rung_bisects_three_ends(monkeypatch):
     # of the band before the map only lambda_max, which sizes the bound, is bisected
     F = _held_frame((0, 0.5), BERGMAN, 50)
     fit = frames._fit_gram(replace(F, w=BERGMAN.dual()))
-    steps, bands = [], []
-    zpbtrf, band_ends = frames.zpbtrf, frames._band_ends
+    bands, band_ends = [], frames._band_ends
 
     def recording(band, which=("min", "max")):
         bands.append((band.copy(), which))
         return band_ends(band, which)
 
-    monkeypatch.setattr(frames, "zpbtrf", lambda *a, **k: steps.append(1) or zpbtrf(*a, **k))
+    # the frame is real, so its bands take dpbtrf; both routines are counted
+    steps = _spy(monkeypatch, "dpbtrf", "zpbtrf")
     monkeypatch.setattr(frames, "_band_ends", recording)
     c1, c2, _ = frames._band_extremal(fit, BERGMAN.dual(), 50, frames._dual_map(F.product.zeros))
     (before, which_before), (after, which_after) = bands
@@ -601,6 +647,7 @@ _ONE_OVER_N = [9.522, 10.729, 11.377, 11.699]
     ([2.0, 2.0], "converging"),  # flat at once
     ([2.0, 2.5, 2.52], "converging"),  # the last rung moved by 0.8%
     ([1.0, 1.5, 1.2, 1.4], "open"),  # log-steps that change sign
+    ([1 + 4e-16, 1 + 7e-16, 1 + 9e-16, 2.9e6], "open"),  # log-steps at roundoff have no ratio
 ])
 def test_ladder_trend(values, trend):
     assert frames.ladder_trend(values) == trend
