@@ -99,13 +99,13 @@ _ROUTE_SHIFT = 0.1 * _GRAM_RATIO
 # a squared column-norm ratio above 1/_ROUTE_SHIFT puts a diagonal entry of G
 # below sigma; the margin covers the roundoff of the norms against diag G
 _COLUMN_SPREAD = (1.0 + 1e-6) / _ROUTE_SHIFT
-# a Gram band b >= n/16 goes dense: with BLAS at one thread a real band
-# breaks even there at n 122, while larger or complex bands would stay banded
-# up to about n/8 (n 122) or past n/4 (n 401 on).  _band_ends against
-# eigvalsh on random positive definite bands, min of 7 runs, in ms, complex
-# then real: n 122, b 7: 0.68 vs 1.10, 0.55 vs 0.59; b 15: 1.09 vs 1.11,
-# 1.11 vs 0.61; n 401, b 25: 4.5 vs 22, 2.3 vs 8.4; b 100: 20 vs 22, 9.0 vs
-# 8.3; n 1602, b 100: 94 vs 1061, 38 vs 380
+# a Gram band b >= n/16 goes dense.  With BLAS at one thread the break-even
+# grows with n: about n/16 for a real band and n/8 for a complex one at
+# n 122, about n/4 at n 401, so 16 never picks the band where it loses
+# (_band_ends against eigvalsh on random positive definite bands, min of 7
+# runs, in ms, complex then real: n 122, b 7: 0.68 vs 1.10, 0.55 vs 0.59;
+# b 15: 1.09 vs 1.11, 1.11 vs 0.61; n 401, b 25: 4.5 vs 22, 2.3 vs 8.4;
+# b 100: 20 vs 22, 9.0 vs 8.3; n 1602, b 100: 94 vs 1061, 38 vs 380)
 _BAND_CROSSOVER = 16
 # build_frame makes this many powers at a time, so that its temporaries stay
 # at (K + _TAIL_PAD) x 64 entries next to the frame block

@@ -282,7 +282,12 @@ def test_guided_shifts_factor_a_polygrowth_rung_under_40_times(monkeypatch):
     # gives these values
     bisected = (0.4996468108980588, 319.6480589028741)
     bands, band_ends = [], frames._band_ends
-    monkeypatch.setattr(frames, "_band_ends", lambda band, which: bands.append(band) or band_ends(band, which))
+
+    def recording(band, which=("min", "max")):
+        bands.append(band)
+        return band_ends(band, which)
+
+    monkeypatch.setattr(frames, "_band_ends", recording)
     F = frames.build_frame(BlaschkeProduct((0, 0.5)), parse_weight_id("polygrowth:M=2"), 100, 512)
     assert frames.riesz_bounds(F).stability["ladder"][-1]["n_max"] == 800
     band = bands[-1]
