@@ -302,7 +302,7 @@ def _band_ends(band, which=("min", "max")):
     mu, which should succeed; while it fails the step doubles.  With no such
     shift inside the bracket the midpoint is taken, and so is every shift
     after as many steps as plain bisection needs, so that an end takes at
-    most twice its factorizations.
+    most twice the factorizations of plain bisection.
     """
     if not np.all(np.isfinite(band)):
         raise ValueError("the band must contain only finite numbers")
