@@ -7,7 +7,9 @@ value, with multiplicity) are computed through companion-matrix roots of the
 rational form plus Newton polishing; :func:`fiber_roots` and
 :func:`with_multiplicity` are the one fiber path every module uses.
 :func:`fiber_roots` solves one fiber polynomial per call and polishes all
-of its roots in one vectorized Newton loop.
+of its roots in one vectorized Newton loop; a root beyond the radius it
+keeps stops once its residual reaches the roundoff floor of Horner's rule
+while it lies far outside, since it is discarded anyway.
 """
 
 from __future__ import annotations
@@ -157,19 +159,26 @@ def _poly_roots(coeffs):
     return np.roots(c[::-1]).astype(complex)
 
 
-def _newton_polish(coeffs, roots):
+def _newton_polish(coeffs, roots, radius):
     """Polish roots of one constant-first polynomial, all roots at once.
 
     Each root stops on its own: relative residual below _POLISH_TOL with a
     Newton step below _POLISH_TOL (1 + |z|) (so an ill-conditioned root, one
     with a small derivative, keeps polishing to the noise floor), a flat
-    derivative, a step below 1e-16 (1 + |z|), or after 50 steps.  Moduli are
-    taken with ``hypot``, as Python's ``abs`` of one complex value does.
+    derivative, a step below 1e-16 (1 + |z|), or after 50 steps.  A root
+    beyond ``radius`` (the radius its caller keeps) by more than 64 of its
+    own steps, whose residual is within Horner's running error bound
+    2 (n+1) eps sum |c_k| |z|^k (Higham, Accuracy and Stability of Numerical
+    Algorithms, 5.1), stops too: it can only wander in its noise ball, and
+    it is discarded anyway, so every root kept is polished as without the
+    rule.  Moduli are taken with ``hypot``, as Python's ``abs`` of one
+    complex value does.
     """
     c = np.asarray(coeffs, dtype=complex)
     p = c[::-1]
     dp = (c[1:] * np.arange(1, c.size))[::-1]
     scale = max(np.max(np.abs(c)), 1e-300)
+    floor = 2.0 * c.size * np.finfo(float).eps
     z = np.array(roots, dtype=complex)
     live = np.arange(z.size)
     for _ in range(50):
@@ -182,9 +191,15 @@ def _newton_polish(coeffs, roots):
         go = ~(av <= _POLISH_TOL * scale)
         go |= ~(av <= _POLISH_TOL * adv * (1.0 + np.hypot(x.real, x.imag)))
         go &= ~(adv < 1e-300)
-        live = live[go]
+        live, x, av = live[go], x[go], av[go]
         step = v[go] / dv[go]
-        x = x[go] - step
+        # beyond the radius by 64 steps and at the roundoff floor: it stays out
+        r = np.hypot(x.real, x.imag)
+        out = r - radius > 64.0 * np.hypot(step.real, step.imag)
+        if np.any(out):
+            out[out] = av[out] <= floor * np.polyval(np.abs(p), r[out])
+            live, x, step = live[~out], x[~out], step[~out]
+        x = x - step
         z[live] = x
         small = np.hypot(step.real, step.imag) < 1e-16 * (1.0 + np.hypot(x.real, x.imag))
         live = live[~small]
@@ -197,11 +212,13 @@ def fiber_roots(R, radius):
     The single fiber solve: companion-matrix roots, then Newton polishing.
     Only the roots below twice the radius are polished: polishing moves a
     root by far less than its modulus, so one beyond that cannot end inside,
-    and far out its polynomial overflows.
+    and far out its polynomial overflows.  The polish is given the radius, so
+    that a root which stays outside stops at its roundoff floor (see
+    _newton_polish); the roots kept are polished as without it.
     """
     roots = _poly_roots(R)
     near = np.abs(roots) < 2.0 * radius
-    roots[near] = _newton_polish(R, roots[near])
+    roots[near] = _newton_polish(R, roots[near], radius)
     return roots[np.abs(roots) < radius]
 
 
@@ -291,4 +308,4 @@ def critical_points(spec):
     if np.max(np.abs(f.N1)) == 0.0:
         return []
     points = with_multiplicity(fiber_roots(f.N1, _INTERIOR))
-    return [(z, complex(f.value(z))) for z in points]
+    return list(zip(points, map(complex, f.value(np.array(points, dtype=complex)))))

@@ -17,7 +17,9 @@ defaults and ranges once, in ``_COMMANDS``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import sys
 from csv import writer as csv_writer
@@ -150,7 +152,7 @@ def _sanitize(value):
         return [_sanitize(v) for v in value]
     if isinstance(value, (np.floating, float)):
         v = float(value)
-        return v if np.isfinite(v) else repr(v)
+        return v if math.isfinite(v) else repr(v)
     if isinstance(value, (np.integer,)):
         return int(value)
     if isinstance(value, np.ndarray):
@@ -417,6 +419,7 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache  # one parser per process: parse_args leaves it as it was
 def _build_parser():
     parser = _Parser(
         prog="bundle-lab",

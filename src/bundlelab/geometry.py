@@ -5,7 +5,9 @@ unit disk.  Two independent computations must agree or the operation errors:
 
 * argument principle: summed argument increments of f on the circle of radius
   ``1 - 1e-5`` (strictly inside, so values of f on the unit circle itself are
-  still meaningful probes), adaptively refined;
+  still meaningful probes), adaptively refined; f is evaluated on the
+  circle's first 4096 points once per function, and every omega probed on
+  that function reuses the values;
 * root counting: companion-matrix roots of P - omega*Q with |root| below the
   same radius.
 
@@ -16,6 +18,7 @@ Index maps flag a band of cells around the sampled image of the unit circle
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -77,11 +80,21 @@ def _bbox_diag(vals):
     return max(np.hypot(w, h), 1e-12)
 
 
+# f on the 4096-point circle of each radius, per function: every omega
+# probed on one function starts from the same values
+_CIRCLES = weakref.WeakKeyDictionary()
+
+
 def _argument_winding(f, omega, radius):
     """Winding of f on |z| = radius around omega by summed argument steps,
-    from 4096 points bisected up to 2**21."""
+    from 4096 points bisected up to 2**21.  f is evaluated on the 4096
+    points once per function and radius; only the refinement evaluates it
+    again."""
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
-    v = f.value(radius * np.exp(2j * np.pi * t)) - omega
+    circles = _CIRCLES.setdefault(f, {})
+    if radius not in circles:
+        circles[radius] = f.value(radius * np.exp(2j * np.pi * t))
+    v = circles[radius] - omega
     scale = 1.0 + abs(omega)
     while True:
         if np.min(np.abs(v)) < 1e-13 * scale:

@@ -22,6 +22,7 @@ than claim m = 1.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 from itertools import combinations
@@ -311,14 +312,18 @@ def _pairs(values):
     return [[c.real, c.imag] for c in values]
 
 
+@functools.cache
 def _held_out_points(count):
-    """count points drawn uniformly from the disk |z| <= 0.95, one fixed seed."""
+    """count points drawn uniformly from the disk |z| <= 0.95, one fixed seed;
+    drawn once per process and returned read-only."""
     rng = np.random.default_rng(20240613)
     pts = np.zeros(0, dtype=complex)
     while pts.size < count:
         zs = rng.uniform(-0.95, 0.95, size=(256, 2)) @ np.array([1.0, 1j])
         pts = np.concatenate([pts, zs[np.abs(zs) <= 0.95]])
-    return pts[:count]
+    pts = pts[:count]
+    pts.flags.writeable = False
+    return pts
 
 
 def _certificate_id(spec, omega0):

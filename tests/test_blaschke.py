@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bundlelab.blaschke import (
+    _INTERIOR,
     BlaschkeProduct,
     _groups,
     MoebiusTransform,
@@ -19,7 +20,7 @@ from bundlelab.blaschke import (
     with_multiplicity,
 )
 from bundlelab.errors import BoundaryRootWarning, DomainError, RootFindingError
-from bundlelab.funcspec import PolySpec, RationalFunction
+from bundlelab.funcspec import PolySpec, RationalFunction, parse_function_spec
 
 
 def test_eval_at_zero_points():
@@ -294,14 +295,21 @@ _complex = st.builds(complex, st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 
 @st.composite
 def _polys(draw):
-    """Random, zero constant, tiny top, or an exact double root; and a radius."""
+    """Random, zero constant, tiny top, an exact double root, or a double or
+    triple root at modulus 1.05-1.95; and a radius."""
     degree = draw(st.integers(1, 12))
-    kind = draw(st.sampled_from(["random", "zero constant", "tiny top", "double root"]))
+    kind = draw(st.sampled_from(["random", "zero constant", "tiny top", "double root",
+                                 "multiple root outside"]))
     radius = draw(st.sampled_from([0.5, 1.0, 2.0, np.inf]))
     if kind == "double root" and degree >= 2:
         twice = draw(_complex) / 3.0
         rest = draw(st.lists(_complex, min_size=degree - 2, max_size=degree - 2))
         return np.poly(np.array([twice, twice] + rest, dtype=complex))[::-1], radius
+    if kind == "multiple root outside" and degree >= 2:
+        times = draw(st.integers(2, min(3, degree)))
+        root = draw(_points(1.05, 1.95, 1))
+        rest = draw(st.lists(_complex, min_size=degree - times, max_size=degree - times))
+        return np.poly(np.array(root * times + rest, dtype=complex))[::-1], radius
     c = np.array(draw(st.lists(_complex, min_size=degree + 1, max_size=degree + 1)))
     c[0] = draw(_complex) + 4.0  # nonzero unless chosen below
     c[-1] = draw(_complex) + 4.0
@@ -322,6 +330,37 @@ def test_fiber_roots_equal_the_scalar_loop(case):
     near = np.abs(ref) < 2.0 * radius
     ref[near] = _reference_newton_polish(R, ref[near])
     assert np.array_equal(fiber_roots(R, radius), ref[np.abs(ref) < radius])
+
+
+# seed-1 input #2 of the decompose-fuzz benchmark: its derivative's numerator
+# has a triple root and a simple one outside the disk that polish to the
+# roundoff floor of Horner's rule and no further
+STALLING_CRITICAL_POINTS = (
+    "compose(poly(1.0608986233860787-0.11170194958415963i,-0.8075346753318965+0.11046414324948059i,"
+    "-0.0325217049455206+0.06378177425506196i,0.8843898673831739-1.2250558264176934i,"
+    "-0.583600432743302+0.0761402303770081i), blaschke(0.0009600104472936935; "
+    "-0.516148740142684-0.02506030924367484i,0.12530503190311754-0.1312900102919302i,"
+    "-0.28392696834956616+0.33793083958017267i))"
+)
+
+
+def test_critical_point_polish_stops_the_roots_that_stay_outside(monkeypatch):
+    N1 = RationalFunction.from_spec(parse_function_spec(STALLING_CRITICAL_POINTS)).N1
+    ref = _reference_poly_roots(N1)
+    near = np.abs(ref) < 2.0 * _INTERIOR
+    ref[near] = _reference_newton_polish(N1, ref[near])
+    calls = []
+    polyval = np.polyval
+
+    def counting(p, x):
+        calls.append(np.size(x))
+        return polyval(p, x)
+
+    monkeypatch.setattr(np, "polyval", counting)
+    found = fiber_roots(N1, _INTERIOR)
+    # without the stop, all 50 steps of the polish run: 100 evaluations
+    assert len(calls) <= 40
+    assert np.array_equal(found, ref[np.abs(ref) < _INTERIOR])
 
 
 def test_zero_polynomial_raises():

@@ -384,6 +384,29 @@ def test_computation_error_exit_code(tmp_path):
     assert err["error"] == "DomainError"
 
 
+def test_main_calls_share_one_parser(tmp_path, monkeypatch):
+    parsers = []
+    parse_args = cli._Parser.parse_args
+
+    def recording(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli._Parser, "parse_args", recording)
+    for k in range(2):
+        assert _run(["weights-classify", "--weights", "hardy", "--probe", "100",
+                     "--out", str(tmp_path / str(k))]) == 0
+    assert len(parsers) == 2 and parsers[0] is parsers[1]
+
+
+def test_a_bad_flag_after_a_good_call_exits_64_with_usage(tmp_path, capsys):
+    assert _run(["weights-classify", "--weights", "hardy", "--probe", "100",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert _run(["riesz", "--frobnicate", "7", "--out", str(tmp_path)]) == 64
+    assert capsys.readouterr().err.startswith("usage: bundle-lab")
+
+
 def test_missing_command(tmp_path):
     assert _run(["--out", str(tmp_path)]) == 64
 

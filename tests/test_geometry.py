@@ -65,6 +65,46 @@ def test_winding_margin_violation():
         geometry._argument_winding(f, complex(geometry.COUNT_RADIUS), geometry.COUNT_RADIUS)
 
 
+def _counting_circle_sizes(monkeypatch):
+    """Sizes of the arrays on |z| = COUNT_RADIUS that RationalFunction.value gets."""
+    sizes = []
+    value = RationalFunction.value
+
+    def spy(self, z):
+        r = np.abs(np.asarray(z))
+        if r.size > 1 and np.all(np.abs(r - geometry.COUNT_RADIUS) < 1e-12):
+            sizes.append(r.size)
+        return value(self, z)
+
+    monkeypatch.setattr(RationalFunction, "value", spy)
+    return sizes
+
+
+def test_index_map_evaluates_the_counting_circle_once(monkeypatch):
+    sizes = _counting_circle_sizes(monkeypatch)
+    imap = geometry.index_map(QUAD, (-1, 5, -3, 3), 160)
+    assert len(imap.probes) > 1
+    assert sizes.count(4096) == 1
+
+
+def test_decompose_evaluates_the_counting_circle_once(monkeypatch):
+    # f(0) = 1 is the branch value of 1 + z^2, so the ring around it is probed
+    from bundlelab import monodromy
+
+    points = []
+    winding_index = geometry.winding_index
+
+    def counting(f, omega):
+        points.append(omega)
+        return winding_index(f, omega)
+
+    sizes = _counting_circle_sizes(monkeypatch)
+    monkeypatch.setattr(geometry, "winding_index", counting)
+    dec = monodromy.decompose(PolySpec((1, 0, 1)))
+    assert dec.m == 2 and len(points) > 1
+    assert sizes.count(4096) == 1
+
+
 def test_winding_matches_root_count_randomly():
     rng = np.random.default_rng(23)
     checked = 0

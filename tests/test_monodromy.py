@@ -181,6 +181,12 @@ SUM_OF_COMPOSITIONS = (
 )
 
 
+def test_held_out_points_are_drawn_once_and_read_only():
+    zs = monodromy._held_out_points(200)
+    assert monodromy._held_out_points(200) is zs
+    assert zs.size == 200 and not zs.flags.writeable
+
+
 def test_reduced_degree_cancels_the_common_factor_of_a_sum():
     f = RationalFunction.from_spec(funcspec.parse_function_spec(SUM_OF_COMPOSITIONS))
     zs = monodromy._held_out_points(200)
