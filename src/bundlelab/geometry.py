@@ -81,7 +81,8 @@ def _bbox_diag(vals):
 
 
 # f on the 4096-point circle of each radius, per function: every omega
-# probed on one function starts from the same values
+# probed on one function starts from the same values (weak keys: an entry
+# goes with its function)
 _CIRCLES = weakref.WeakKeyDictionary()
 
 

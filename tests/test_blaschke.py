@@ -333,7 +333,7 @@ def test_fiber_roots_equal_the_scalar_loop(case):
 
 
 # seed-1 input #2 of the decompose-fuzz benchmark: its derivative's numerator
-# has a triple root and a simple one outside the disk that polish to the
+# has a triple root at modulus 1.94 whose copies, 1.6e-4 apart, polish to the
 # roundoff floor of Horner's rule and no further
 STALLING_CRITICAL_POINTS = (
     "compose(poly(1.0608986233860787-0.11170194958415963i,-0.8075346753318965+0.11046414324948059i,"
