@@ -13,9 +13,9 @@ powers that a frame build of the same automorphism hands it, so that the
 counterexample probe computes each power once.  Real products get real
 frames: when the product's zeros and phase are real (every
 automorphism phi_t of the counterexample), the powers, the block, its Gram
-matrix and its SVD are float64 (``dtbtrs``, ``dsyrk``, ``dpotrf``,
-``dpbtrf``), a quarter of the complex flops in half the memory; every other
-product is complex128.  Three normalizations of the same Taylor coefficient
+matrix and its SVD are float64 (``dtbtrs``, ``dsyrk``, ``dpbtrf``), a
+quarter of the complex flops in half the memory; every other product is
+complex128.  Three normalizations of the same Taylor coefficient
 block are exposed:
 
 * ``raw``      -- the vectors themselves in orthonormal coordinates,
@@ -25,14 +25,12 @@ block are exposed:
 
 The extremal singular values come from the two extreme eigenvalues of the
 Gram matrix, which squares the condition number; a frame whose Gram matrix is
-too close to singular for that (cond > 1e4) falls back to a full SVD.  The
-route is decided first by one Cholesky factorization of G - sigma*I, sigma
-1e-9 times the largest diagonal entry: when it fails, the SVD is taken with
-no eigenvalue solve, as the Gram route would refuse that frame too, and when
-the column norms alone show that it must fail, with no Gram product.  The
-two eigenvalues are those of the Gram band: offsets past b are dropped for the
-smallest b whose dropped Frobenius mass is at most sqrt(n)*eps*||G||_F, the Gram product's own
-roundoff level (b = m - 1 for Hardy).  Each end is bracketed by banded
+too close to singular for that (cond > 1e4) falls back to a full SVD, with
+no Gram product when the column norms alone show that the eigenvalue ratio
+must refuse the frame.  The two eigenvalues are those of the Gram band:
+offsets past b are dropped for the smallest b whose dropped Frobenius mass is
+at most sqrt(n)*eps*||G||_F, the Gram product's own roundoff level (b = m - 1
+for Hardy).  Each end is bracketed by banded
 Cholesky factorizations alone (:func:`_band_ends`), O(n b^2) each where all n
 eigenvalues would cost O(n^2 b), and inverse iteration with each factor
 that succeeds places the next shifts, about a quarter as many as plain
@@ -55,7 +53,7 @@ import numpy as np
 from numpy.polynomial.chebyshev import chebvander
 from scipy.linalg import eigvalsh, lu_factor, lu_solve, svd, svdvals
 from scipy.linalg.blas import dsyrk, zherk
-from scipy.linalg.lapack import dpbtrf, dpbtrs, dpotrf, zpbtrf, zpbtrs, zpotrf
+from scipy.linalg.lapack import dpbtrf, dpbtrs, zpbtrf, zpbtrs
 
 from . import funcspec, series
 from .blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
@@ -92,13 +90,10 @@ _FLUSH = math.sqrt(np.finfo(float).tiny)
 # the Gram matrix gives s_min to about eps * cond^2 relative; below this
 # eigenvalue ratio (cond > 1e4) the extremes come from a full SVD instead
 _GRAM_RATIO = 1e-8
-# extremes first tries one Cholesky factorization of G - sigma*I, sigma this
-# times max diag G; ten times inside _GRAM_RATIO, its failure is a refusal of
-# the Gram route with room for roundoff
-_ROUTE_SHIFT = 0.1 * _GRAM_RATIO
-# a squared column-norm ratio above 1/_ROUTE_SHIFT puts a diagonal entry of G
-# below sigma; the margin covers the roundoff of the norms against diag G
-_COLUMN_SPREAD = (1.0 + 1e-6) / _ROUTE_SHIFT
+# lambda_min <= min diag G <= max diag G <= lambda_max, so squared column
+# norms that spread past 1/_GRAM_RATIO put the eigenvalue ratio below the
+# bar; the margin covers the roundoff of the norms against diag G
+_COLUMN_SPREAD = (1.0 + 1e-6) / _GRAM_RATIO
 # a Gram band b >= n/16 goes dense.  With BLAS at one thread the break-even
 # grows with n: about n/16 for a real band and n/8 for a complex one at
 # n 122, about n/4 at n 401, so 16 never picks the band where it loses
@@ -185,15 +180,10 @@ class FrameMatrix:
         which has the same eigenvalues), taken by :func:`_band_ends` on the
         band of :func:`_gram_band`, or by the dense ``eigvalsh`` for a band b
         >= n/16.  A Gram eigenvalue ratio at or below ``_GRAM_RATIO`` takes
-        ``svdvals`` instead; so does a wide matrix, whose Gram matrix is
-        singular.  The route is read first from one Cholesky factorization of
-        G - sigma*I, sigma = _ROUTE_SHIFT * max diag G (:func:`_shift_factors`):
-        when it fails, lambda_min <= sigma <= 0.1 * _GRAM_RATIO * lambda_max,
-        ten times inside the bar, so ``svdvals`` is taken with no eigenvalue
-        solve.  The diagonal of G holds the squared column norms, so when
-        their spread exceeds ``_COLUMN_SPREAD`` some diagonal entry is below
-        sigma, that factorization must fail, and ``svdvals`` is taken with no
-        Gram product either.
+        ``svdvals`` instead.  So, with no Gram product, does a wide matrix,
+        whose Gram matrix is singular, and a matrix whose squared column norms
+        (the diagonal of G) spread past ``_COLUMN_SPREAD``, which puts that
+        ratio below the bar.
         """
         if self._extremes is None:
             A = self.matrix("beta")
@@ -218,18 +208,19 @@ class FrameMatrix:
 
 
 def _gram_ends(A):
-    """The extreme eigenvalues of A's Gram matrix, or None where ``extremes`` takes ``svdvals``.
+    """The extreme eigenvalues of A's Gram matrix, or None where ``extremes`` must take ``svdvals``.
 
-    None when the column norms spread past ``_COLUMN_SPREAD`` (no Gram
-    product is formed) or the shifted Cholesky of :func:`_shift_factors` fails.
+    None, with no Gram product formed, when A has more columns than rows or
+    its squared column norms spread past ``_COLUMN_SPREAD``; the ratio test
+    of ``extremes`` decides every other block.
     """
+    if A.shape[1] > A.shape[0]:
+        return None
     parts = (A.real, A.imag) if np.iscomplexobj(A) else (A,)  # views: no block-sized temporary
     norms2 = sum(np.einsum("ij,ij->j", part, part) for part in parts)
     if np.max(norms2) > _COLUMN_SPREAD * np.min(norms2):
         return None
     G = _gram_product(A)
-    if not _shift_factors(G):
-        return None
     b = _gram_band(G)
     if _BAND_CROSSOVER * b >= G.shape[0]:
         return eigvalsh(G, lower=False, overwrite_a=True)
@@ -246,19 +237,6 @@ def _gram_product(A):
     real A takes a quarter of the complex flops.
     """
     return (zherk if np.iscomplexobj(A) else dsyrk)(1.0, A.T)
-
-
-def _shift_factors(G):
-    """Whether G - sigma*I, sigma = ``_ROUTE_SHIFT`` * max diag G, has a Cholesky factor.
-
-    One dense ``dpotrf`` or ``zpotrf`` on a copy, reading the upper triangle
-    (as :func:`_gram_product` leaves it): it succeeds iff sigma is below
-    lambda_min, to roundoff.
-    """
-    shifted = G.copy(order="F")
-    shifted[np.diag_indices(G.shape[0])] -= _ROUTE_SHIFT * np.max(np.diagonal(G).real)
-    potrf = zpotrf if np.iscomplexobj(G) else dpotrf
-    return potrf(shifted, lower=0, clean=0, overwrite_a=1)[1] == 0
 
 
 def _gram_band(G):

@@ -20,6 +20,7 @@ Config-file syntax (prefix expressions)::
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 
 import numpy as np
@@ -300,9 +301,12 @@ class _Tokens:
         if not token:
             self.error("expected a complex literal")
         try:
-            return _parse_complex(token)
+            value = _parse_complex(token)
         except ValueError:
             self.error(f"bad complex literal {token!r}", pos=start)
+        if not cmath.isfinite(value):
+            self.error(f"complex literal {token!r} is not finite", pos=start)
+        return value
 
 
 def _parse_complex(token):

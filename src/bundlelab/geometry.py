@@ -11,6 +11,9 @@ unit disk.  Two independent computations must agree or the operation errors:
 * root counting: companion-matrix roots of P - omega*Q with |root| below the
   same radius.
 
+:func:`fiber` returns those roots once the two counts agree, so that a
+caller that needs the fiber over a point and its index solves it once.
+
 Index maps flag a band of cells around the sampled image of the unit circle
 (a nearest-point query on the cells near the curve) and assign each remaining
 4-connected region the common index of its probe cells.
@@ -31,6 +34,7 @@ from .funcspec import RationalFunction
 __all__ = [
     "IndexMap",
     "boundary_curve",
+    "fiber",
     "winding_index",
     "index_map",
     "branch_values",
@@ -119,32 +123,29 @@ def _argument_winding(f, omega, radius):
         v = f.value(radius * np.exp(2j * np.pi * t)) - omega
 
 
-def _root_count(f, omega, radius):
-    R = f.fiber_poly(omega)
-    if np.max(np.abs(R)) == 0.0:
-        raise WindingError("fiber polynomial vanished identically")
-    return len(fiber_roots(R, radius))
+def fiber(spec, omega):
+    """Roots of spec - omega inside |z| < COUNT_RADIUS, their count doubly computed.
 
-
-def winding_index(spec, omega):
-    """Zeros of spec - omega inside |z| < COUNT_RADIUS, doubly computed.
-
-    The argument-principle path and the companion-matrix root count must
-    agree; disagreement (sampling too coarse, or omega pathologically close
-    to the image of the counting circle) raises WindingError.
+    The roots come from :func:`fiber_roots` on the fiber polynomial, in its
+    order; their number must equal the argument-principle winding, or
+    (sampling too coarse, or omega pathologically close to the image of the
+    counting circle) WindingError is raised.
     """
     f = RationalFunction.from_spec(spec)
     omega = complex(omega)
     n_arg = _argument_winding(f, omega, COUNT_RADIUS)
-    n_root = _root_count(f, omega, COUNT_RADIUS)
-    if n_arg != n_root:
+    roots = fiber_roots(f.fiber_poly(omega), COUNT_RADIUS)
+    if n_arg != len(roots):
         raise WindingError(
             f"index cross-check disagreement at {omega}: "
-            f"argument principle {n_arg}, root count {n_root}"
+            f"argument principle {n_arg}, root count {len(roots)}"
         )
-    if n_arg < 0:
-        raise WindingError(f"negative winding {n_arg}: not an analytic image")
-    return n_arg
+    return roots
+
+
+def winding_index(spec, omega):
+    """Zeros of spec - omega inside |z| < COUNT_RADIUS: the length of :func:`fiber`."""
+    return len(fiber(spec, omega))
 
 
 def branch_values(spec):

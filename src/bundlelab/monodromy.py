@@ -33,7 +33,7 @@ from numpy.polynomial import polynomial as npoly
 
 from . import geometry, series
 from .blaschke import BlaschkeProduct, _cluster, _groups, _lex_key
-from .blaschke import fiber_roots, with_multiplicity
+from .blaschke import with_multiplicity
 from .errors import FiberError
 from .funcspec import RationalFunction, spec_to_text
 
@@ -57,21 +57,18 @@ def identity_blaschke():
     return BlaschkeProduct((0.0,), np.pi)
 
 
-def base_fiber(spec, omega0, index=None):
-    """Tuple of the distinct fiber points over omega0, checked against the index.
+def base_fiber(spec, omega0, roots=None):
+    """Tuple of the distinct fiber points over omega0.
 
-    The count must match the argument-principle/root-count index (``index``
-    when the caller has it already), and the points must be separated by more
-    than 1e-6 (otherwise omega0 sits too close to a branch value and must be
-    re-chosen).
+    They are the roots of :func:`geometry.fiber`, whose count the argument
+    principle has checked (``roots`` when the caller has them already),
+    clustered by :func:`with_multiplicity`.  The points must be separated by
+    more than 1e-6 (otherwise omega0 sits too close to a branch value and
+    must be re-chosen).
     """
-    f = RationalFunction.from_spec(spec)
-    pts = with_multiplicity(fiber_roots(f.fiber_poly(omega0), geometry.COUNT_RADIUS))
-    n = geometry.winding_index(f, omega0) if index is None else index
-    if len(pts) != n:
-        raise FiberError(
-            f"fiber count {len(pts)} does not match index {n} at {omega0}"
-        )
+    if roots is None:
+        roots = geometry.fiber(spec, omega0)
+    pts = with_multiplicity(roots)
     z = np.array(pts, dtype=complex)
     gaps = np.abs(z[:, None] - z) + np.diag(np.full(z.size, np.inf))
     if z.size >= 2 and gaps.min() <= _MIN_SEPARATION:
@@ -93,7 +90,8 @@ def default_base_point(f, curve, bvs):
     Candidates spiral outward from f(0); among admissible ones (clear of the
     branch values and the curve) the one with the largest index is taken, so
     the decomposition runs over the maximal-index component when possible.
-    Returns the point and its index.
+    Returns the point and its fiber roots (:func:`geometry.fiber`), whose
+    number is its index.
     """
     scale = geometry._bbox_diag(curve)
     center = f.value(0.0)
@@ -107,11 +105,11 @@ def default_base_point(f, curve, bvs):
             if d_curve < clearance or d_b < clearance:
                 continue
             try:
-                n = geometry.winding_index(f, cand)
+                roots = geometry.fiber(f, cand)
             except Exception:
                 continue
-            if n >= 1 and (best is None or n > best[1]):
-                best = (cand, n)
+            if len(roots) >= 1 and (best is None or len(roots) > len(best[1])):
+                best = (cand, roots)
         if best is not None:
             break
     if best is None:
@@ -351,9 +349,9 @@ def decompose(spec, omega0=None):
     f = RationalFunction.from_spec(spec)
     curve = geometry.boundary_curve(f, 1024)
     bvs = _clustered_branch_values(f)
-    index = None  # base_fiber takes the index of a supplied base point
+    roots = None  # base_fiber solves the fiber of a supplied base point
     if omega0 is None:
-        omega0, index = default_base_point(f, curve, bvs)
+        omega0, roots = default_base_point(f, curve, bvs)
     else:
         omega0 = complex(omega0)
         d_curve = float(np.min(np.abs(curve - omega0)))
@@ -363,7 +361,7 @@ def decompose(spec, omega0=None):
                 f"base point {omega0} is within 1e-3 of the branch set or boundary"
             )
     cert = _certificate_id(spec, omega0)
-    fiber = base_fiber(f, omega0, index)
+    fiber = base_fiber(f, omega0, roots)
     n = len(fiber)
     if n == 0:
         raise FiberError(f"{omega0} is outside the image of the disk")

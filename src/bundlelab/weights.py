@@ -68,14 +68,15 @@ class WeightSequence:
 
     @classmethod
     def bergman(cls, alpha):
-        if alpha < 0:
-            raise ValueError("bergman parameter must be nonnegative")
+        # false for NaN, and for an alpha whose 2*alpha overflows
+        if not 0.0 <= 2.0 * alpha < np.inf:
+            raise ValueError("bergman parameter must be nonnegative and 2*alpha finite")
         return cls("bergman", (float(alpha),))
 
     @classmethod
     def polygrowth(cls, M):
-        if M <= 0:
-            raise ValueError("polygrowth parameter must be positive")
+        if not 0.0 < M < np.inf:
+            raise ValueError("polygrowth parameter must be positive and finite")
         return cls("polygrowth", (float(M),))
 
     @classmethod

@@ -467,6 +467,19 @@ def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
     assert (tmp_path / "cfgout" / "error.json").exists() == (code == 70)
 
 
+@pytest.mark.parametrize("argv, where", [
+    (["weights-classify", "--weights", "bergman:alpha=nan"], "for weights"),
+    (["weights-classify", "--weights", "polygrowth:M=inf"], "for weights"),
+    (["weights-classify", "--weights", "bergman:alpha=1e308"], "for weights"),  # 2*alpha overflows
+    (["riesz", "--blaschke", "blaschke(1e999; 0, 0.5)"], "line 1, column 10"),
+    (["decompose", "--fn", "poly(0,1e999,1)"], "line 1, column 8"),
+])
+def test_non_finite_numbers_are_configuration_errors(tmp_path, capsys, argv, where):
+    assert _run(argv + ["--out", str(tmp_path)]) == 64
+    assert where in capsys.readouterr().err
+    assert not (tmp_path / "result.json").exists()
+
+
 def test_cli_import_leaves_out_scipy_signal_and_stats():
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
@@ -488,7 +501,7 @@ def _count(low, high):
 _BLASCHKE_TEXT = st.builds(
     "blaschke({}; {})".format,
     st.integers(-3, 3),
-    st.lists(st.sampled_from(["0", "0.5", "-0.3i", "0.2+0.1i", "1", "0.9999"]),
+    st.lists(st.sampled_from(["0", "0.5", "-0.3i", "0.2+0.1i", "1", "0.9999", "1e999"]),
              min_size=1, max_size=3).map(",".join),
 )
 _FN_TEXT = st.one_of(
@@ -503,6 +516,7 @@ _FN_TEXT = st.one_of(
 _WEIGHTS = st.sampled_from([  # valid ids outnumber bad ones
     "hardy", "bergman:alpha=1", "polygrowth:M=2", "nln", "reciprocal:nln",
     "hardy", "bergman:alpha=1", "bergman:alpha=-1", "explicit:path=missing.csv", "bogus", "",
+    "bergman:alpha=nan", "polygrowth:M=inf",
 ])
 
 

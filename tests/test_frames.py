@@ -108,28 +108,41 @@ def test_extremes_fall_back_to_svd_when_ill_conditioned(monkeypatch):
     assert calls == [1]
 
 
-def test_a_gram_whose_shifted_cholesky_fails_takes_svdvals_alone(monkeypatch):
-    banded, dense = _spy(monkeypatch, "_band_ends"), _spy(monkeypatch, "eigvalsh")
-    F = frames.build_frame(MoebiusTransform(0.5), WeightSequence.nln().dual(), 200, 800)
-    A = F.matrix("beta")
-    G = zherk(1.0, A.T)
-    assert not frames._shift_factors(G)
-    # the Gram route, had it run, would have refused these extremes as well
-    lam = eigvalsh(G, lower=False)
-    assert lam[0] <= frames._GRAM_RATIO * lam[-1]
-    s = svdvals(A)
-    assert F.extremes() == (s[-1], s[0])
-    assert (banded, dense) == ([], [])
-
-
 def test_a_frame_whose_column_norms_spread_past_the_route_shift_forms_no_gram_product(monkeypatch):
-    # the top rung of the reciprocal:nln probe at t 0.5: its column norms spread by about 1e5
+    # the top two rungs of the reciprocal:nln probe at t 0.5: their squared
+    # column norms spread by about 1e10 and 4.5e8
     grams = _spy(monkeypatch, "dsyrk", "zherk")
-    F = frames.build_frame(MoebiusTransform(0.5), parse_weight_id("reciprocal:nln"), 400, 1600)
+    for n_max, K in ((400, 1600), (200, 800)):
+        F = frames.build_frame(MoebiusTransform(0.5), parse_weight_id("reciprocal:nln"), n_max, K)
+        A = F.matrix("beta")
+        norms2 = np.sum(A * A, axis=0)
+        assert np.max(norms2) > frames._COLUMN_SPREAD * np.min(norms2)
+        s = svdvals(A)
+        assert F.extremes() == (s[-1], s[0])
+    assert grams == []
+
+
+def test_a_frame_the_gram_ratio_refuses_takes_svdvals_alone(monkeypatch):
+    # squared column norms spread by about 8e5: the Gram route runs, and its ratio refuses
+    F = frames.build_frame(MoebiusTransform(0.5), parse_weight_id("reciprocal:nln"), 50, 512)
     A = F.matrix("beta")
     norms2 = np.sum(A * A, axis=0)
-    assert np.max(norms2) > frames._COLUMN_SPREAD * np.min(norms2)
+    assert np.max(norms2) <= frames._COLUMN_SPREAD * np.min(norms2)
+    lam = eigvalsh(A.T @ A)
+    assert lam[0] <= frames._GRAM_RATIO * lam[-1]
     s = svdvals(A)
+    calls = []
+    monkeypatch.setattr(frames, "svdvals", lambda A: calls.append(1) or svdvals(A))
+    assert F.extremes() == (s[-1], s[0])
+    assert calls == [1]
+
+
+def test_a_wide_block_forms_no_gram_product(monkeypatch):
+    grams = _spy(monkeypatch, "dsyrk", "zherk")
+    rng = np.random.default_rng(9)
+    X = rng.standard_normal((40, 60)) + 1j * rng.standard_normal((40, 60))
+    F = frames.FrameMatrix(BlaschkeProduct((0, 0.5)), HARDY, 29, 40, X, pad=0)
+    s = svdvals(X)
     assert F.extremes() == (s[-1], s[0])
     assert grams == []
 
@@ -171,12 +184,12 @@ def test_a_real_product_has_real_dual_bands(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "nln", "reciprocal:nln", "polygrowth:M=2"])
-def test_the_shifted_cholesky_fails_only_where_the_gram_route_refuses(wid, t):
-    F = frames.build_frame(MoebiusTransform(t), parse_weight_id(wid), 100, 512)
-    G = zherk(1.0, F.matrix("beta").T)
-    lam = eigvalsh(G, lower=False)
-    # so a failure is a refusal by the Gram route, whose bar is ten times wider
-    assert frames._shift_factors(G) == (lam[0] > frames._ROUTE_SHIFT * lam[-1])
+def test_the_column_spread_fires_only_where_the_gram_route_refuses(wid, t):
+    A = frames.build_frame(MoebiusTransform(t), parse_weight_id(wid), 100, 512).matrix("beta")
+    norms2 = np.sum(np.abs(A) ** 2, axis=0)
+    lam = eigvalsh(zherk(1.0, A.T), lower=False)
+    if np.max(norms2) > frames._COLUMN_SPREAD * np.min(norms2):
+        assert lam[0] <= frames._GRAM_RATIO * lam[-1]
 
 
 def _spy(monkeypatch, *names):

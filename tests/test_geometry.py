@@ -92,14 +92,14 @@ def test_decompose_evaluates_the_counting_circle_once(monkeypatch):
     from bundlelab import monodromy
 
     points = []
-    winding_index = geometry.winding_index
+    fiber = geometry.fiber
 
     def counting(f, omega):
         points.append(omega)
-        return winding_index(f, omega)
+        return fiber(f, omega)
 
     sizes = _counting_circle_sizes(monkeypatch)
-    monkeypatch.setattr(geometry, "winding_index", counting)
+    monkeypatch.setattr(geometry, "fiber", counting)
     dec = monodromy.decompose(PolySpec((1, 0, 1)))
     assert dec.m == 2 and len(points) > 1
     assert sizes.count(4096) == 1

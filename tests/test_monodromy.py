@@ -223,37 +223,57 @@ def test_decompose_order_bookkeeping_against_winding():
     assert index == dec.m * geometry.winding_index(dec.outer, dec.base_point)
 
 
+def _fiber_probes(monkeypatch):
+    """The points omega that geometry.fiber is called on, in order."""
+    from bundlelab import geometry
+
+    points = []
+    fiber = geometry.fiber
+
+    def counting(f, omega):
+        points.append(omega)
+        return fiber(f, omega)
+
+    monkeypatch.setattr(geometry, "fiber", counting)
+    return points
+
+
+def _fiber_solves(monkeypatch, f, omega):
+    """Calls of fiber_roots, through every module that binds it, on f's fiber polynomial over omega."""
+    import bundlelab
+
+    R = RationalFunction.from_spec(f).fiber_poly(complex(omega))
+    solves = []
+    for name in ("blaschke", "classify", "funcspec", "geometry", "monodromy"):
+        module = getattr(bundlelab, name)
+        if hasattr(module, "fiber_roots"):
+            def spy(P, radius, solve=module.fiber_roots):
+                if np.array_equal(P, R):
+                    solves.append(radius)
+                return solve(P, radius)
+
+            monkeypatch.setattr(module, "fiber_roots", spy)
+    return solves
+
+
 def test_base_point_is_f0_when_it_is_admissible(monkeypatch):
     # f(0) = 0 is clear of the curve and the branch values, so the base point
-    # takes its index once, and base_fiber checks the fiber against it; no
-    # ring around f(0) is probed, as its points lie in f(0)'s component
-    from bundlelab import geometry
-
-    points = []
-    winding_index = geometry.winding_index
-
-    def counting(f, omega):
-        points.append(omega)
-        return winding_index(f, omega)
-
-    monkeypatch.setattr(geometry, "winding_index", counting)
+    # is solved for its fiber once, and base_fiber takes those roots; no ring
+    # around f(0) is probed, as its points lie in f(0)'s component
+    points = _fiber_probes(monkeypatch)
+    solves = _fiber_solves(monkeypatch, G_CUBIC, 0)
     dec = monodromy.decompose(G_CUBIC)
     assert dec.base_point == 0 and points == [0]
+    assert len(solves) == 1
 
 
-def test_a_supplied_base_point_takes_its_index_once(monkeypatch):
-    from bundlelab import geometry
-
-    points = []
-    winding_index = geometry.winding_index
-
-    def counting(f, omega):
-        points.append(omega)
-        return winding_index(f, omega)
-
-    monkeypatch.setattr(geometry, "winding_index", counting)
-    dec = monodromy.decompose(ComposeSpec(G_CUBIC, INNER), 0.05)
+def test_a_supplied_base_point_solves_its_fiber_once(monkeypatch):
+    f = ComposeSpec(G_CUBIC, INNER)
+    points = _fiber_probes(monkeypatch)
+    solves = _fiber_solves(monkeypatch, f, 0.05)
+    dec = monodromy.decompose(f, 0.05)
     assert dec.base_point == 0.05 and points == [0.05]
+    assert len(solves) == 1
 
 
 def test_decompose_indecomposable():
