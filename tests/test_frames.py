@@ -184,7 +184,7 @@ def test_a_real_product_has_real_dual_bands(monkeypatch):
 
 @pytest.mark.parametrize("t", [0.3, 0.5, 0.9])
 @pytest.mark.parametrize("wid", ["hardy", "bergman:alpha=1", "nln", "reciprocal:nln", "polygrowth:M=2"])
-def test_the_column_spread_fires_only_where_the_gram_route_refuses(wid, t):
+def test_column_spread_fires_only_where_the_gram_route_refuses(wid, t):
     A = frames.build_frame(MoebiusTransform(t), parse_weight_id(wid), 100, 512).matrix("beta")
     norms2 = np.sum(np.abs(A) ** 2, axis=0)
     lam = eigvalsh(zherk(1.0, A.T), lower=False)
