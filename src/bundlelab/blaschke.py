@@ -1,11 +1,11 @@
-"""Finite Blaschke products, Moebius transforms, fibers, and critical points.
+"""Finite Blaschke products, Moebius transforms, and the fiber root solve.
 
 A Blaschke product of order m is ``e^{i theta} * prod (z_j - z)/(1 - conj(z_j) z)``
 with all zeros strictly inside the unit disk; it maps the disk onto itself
-m-to-1 and has modulus one on the circle.  Fibers (all disk preimages of a
-value, with multiplicity) are computed through companion-matrix roots of the
-rational form plus Newton polishing; :func:`fiber_roots` and
-:func:`with_multiplicity` are the one fiber path every module uses.
+m-to-1 and has modulus one on the circle.  :func:`fiber_roots` (companion
+matrix roots plus Newton polishing) and :func:`with_multiplicity` are the one
+fiber path; ``funcspec.RationalFunction`` and ``geometry.fiber`` decide
+which of their roots lie in the disk.
 :func:`fiber_roots` solves one fiber polynomial per call and polishes all
 of its roots in one vectorized Newton loop; a root beyond the radius it
 keeps stops once its residual reaches the roundoff floor of Horner's rule
@@ -14,12 +14,11 @@ while it lies far outside, since it is discarded anyway.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundaryRootWarning, DomainError, RootFindingError
+from .errors import DomainError, RootFindingError
 
 __all__ = [
     "BlaschkeProduct",
@@ -29,14 +28,10 @@ __all__ = [
     "moebius_inverse",
     "fiber_roots",
     "with_multiplicity",
-    "solve_fiber",
-    "critical_points",
     "moebius",
 ]
 
 _ZERO_MARGIN = 1e-12
-_INTERIOR = 1.0 - 1e-9
-_BOUNDARY_BAND = 1e-6
 _CLUSTER_TOL = 1e-8
 _POLISH_TOL = 1e-12
 # a zero's real or imaginary part below this becomes 0 (sign kept): subnormals are slow
@@ -116,9 +111,10 @@ def compose_blaschke(B1, B2):
     phase is fixed by matching one probe evaluation rather than by symbolic
     phase algebra.
     """
-    zeros = []
-    for zj in B1.zeros:
-        zeros.extend(solve_fiber(B2, zj))
+    from .funcspec import RationalFunction
+
+    preimages = RationalFunction.from_spec(B2).preimages
+    zeros = [z for zj in B1.zeros for z in preimages(zj)]
     candidate = BlaschkeProduct(tuple(zeros), 0.0)
     for probe in (0.31 + 0.17j, -0.22 + 0.41j, 0.05 - 0.53j):
         denom = eval_blaschke(candidate, probe)
@@ -264,48 +260,3 @@ def with_multiplicity(points, tol=_CLUSTER_TOL):
     for centroid, size in _cluster(points, tol):
         out.extend([centroid] * size)
     return sorted(out, key=_lex_key)
-
-
-def solve_fiber(spec, omega):
-    """All zeros of spec(z) - omega strictly inside the disk, with multiplicity.
-
-    Roots come from :func:`fiber_roots` on P - omega*Q and are clustered for
-    multiplicity detection.  A root within 1e-6 of the unit circle triggers
-    BoundaryRootWarning and is excluded from the interior list.
-    """
-    from .funcspec import RationalFunction
-
-    R = RationalFunction.from_spec(spec).fiber_poly(omega)
-    roots = fiber_roots(R, np.inf)
-    scale = max(np.max(np.abs(R)), 1e-300)
-    # Multiple roots satisfy |R| ~ |z - z*|^mu; accept when the residual is
-    # small in that weaker sense as well.
-    for res in np.abs(np.polyval(R[::-1], roots)):
-        if res > 1e-6 * scale:
-            raise RootFindingError(
-                f"root polish stalled at residual {res / scale:.2e} for value {omega}"
-            )
-    r = np.abs(roots)
-    near = np.abs(r - 1.0) < _BOUNDARY_BAND
-    for z in roots[near]:
-        warnings.warn(
-            f"fiber root {z:.12g} lies within 1e-6 of the unit circle",
-            BoundaryRootWarning,
-            stacklevel=2,
-        )
-    return with_multiplicity(roots[~near & (r < _INTERIOR)])
-
-
-def critical_points(spec):
-    """Disk zeros of the derivative, paired with their branch values.
-
-    Returns a list of ``(point, value)`` with multiplicity, sorted like
-    :func:`solve_fiber`.
-    """
-    from .funcspec import RationalFunction
-
-    f = RationalFunction.from_spec(spec)
-    if np.max(np.abs(f.N1)) == 0.0:
-        return []
-    points = with_multiplicity(fiber_roots(f.N1, _INTERIOR))
-    return list(zip(points, map(complex, f.value(np.array(points, dtype=complex)))))

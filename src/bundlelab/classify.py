@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import frames, funcspec, monodromy, operators, series
-from .blaschke import MoebiusTransform, fiber_roots
+from .blaschke import MoebiusTransform
 from .errors import BundleLabError, DomainError, FiberError
 from .funcspec import ComposeSpec, RationalFunction
 from .weights import POLYNOMIAL
@@ -301,7 +301,7 @@ def moebius_match(g1, g2):
     g1, g2 = (RationalFunction.from_spec(g) for g in (g1, g2))
     v0 = complex(g2.value(0.0))
     d2 = complex(g2.derivative(0.0))
-    critical = fiber_roots(g1.N1, 1.0) if np.max(np.abs(g1.N1)) > 0.0 else []
+    critical = g1.critical_points()
     seeds, snapped, skipped = [], [], []
     for p in dict.fromkeys(g1.preimages(v0)):
         if abs(p) >= _Z0_LIMIT:

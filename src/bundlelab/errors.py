@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class BundleLabError(Exception):
@@ -51,6 +51,3 @@ class ConfigError(BundleLabError):
         self.line = line
         self.column = column
 
-
-class BoundaryRootWarning(UserWarning):
-    """A root of the fiber polynomial lies within 1e-6 of the unit circle."""

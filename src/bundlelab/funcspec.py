@@ -41,6 +41,7 @@ __all__ = [
 ]
 
 DEGREE_CAP = 64
+_INTERIOR = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
@@ -181,9 +182,10 @@ class RationalFunction:
     """Cached rational form of a spec: a function on the closed disk.
 
     Reduces the tree once; repeated evaluation (fiber solves, grid scans)
-    then runs on plain Horner evaluations.  ``value``, ``derivative``,
-    ``second_derivative`` and ``preimages`` are the calls that Moebius
-    matching makes; the outer factor of a decomposition is one too.
+    then runs on plain Horner evaluations.  ``preimages`` and
+    ``critical_points`` are the package's disk fiber solves, each with its
+    own radius.  Moebius matching calls them, ``value`` and its derivatives;
+    the outer factor of a decomposition is a RationalFunction too.
     """
 
     def __init__(self, P, Q):
@@ -239,6 +241,12 @@ class RationalFunction:
         if np.max(np.abs(R)) == 0.0:
             return []
         return with_multiplicity(fiber_roots(R, 1.0))
+
+    def critical_points(self):
+        """Zeros of f' in |z| < 1 - 1e-9 with multiplicity, in lexicographic order."""
+        if np.max(np.abs(self.N1)) == 0.0:
+            return []
+        return with_multiplicity(fiber_roots(self.N1, _INTERIOR))
 
 
 def _poly_deriv(c):

@@ -150,9 +150,8 @@ def winding_index(spec, omega):
 
 def branch_values(spec):
     """Critical values f(z*) over disk critical points, with multiplicity."""
-    from .blaschke import critical_points
-
-    return [v for (_, v) in critical_points(spec)]
+    f = RationalFunction.from_spec(spec)
+    return list(map(complex, f.value(np.array(f.critical_points(), dtype=complex))))
 
 
 @dataclass

@@ -17,7 +17,6 @@ from .blaschke import (
     MoebiusTransform,
     compose_blaschke,
     eval_blaschke,
-    solve_fiber,
 )
 from .funcspec import ComposeSpec, PolySpec, RationalFunction
 from .weights import WeightSequence
@@ -140,7 +139,7 @@ def check_fiber_counts():
         zeros = 0.7 * rng.uniform(0.1, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
         B = BlaschkeProduct(tuple(zeros))
         omega = 0.6 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        pts = solve_fiber(B, omega)
+        pts = RationalFunction.from_spec(B).preimages(omega)
         if len(pts) != m:
             return False, f"order {m} fiber returned {len(pts)} points"
     return True, "Blaschke fibers carry exactly `order` points for |w|<1"

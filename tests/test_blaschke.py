@@ -6,21 +6,27 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from bundlelab.blaschke import (
-    _INTERIOR,
     BlaschkeProduct,
     _groups,
     MoebiusTransform,
     compose_blaschke,
-    critical_points,
     eval_blaschke,
     fiber_roots,
     moebius,
     moebius_inverse,
-    solve_fiber,
     with_multiplicity,
 )
-from bundlelab.errors import BoundaryRootWarning, DomainError, RootFindingError
-from bundlelab.funcspec import PolySpec, RationalFunction, parse_function_spec
+from bundlelab.errors import DomainError, RootFindingError
+from bundlelab.funcspec import _INTERIOR, PolySpec, RationalFunction, parse_function_spec
+from bundlelab.geometry import branch_values
+
+
+def _preimages(spec, omega):
+    return RationalFunction.from_spec(spec).preimages(omega)
+
+
+def _critical_points(spec):
+    return RationalFunction.from_spec(spec).critical_points()
 
 
 def test_eval_at_zero_points():
@@ -125,25 +131,18 @@ def test_moebius_inverse_generic():
 
 
 def test_solve_fiber_blaschke_zeros():
-    pts = solve_fiber(BlaschkeProduct((0, 0.5)), 0.0)
+    pts = _preimages(BlaschkeProduct((0, 0.5)), 0.0)
     assert np.allclose(pts, [0.0, 0.5], atol=1e-12)
 
 
-def test_solve_fiber_quadratic_boundary_root():
-    spec = PolySpec((2, 1, 1))
-    with pytest.warns(BoundaryRootWarning):
-        pts = solve_fiber(spec, 2.0)
-    assert np.allclose(pts, [0.0], atol=1e-12)
-
-
 def test_solve_fiber_constructed_pair():
-    pts = solve_fiber(PolySpec((2, 1, 1)), 1.66)
+    pts = _preimages(PolySpec((2, 1, 1)), 1.66)
     assert np.allclose(pts, [-0.5 - 0.3j, -0.5 + 0.3j], atol=1e-12)
 
 
 def test_solve_fiber_counts_multiplicity():
     # z^2 over 0: double root at 0
-    pts = solve_fiber(PolySpec((0, 0, 1)), 0.0)
+    pts = _preimages(PolySpec((0, 0, 1)), 0.0)
     assert len(pts) == 2 and np.allclose(pts, [0, 0], atol=1e-7)
 
 
@@ -154,25 +153,24 @@ def test_solve_fiber_order_matches_for_interior_values():
         zeros = 0.7 * rng.uniform(0.1, 1, m) * np.exp(2j * np.pi * rng.uniform(0, 1, m))
         B = BlaschkeProduct(tuple(zeros))
         w = 0.55 * rng.uniform() * np.exp(2j * np.pi * rng.uniform())
-        assert len(solve_fiber(B, w)) == m
+        assert len(_preimages(B, w)) == m
 
 
 def test_critical_points_quadratic():
-    pts = critical_points(PolySpec((2, 1, 1)))
-    assert len(pts) == 1
-    z, v = pts[0]
+    spec = PolySpec((2, 1, 1))
+    (z,) = _critical_points(spec)
     assert z == pytest.approx(-0.5, abs=1e-12)
-    assert v == pytest.approx(1.75, abs=1e-12)
+    assert branch_values(spec) == [pytest.approx(1.75, abs=1e-12)]
 
 
 def test_critical_points_blaschke():
-    pts = critical_points(BlaschkeProduct((0, 0.5)))
+    pts = _critical_points(BlaschkeProduct((0, 0.5)))
     assert len(pts) == 1
-    assert pts[0][0] == pytest.approx(2 - math.sqrt(3), abs=1e-10)
+    assert pts[0] == pytest.approx(2 - math.sqrt(3), abs=1e-10)
 
 
 def test_critical_points_moebius_empty():
-    assert critical_points(moebius(0.4)) == []
+    assert _critical_points(moebius(0.4)) == []
 
 
 def test_rational_form_of_product():
@@ -247,11 +245,10 @@ def test_groups_come_in_order_of_their_first_member():
 @_PROPERTY
 @given(_fiber_polys())
 def test_critical_values_match_rational_value(case):
-    spec = PolySpec(tuple(case[0]))
-    f = RationalFunction.from_spec(spec)
-    for z, v in critical_points(spec):
-        assert abs(z) < 1.0
-        assert v == f.value(z)
+    f = RationalFunction.from_spec(PolySpec(tuple(case[0])))
+    points = f.critical_points()
+    assert all(abs(z) < _INTERIOR for z in points)
+    assert branch_values(f) == [f.value(z) for z in points]
 
 
 # The scalar fiber solve, kept as the reference for the vectorized one:

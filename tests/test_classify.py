@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bundlelab import classify, frames, monodromy, operators, series
-from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke, fiber_roots
+from bundlelab.blaschke import BlaschkeProduct, MoebiusTransform, eval_blaschke
 from bundlelab.errors import FiberError
 from bundlelab.funcspec import ComposeSpec, PolySpec, RationalFunction, parse_function_spec
 from bundlelab.weights import WeightSequence, parse_weight_id
@@ -657,7 +657,7 @@ def test_forward_match_seeded_at_a_critical_point(delta):
     # of g2(0) there is double (or split by delta), and its first derivatives
     # fix no phi
     g = PolySpec((0, 2, 0, 0, 1))
-    for q in fiber_roots(RationalFunction.from_spec(g).N1, 1.0):
+    for q in RationalFunction.from_spec(g).critical_points():
         for theta in (0.0, 1.0, 2.5, 4.0):
             p = q + delta * np.exp(0.7j)
             phi = MoebiusTransform(p * np.exp(-1j * theta), theta)

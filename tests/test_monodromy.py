@@ -10,7 +10,6 @@ from bundlelab.blaschke import (
     MoebiusTransform,
     compose_blaschke,
     eval_blaschke,
-    solve_fiber,
 )
 from bundlelab.errors import DomainError, FiberError
 from bundlelab.funcspec import (
@@ -80,7 +79,7 @@ def test_level_sets_are_those_of_the_inner_factor():
     # the fiber of B over 0, 0.3i and -0.2+0.1i, interleaved; the block
     # (0, 3) is B's zero set {0, 0.4}, so its inner factor is B itself
     B = BlaschkeProduct((0, 0.4))
-    over = [solve_fiber(B, v) for v in (0.0, 0.3j, -0.2 + 0.1j)]
+    over = [RationalFunction.from_spec(B).preimages(v) for v in (0.0, 0.3j, -0.2 + 0.1j)]
     fiber = tuple(pts[k] for k in range(2) for pts in over)
     assert monodromy._level_sets(fiber, (0, 3)) == ((0, 3), (1, 4), (2, 5))
 
