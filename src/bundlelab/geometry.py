@@ -43,6 +43,7 @@ __all__ = [
 
 COUNT_RADIUS = 1.0 - 1e-5
 _BOUNDARY_BAND_DIAGONALS = 1.5
+_MIN_STEP = 2.0 ** -40  # no parameter interval narrower than this is bisected
 
 
 def boundary_curve(spec, samples=1024, spacing=np.inf):
@@ -50,8 +51,9 @@ def boundary_curve(spec, samples=1024, spacing=np.inf):
 
     Starts from ``samples`` equispaced parameters and bisects every interval
     whose chord exceeds 1% of the bounding-box diameter or ``spacing``,
-    whichever is smaller, while there are fewer than 2**20 points.  Returns
-    the open polyline (the closing edge back to the first point is implicit).
+    whichever is smaller, while there are fewer than 2**20 points and such an
+    interval is wider than the floor of :func:`_bisect`.  Returns the open
+    polyline (the closing edge back to the first point is implicit).
     """
     if samples < 256:
         raise ValueError("boundary curves need at least 256 samples")
@@ -59,22 +61,25 @@ def boundary_curve(spec, samples=1024, spacing=np.inf):
     t = np.linspace(0.0, 1.0, samples, endpoint=False)
     vals = f.value(np.exp(2j * np.pi * t))
     while t.size < 1 << 20:
-        diam = _bbox_diag(vals)
-        nxt = np.roll(vals, -1)
-        gaps = np.abs(nxt - vals)
-        bad = gaps > min(0.01 * diam, spacing)
-        if not np.any(bad):
+        gaps = np.abs(np.roll(vals, -1) - vals)
+        t = _bisect(t, gaps > min(0.01 * _bbox_diag(vals), spacing))
+        if t is None:
             break
-        t = _bisect(t, bad)
         vals = f.value(np.exp(2j * np.pi * t))
     return vals
 
 
 def _bisect(t, bad):
     """The sorted parameters t in [0, 1) plus the midpoint of each interval
-    flagged in ``bad`` (interval i runs from t[i] to the next, cyclically)."""
+    flagged in ``bad`` and wider than _MIN_STEP (interval i runs from t[i] to
+    the next, cyclically); None when there is no such interval, so that a
+    gap which roundoff keeps open over an ever narrower interval ends the
+    refinement."""
     tn = np.roll(t, -1)
     tn[-1] += 1.0
+    bad = bad & (tn - t > _MIN_STEP)
+    if not np.any(bad):
+        return None
     return np.sort(np.concatenate([t, (0.5 * (t[bad] + tn[bad])) % 1.0]))
 
 
@@ -92,9 +97,9 @@ _CIRCLES = weakref.WeakKeyDictionary()
 
 def _argument_winding(f, omega, radius):
     """Winding of f on |z| = radius around omega by summed argument steps,
-    from 4096 points bisected up to 2**21.  f is evaluated on the 4096
-    points once per function and radius; only the refinement evaluates it
-    again."""
+    from 4096 points bisected up to 2**21 and down to _MIN_STEP.  f is
+    evaluated on the 4096 points once per function and radius; only the
+    refinement evaluates it again."""
     t = np.linspace(0.0, 1.0, 4096, endpoint=False)
     circles = _CIRCLES.setdefault(f, {})
     if radius not in circles:
@@ -120,6 +125,10 @@ def _argument_winding(f, omega, radius):
         if t.size >= 1 << 21:
             raise WindingError("argument-principle refinement budget exceeded")
         t = _bisect(t, bad)
+        if t is None:
+            raise WindingError(
+                f"argument steps around {omega} stay above 0.5 at the bisection floor"
+            )
         v = f.value(radius * np.exp(2j * np.pi * t)) - omega
 
 

@@ -325,10 +325,9 @@ def _held_out_points(count):
 
 
 def _certificate_id(spec, omega0):
-    try:
-        text = spec_to_text(spec)
-    except TypeError:
-        text = repr(spec)
+    # a RationalFunction has no spec text: its coefficients stand in
+    text = (f"{spec.P.tolist()}/{spec.Q.tolist()}" if isinstance(spec, RationalFunction)
+            else spec_to_text(spec))
     digest = hashlib.sha1(f"{text}|{omega0:.12g}".encode()).hexdigest()
     return f"dec-{digest[:12]}"
 

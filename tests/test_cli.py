@@ -467,6 +467,26 @@ def test_bad_invocations_keep_exit_code_contract(tmp_path, argv, code):
     assert (tmp_path / "cfgout" / "error.json").exists() == (code == 70)
 
 
+# a spec whose Horner values on the circle are noise at one point: a gap of
+# 0.2 in its image stays open over a parameter interval of 1.1e-16, which
+# no bisection closes
+_NOISY_CIRCLE = ("compose(poly(0,1.317-0.267i,0.738-0.380i,-1.380-1.549i),blaschke(-2.350306;"
+                 "-0.858239-0.366726i,-0.868209-0.378217i,-0.910339-0.366377i))")
+
+
+@pytest.mark.parametrize("argv", [
+    ["decompose", "--fn", _NOISY_CIRCLE],
+    ["index-map", "--fn", _NOISY_CIRCLE, "--res", "50", "--bounds", "-6,6,-6,6"],
+])
+def test_refinement_ends_on_a_gap_that_roundoff_keeps_open(tmp_path, argv):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-m", "bundlelab.cli", *argv, "--out", "o"],
+                          cwd=tmp_path, env=env, capture_output=True, text=True, timeout=30)
+    assert proc.returncode in (0, 1, 2, 64, 70), proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("argv, where", [
     (["weights-classify", "--weights", "bergman:alpha=nan"], "for weights"),
     (["weights-classify", "--weights", "polygrowth:M=inf"], "for weights"),
@@ -548,6 +568,8 @@ def test_fuzzed_options_keep_exit_code_contract(argv):
     with tempfile.TemporaryDirectory() as out, contextlib.redirect_stderr(err), \
             contextlib.redirect_stdout(io.StringIO()):
         code = _run(argv + ["--out", out])
+        if code == 0:
+            _validate(_load(Path(out)))
     assert code in (0, 1, 2, 64, 70), (argv, code)
     assert "Traceback" not in err.getvalue(), argv
 

@@ -317,6 +317,12 @@ def test_decompose_reproducible_between_base_points():
     assert match is not None and match.residual < 1e-8
 
 
+def test_certificate_id_of_a_reduced_spec_reads_its_coefficients():
+    # two live reductions of one spec are two objects with the same P and Q
+    f1, f2 = (RationalFunction.from_spec(ComposeSpec(G_CUBIC, INNER)) for _ in range(2))
+    assert monodromy.decompose(f1).certificate == monodromy.decompose(f2).certificate
+
+
 def test_decompose_base_point_validation():
     with pytest.raises(FiberError):
         monodromy.decompose(PolySpec((2, 1, 1)), 1.75 + 1e-9)
